@@ -6,12 +6,25 @@
 //! supports, for both filter rules and for degenerate weight tables
 //! (empty, all-zero, and a full 65-slot table covering every possible
 //! Hamming distance of 64-bit keys).
+//!
+//! Every narrow case also runs through the two-limb entry points with a
+//! constant high limb — a differential oracle between the one- and
+//! two-limb kernels.
 
 use hammer_core::kernel::{self, reference};
 use hammer_core::{FilterRule, KernelTuning};
 use proptest::prelude::*;
 
 const TOLERANCE: f64 = 1e-9;
+
+/// Narrow ↔ wide agreement: the same support through both limb counts
+/// differs only in summation order.
+const NARROW_WIDE_TOLERANCE: f64 = 1e-12;
+
+/// A constant high limb for embedding a ≤64-bit support in two-limb
+/// keys: equal high limbs XOR to 0, so every pairwise distance is the
+/// narrow one.
+const HIGH_LIMB: u64 = 0xA5A5_5A5A_F00F_0FF0;
 
 /// A random SoA support over up-to-64-bit keys, as both layouts.
 #[allow(clippy::type_complexity)]
@@ -121,6 +134,18 @@ proptest! {
                         "threads {}: {} vs {}", threads, a, b
                     );
                 }
+                let hi = vec![HIGH_LIMB; keys.len()];
+                let wide = kernel::wide::scores_parallel(
+                    &keys, &hi, &probs, &weights, filter, threads, &tuning,
+                );
+                prop_assert_eq!(wide.len(), oracle.len());
+                for ((a, b), c) in oracle.iter().zip(&got).zip(&wide) {
+                    prop_assert!((a - c).abs() < TOLERANCE, "wide: {} vs {}", a, c);
+                    prop_assert!(
+                        (b - c).abs() < NARROW_WIDE_TOLERANCE,
+                        "narrow {} vs wide {}", b, c
+                    );
+                }
             }
         }
     }
@@ -140,6 +165,18 @@ proptest! {
             for ((a, b), c) in oracle.iter().zip(&serial).zip(&got) {
                 prop_assert!((a - b).abs() < TOLERANCE);
                 prop_assert!((a - c).abs() < TOLERANCE);
+            }
+            let hi = vec![HIGH_LIMB; keys.len()];
+            let wide = kernel::wide::global_chs_parallel(
+                &keys, &hi, &probs, max_d, threads, &tuning,
+            );
+            prop_assert_eq!(wide.len(), max_d);
+            for ((a, b), c) in oracle.iter().zip(&got).zip(&wide) {
+                prop_assert!((a - c).abs() < TOLERANCE, "wide: {} vs {}", a, c);
+                prop_assert!(
+                    (b - c).abs() < NARROW_WIDE_TOLERANCE,
+                    "narrow {} vs wide {}", b, c
+                );
             }
         }
     }

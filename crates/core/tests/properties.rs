@@ -1,8 +1,90 @@
 //! Property-based tests for Hamming Reconstruction.
 
-use hammer_core::{FilterRule, Hammer, HammerConfig, NeighborhoodLimit, WeightScheme};
+use hammer_core::{
+    AnnTuning, FilterRule, Hammer, HammerConfig, KernelTuning, NeighborhoodLimit, WeightScheme,
+};
 use hammer_dist::{BitString, Distribution};
 use proptest::prelude::*;
+
+/// XOR relabelling changes the key order, and with it the summation
+/// order inside every pass; nothing else.
+const RELABEL_TOLERANCE: f64 = 1e-12;
+
+/// `d ⊕ m`: every outcome XOR-ed with `mask`.
+fn relabel(d: &Distribution, mask: u128) -> Distribution {
+    let n = d.n_bits();
+    let pairs = d
+        .iter()
+        .map(|(x, p)| (BitString::from_u128(x.as_u128() ^ mask, n), p));
+    Distribution::from_probs(n, pairs).expect("relabelling keeps a valid distribution")
+}
+
+/// The metamorphic relation `reconstruct(d ⊕ m) = reconstruct(d) ⊕ m`:
+/// Hamming distances and the π order are invariant under XOR, and so
+/// are bit-sampling LSH collisions, so every path must commute with it.
+fn commutes_with_xor(h: &Hammer, d: &Distribution, mask: u128) -> Result<(), String> {
+    let direct = h.reconstruct(d);
+    let relabelled = h.reconstruct(&relabel(d, mask));
+    prop_assert_eq!(direct.len(), relabelled.len());
+    for (x, p) in direct.iter() {
+        let y = BitString::from_u128(x.as_u128() ^ mask, x.len());
+        let q = relabelled.prob(y);
+        prop_assert!(
+            (p - q).abs() <= RELABEL_TOLERANCE,
+            "{} ⊕ mask: {} vs {}",
+            x,
+            p,
+            q
+        );
+    }
+    Ok(())
+}
+
+/// Strategy: a sparse distribution over 65–128-bit outcomes, as for the
+/// wide kernel oracle (the high limb hashes the distinct low limb).
+fn wide_distribution() -> impl Strategy<Value = Distribution> {
+    (
+        65usize..=128,
+        proptest::collection::btree_map(0u64..=u64::MAX, 1u64..2000, 2..60),
+    )
+        .prop_map(|(n, map)| {
+            let hi_mask = if n == 128 {
+                u64::MAX
+            } else {
+                (1u64 << (n - 64)) - 1
+            };
+            let pairs = map.into_iter().map(|(lo, w)| {
+                let mut z = lo.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let key = u128::from(lo) | (u128::from(z & hi_mask) << 64);
+                (BitString::from_u128(key, n), w as f64)
+            });
+            Distribution::from_probs(n, pairs).expect("valid distribution")
+        })
+}
+
+/// Strategy: a 48-bit support whose keys vary in bits 0..8 and 40..48
+/// only, so pairs fall both inside and outside a `Fixed(10)`
+/// neighborhood and sampled hash bits both split and miss it.
+fn ann_distribution() -> impl Strategy<Value = Distribution> {
+    proptest::collection::btree_map(0u64..(1 << 16), 1u64..2000, 2..150).prop_map(|map| {
+        let pairs = map.into_iter().map(|(k, w)| {
+            let key = (k & 0xFF) | ((k >> 8) << 40);
+            (BitString::new(key, 48), w as f64)
+        });
+        Distribution::from_probs(48, pairs).expect("valid distribution")
+    })
+}
+
+/// A mask of `n` random bits from two random limbs.
+fn mask_of(lo: u64, hi: u64, n: usize) -> u128 {
+    let full = u128::from(lo) | (u128::from(hi) << 64);
+    if n == 128 {
+        full
+    } else {
+        full & ((1u128 << n) - 1)
+    }
+}
 
 /// Strategy: a sparse distribution over n-bit outcomes.
 fn distribution() -> impl Strategy<Value = Distribution> {
@@ -138,5 +220,88 @@ proptest! {
             let out = Hammer::new().reconstruct(&two);
             prop_assert!((out.total_mass() - 1.0).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn xor_relabelling_commutes_on_the_scalar_oracle(
+        d in distribution(),
+        cfg in config(),
+        mask in 0u64..=u64::MAX,
+    ) {
+        let h = Hammer::with_config(cfg).with_threads(1);
+        commutes_with_xor(&h, &d, mask_of(mask, 0, d.n_bits()))?;
+    }
+
+    #[test]
+    fn xor_relabelling_commutes_on_the_narrow_kernel(
+        d in distribution(),
+        cfg in config(),
+        mask in 0u64..=u64::MAX,
+        tile_size in 1usize..20,
+    ) {
+        // Force the work-stealing path with tiles that do not divide N.
+        let cfg = HammerConfig {
+            kernel: KernelTuning {
+                parallel_threshold: 0,
+                tile_size,
+                ..KernelTuning::default()
+            },
+            ..cfg
+        };
+        let h = Hammer::with_config(cfg).with_threads(3);
+        commutes_with_xor(&h, &d, mask_of(mask, 0, d.n_bits()))?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn xor_relabelling_commutes_on_the_wide_kernel(
+        d in wide_distribution(),
+        cfg in config(),
+        lo in 0u64..=u64::MAX,
+        hi in 0u64..=u64::MAX,
+        forced in 0usize..2,
+    ) {
+        let kernel = if forced == 1 {
+            KernelTuning { parallel_threshold: 0, tile_size: 7, ..KernelTuning::default() }
+        } else {
+            KernelTuning::default()
+        };
+        let h = Hammer::with_config(HammerConfig { kernel, ..cfg }).with_threads(2);
+        commutes_with_xor(&h, &d, mask_of(lo, hi, d.n_bits()))?;
+    }
+
+    #[test]
+    fn xor_relabelling_commutes_on_the_ann_path(
+        d in ann_distribution(),
+        weights in prop_oneof![
+            Just(WeightScheme::InverseAverageChs),
+            Just(WeightScheme::Uniform),
+        ],
+        filter in prop_oneof![
+            Just(FilterRule::LowerProbabilityOnly),
+            Just(FilterRule::None)
+        ],
+        mask in 0u64..=u64::MAX,
+    ) {
+        // Forced ANN: a local neighborhood (4 · 10 ≤ 48 bits) and a
+        // crossover below every support.
+        let cfg = HammerConfig {
+            neighborhood: NeighborhoodLimit::Fixed(10),
+            weights,
+            filter,
+            kernel: KernelTuning {
+                ann: AnnTuning {
+                    crossover: 2,
+                    trees: 3,
+                    ..AnnTuning::default()
+                },
+                ..KernelTuning::default()
+            },
+        };
+        let h = Hammer::with_config(cfg).with_threads(2);
+        commutes_with_xor(&h, &d, mask_of(mask, 0, 48))?;
     }
 }
