@@ -9,7 +9,7 @@
 //! emitter for the measured trajectory.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hammer_core::{global_chs, kernel, FilterRule, Hammer, KernelTuning};
+use hammer_core::{kernel, FilterRule, Hammer, KernelTuning};
 use hammer_dist::{BitString, Distribution};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,7 +70,8 @@ fn bench_global_chs(c: &mut Criterion) {
         let dist = synthetic(unique, 24, 13);
         group.throughput(Throughput::Elements((unique * unique) as u64));
         group.bench_with_input(BenchmarkId::from_parameter(unique), &dist, |b, d| {
-            b.iter(|| global_chs(d.keys(), d.probs(), 12));
+            let tuning = KernelTuning::default();
+            b.iter(|| kernel::global_chs_parallel(d.keys(), d.probs(), 12, 1, &tuning));
         });
     }
     group.finish();

@@ -132,7 +132,7 @@ fn run_sizes(
             .collect();
 
         let start = Instant::now();
-        let blocked = kernel::scores(&keys, &probs, &weights, filter, &tuning);
+        let blocked = kernel::scores_parallel(&keys, &probs, &weights, filter, 1, &tuning);
         let secs_blocked_serial = start.elapsed().as_secs_f64();
 
         let start = Instant::now();

@@ -44,13 +44,12 @@ use hammer_dist::Distribution;
 use hammer_pool::WorkerPool;
 
 use crate::config::AnnTuning;
-use crate::kernel::schedule;
+use crate::kernel::{hamming, schedule};
 
 mod score;
 
-pub use score::{
-    global_chs_with_index, scores_with_index, try_global_chs_with_index, try_scores_with_index,
-};
+pub(crate) use score::{chs, scores};
+pub use score::{global_chs_with_index, scores_with_index};
 
 /// Default seed for the forest's bit-sampling streams. Fixed so that a
 /// given `(support, params)` always yields the same forest — the
@@ -369,8 +368,7 @@ impl AnnIndex {
             .into_iter()
             .filter_map(|id| {
                 let i = id as usize;
-                let d = ((key_lo ^ self.keys[i]).count_ones()
-                    + (key_hi ^ self.keys_hi[i]).count_ones()) as usize;
+                let d = hamming(&[key_lo, key_hi], &[self.keys[i], self.keys_hi[i]]);
                 (d <= max_d).then_some((id, d as u32))
             })
             .collect()

@@ -3,8 +3,8 @@
 //!
 //! Semantically this is the exact kernel restricted to the sparse pair
 //! graph the forest surfaces: every visited pair contributes exactly
-//! what the blocked kernel would have given it (same per-distance
-//! weight gather, same π filter), and unvisited pairs contribute
+//! what the blocked kernel would have given it (the same shared weight
+//! table, the same π-filter select), and unvisited pairs contribute
 //! nothing. Because the weight schemes invert the *measured* CHS, using
 //! the same candidate sets for both the CHS pass and the scoring pass
 //! keeps the two self-consistent: a bin's aggregate contribution stays
@@ -15,24 +15,19 @@
 //! Work is tiled over outcomes with the same work-stealing scheduler as
 //! the blocked kernel; each tile reuses one candidate buffer. Candidate
 //! ids arrive sorted, so per-outcome accumulation order is fixed by the
-//! forest alone — results are bit-identical across thread counts.
+//! forest alone — results are bit-identical across thread counts. As in
+//! the exact kernel, each pass has one body taking an optional
+//! [`CancelToken`], checked before every tile; the public entry points
+//! pass `None`.
 
 use crate::config::FilterRule;
-use crate::kernel::schedule;
+use crate::kernel::{
+    checkpoint, hamming, merge_bins, schedule, uncancelled, ExcludeSelf, Filter,
+    LowerProbabilityOnly, WeightTable,
+};
 use hammer_pool::{CancelToken, Cancelled};
 
 use super::AnnIndex;
-
-/// Zero-padded 129-slot weight table (every possible two-limb
-/// distance), so candidate pairs beyond `max_d` vanish without a
-/// branch.
-fn padded(weights: &[f64]) -> [f64; 129] {
-    let mut table = [0.0; 129];
-    for (slot, &w) in table.iter_mut().zip(weights) {
-        *slot = w;
-    }
-    table
-}
 
 /// Approximate [`crate::kernel::scores_parallel`]: every outcome's
 /// neighborhood sum over its forest candidates only.
@@ -43,8 +38,7 @@ fn padded(weights: &[f64]) -> [f64; 129] {
 ///
 /// # Panics
 ///
-/// Panics if `probs` length differs from the indexed support, or
-/// `threads` is 0.
+/// Panics if `probs` length differs from the indexed support.
 #[must_use]
 pub fn scores_with_index(
     index: &AnnIndex,
@@ -54,147 +48,9 @@ pub fn scores_with_index(
     threads: usize,
     tile_size: usize,
 ) -> Vec<f64> {
-    let _t = crate::obs_hooks::ann_query_hist().start();
-    assert_eq!(
-        probs.len(),
-        index.len(),
-        "probabilities must align with the indexed support"
-    );
-    let table = padded(weights);
-    let keys = index.keys();
-    let keys_hi = index.keys_hi();
-    let n = probs.len();
-    let tile = tile_size.max(1);
-    let score_tile = |t: usize| {
-        let start = t * tile;
-        let end = (start + tile).min(n);
-        let mut cands: Vec<u32> = Vec::new();
-        let mut out = Vec::with_capacity(end - start);
-        for i in start..end {
-            index.candidates_of_into(i, &mut cands);
-            let (xlo, xhi, px) = (keys[i], keys_hi[i], probs[i]);
-            // Seed with the outcome's own probability (line 17), then
-            // add every candidate that survives the filter. Candidates
-            // include `i` itself: at d = 0 the π filter rejects it
-            // (px > px is false) and the unfiltered rule excludes self.
-            let mut acc = px;
-            match filter {
-                FilterRule::LowerProbabilityOnly => {
-                    for &id in &cands {
-                        let j = id as usize;
-                        let d = ((xlo ^ keys[j]).count_ones() + (xhi ^ keys_hi[j]).count_ones())
-                            as usize;
-                        let py = probs[j];
-                        acc += table[d] * if px > py { py } else { 0.0 };
-                    }
-                }
-                FilterRule::None => {
-                    for &id in &cands {
-                        let j = id as usize;
-                        if j == i {
-                            continue;
-                        }
-                        let d = ((xlo ^ keys[j]).count_ones() + (xhi ^ keys_hi[j]).count_ones())
-                            as usize;
-                        acc += table[d] * probs[j];
-                    }
-                }
-            }
-            out.push(acc);
-        }
-        out
-    };
-    if threads <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for t in 0..n.div_ceil(tile) {
-            out.extend(score_tile(t));
-        }
-        out
-    } else {
-        schedule::run_tiles(n.div_ceil(tile), threads, score_tile).concat()
-    }
-}
-
-/// Cancellable [`scores_with_index`]: the token is checked before every
-/// tile (serial path) or tile claim (work-stealing path). Per-outcome
-/// accumulation order is fixed by the forest alone, so tiling — and
-/// therefore cancellation checks — never perturbs uncancelled results.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the token fires before the pass finishes.
-///
-/// # Panics
-///
-/// Panics if `probs` length differs from the indexed support, or
-/// `threads` is 0.
-pub fn try_scores_with_index(
-    index: &AnnIndex,
-    probs: &[f64],
-    weights: &[f64],
-    filter: FilterRule,
-    threads: usize,
-    tile_size: usize,
-    cancel: &CancelToken,
-) -> Result<Vec<f64>, Cancelled> {
-    let _t = crate::obs_hooks::ann_query_hist().start();
-    assert_eq!(
-        probs.len(),
-        index.len(),
-        "probabilities must align with the indexed support"
-    );
-    cancel.check()?;
-    let table = padded(weights);
-    let keys = index.keys();
-    let keys_hi = index.keys_hi();
-    let n = probs.len();
-    let tile = tile_size.max(1);
-    let score_tile = |t: usize| {
-        let start = t * tile;
-        let end = (start + tile).min(n);
-        let mut cands: Vec<u32> = Vec::new();
-        let mut out = Vec::with_capacity(end - start);
-        for i in start..end {
-            index.candidates_of_into(i, &mut cands);
-            let (xlo, xhi, px) = (keys[i], keys_hi[i], probs[i]);
-            let mut acc = px;
-            match filter {
-                FilterRule::LowerProbabilityOnly => {
-                    for &id in &cands {
-                        let j = id as usize;
-                        let d = ((xlo ^ keys[j]).count_ones() + (xhi ^ keys_hi[j]).count_ones())
-                            as usize;
-                        let py = probs[j];
-                        acc += table[d] * if px > py { py } else { 0.0 };
-                    }
-                }
-                FilterRule::None => {
-                    for &id in &cands {
-                        let j = id as usize;
-                        if j == i {
-                            continue;
-                        }
-                        let d = ((xlo ^ keys[j]).count_ones() + (xhi ^ keys_hi[j]).count_ones())
-                            as usize;
-                        acc += table[d] * probs[j];
-                    }
-                }
-            }
-            out.push(acc);
-        }
-        out
-    };
-    if threads <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for t in 0..n.div_ceil(tile) {
-            cancel.check()?;
-            out.extend(score_tile(t));
-        }
-        Ok(out)
-    } else {
-        schedule::run_tiles_cancellable(n.div_ceil(tile), threads, Some(cancel), score_tile)
-            .map(|tiles| tiles.concat())
-    }
+    uncancelled(scores(
+        index, probs, weights, filter, threads, tile_size, None,
+    ))
 }
 
 /// Approximate [`crate::kernel::global_chs_parallel`]: the Hamming
@@ -205,8 +61,7 @@ pub fn try_scores_with_index(
 ///
 /// # Panics
 ///
-/// Panics if `probs` length differs from the indexed support, or
-/// `threads` is 0.
+/// Panics if `probs` length differs from the indexed support.
 #[must_use]
 pub fn global_chs_with_index(
     index: &AnnIndex,
@@ -215,118 +70,104 @@ pub fn global_chs_with_index(
     threads: usize,
     tile_size: usize,
 ) -> Vec<f64> {
-    let _t = crate::obs_hooks::ann_query_hist().start();
-    assert_eq!(
-        probs.len(),
-        index.len(),
-        "probabilities must align with the indexed support"
-    );
-    let keys = index.keys();
-    let keys_hi = index.keys_hi();
-    let n = probs.len();
-    let tile = tile_size.max(1);
-    let chs_tile = |t: usize| {
-        let start = t * tile;
-        let end = (start + tile).min(n);
-        let mut cands: Vec<u32> = Vec::new();
-        let mut bins = vec![0.0f64; 129];
-        for i in start..end {
-            index.candidates_of_into(i, &mut cands);
-            let (xlo, xhi) = (keys[i], keys_hi[i]);
-            for &id in &cands {
-                let j = id as usize;
-                let d = ((xlo ^ keys[j]).count_ones() + (xhi ^ keys_hi[j]).count_ones()) as usize;
-                bins[d] += probs[j];
-            }
-        }
-        bins
-    };
-    let n_tiles = n.div_ceil(tile);
-    let mut full = vec![0.0f64; 129];
-    if threads <= 1 {
-        for t in 0..n_tiles {
-            for (acc, v) in full.iter_mut().zip(chs_tile(t)) {
-                *acc += v;
-            }
-        }
-    } else {
-        for partial in schedule::run_tiles(n_tiles, threads, chs_tile) {
-            for (acc, v) in full.iter_mut().zip(partial) {
-                *acc += v;
-            }
-        }
-    }
-    full.truncate(max_d);
-    full.resize(max_d, 0.0);
-    full
+    uncancelled(chs(index, probs, max_d, threads, tile_size, None))
 }
 
-/// Cancellable [`global_chs_with_index`]: per-tile checks on both the
-/// serial and work-stealing paths (both merge per-tile bin partials in
-/// tile order, so the check sites cannot change summation order).
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the token fires before the pass finishes.
-///
-/// # Panics
-///
-/// Panics if `probs` length differs from the indexed support, or
-/// `threads` is 0.
-pub fn try_global_chs_with_index(
+/// The ANN scoring pass body.
+pub(crate) fn scores(
+    index: &AnnIndex,
+    probs: &[f64],
+    weights: &[f64],
+    filter: FilterRule,
+    threads: usize,
+    tile_size: usize,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<f64>, Cancelled> {
+    let table = WeightTable::new(weights);
+    match filter {
+        FilterRule::LowerProbabilityOnly => {
+            scores_mono::<LowerProbabilityOnly>(index, probs, &table, threads, tile_size, cancel)
+        }
+        FilterRule::None => {
+            scores_mono::<ExcludeSelf>(index, probs, &table, threads, tile_size, cancel)
+        }
+    }
+}
+
+fn scores_mono<F: Filter>(
+    index: &AnnIndex,
+    probs: &[f64],
+    table: &WeightTable,
+    threads: usize,
+    tile_size: usize,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<f64>, Cancelled> {
+    let _t = crate::obs_hooks::ann_query_hist().start();
+    check_aligned(index, probs);
+    checkpoint(cancel)?;
+    let (keys, keys_hi) = (index.keys(), index.keys_hi());
+    let n = probs.len();
+    let tile = tile_size.max(1);
+    let per_tile =
+        schedule::run_tiles_cancellable(n.div_ceil(tile), threads.max(1), cancel, |t| {
+            let mut cands: Vec<u32> = Vec::new();
+            (t * tile..((t + 1) * tile).min(n))
+                .map(|i| {
+                    index.candidates_of_into(i, &mut cands);
+                    let (x, px) = ([keys[i], keys_hi[i]], probs[i]);
+                    // Seed with the outcome's own probability (line 17), then
+                    // add every candidate that survives the filter. Candidates
+                    // include `i` itself, which both filters reject.
+                    cands.iter().fold(px, |acc, &id| {
+                        let j = id as usize;
+                        let y = [keys[j], keys_hi[j]];
+                        acc + table.get(hamming(&x, &y)) * F::contribution(&x, px, &y, probs[j])
+                    })
+                })
+                .collect::<Vec<f64>>()
+        })?;
+    Ok(per_tile.concat())
+}
+
+/// The ANN CHS pass body: per-tile histograms merged in tile order on
+/// every schedule, so check sites never change summation order.
+pub(crate) fn chs(
     index: &AnnIndex,
     probs: &[f64],
     max_d: usize,
     threads: usize,
     tile_size: usize,
-    cancel: &CancelToken,
+    cancel: Option<&CancelToken>,
 ) -> Result<Vec<f64>, Cancelled> {
     let _t = crate::obs_hooks::ann_query_hist().start();
+    check_aligned(index, probs);
+    checkpoint(cancel)?;
+    let (keys, keys_hi) = (index.keys(), index.keys_hi());
+    let n = probs.len();
+    let tile = tile_size.max(1);
+    let partials =
+        schedule::run_tiles_cancellable(n.div_ceil(tile), threads.max(1), cancel, |t| {
+            let mut cands: Vec<u32> = Vec::new();
+            let mut bins = vec![0.0f64; WeightTable::SLOTS];
+            for i in t * tile..((t + 1) * tile).min(n) {
+                index.candidates_of_into(i, &mut cands);
+                let x = [keys[i], keys_hi[i]];
+                for &id in &cands {
+                    let j = id as usize;
+                    bins[hamming(&x, &[keys[j], keys_hi[j]])] += probs[j];
+                }
+            }
+            bins
+        })?;
+    Ok(merge_bins(partials, max_d))
+}
+
+fn check_aligned(index: &AnnIndex, probs: &[f64]) {
     assert_eq!(
         probs.len(),
         index.len(),
         "probabilities must align with the indexed support"
     );
-    cancel.check()?;
-    let keys = index.keys();
-    let keys_hi = index.keys_hi();
-    let n = probs.len();
-    let tile = tile_size.max(1);
-    let chs_tile = |t: usize| {
-        let start = t * tile;
-        let end = (start + tile).min(n);
-        let mut cands: Vec<u32> = Vec::new();
-        let mut bins = vec![0.0f64; 129];
-        for i in start..end {
-            index.candidates_of_into(i, &mut cands);
-            let (xlo, xhi) = (keys[i], keys_hi[i]);
-            for &id in &cands {
-                let j = id as usize;
-                let d = ((xlo ^ keys[j]).count_ones() + (xhi ^ keys_hi[j]).count_ones()) as usize;
-                bins[d] += probs[j];
-            }
-        }
-        bins
-    };
-    let n_tiles = n.div_ceil(tile);
-    let mut full = vec![0.0f64; 129];
-    if threads <= 1 {
-        for t in 0..n_tiles {
-            cancel.check()?;
-            for (acc, v) in full.iter_mut().zip(chs_tile(t)) {
-                *acc += v;
-            }
-        }
-    } else {
-        for partial in schedule::run_tiles_cancellable(n_tiles, threads, Some(cancel), chs_tile)? {
-            for (acc, v) in full.iter_mut().zip(partial) {
-                *acc += v;
-            }
-        }
-    }
-    full.truncate(max_d);
-    full.resize(max_d, 0.0);
-    Ok(full)
 }
 
 #[cfg(test)]

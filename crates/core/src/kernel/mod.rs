@@ -1,50 +1,58 @@
-//! The `O(N²)` scoring kernel, rebuilt for throughput.
+//! The `O(N²)` exact kernel: one blocked, branchless, work-stealing body
+//! per pass, generic over the number of `u64` limbs per key.
 //!
-//! Algorithm 1's cost is one all-pairs Hamming pass over the `N` unique
-//! observed outcomes — every outcome scores every other outcome. The
-//! kernel is therefore where reconstruction time lives (Table 3), and
-//! it is rebuilt here around four ideas:
+//! Algorithm 1's cost is two all-pairs Hamming passes over the `N`
+//! unique observed outcomes — the CHS pass, then the scoring pass — so
+//! the kernel is where reconstruction time lives (Table 3). Both passes
+//! are built around five ideas:
 //!
-//! 1. **Structure-of-arrays layout.** The support arrives as two dense
-//!    arrays, `keys: &[u64]` and `probs: &[f64]`
-//!    ([`Distribution::keys`](hammer_dist::Distribution::keys) /
-//!    [`probs`](hammer_dist::Distribution::probs), zero-copy), instead
-//!    of interleaved `(u64, f64)` pairs. The XOR+POPCNT distance stream
-//!    and the probability stream prefetch independently, and a tile of
-//!    either is half the cache footprint of the AoS equivalent.
+//! 1. **Limb-generic keys.** A key is `[u64; L]`: `L = 1` for registers
+//!    of up to 64 bits, `L = 2` for 65–128 bits. A pair's distance is
+//!    the sum of `L` XOR+POPCNTs, and one loop body compiles once per
+//!    limb count. The narrow entry points borrow
+//!    [`Distribution::keys`](hammer_dist::Distribution::keys) as
+//!    one-limb keys without a copy; the two-limb entry points in
+//!    [`wide`] interleave the low and high limbs once per call, an
+//!    `O(N)` copy against the `O(N²)` pass.
 //!
-//! 2. **Cache-blocked tiles.** Both the CHS pass and the scoring pass
-//!    sweep the support in tiles of [`KernelTuning::tile_size`] entries
-//!    (default 512 ≈ 8 KiB of keys + probs). Each inner tile is reused
-//!    by every outcome of the current outer tile while it is
-//!    L1-resident, instead of re-streaming the full `N`-entry support
-//!    from L2/L3 once per outcome.
+//! 2. **Structure-of-arrays layout.** Keys and probabilities arrive as
+//!    two dense arrays ([`Distribution::probs`](hammer_dist::Distribution::probs)
+//!    is zero-copy) instead of interleaved `(key, prob)` pairs. The
+//!    XOR+POPCNT distance stream and the probability stream prefetch
+//!    independently.
 //!
-//! 3. **A branchless inner loop.** The per-distance weight vector is
-//!    padded to [`PaddedWeights::SLOTS`] = **65** slots — one for every
-//!    possible popcount of a 64-bit XOR — with zeros beyond `max_d`, so
-//!    the `d < max_d` cutoff test disappears: out-of-neighborhood
-//!    distances hit a zero weight and contribute nothing. The π-filter
-//!    compare is a pure select (`if pass { py } else { 0.0 }`), and each
-//!    [`FilterRule`] gets its own monomorphized loop. Both conditions
-//!    are near-50/50 coin flips on wide random supports, so replacing
-//!    two unpredictable branches per pair with compare-masks is worth
-//!    several multiples of throughput on its own.
+//! 3. **Cache-blocked tiles.** Both passes sweep the support in tiles of
+//!    [`KernelTuning::tile_size`] entries (default 512 ≈ 8 KiB of
+//!    one-limb keys + probs). Each inner tile is reused by every outcome
+//!    of the current outer tile while it is L1-resident, instead of
+//!    re-streaming the full support from L2/L3 once per outcome.
 //!
-//! 4. **Work-stealing scheduling.** Above
+//! 4. **A branchless inner loop.** One zero-padded weight table of
+//!    **129** slots — every possible distance of keys of up to two
+//!    limbs — serves every limb count and the ANN pass, so the
+//!    `d < max_d` cutoff disappears: out-of-neighborhood distances hit a
+//!    zero weight. The π-filter compare is a pure select, and each
+//!    [`FilterRule`] gets its own monomorphized loop. The scoring loop
+//!    keeps `4 / L` independent accumulator lanes (four at one limb, two
+//!    at two, where each pair already costs two POPCNTs); the CHS loop
+//!    keeps even/odd histograms of 129 bins.
+//!
+//! 5. **Work-stealing scheduling.** Above
 //!    [`KernelTuning::parallel_threshold`], outer tiles are claimed
 //!    dynamically off a shared atomic cursor by crossbeam scoped worker
-//!    threads, bounding load imbalance by one tile where the PR 1
-//!    static `chunks_mut` split was bounded by `N / threads`.
+//!    threads, bounding load imbalance by one tile. Below it the same
+//!    tiles run in order on the calling thread.
 //!
-//! The PR 1 scalar kernel survives in [`reference`] (keys widened to
-//! `u128` when the workspace grew 64–128-qubit registers, loop
-//! structure untouched) as the correctness oracle (property-tested to
-//! `≤ 1e-9` agreement) and the speedup baseline recorded by `repro
-//! bench-kernel`. Registers wider than 64 bits run through the
-//! two-limb twin of this kernel in [`wide`]; the functions in this
-//! module keep the single-`u64` fast path for everything the dense
-//! simulator can produce.
+//! Each pass has one body, which takes an optional [`CancelToken`]: a
+//! fired token stops the pass within one tile of work per worker. The public entry points
+//! here and in [`wide`] pass `None`; `Hammer::try_reconstruct` passes
+//! the caller's token. Results are bit-identical whether or not a token
+//! is supplied.
+//!
+//! The original scalar kernel survives in [`mod@reference`] (keys
+//! widened to `u128`, loop structure untouched) as the correctness oracle
+//! (property-tested to `≤ 1e-9` agreement) and the speedup baseline
+//! recorded by `repro bench-kernel`.
 
 use crate::config::{FilterRule, KernelTuning};
 use hammer_pool::{CancelToken, Cancelled};
@@ -55,22 +63,13 @@ pub(crate) mod schedule;
 mod weights;
 pub mod wide;
 
-pub use weights::PaddedWeights;
+pub(crate) use blocked::{hamming, ExcludeSelf, Filter, LowerProbabilityOnly};
+pub(crate) use weights::WeightTable;
 
 /// Computes the distribution-wide CHS of Algorithm 1 (lines 3–8) over
 /// the SoA support: `chs[d] = Σ_x Σ_y [hamming(x,y) = d] · P(y)` for
-/// `d < max_d`. Serial, cache-blocked, branchless.
-///
-/// # Panics
-///
-/// Panics if `keys` and `probs` differ in length.
-#[must_use]
-pub fn global_chs(keys: &[u64], probs: &[f64], max_d: usize) -> Vec<f64> {
-    global_chs_parallel(keys, probs, max_d, 1, &KernelTuning::default())
-}
-
-/// Parallel [`global_chs`]: work-stealing over outer tiles above the
-/// tuning's parallel threshold, blocked-serial below it.
+/// `d < max_d`. Work-stealing over outer tiles above the tuning's
+/// parallel threshold, one blocked serial sweep below it.
 ///
 /// # Panics
 ///
@@ -83,117 +82,15 @@ pub fn global_chs_parallel(
     threads: usize,
     tuning: &KernelTuning,
 ) -> Vec<f64> {
-    assert_eq!(keys.len(), probs.len(), "SoA arrays must be index-aligned");
-    let n = keys.len();
-    let tile = tuning.tile_size.max(1);
-    let full = if threads <= 1 || n < tuning.parallel_threshold {
-        blocked::chs_tile(keys, probs, 0..n, tile)
-    } else {
-        let n_tiles = n.div_ceil(tile);
-        let partials = schedule::run_tiles(n_tiles, threads, |t| {
-            let start = t * tile;
-            let end = (start + tile).min(n);
-            blocked::chs_tile(keys, probs, start..end, tile)
-        });
-        let mut sum = vec![0.0; PaddedWeights::SLOTS];
-        for partial in partials {
-            for (acc, v) in sum.iter_mut().zip(&partial) {
-                *acc += v;
-            }
-        }
-        sum
-    };
-    let mut out = full;
-    out.truncate(max_d);
-    // max_d can exceed 65 only for hypothetical >64-bit registers; pad
-    // so the output length contract (`== max_d`) always holds.
-    out.resize(max_d, 0.0);
-    out
-}
-
-/// Cancellable [`global_chs_parallel`]: the work-stealing path checks
-/// the token before every tile claim, so a fired token stops the pass
-/// within one tile of work per worker. The sub-threshold serial path
-/// (small supports that finish in microseconds) checks only on entry —
-/// splitting its single accumulator pass would change floating-point
-/// summation order and break the bit-identity contract. Uncancelled
-/// runs produce bit-identical output to [`global_chs_parallel`].
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the token fires before the pass finishes.
-///
-/// # Panics
-///
-/// Panics if `keys` and `probs` differ in length.
-pub fn try_global_chs_parallel(
-    keys: &[u64],
-    probs: &[f64],
-    max_d: usize,
-    threads: usize,
-    tuning: &KernelTuning,
-    cancel: &CancelToken,
-) -> Result<Vec<f64>, Cancelled> {
-    assert_eq!(keys.len(), probs.len(), "SoA arrays must be index-aligned");
-    cancel.check()?;
-    let n = keys.len();
-    let tile = tuning.tile_size.max(1);
-    let full = if threads <= 1 || n < tuning.parallel_threshold {
-        blocked::chs_tile(keys, probs, 0..n, tile)
-    } else {
-        let n_tiles = n.div_ceil(tile);
-        let partials = schedule::run_tiles_cancellable(n_tiles, threads, Some(cancel), |t| {
-            let start = t * tile;
-            let end = (start + tile).min(n);
-            blocked::chs_tile(keys, probs, start..end, tile)
-        })?;
-        let mut sum = vec![0.0; PaddedWeights::SLOTS];
-        for partial in partials {
-            for (acc, v) in sum.iter_mut().zip(&partial) {
-                *acc += v;
-            }
-        }
-        sum
-    };
-    let mut out = full;
-    out.truncate(max_d);
-    out.resize(max_d, 0.0);
-    Ok(out)
+    uncancelled(chs(one_limb(keys), probs, max_d, threads, tuning, None))
 }
 
 /// Computes every outcome's neighborhood score (Algorithm 1 lines
 /// 16–21) over the SoA support: for each `x`,
 /// `score(x) = P(x) + Σ_y [hd(x,y) < max_d ∧ filter(x,y)] · W[d] · P(y)`
-/// with `max_d = weights.len()`. Serial, cache-blocked, branchless.
-///
-/// # Panics
-///
-/// Panics if `keys` and `probs` differ in length.
-#[must_use]
-pub fn scores(
-    keys: &[u64],
-    probs: &[f64],
-    weights: &[f64],
-    filter: FilterRule,
-    tuning: &KernelTuning,
-) -> Vec<f64> {
-    assert_eq!(keys.len(), probs.len(), "SoA arrays must be index-aligned");
-    let padded = PaddedWeights::new(weights);
-    blocked::scores_tile(
-        keys,
-        probs,
-        0..keys.len(),
-        &padded,
-        filter,
-        tuning.tile_size,
-    )
-}
-
-/// Parallel [`scores`]: outer tiles are claimed off a shared atomic
-/// cursor by `threads` crossbeam scoped workers (dynamic work
-/// stealing). Falls back to the blocked serial kernel when `threads <=
-/// 1` or the support is below the tuning's parallel threshold, where
-/// spawn/join overhead would dominate.
+/// with `max_d = weights.len()`. Outer tiles are claimed off a shared
+/// atomic cursor by `threads` workers; below the tuning's parallel
+/// threshold (or at one thread) they run in order on the calling thread.
 ///
 /// # Panics
 ///
@@ -207,75 +104,126 @@ pub fn scores_parallel(
     threads: usize,
     tuning: &KernelTuning,
 ) -> Vec<f64> {
-    assert_eq!(keys.len(), probs.len(), "SoA arrays must be index-aligned");
-    let n = keys.len();
-    if threads <= 1 || n < tuning.parallel_threshold {
-        return scores(keys, probs, weights, filter, tuning);
-    }
-    let padded = PaddedWeights::new(weights);
-    let tile = tuning.tile_size.max(1);
-    let n_tiles = n.div_ceil(tile);
-    let per_tile = schedule::run_tiles(n_tiles, threads, |t| {
-        let start = t * tile;
-        let end = (start + tile).min(n);
-        blocked::scores_tile(keys, probs, start..end, &padded, filter, tile)
-    });
-    per_tile.concat()
+    uncancelled(scores(
+        one_limb(keys),
+        probs,
+        weights,
+        filter,
+        threads,
+        tuning,
+        None,
+    ))
 }
 
-/// Cancellable [`scores_parallel`]: token checked before every tile
-/// claim on the work-stealing path and between outer tiles on the
-/// serial path (per-outcome score sums are independent, so outer-range
-/// splitting composes bit-identically — pinned by the blocked kernel's
-/// composition test). Uncancelled runs are bit-identical to
-/// [`scores_parallel`].
+/// The CHS pass body for `L`-limb keys.
 ///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the token fires before the pass finishes.
-///
-/// # Panics
-///
-/// Panics if `keys` and `probs` differ in length.
-pub fn try_scores_parallel(
-    keys: &[u64],
+/// The work-stealing path checks the token before every tile claim. The
+/// serial path is one accumulator sweep over the whole support, checked
+/// only on entry: splitting it would change the floating-point summation
+/// order of the bins.
+pub(crate) fn chs<const L: usize>(
+    keys: &[[u64; L]],
+    probs: &[f64],
+    max_d: usize,
+    threads: usize,
+    tuning: &KernelTuning,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<f64>, Cancelled> {
+    assert_eq!(keys.len(), probs.len(), "SoA arrays must be index-aligned");
+    checkpoint(cancel)?;
+    let n = keys.len();
+    let tile = tuning.tile_size.max(1);
+    let workers = workers(n, threads, tuning);
+    let x_tile = if workers == 1 { n.max(1) } else { tile };
+    let partials = schedule::run_tiles_cancellable(n.div_ceil(x_tile), workers, cancel, |t| {
+        let start = t * x_tile;
+        blocked::chs_tile(keys, probs, start..(start + x_tile).min(n), tile)
+    })?;
+    Ok(merge_bins(partials, max_d))
+}
+
+/// The scoring pass body for `L`-limb keys. The token is checked before
+/// every outer tile on both paths: per-outcome sums are independent, so
+/// splitting the outer range composes bit-identically.
+pub(crate) fn scores<const L: usize>(
+    keys: &[[u64; L]],
     probs: &[f64],
     weights: &[f64],
     filter: FilterRule,
     threads: usize,
     tuning: &KernelTuning,
-    cancel: &CancelToken,
+    cancel: Option<&CancelToken>,
 ) -> Result<Vec<f64>, Cancelled> {
     assert_eq!(keys.len(), probs.len(), "SoA arrays must be index-aligned");
-    cancel.check()?;
+    checkpoint(cancel)?;
     let n = keys.len();
-    let padded = PaddedWeights::new(weights);
+    let table = WeightTable::new(weights);
     let tile = tuning.tile_size.max(1);
-    if threads <= 1 || n < tuning.parallel_threshold {
-        let mut out = Vec::with_capacity(n);
-        let mut start = 0usize;
-        while start < n {
-            cancel.check()?;
-            let end = (start + tile).min(n);
-            out.extend(blocked::scores_tile(
-                keys,
-                probs,
-                start..end,
-                &padded,
-                filter,
-                tile,
-            ));
-            start = end;
-        }
-        return Ok(out);
-    }
-    let n_tiles = n.div_ceil(tile);
-    let per_tile = schedule::run_tiles_cancellable(n_tiles, threads, Some(cancel), |t| {
+    let workers = workers(n, threads, tuning);
+    let per_tile = schedule::run_tiles_cancellable(n.div_ceil(tile), workers, cancel, |t| {
         let start = t * tile;
-        let end = (start + tile).min(n);
-        blocked::scores_tile(keys, probs, start..end, &padded, filter, tile)
+        blocked::scores_tile(
+            keys,
+            probs,
+            start..(start + tile).min(n),
+            &table,
+            filter,
+            tile,
+        )
     })?;
     Ok(per_tile.concat())
+}
+
+/// Worker count for a support of `n`: one below the parallel threshold,
+/// where spawn/join overhead would dominate.
+fn workers(n: usize, threads: usize, tuning: &KernelTuning) -> usize {
+    if n < tuning.parallel_threshold {
+        1
+    } else {
+        threads.max(1)
+    }
+}
+
+/// `u64` keys viewed as one-limb keys, without a copy.
+pub(crate) fn one_limb(keys: &[u64]) -> &[[u64; 1]] {
+    keys.as_chunks().0
+}
+
+/// Low and high limb arrays interleaved into two-limb keys.
+///
+/// # Panics
+///
+/// Panics if the limb arrays differ in length.
+pub(crate) fn two_limbs(lo: &[u64], hi: &[u64]) -> Vec<[u64; 2]> {
+    assert_eq!(lo.len(), hi.len(), "limb arrays must be index-aligned");
+    lo.iter().zip(hi).map(|(&l, &h)| [l, h]).collect()
+}
+
+/// Sums per-tile histograms in tile order and truncates or zero-pads
+/// the result to `max_d` bins.
+pub(crate) fn merge_bins(partials: Vec<Vec<f64>>, max_d: usize) -> Vec<f64> {
+    let mut out = partials
+        .into_iter()
+        .reduce(|mut sum, partial| {
+            for (acc, v) in sum.iter_mut().zip(&partial) {
+                *acc += v;
+            }
+            sum
+        })
+        .unwrap_or_default();
+    out.truncate(max_d);
+    out.resize(max_d, 0.0);
+    out
+}
+
+/// `Err(Cancelled)` once `cancel` has fired; `None` never fires.
+pub(crate) fn checkpoint(cancel: Option<&CancelToken>) -> Result<(), Cancelled> {
+    cancel.map_or(Ok(()), CancelToken::check)
+}
+
+/// Unwraps the result of a pass that ran without a token.
+pub(crate) fn uncancelled<T>(result: Result<T, Cancelled>) -> T {
+    result.expect("no token, so the pass cannot be cancelled")
 }
 
 #[cfg(test)]
@@ -333,7 +281,7 @@ mod tests {
         let e = entries(&keys, &probs);
         for max_d in [0, 1, 7, 32, 65, 80] {
             let oracle = reference::global_chs(&e, max_d);
-            let serial = global_chs(&keys, &probs, max_d);
+            let serial = global_chs_parallel(&keys, &probs, max_d, 1, &KernelTuning::default());
             let tuning = KernelTuning {
                 parallel_threshold: 0,
                 tile_size: 33,
@@ -353,15 +301,10 @@ mod tests {
     fn empty_and_zero_weight_tables_leave_the_seed() {
         let (keys, probs) = synthetic(64);
         let tuning = KernelTuning::default();
-        let empty = scores(
-            &keys,
-            &probs,
-            &[],
-            FilterRule::LowerProbabilityOnly,
-            &tuning,
-        );
+        let rule = FilterRule::LowerProbabilityOnly;
+        let empty = scores_parallel(&keys, &probs, &[], rule, 1, &tuning);
         assert_eq!(empty, probs);
-        let zeros = scores(&keys, &probs, &[0.0; 65], FilterRule::None, &tuning);
+        let zeros = scores_parallel(&keys, &probs, &[0.0; 65], FilterRule::None, 1, &tuning);
         for (a, b) in zeros.iter().zip(&probs) {
             assert!((a - b).abs() < 1e-15);
         }
@@ -370,7 +313,32 @@ mod tests {
     #[test]
     fn empty_support_is_fine() {
         let tuning = KernelTuning::default();
-        assert!(scores(&[], &[], &[1.0], FilterRule::None, &tuning).is_empty());
-        assert_eq!(global_chs(&[], &[], 3), vec![0.0; 3]);
+        assert!(scores_parallel(&[], &[], &[1.0], FilterRule::None, 1, &tuning).is_empty());
+        assert_eq!(global_chs_parallel(&[], &[], 3, 1, &tuning), vec![0.0; 3]);
+    }
+
+    #[test]
+    fn a_fired_token_stops_both_passes_on_every_schedule() {
+        let (keys, probs) = synthetic(200);
+        let keys = one_limb(&keys);
+        let fired = CancelToken::new();
+        fired.cancel();
+        for parallel_threshold in [0, usize::MAX] {
+            let tuning = KernelTuning {
+                parallel_threshold,
+                tile_size: 16,
+                ..KernelTuning::default()
+            };
+            let rule = FilterRule::None;
+            let s = scores(keys, &probs, &[1.0], rule, 2, &tuning, Some(&fired));
+            assert_eq!(s, Err(Cancelled));
+            let c = chs(keys, &probs, 4, 2, &tuning, Some(&fired));
+            assert_eq!(c, Err(Cancelled));
+            let live = CancelToken::new();
+            assert_eq!(
+                scores(keys, &probs, &[1.0], rule, 2, &tuning, Some(&live)).unwrap(),
+                scores(keys, &probs, &[1.0], rule, 2, &tuning, None).unwrap()
+            );
+        }
     }
 }

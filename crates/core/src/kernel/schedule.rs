@@ -44,6 +44,9 @@ where
 /// run takes exactly the same path as [`run_tiles`] — same claim order
 /// discipline, same per-worker collection, same tile-order stitching —
 /// so results stay bit-identical whether or not a token is supplied.
+///
+/// One worker runs the tiles in order on the calling thread, with no
+/// spawn.
 pub(crate) fn run_tiles_cancellable<T, F>(
     n_tiles: usize,
     threads: usize,
@@ -55,6 +58,14 @@ where
     F: Fn(usize) -> T + Sync,
 {
     assert!(threads >= 1, "need at least one worker");
+    if threads == 1 {
+        return (0..n_tiles)
+            .map(|t| {
+                super::checkpoint(cancel)?;
+                Ok(work(t))
+            })
+            .collect();
+    }
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = (0..n_tiles).map(|_| None).collect();
     let mut cancelled = false;

@@ -1,124 +1,23 @@
-//! Cache-blocked, branchless tile kernels for registers **wider than 64
-//! bits** — the two-limb twin of [`super::blocked`].
+//! The two-limb entry points of the exact kernel, for registers **wider
+//! than 64 bits**.
 //!
-//! A 64–128-bit outcome packs into two `u64` limbs
+//! A 65–128-bit outcome packs into two `u64` limbs
 //! ([`hammer_dist::Distribution::keys`] holds the low limbs,
-//! [`hammer_dist::Distribution::keys_hi`] the high limbs), so the
-//! Hamming distance of a pair is the sum of two XOR + POPCNT pairs and
-//! ranges over `0..=128` — 129 possible values. Everything else carries
-//! over from the narrow kernel unchanged: structure-of-arrays tiles
-//! (three streams now: low limbs, high limbs, probabilities),
-//! a zero-padded weight table that swallows the `d < max_d` cutoff, a
-//! monomorphized select per [`FilterRule`], and work-stealing tile
-//! scheduling over the shared [`super::schedule`] cursor.
+//! [`hammer_dist::Distribution::keys_hi`] the high limbs). These
+//! adapters interleave the two limb arrays into two-limb keys and run
+//! the same limb-generic bodies as the narrow entry points (see the
+//! [module docs](super)), so a pair's distance ranges over `0..=128`
+//! and lands in the shared 129-slot weight table.
 //!
 //! The scalar [`super::reference`] oracle operates on full `u128` keys
 //! and therefore covers both widths; the wide property tests pin these
-//! kernels to it exactly like the narrow ones.
-
-use std::ops::Range;
+//! entry points to it exactly like the narrow ones.
 
 use crate::config::{FilterRule, KernelTuning};
-use hammer_pool::{CancelToken, Cancelled};
 
-use super::schedule;
+use super::{chs, scores, two_limbs, uncancelled};
 
-/// Number of weight slots for two-limb keys: every possible popcount of
-/// a 128-bit XOR, `0..=128`.
-pub const WIDE_SLOTS: usize = 129;
-
-/// The 129-slot zero-padded weight table (the two-limb counterpart of
-/// [`super::PaddedWeights`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct PaddedWeightsWide {
-    table: [f64; WIDE_SLOTS],
-}
-
-impl PaddedWeightsWide {
-    fn new(weights: &[f64]) -> Self {
-        let mut table = [0.0; WIDE_SLOTS];
-        for (slot, &w) in table.iter_mut().zip(weights) {
-            *slot = w;
-        }
-        Self { table }
-    }
-
-    #[inline(always)]
-    fn get(&self, d: usize) -> f64 {
-        self.table[d]
-    }
-}
-
-/// Two-limb Hamming distance: one XOR + POPCNT per limb.
-#[inline(always)]
-fn dist2(xlo: u64, xhi: u64, ylo: u64, yhi: u64) -> usize {
-    ((xlo ^ ylo).count_ones() + (xhi ^ yhi).count_ones()) as usize
-}
-
-/// A monomorphized neighbor filter over two-limb keys — see the narrow
-/// kernel's `Filter` trait for the compare-select rationale.
-trait Filter {
-    fn contribution(xlo: u64, xhi: u64, px: f64, ylo: u64, yhi: u64, py: f64) -> f64;
-}
-
-/// Algorithm 1 line 20: only strictly-less-probable neighbors count.
-struct LowerProbabilityOnly;
-
-impl Filter for LowerProbabilityOnly {
-    #[inline(always)]
-    fn contribution(_xlo: u64, _xhi: u64, px: f64, _ylo: u64, _yhi: u64, py: f64) -> f64 {
-        if px > py {
-            py
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The unfiltered ablation: every neighbor except `x` itself counts.
-struct ExcludeSelf;
-
-impl Filter for ExcludeSelf {
-    #[inline(always)]
-    fn contribution(xlo: u64, xhi: u64, _px: f64, ylo: u64, yhi: u64, py: f64) -> f64 {
-        if ylo != xlo || yhi != xhi {
-            py
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Wide [`super::scores`]: serial, cache-blocked, branchless, over the
-/// two limb arrays.
-///
-/// # Panics
-///
-/// Panics if the SoA arrays differ in length.
-#[must_use]
-pub fn scores(
-    keys_lo: &[u64],
-    keys_hi: &[u64],
-    probs: &[f64],
-    weights: &[f64],
-    filter: FilterRule,
-    tuning: &KernelTuning,
-) -> Vec<f64> {
-    check_aligned(keys_lo, keys_hi, probs);
-    let padded = PaddedWeightsWide::new(weights);
-    scores_tile(
-        keys_lo,
-        keys_hi,
-        probs,
-        0..keys_lo.len(),
-        &padded,
-        filter,
-        tuning.tile_size,
-    )
-}
-
-/// Wide [`super::scores_parallel`]: work-stealing over outer tiles
-/// above the tuning's parallel threshold.
+/// Two-limb [`super::scores_parallel`].
 ///
 /// # Panics
 ///
@@ -133,79 +32,12 @@ pub fn scores_parallel(
     threads: usize,
     tuning: &KernelTuning,
 ) -> Vec<f64> {
-    check_aligned(keys_lo, keys_hi, probs);
-    let n = keys_lo.len();
-    if threads <= 1 || n < tuning.parallel_threshold {
-        return scores(keys_lo, keys_hi, probs, weights, filter, tuning);
-    }
-    let padded = PaddedWeightsWide::new(weights);
-    let tile = tuning.tile_size.max(1);
-    let n_tiles = n.div_ceil(tile);
-    let per_tile = schedule::run_tiles(n_tiles, threads, |t| {
-        let start = t * tile;
-        let end = (start + tile).min(n);
-        scores_tile(keys_lo, keys_hi, probs, start..end, &padded, filter, tile)
-    });
-    per_tile.concat()
+    let keys = two_limbs(keys_lo, keys_hi);
+    uncancelled(scores(&keys, probs, weights, filter, threads, tuning, None))
 }
 
-/// Cancellable [`scores_parallel`] — the two-limb twin of
-/// [`super::try_scores_parallel`], same per-tile check discipline and
-/// the same uncancelled bit-identity guarantee.
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the token fires before the pass finishes.
-///
-/// # Panics
-///
-/// Panics if the SoA arrays differ in length.
-#[allow(clippy::too_many_arguments)]
-pub fn try_scores_parallel(
-    keys_lo: &[u64],
-    keys_hi: &[u64],
-    probs: &[f64],
-    weights: &[f64],
-    filter: FilterRule,
-    threads: usize,
-    tuning: &KernelTuning,
-    cancel: &CancelToken,
-) -> Result<Vec<f64>, Cancelled> {
-    check_aligned(keys_lo, keys_hi, probs);
-    cancel.check()?;
-    let n = keys_lo.len();
-    let padded = PaddedWeightsWide::new(weights);
-    let tile = tuning.tile_size.max(1);
-    if threads <= 1 || n < tuning.parallel_threshold {
-        let mut out = Vec::with_capacity(n);
-        let mut start = 0usize;
-        while start < n {
-            cancel.check()?;
-            let end = (start + tile).min(n);
-            out.extend(scores_tile(
-                keys_lo,
-                keys_hi,
-                probs,
-                start..end,
-                &padded,
-                filter,
-                tile,
-            ));
-            start = end;
-        }
-        return Ok(out);
-    }
-    let n_tiles = n.div_ceil(tile);
-    let per_tile = schedule::run_tiles_cancellable(n_tiles, threads, Some(cancel), |t| {
-        let start = t * tile;
-        let end = (start + tile).min(n);
-        scores_tile(keys_lo, keys_hi, probs, start..end, &padded, filter, tile)
-    })?;
-    Ok(per_tile.concat())
-}
-
-/// Wide [`super::global_chs_parallel`]: the 129-bin Hamming histogram
-/// over two-limb keys, truncated/padded to `max_d` bins.
+/// Two-limb [`super::global_chs_parallel`]: the 129-bin Hamming
+/// histogram, truncated or zero-padded to `max_d` bins.
 ///
 /// # Panics
 ///
@@ -219,214 +51,8 @@ pub fn global_chs_parallel(
     threads: usize,
     tuning: &KernelTuning,
 ) -> Vec<f64> {
-    check_aligned(keys_lo, keys_hi, probs);
-    let n = keys_lo.len();
-    let tile = tuning.tile_size.max(1);
-    let full = if threads <= 1 || n < tuning.parallel_threshold {
-        chs_tile(keys_lo, keys_hi, probs, 0..n, tile)
-    } else {
-        let n_tiles = n.div_ceil(tile);
-        let partials = schedule::run_tiles(n_tiles, threads, |t| {
-            let start = t * tile;
-            let end = (start + tile).min(n);
-            chs_tile(keys_lo, keys_hi, probs, start..end, tile)
-        });
-        let mut sum = vec![0.0; WIDE_SLOTS];
-        for partial in partials {
-            for (acc, v) in sum.iter_mut().zip(&partial) {
-                *acc += v;
-            }
-        }
-        sum
-    };
-    let mut out = full;
-    out.truncate(max_d);
-    out.resize(max_d, 0.0);
-    out
-}
-
-/// Cancellable [`global_chs_parallel`] — the two-limb twin of
-/// [`super::try_global_chs_parallel`]: per-tile-claim checks on the
-/// work-stealing path, entry-only on the sub-threshold serial path
-/// (whose single accumulator pass must not be split — floating-point
-/// summation order is part of the bit-identity contract).
-///
-/// # Errors
-///
-/// Returns [`Cancelled`] when the token fires before the pass finishes.
-///
-/// # Panics
-///
-/// Panics if the SoA arrays differ in length.
-pub fn try_global_chs_parallel(
-    keys_lo: &[u64],
-    keys_hi: &[u64],
-    probs: &[f64],
-    max_d: usize,
-    threads: usize,
-    tuning: &KernelTuning,
-    cancel: &CancelToken,
-) -> Result<Vec<f64>, Cancelled> {
-    check_aligned(keys_lo, keys_hi, probs);
-    cancel.check()?;
-    let n = keys_lo.len();
-    let tile = tuning.tile_size.max(1);
-    let full = if threads <= 1 || n < tuning.parallel_threshold {
-        chs_tile(keys_lo, keys_hi, probs, 0..n, tile)
-    } else {
-        let n_tiles = n.div_ceil(tile);
-        let partials = schedule::run_tiles_cancellable(n_tiles, threads, Some(cancel), |t| {
-            let start = t * tile;
-            let end = (start + tile).min(n);
-            chs_tile(keys_lo, keys_hi, probs, start..end, tile)
-        })?;
-        let mut sum = vec![0.0; WIDE_SLOTS];
-        for partial in partials {
-            for (acc, v) in sum.iter_mut().zip(&partial) {
-                *acc += v;
-            }
-        }
-        sum
-    };
-    let mut out = full;
-    out.truncate(max_d);
-    out.resize(max_d, 0.0);
-    Ok(out)
-}
-
-fn check_aligned(keys_lo: &[u64], keys_hi: &[u64], probs: &[f64]) {
-    assert!(
-        keys_lo.len() == keys_hi.len() && keys_lo.len() == probs.len(),
-        "SoA limb/probability arrays must be index-aligned"
-    );
-}
-
-fn scores_tile(
-    keys_lo: &[u64],
-    keys_hi: &[u64],
-    probs: &[f64],
-    x_range: Range<usize>,
-    weights: &PaddedWeightsWide,
-    filter: FilterRule,
-    tile: usize,
-) -> Vec<f64> {
-    match filter {
-        FilterRule::LowerProbabilityOnly => scores_tile_mono::<LowerProbabilityOnly>(
-            keys_lo, keys_hi, probs, x_range, weights, tile,
-        ),
-        FilterRule::None => {
-            scores_tile_mono::<ExcludeSelf>(keys_lo, keys_hi, probs, x_range, weights, tile)
-        }
-    }
-}
-
-fn scores_tile_mono<F: Filter>(
-    keys_lo: &[u64],
-    keys_hi: &[u64],
-    probs: &[f64],
-    x_range: Range<usize>,
-    weights: &PaddedWeightsWide,
-    tile: usize,
-) -> Vec<f64> {
-    let tile = tile.max(1);
-    // Seed every score with its own probability (Algorithm 1 line 17).
-    let mut out: Vec<f64> = probs[x_range.clone()].to_vec();
-    let n = keys_lo.len();
-    let mut y0 = 0;
-    while y0 < n {
-        let y1 = (y0 + tile).min(n);
-        let ylo = &keys_lo[y0..y1];
-        let yhi = &keys_hi[y0..y1];
-        let yprobs = &probs[y0..y1];
-        for (slot, i) in out.iter_mut().zip(x_range.clone()) {
-            *slot += neighborhood_block::<F>(
-                keys_lo[i], keys_hi[i], probs[i], ylo, yhi, yprobs, weights,
-            );
-        }
-        y0 = y1;
-    }
-    out
-}
-
-/// The weighted, filtered neighborhood mass one outcome collects from
-/// one L1-resident block of the support — two independent accumulator
-/// lanes (each pair costs two XOR+POPCNTs, so two lanes already cover
-/// the floating-point add latency the narrow kernel needed four for).
-#[inline]
-fn neighborhood_block<F: Filter>(
-    xlo: u64,
-    xhi: u64,
-    px: f64,
-    ylo: &[u64],
-    yhi: &[u64],
-    yprobs: &[f64],
-    weights: &PaddedWeightsWide,
-) -> f64 {
-    const LANES: usize = 2;
-    let mut acc = [0.0f64; LANES];
-    let mut lchunks = ylo.chunks_exact(LANES);
-    let mut hchunks = yhi.chunks_exact(LANES);
-    let mut pchunks = yprobs.chunks_exact(LANES);
-    for ((lc, hc), pc) in (&mut lchunks).zip(&mut hchunks).zip(&mut pchunks) {
-        for lane in 0..LANES {
-            let d = dist2(xlo, xhi, lc[lane], hc[lane]);
-            acc[lane] +=
-                weights.get(d) * F::contribution(xlo, xhi, px, lc[lane], hc[lane], pc[lane]);
-        }
-    }
-    for ((&yl, &yh), &py) in lchunks
-        .remainder()
-        .iter()
-        .zip(hchunks.remainder())
-        .zip(pchunks.remainder())
-    {
-        let d = dist2(xlo, xhi, yl, yh);
-        acc[0] += weights.get(d) * F::contribution(xlo, xhi, px, yl, yh, py);
-    }
-    acc[0] + acc[1]
-}
-
-/// The 129-bin Hamming histogram contribution of the outcomes in
-/// `x_range` — see the narrow `chs_tile` for the interleaved-table
-/// rationale.
-fn chs_tile(
-    keys_lo: &[u64],
-    keys_hi: &[u64],
-    probs: &[f64],
-    x_range: Range<usize>,
-    tile: usize,
-) -> Vec<f64> {
-    let tile = tile.max(1);
-    let mut even = [0.0f64; WIDE_SLOTS];
-    let mut odd = [0.0f64; WIDE_SLOTS];
-    let n = keys_lo.len();
-    let mut y0 = 0;
-    while y0 < n {
-        let y1 = (y0 + tile).min(n);
-        let ylo = &keys_lo[y0..y1];
-        let yhi = &keys_hi[y0..y1];
-        let yprobs = &probs[y0..y1];
-        for i in x_range.clone() {
-            let (xlo, xhi) = (keys_lo[i], keys_hi[i]);
-            let mut lchunks = ylo.chunks_exact(2);
-            let mut hchunks = yhi.chunks_exact(2);
-            let mut pchunks = yprobs.chunks_exact(2);
-            for ((lc, hc), pc) in (&mut lchunks).zip(&mut hchunks).zip(&mut pchunks) {
-                even[dist2(xlo, xhi, lc[0], hc[0])] += pc[0];
-                odd[dist2(xlo, xhi, lc[1], hc[1])] += pc[1];
-            }
-            for ((&yl, &yh), &py) in lchunks
-                .remainder()
-                .iter()
-                .zip(hchunks.remainder())
-                .zip(pchunks.remainder())
-            {
-                even[dist2(xlo, xhi, yl, yh)] += py;
-            }
-        }
-        y0 = y1;
-    }
-    even.iter().zip(&odd).map(|(a, b)| a + b).collect()
+    let keys = two_limbs(keys_lo, keys_hi);
+    uncancelled(chs(&keys, probs, max_d, threads, tuning, None))
 }
 
 #[cfg(test)]
@@ -523,7 +149,8 @@ mod tests {
     #[test]
     fn empty_support_is_fine() {
         let tuning = KernelTuning::default();
-        assert!(scores(&[], &[], &[], &[1.0], FilterRule::None, &tuning).is_empty());
+        let rule = FilterRule::None;
+        assert!(scores_parallel(&[], &[], &[], &[1.0], rule, 1, &tuning).is_empty());
         assert_eq!(
             global_chs_parallel(&[], &[], &[], 3, 1, &tuning),
             vec![0.0; 3]

@@ -66,9 +66,6 @@ pub use config::{
 };
 pub use hammer_pool::{CancelToken, Cancelled};
 pub use kernel::reference::score_one;
-pub use kernel::{
-    global_chs, global_chs_parallel, scores, scores_parallel, try_global_chs_parallel,
-    try_scores_parallel, PaddedWeights,
-};
+pub use kernel::{global_chs_parallel, scores_parallel};
 pub use reconstruct::{operation_count, Hammer};
 pub use trace::{HammerTrace, ScoreBreakdown};

@@ -199,41 +199,91 @@ impl Hammer {
         }
     }
 
-    /// The distribution-wide CHS through the kernel selected by the
-    /// thread count: the scalar reference oracle at `threads == 1`, the
-    /// ANN candidate pass when the [`ann_params`](Hammer::ann_params)
-    /// gate opens, the blocked/work-stealing kernel otherwise.
-    fn global_chs_dispatch(&self, dist: &Distribution, max_d: usize) -> Vec<f64> {
+    /// Picks the kernel for this distribution, once per call, so both
+    /// passes run on it: the ANN candidate pass when the
+    /// [`ann_params`](Hammer::ann_params) gate opens (building the
+    /// forest here), the scalar reference oracle at `threads == 1`, the
+    /// blocked/work-stealing kernel at one or two limbs otherwise.
+    fn kernel<'a>(&self, dist: &'a Distribution) -> Kernel<'a> {
         if let Some(params) = self.ann_params(dist) {
-            let index = self.build_index(dist, &params);
-            return ann::global_chs_with_index(
-                &index,
-                dist.probs(),
-                max_d,
-                self.threads,
-                self.config.kernel.tile_size,
-            );
-        }
-        if self.threads == 1 {
-            kernel::reference::global_chs(dist.as_slice(), max_d)
+            Kernel::Ann(self.build_index(dist, &params))
+        } else if self.threads == 1 {
+            Kernel::Reference
         } else if dist.n_bits() > 64 {
-            kernel::wide::global_chs_parallel(
-                dist.keys(),
-                dist.keys_hi(),
-                dist.probs(),
-                max_d,
-                self.threads,
-                &self.config.kernel,
-            )
+            Kernel::Wide(kernel::two_limbs(dist.keys(), dist.keys_hi()))
         } else {
-            kernel::global_chs_parallel(
-                dist.keys(),
-                dist.probs(),
-                max_d,
-                self.threads,
-                &self.config.kernel,
-            )
+            Kernel::Narrow(kernel::one_limb(dist.keys()))
         }
+    }
+
+    /// The distribution-wide CHS pass (Algorithm 1 lines 3–8) on `on`.
+    fn chs(
+        &self,
+        on: &Kernel<'_>,
+        dist: &Distribution,
+        max_d: usize,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Vec<f64>, Cancelled> {
+        let (threads, tuning, probs) = (self.threads, &self.config.kernel, dist.probs());
+        match on {
+            Kernel::Reference => {
+                // The scalar oracle has no tile structure to hook; honor
+                // the token at entry (serving always runs threads ≥ 2).
+                kernel::checkpoint(cancel)?;
+                Ok(kernel::reference::global_chs(dist.as_slice(), max_d))
+            }
+            Kernel::Narrow(keys) => kernel::chs(keys, probs, max_d, threads, tuning, cancel),
+            Kernel::Wide(keys) => kernel::chs(keys, probs, max_d, threads, tuning, cancel),
+            Kernel::Ann(index) => ann::chs(index, probs, max_d, threads, tuning.tile_size, cancel),
+        }
+    }
+
+    /// The scoring pass (Algorithm 1 lines 16–21) on `on`, then the
+    /// likelihood update. Distributions with fewer than two outcomes
+    /// carry no neighborhood information and pass through unchanged.
+    fn rescore(
+        &self,
+        on: &Kernel<'_>,
+        dist: &Distribution,
+        weights: &[f64],
+        cancel: Option<&CancelToken>,
+    ) -> Result<Distribution, Cancelled> {
+        if dist.len() < 2 {
+            return Ok(dist.clone());
+        }
+        let (threads, tuning, filter) = (self.threads, &self.config.kernel, self.config.filter);
+        let probs = dist.probs();
+        let scores = match on {
+            Kernel::Reference => {
+                kernel::checkpoint(cancel)?;
+                kernel::reference::scores(dist.as_slice(), weights, filter)
+            }
+            Kernel::Narrow(keys) => {
+                kernel::scores(keys, probs, weights, filter, threads, tuning, cancel)?
+            }
+            Kernel::Wide(keys) => {
+                kernel::scores(keys, probs, weights, filter, threads, tuning, cancel)?
+            }
+            Kernel::Ann(index) => ann::scores(
+                index,
+                probs,
+                weights,
+                filter,
+                threads,
+                tuning.tile_size,
+                cancel,
+            )?,
+        };
+        Ok(self.apply_scores(dist, &scores))
+    }
+
+    /// Whether the weight scheme inverts a measured CHS — only those
+    /// pay for the `O(N²)` CHS pass.
+    fn measures_chs(&self) -> bool {
+        matches!(
+            self.config.weights,
+            WeightScheme::InverseAverageChs | WeightScheme::InverseGlobalChs
+        )
     }
 
     /// Derives the per-distance weight vector for a distribution
@@ -241,21 +291,16 @@ impl Hammer {
     #[must_use]
     pub fn weights(&self, dist: &Distribution) -> Vec<f64> {
         let max_d = self.config.neighborhood.max_distance(dist.n_bits());
-        // The measured global CHS is an O(N²) pass — only schemes that
-        // invert it pay for it.
-        let chs = match self.config.weights {
-            WeightScheme::InverseAverageChs | WeightScheme::InverseGlobalChs => {
-                self.global_chs_dispatch(dist, max_d)
-            }
-            WeightScheme::Uniform | WeightScheme::InverseBinomial => Vec::new(),
+        let chs = if self.measures_chs() {
+            kernel::uncancelled(self.chs(&self.kernel(dist), dist, max_d, None))
+        } else {
+            Vec::new()
         };
         self.weights_from_chs(dist, max_d, &chs)
     }
 
     /// Weight derivation from an already-computed global CHS (ignored
-    /// by the schemes that do not invert a measured CHS), so callers
-    /// like [`trace`](Hammer::trace) that need both never run the
-    /// `O(N²)` CHS pass twice.
+    /// by the schemes that do not invert a measured CHS).
     fn weights_from_chs(&self, dist: &Distribution, max_d: usize, chs: &[f64]) -> Vec<f64> {
         let n = dist.n_bits();
         match self.config.weights {
@@ -277,6 +322,41 @@ impl Hammer {
         }
     }
 
+    /// The one reconstruction body behind [`reconstruct`](Hammer::reconstruct),
+    /// [`try_reconstruct`](Hammer::try_reconstruct) and
+    /// [`trace`](Hammer::trace): picks the kernel once (so the ANN
+    /// forest is built once), runs the CHS pass when the weight scheme
+    /// needs it or `always_chs` asks for it, derives the weights and
+    /// rescores.
+    ///
+    /// The token is checked at tile granularity inside both `O(N²)`
+    /// passes; `None` never fires, and an uncancelled run is
+    /// bit-identical to a run without a token.
+    fn run(
+        &self,
+        dist: &Distribution,
+        always_chs: bool,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Pass, Cancelled> {
+        kernel::checkpoint(cancel)?;
+        let max_d = self.config.neighborhood.max_distance(dist.n_bits());
+        let on = self.kernel(dist);
+        // The forest build itself is not cancellable; look again after it.
+        kernel::checkpoint(cancel)?;
+        let chs = if always_chs || self.measures_chs() {
+            self.chs(&on, dist, max_d, cancel)?
+        } else {
+            Vec::new()
+        };
+        let weights = self.weights_from_chs(dist, max_d, &chs);
+        let output = self.rescore(&on, dist, &weights, cancel)?;
+        Ok(Pass {
+            chs,
+            weights,
+            output,
+        })
+    }
+
     /// Runs Hamming Reconstruction and returns the corrected
     /// distribution (`P_out` of Algorithm 1).
     ///
@@ -285,80 +365,14 @@ impl Hammer {
     #[must_use]
     pub fn reconstruct(&self, dist: &Distribution) -> Distribution {
         let _t = crate::obs_hooks::reconstruct_hist().start();
-        if dist.len() < 2 {
-            return dist.clone();
-        }
-        // ANN fast path: build the forest once and reuse it for both
-        // O(N·candidates) passes (CHS → weights, then scores). The
-        // dispatch in `weights`/`reconstruct_with_weights` would land on
-        // the same results, but would build the index twice.
-        if let Some(params) = self.ann_params(dist) {
-            let index = self.build_index(dist, &params);
-            let max_d = self.config.neighborhood.max_distance(dist.n_bits());
-            let tile = self.config.kernel.tile_size;
-            let chs = match self.config.weights {
-                WeightScheme::InverseAverageChs | WeightScheme::InverseGlobalChs => {
-                    ann::global_chs_with_index(&index, dist.probs(), max_d, self.threads, tile)
-                }
-                WeightScheme::Uniform | WeightScheme::InverseBinomial => Vec::new(),
-            };
-            let weights = self.weights_from_chs(dist, max_d, &chs);
-            let scores = ann::scores_with_index(
-                &index,
-                dist.probs(),
-                &weights,
-                self.config.filter,
-                self.threads,
-                tile,
-            );
-            return self.apply_scores(dist, &scores);
-        }
-        let weights = self.weights(dist);
-        self.reconstruct_with_weights(dist, &weights)
+        kernel::uncancelled(self.run(dist, false, None)).output
     }
 
     /// Reconstruction with a caller-supplied weight vector (used by the
-    /// trace API and the weight-scheme ablations).
+    /// weight-scheme ablations).
     #[must_use]
     pub fn reconstruct_with_weights(&self, dist: &Distribution, weights: &[f64]) -> Distribution {
-        if dist.len() < 2 {
-            return dist.clone();
-        }
-        if let Some(params) = self.ann_params(dist) {
-            let index = self.build_index(dist, &params);
-            let scores = ann::scores_with_index(
-                &index,
-                dist.probs(),
-                weights,
-                self.config.filter,
-                self.threads,
-                self.config.kernel.tile_size,
-            );
-            return self.apply_scores(dist, &scores);
-        }
-        let scores = if self.threads == 1 {
-            kernel::reference::scores(dist.as_slice(), weights, self.config.filter)
-        } else if dist.n_bits() > 64 {
-            kernel::wide::scores_parallel(
-                dist.keys(),
-                dist.keys_hi(),
-                dist.probs(),
-                weights,
-                self.config.filter,
-                self.threads,
-                &self.config.kernel,
-            )
-        } else {
-            kernel::scores_parallel(
-                dist.keys(),
-                dist.probs(),
-                weights,
-                self.config.filter,
-                self.threads,
-                &self.config.kernel,
-            )
-        };
-        self.apply_scores(dist, &scores)
+        kernel::uncancelled(self.rescore(&self.kernel(dist), dist, weights, None))
     }
 
     /// The likelihood update + renormalization tail of Algorithm 1:
@@ -406,10 +420,9 @@ impl Hammer {
     /// burning the rest of the sweep. The serving tier threads each
     /// request's deadline through here.
     ///
-    /// The token is a per-call value, not reconstructor state: the
-    /// infallible entry points are untouched, and an uncancelled
-    /// `try_reconstruct` is bit-identical to `reconstruct` (pinned by
-    /// the cancellation test suite).
+    /// The token is a per-call value, not reconstructor state, and an
+    /// uncancelled `try_reconstruct` is bit-identical to `reconstruct`
+    /// (pinned by the cancellation test suite): both run the same body.
     ///
     /// # Errors
     ///
@@ -421,108 +434,7 @@ impl Hammer {
         cancel: &CancelToken,
     ) -> Result<Distribution, Cancelled> {
         let _t = crate::obs_hooks::reconstruct_hist().start();
-        cancel.check()?;
-        if dist.len() < 2 {
-            return Ok(dist.clone());
-        }
-        let max_d = self.config.neighborhood.max_distance(dist.n_bits());
-        if let Some(params) = self.ann_params(dist) {
-            let index = self.build_index(dist, &params);
-            cancel.check()?;
-            let tile = self.config.kernel.tile_size;
-            let chs = match self.config.weights {
-                WeightScheme::InverseAverageChs | WeightScheme::InverseGlobalChs => {
-                    ann::try_global_chs_with_index(
-                        &index,
-                        dist.probs(),
-                        max_d,
-                        self.threads,
-                        tile,
-                        cancel,
-                    )?
-                }
-                WeightScheme::Uniform | WeightScheme::InverseBinomial => Vec::new(),
-            };
-            let weights = self.weights_from_chs(dist, max_d, &chs);
-            let scores = ann::try_scores_with_index(
-                &index,
-                dist.probs(),
-                &weights,
-                self.config.filter,
-                self.threads,
-                tile,
-                cancel,
-            )?;
-            return Ok(self.apply_scores(dist, &scores));
-        }
-        let chs = match self.config.weights {
-            WeightScheme::InverseAverageChs | WeightScheme::InverseGlobalChs => {
-                self.try_global_chs_dispatch(dist, max_d, cancel)?
-            }
-            WeightScheme::Uniform | WeightScheme::InverseBinomial => Vec::new(),
-        };
-        let weights = self.weights_from_chs(dist, max_d, &chs);
-        let scores = if self.threads == 1 {
-            // The scalar oracle has no tile structure to hook; honor the
-            // token at entry (serving always runs threads ≥ 2).
-            cancel.check()?;
-            kernel::reference::scores(dist.as_slice(), &weights, self.config.filter)
-        } else if dist.n_bits() > 64 {
-            kernel::wide::try_scores_parallel(
-                dist.keys(),
-                dist.keys_hi(),
-                dist.probs(),
-                &weights,
-                self.config.filter,
-                self.threads,
-                &self.config.kernel,
-                cancel,
-            )?
-        } else {
-            kernel::try_scores_parallel(
-                dist.keys(),
-                dist.probs(),
-                &weights,
-                self.config.filter,
-                self.threads,
-                &self.config.kernel,
-                cancel,
-            )?
-        };
-        Ok(self.apply_scores(dist, &scores))
-    }
-
-    /// Cancellable CHS dispatch: the non-ANN twin of
-    /// [`global_chs_dispatch`](Hammer::global_chs_dispatch).
-    fn try_global_chs_dispatch(
-        &self,
-        dist: &Distribution,
-        max_d: usize,
-        cancel: &CancelToken,
-    ) -> Result<Vec<f64>, Cancelled> {
-        if self.threads == 1 {
-            cancel.check()?;
-            Ok(kernel::reference::global_chs(dist.as_slice(), max_d))
-        } else if dist.n_bits() > 64 {
-            kernel::wide::try_global_chs_parallel(
-                dist.keys(),
-                dist.keys_hi(),
-                dist.probs(),
-                max_d,
-                self.threads,
-                &self.config.kernel,
-                cancel,
-            )
-        } else {
-            kernel::try_global_chs_parallel(
-                dist.keys(),
-                dist.probs(),
-                max_d,
-                self.threads,
-                &self.config.kernel,
-                cancel,
-            )
-        }
+        Ok(self.run(dist, false, Some(cancel))?.output)
     }
 
     /// Cancellable [`reconstruct_counts`](Hammer::reconstruct_counts).
@@ -542,17 +454,19 @@ impl Hammer {
 
     /// Runs reconstruction while capturing every intermediate quantity
     /// of Algorithm 1 (global CHS, weights, per-string scores) — the
-    /// data behind Fig. 7.
+    /// data behind Fig. 7. The global CHS is measured even when the
+    /// weight scheme does not invert it.
     #[must_use]
     pub fn trace(&self, dist: &Distribution) -> HammerTrace {
         let n = dist.n_bits();
-        let max_d = self.config.neighborhood.max_distance(n);
-        let global_chs = self.global_chs_dispatch(dist, max_d);
-        let weights = self.weights_from_chs(dist, max_d, &global_chs);
-        let output = self.reconstruct_with_weights(dist, &weights);
+        let Pass {
+            chs: global_chs,
+            weights,
+            output,
+        } = kernel::uncancelled(self.run(dist, true, None));
         HammerTrace {
             n_bits: n,
-            max_distance: max_d,
+            max_distance: self.config.neighborhood.max_distance(n),
             average_chs: global_chs
                 .iter()
                 .map(|v| v / dist.len().max(1) as f64)
@@ -601,6 +515,26 @@ impl Hammer {
             score,
         }
     }
+}
+
+/// The kernel one reconstruction runs both passes on.
+enum Kernel<'a> {
+    /// `threads == 1`: the scalar reference oracle.
+    Reference,
+    /// The exact blocked kernel over one-limb keys (≤ 64-bit registers).
+    Narrow(&'a [[u64; 1]]),
+    /// The exact blocked kernel over interleaved two-limb keys.
+    Wide(Vec<[u64; 2]>),
+    /// The LSH-forest candidate pass.
+    Ann(AnnIndex),
+}
+
+/// What one run of the reconstruction body computed.
+struct Pass {
+    /// The measured global CHS (empty when not measured).
+    chs: Vec<f64>,
+    weights: Vec<f64>,
+    output: Distribution,
 }
 
 /// Number of floating-point operations HAMMER performs for `n_unique`
@@ -735,7 +669,8 @@ mod tests {
         let d = fig4();
         let h = Hammer::new();
         let w = h.weights(&d);
-        let chs = kernel::global_chs(d.keys(), d.probs(), 2);
+        let chs =
+            kernel::global_chs_parallel(d.keys(), d.probs(), 2, 1, &crate::KernelTuning::default());
         assert_eq!(w.len(), 2); // n=3 → d < 1.5 → bins {0, 1}
                                 // W[d] · (CHS_total[d] / N) = 1.
         for (wi, ci) in w.iter().zip(&chs) {
@@ -751,7 +686,8 @@ mod tests {
             ..HammerConfig::paper()
         });
         let w = h.weights(&d);
-        let chs = kernel::global_chs(d.keys(), d.probs(), 2);
+        let chs =
+            kernel::global_chs_parallel(d.keys(), d.probs(), 2, 1, &crate::KernelTuning::default());
         for (wi, ci) in w.iter().zip(&chs) {
             assert!((wi * ci - 1.0).abs() < 1e-12);
         }

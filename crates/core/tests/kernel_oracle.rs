@@ -118,7 +118,7 @@ proptest! {
     ) {
         for filter in [FilterRule::LowerProbabilityOnly, FilterRule::None] {
             let oracle = reference::scores(&entries, &weights, filter);
-            let serial = kernel::scores(&keys, &probs, &weights, filter, &tuning);
+            let serial = kernel::scores_parallel(&keys, &probs, &weights, filter, 1, &tuning);
             prop_assert_eq!(serial.len(), oracle.len());
             for (a, b) in oracle.iter().zip(&serial) {
                 prop_assert!((a - b).abs() < TOLERANCE, "serial: {} vs {}", a, b);
@@ -157,7 +157,7 @@ proptest! {
         tuning in tuning(),
     ) {
         let oracle = reference::global_chs(&entries, max_d);
-        let serial = kernel::global_chs(&keys, &probs, max_d);
+        let serial = kernel::global_chs_parallel(&keys, &probs, max_d, 1, &KernelTuning::default());
         prop_assert_eq!(serial.len(), max_d);
         for threads in [1usize, 2, 7] {
             let got = kernel::global_chs_parallel(&keys, &probs, max_d, threads, &tuning);
