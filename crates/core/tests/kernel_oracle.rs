@@ -78,6 +78,28 @@ fn wide_support() -> impl Strategy<Value = (Vec<(u128, f64)>, Vec<u64>, Vec<u64>
         })
 }
 
+/// A tie-heavy support over up-to-64-bit keys: every trial count is 1, 2
+/// or 3, so the π filter sees at most three tie groups, each spread
+/// across the key order.
+#[allow(clippy::type_complexity)]
+fn tied_support() -> impl Strategy<Value = (Vec<(u128, f64)>, Vec<u64>, Vec<f64>)> {
+    (1usize..=64)
+        .prop_flat_map(|n| {
+            let max = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+            proptest::collection::btree_map(0..=max, 1u64..=3, 1..150)
+        })
+        .prop_map(|map| {
+            let total = map.values().sum::<u64>() as f64;
+            let entries: Vec<(u128, f64)> = map
+                .into_iter()
+                .map(|(k, c)| (u128::from(k), c as f64 / total))
+                .collect();
+            let keys = entries.iter().map(|&(k, _)| k as u64).collect();
+            let probs = entries.iter().map(|&(_, p)| p).collect();
+            (entries, keys, probs)
+        })
+}
+
 /// Weight tables including every degenerate shape the issue calls out.
 fn weight_table() -> impl Strategy<Value = Vec<f64>> {
     prop_oneof![
@@ -183,6 +205,50 @@ proptest! {
 }
 
 proptest! {
+    #[test]
+    fn pi_filter_tie_groups_never_credit_each_other(
+        (entries, keys, probs) in tied_support(),
+        weights in proptest::collection::vec(0.0f64..2.0, 1..66),
+    ) {
+        let rule = FilterRule::LowerProbabilityOnly;
+        let oracle = reference::scores(&entries, &weights, rule);
+        let lowest = probs.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = vec![HIGH_LIMB; keys.len()];
+        let flat = vec![1.0 / keys.len() as f64; keys.len()];
+        // Tiles of 1, 3 and 7 put tie-group and tile edges everywhere.
+        for tile_size in [1usize, 3, 7, 64] {
+            let tuning = KernelTuning {
+                parallel_threshold: 0,
+                tile_size,
+                ..KernelTuning::default()
+            };
+            for threads in [1usize, 2] {
+                let narrow = kernel::scores_parallel(&keys, &probs, &weights, rule, threads, &tuning);
+                let wide = kernel::wide::scores_parallel(
+                    &keys, &hi, &probs, &weights, rule, threads, &tuning,
+                );
+                for (((a, b), c), &p) in oracle.iter().zip(&narrow).zip(&wide).zip(&probs) {
+                    prop_assert!((a - b).abs() < TOLERANCE, "tile {}: {} vs {}", tile_size, a, b);
+                    prop_assert!((a - c).abs() < TOLERANCE, "wide tile {}: {} vs {}", tile_size, a, c);
+                    // The lowest tie group has no strictly-less-probable
+                    // neighbor, so its scores stay exactly at the seed.
+                    if p == lowest {
+                        prop_assert_eq!(*b, p);
+                        prop_assert_eq!(*c, p);
+                    }
+                }
+                // One tie group spanning the whole support: nobody
+                // credits anybody.
+                let narrow = kernel::scores_parallel(&keys, &flat, &weights, rule, threads, &tuning);
+                let wide = kernel::wide::scores_parallel(
+                    &keys, &hi, &flat, &weights, rule, threads, &tuning,
+                );
+                prop_assert_eq!(&narrow, &flat);
+                prop_assert_eq!(&wide, &flat);
+            }
+        }
+    }
+
     #[test]
     fn wide_kernel_matches_oracle_across_schedules(
         (entries, lo, hi, probs) in wide_support(),

@@ -40,6 +40,53 @@ fn commutes_with_xor(h: &Hammer, d: &Distribution, mask: u128) -> Result<(), Str
     Ok(())
 }
 
+/// Qubit relabelling reorders the keys, and with them the summation
+/// order inside every pass; nothing else.
+const PERMUTE_TOLERANCE: f64 = 1e-12;
+
+/// `x` with bit `i` moved to bit `perm[i]`.
+fn permute_key(x: u128, perm: &[usize]) -> u128 {
+    perm.iter()
+        .enumerate()
+        .filter(|&(i, _)| (x >> i) & 1 == 1)
+        .fold(0, |acc, (_, &to)| acc | 1 << to)
+}
+
+/// The metamorphic relation `reconstruct(σ(d)) = σ(reconstruct(d))` for
+/// a permutation `σ` of the qubits: it preserves every Hamming distance
+/// and every probability, so no exact path may notice it.
+fn commutes_with_permutation(h: &Hammer, d: &Distribution, perm: &[usize]) -> Result<(), String> {
+    let n = d.n_bits();
+    let permuted = Distribution::from_probs(
+        n,
+        d.iter()
+            .map(|(x, p)| (BitString::from_u128(permute_key(x.as_u128(), perm), n), p)),
+    )
+    .expect("permuting qubits keeps a valid distribution");
+    let direct = h.reconstruct(d);
+    let relabelled = h.reconstruct(&permuted);
+    prop_assert_eq!(direct.len(), relabelled.len());
+    for (x, p) in direct.iter() {
+        let y = BitString::from_u128(permute_key(x.as_u128(), perm), n);
+        let q = relabelled.prob(y);
+        prop_assert!(
+            (p - q).abs() <= PERMUTE_TOLERANCE,
+            "σ({}): {} vs {}",
+            x,
+            p,
+            q
+        );
+    }
+    Ok(())
+}
+
+/// A permutation of `0..n` drawn from random sort keys.
+fn permutation(sort_keys: &[u64], n: usize) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..n).collect();
+    perm.sort_by_key(|&i| (sort_keys[i], i));
+    perm
+}
+
 /// Strategy: a sparse distribution over 65–128-bit outcomes, as for the
 /// wide kernel oracle (the high limb hashes the distinct low limb).
 fn wide_distribution() -> impl Strategy<Value = Distribution> {
@@ -251,6 +298,35 @@ proptest! {
         let h = Hammer::with_config(cfg).with_threads(3);
         commutes_with_xor(&h, &d, mask_of(mask, 0, d.n_bits()))?;
     }
+
+    #[test]
+    fn qubit_permutation_commutes_on_the_scalar_oracle(
+        d in distribution(),
+        cfg in config(),
+        sort_keys in proptest::collection::vec(0u64..=u64::MAX, 10..11),
+    ) {
+        let h = Hammer::with_config(cfg).with_threads(1);
+        commutes_with_permutation(&h, &d, &permutation(&sort_keys, d.n_bits()))?;
+    }
+
+    #[test]
+    fn qubit_permutation_commutes_on_the_narrow_kernel(
+        d in distribution(),
+        cfg in config(),
+        sort_keys in proptest::collection::vec(0u64..=u64::MAX, 10..11),
+        tile_size in 1usize..20,
+    ) {
+        let cfg = HammerConfig {
+            kernel: KernelTuning {
+                parallel_threshold: 0,
+                tile_size,
+                ..KernelTuning::default()
+            },
+            ..cfg
+        };
+        let h = Hammer::with_config(cfg).with_threads(3);
+        commutes_with_permutation(&h, &d, &permutation(&sort_keys, d.n_bits()))?;
+    }
 }
 
 proptest! {
@@ -271,6 +347,17 @@ proptest! {
         };
         let h = Hammer::with_config(HammerConfig { kernel, ..cfg }).with_threads(2);
         commutes_with_xor(&h, &d, mask_of(lo, hi, d.n_bits()))?;
+    }
+
+    #[test]
+    fn qubit_permutation_commutes_on_the_wide_kernel(
+        d in wide_distribution(),
+        cfg in config(),
+        sort_keys in proptest::collection::vec(0u64..=u64::MAX, 128..129),
+    ) {
+        let kernel = KernelTuning { parallel_threshold: 0, tile_size: 7, ..KernelTuning::default() };
+        let h = Hammer::with_config(HammerConfig { kernel, ..cfg }).with_threads(2);
+        commutes_with_permutation(&h, &d, &permutation(&sort_keys, d.n_bits()))?;
     }
 
     #[test]
