@@ -4,7 +4,7 @@
 //! Semantically this is the exact kernel restricted to the sparse pair
 //! graph the forest surfaces: every visited pair contributes exactly
 //! what the blocked kernel would have given it (the same shared weight
-//! table, the same π-filter select), and unvisited pairs contribute
+//! table; the π filter as a per-pair select), and unvisited pairs contribute
 //! nothing. Because the weight schemes invert the *measured* CHS, using
 //! the same candidate sets for both the CHS pass and the scoring pass
 //! keeps the two self-consistent: a bin's aggregate contribution stays
@@ -22,8 +22,7 @@
 
 use crate::config::FilterRule;
 use crate::kernel::{
-    checkpoint, hamming, merge_bins, schedule, uncancelled, ExcludeSelf, Filter,
-    LowerProbabilityOnly, WeightTable,
+    checkpoint, hamming, merge_bins, schedule, uncancelled, ExcludeSelf, Filter, WeightTable,
 };
 use hammer_pool::{CancelToken, Cancelled};
 
@@ -90,6 +89,22 @@ pub(crate) fn scores(
         }
         FilterRule::None => {
             scores_mono::<ExcludeSelf>(index, probs, &table, threads, tile_size, cancel)
+        }
+    }
+}
+
+/// Algorithm 1 line 20 as a per-pair select: only strictly-less-probable
+/// neighbors count. (The exact kernel needs no select: it sweeps each
+/// outcome's strictly-less-probable suffix of a probability order.)
+struct LowerProbabilityOnly;
+
+impl Filter for LowerProbabilityOnly {
+    #[inline(always)]
+    fn contribution<const L: usize>(_xk: &[u64; L], px: f64, _yk: &[u64; L], py: f64) -> f64 {
+        if px > py {
+            py
+        } else {
+            0.0
         }
     }
 }

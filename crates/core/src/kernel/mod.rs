@@ -4,7 +4,7 @@
 //! Algorithm 1's cost is two all-pairs Hamming passes over the `N`
 //! unique observed outcomes — the CHS pass, then the scoring pass — so
 //! the kernel is where reconstruction time lives (Table 3). Both passes
-//! are built around five ideas:
+//! are built around six ideas:
 //!
 //! 1. **Limb-generic keys.** A key is `[u64; L]`: `L = 1` for registers
 //!    of up to 64 bits, `L = 2` for 65–128 bits. A pair's distance is
@@ -13,35 +13,49 @@
 //!    [`Distribution::keys`](hammer_dist::Distribution::keys) as
 //!    one-limb keys without a copy; the two-limb entry points in
 //!    [`wide`] interleave the low and high limbs once per call, an
-//!    `O(N)` copy against the `O(N²)` pass.
+//!    `O(N)` copy against the `O(N²)` pass. On x86-64 the workspace
+//!    builds for `x86-64-v2` (`.cargo/config.toml`), so `count_ones` is
+//!    the POPCNT instruction rather than a software popcount.
 //!
-//! 2. **Structure-of-arrays layout.** Keys and probabilities arrive as
+//! 2. **Each pair visited at most once.** The CHS is symmetric, so its
+//!    pass is triangular: each unordered pair credits `P(x) + P(y)` to
+//!    its bin once, and the diagonal credits `Σ P(x)` to bin 0. Under
+//!    the π filter the scoring pass ranks the outcomes by probability
+//!    (descending, ties by index) and each rank sweeps only the ranks
+//!    past its tie group — its strictly-less-probable neighbors — so
+//!    the filter costs no per-pair select. Together the passes visit
+//!    about `N²` pairs instead of `2N²`. Without a filter every outcome
+//!    sweeps the whole support.
+//!
+//! 3. **Structure-of-arrays layout.** Keys and probabilities arrive as
 //!    two dense arrays ([`Distribution::probs`](hammer_dist::Distribution::probs)
 //!    is zero-copy) instead of interleaved `(key, prob)` pairs. The
 //!    XOR+POPCNT distance stream and the probability stream prefetch
 //!    independently.
 //!
-//! 3. **Cache-blocked tiles.** Both passes sweep the support in tiles of
+//! 4. **Cache-blocked tiles.** Both passes sweep the support in tiles of
 //!    [`KernelTuning::tile_size`] entries (default 512 ≈ 8 KiB of
 //!    one-limb keys + probs). Each inner tile is reused by every outcome
 //!    of the current outer tile while it is L1-resident, instead of
 //!    re-streaming the full support from L2/L3 once per outcome.
 //!
-//! 4. **A branchless inner loop.** One zero-padded weight table of
+//! 5. **A branchless inner loop.** One zero-padded weight table of
 //!    **129** slots — every possible distance of keys of up to two
 //!    limbs — serves every limb count and the ANN pass, so the
 //!    `d < max_d` cutoff disappears: out-of-neighborhood distances hit a
-//!    zero weight. The π-filter compare is a pure select, and each
-//!    [`FilterRule`] gets its own monomorphized loop. The scoring loop
-//!    keeps `4 / L` independent accumulator lanes (four at one limb, two
-//!    at two, where each pair already costs two POPCNTs); the CHS loop
-//!    keeps even/odd histograms of 129 bins.
+//!    zero weight. The unfiltered ablation's self-exclusion is a pure
+//!    select. The scoring loop keeps `4 / L` independent accumulator
+//!    lanes (four at one limb, two at two, where each pair already costs
+//!    two POPCNTs); the CHS loop keeps four interleaved histograms of
+//!    129 bins.
 //!
-//! 5. **Work-stealing scheduling.** Above
+//! 6. **Work-stealing scheduling.** Above
 //!    [`KernelTuning::parallel_threshold`], outer tiles are claimed
 //!    dynamically off a shared atomic cursor by crossbeam scoped worker
-//!    threads, bounding load imbalance by one tile. Below it the same
-//!    tiles run in order on the calling thread.
+//!    threads, bounding load imbalance by one tile. The triangular
+//!    sweeps make early tiles the heaviest, and they are claimed first.
+//!    Below the threshold the same tiles run in order on the calling
+//!    thread, so every result is bit-identical across thread counts.
 //!
 //! Each pass has one body, which takes an optional [`CancelToken`]: a
 //! fired token stops the pass within one tile of work per worker. The public entry points
@@ -54,6 +68,8 @@
 //! (property-tested to `≤ 1e-9` agreement) and the speedup baseline
 //! recorded by `repro bench-kernel`.
 
+use std::ops::Range;
+
 use crate::config::{FilterRule, KernelTuning};
 use hammer_pool::{CancelToken, Cancelled};
 
@@ -63,13 +79,16 @@ pub(crate) mod schedule;
 mod weights;
 pub mod wide;
 
-pub(crate) use blocked::{hamming, ExcludeSelf, Filter, LowerProbabilityOnly};
+use blocked::Unfiltered;
+pub(crate) use blocked::{hamming, ExcludeSelf, Filter};
 pub(crate) use weights::WeightTable;
 
 /// Computes the distribution-wide CHS of Algorithm 1 (lines 3–8) over
 /// the SoA support: `chs[d] = Σ_x Σ_y [hamming(x,y) = d] · P(y)` for
-/// `d < max_d`. Work-stealing over outer tiles above the tuning's
-/// parallel threshold, one blocked serial sweep below it.
+/// `d < max_d`. Each unordered pair is visited once. Outer tiles are
+/// claimed off a shared atomic cursor by `threads` workers above the
+/// tuning's parallel threshold and run in order on the calling thread
+/// below it; the result is bit-identical either way.
 ///
 /// # Panics
 ///
@@ -88,9 +107,11 @@ pub fn global_chs_parallel(
 /// Computes every outcome's neighborhood score (Algorithm 1 lines
 /// 16–21) over the SoA support: for each `x`,
 /// `score(x) = P(x) + Σ_y [hd(x,y) < max_d ∧ filter(x,y)] · W[d] · P(y)`
-/// with `max_d = weights.len()`. Outer tiles are claimed off a shared
-/// atomic cursor by `threads` workers; below the tuning's parallel
-/// threshold (or at one thread) they run in order on the calling thread.
+/// with `max_d = weights.len()`. Under the π filter each outcome visits
+/// only its strictly-less-probable neighbors. Outer tiles are claimed off
+/// a shared atomic cursor by `threads` workers; below the tuning's
+/// parallel threshold (or at one thread) they run in order on the
+/// calling thread, with bit-identical results.
 ///
 /// # Panics
 ///
@@ -115,12 +136,10 @@ pub fn scores_parallel(
     ))
 }
 
-/// The CHS pass body for `L`-limb keys.
-///
-/// The work-stealing path checks the token before every tile claim. The
-/// serial path is one accumulator sweep over the whole support, checked
-/// only on entry: splitting it would change the floating-point summation
-/// order of the bins.
+/// The CHS pass body for `L`-limb keys: one triangular sweep per outer
+/// tile of `tuning.tile_size` rows, merged in tile order. The tiles are
+/// the same at every worker count, so the bins are bit-identical across
+/// thread counts. The token is checked before every tile claim.
 pub(crate) fn chs<const L: usize>(
     keys: &[[u64; L]],
     probs: &[f64],
@@ -133,18 +152,25 @@ pub(crate) fn chs<const L: usize>(
     checkpoint(cancel)?;
     let n = keys.len();
     let tile = tuning.tile_size.max(1);
-    let workers = workers(n, threads, tuning);
-    let x_tile = if workers == 1 { n.max(1) } else { tile };
-    let partials = schedule::run_tiles_cancellable(n.div_ceil(x_tile), workers, cancel, |t| {
-        let start = t * x_tile;
-        blocked::chs_tile(keys, probs, start..(start + x_tile).min(n), tile)
-    })?;
+    let partials = schedule::run_tiles_cancellable(
+        n.div_ceil(tile),
+        workers(n, threads, tuning),
+        cancel,
+        |t| blocked::chs_tile(keys, probs, tile_rows(t, tile, n), tile),
+    )?;
     Ok(merge_bins(partials, max_d))
 }
 
-/// The scoring pass body for `L`-limb keys. The token is checked before
-/// every outer tile on both paths: per-outcome sums are independent, so
-/// splitting the outer range composes bit-identically.
+/// The scoring pass body for `L`-limb keys.
+///
+/// Under the π filter the outcomes are ranked by probability, descending
+/// with ties broken by index, and each rank sweeps only the ranks past
+/// its tie group: exactly its strictly-less-probable neighbors, with no
+/// per-pair select. The scores are scattered back to the input order.
+/// Without a filter every row sweeps the whole support and skips itself.
+///
+/// The token is checked before every outer tile: per-outcome sums are
+/// independent, so splitting the outer range composes bit-identically.
 pub(crate) fn scores<const L: usize>(
     keys: &[[u64; L]],
     probs: &[f64],
@@ -156,22 +182,75 @@ pub(crate) fn scores<const L: usize>(
 ) -> Result<Vec<f64>, Cancelled> {
     assert_eq!(keys.len(), probs.len(), "SoA arrays must be index-aligned");
     checkpoint(cancel)?;
-    let n = keys.len();
     let table = WeightTable::new(weights);
+    match filter {
+        FilterRule::None => {
+            sweep::<ExcludeSelf, L>(keys, probs, |_| 0, &table, threads, tuning, cancel)
+        }
+        FilterRule::LowerProbabilityOnly => {
+            let mut order: Vec<usize> = (0..keys.len()).collect();
+            order.sort_unstable_by(|&a, &b| probs[b].total_cmp(&probs[a]).then(a.cmp(&b)));
+            let ranked_keys: Vec<[u64; L]> = order.iter().map(|&i| keys[i]).collect();
+            let ranked_probs: Vec<f64> = order.iter().map(|&i| probs[i]).collect();
+            let lower = lower_suffixes(&ranked_probs);
+            let ranked = sweep::<Unfiltered, L>(
+                &ranked_keys,
+                &ranked_probs,
+                |r| lower[r],
+                &table,
+                threads,
+                tuning,
+                cancel,
+            )?;
+            let mut out = vec![0.0; ranked.len()];
+            for (&i, score) in order.iter().zip(ranked) {
+                out[i] = score;
+            }
+            Ok(out)
+        }
+    }
+}
+
+/// Scores every row `i` against `first(i)..n`, over outer tiles of
+/// `tuning.tile_size` rows.
+fn sweep<F: Filter, const L: usize>(
+    keys: &[[u64; L]],
+    probs: &[f64],
+    first: impl Fn(usize) -> usize + Sync,
+    table: &WeightTable,
+    threads: usize,
+    tuning: &KernelTuning,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<f64>, Cancelled> {
+    let n = keys.len();
     let tile = tuning.tile_size.max(1);
-    let workers = workers(n, threads, tuning);
-    let per_tile = schedule::run_tiles_cancellable(n.div_ceil(tile), workers, cancel, |t| {
-        let start = t * tile;
-        blocked::scores_tile(
-            keys,
-            probs,
-            start..(start + tile).min(n),
-            &table,
-            filter,
-            tile,
-        )
-    })?;
+    let per_tile = schedule::run_tiles_cancellable(
+        n.div_ceil(tile),
+        workers(n, threads, tuning),
+        cancel,
+        |t| blocked::scores_tile::<F, L>(keys, probs, tile_rows(t, tile, n), &first, table, tile),
+    )?;
     Ok(per_tile.concat())
+}
+
+/// For probabilities in descending order, where each entry's
+/// strictly-less-probable suffix begins: the end of its tie group.
+fn lower_suffixes(descending: &[f64]) -> Vec<usize> {
+    let n = descending.len();
+    let mut starts = vec![n; n];
+    for r in (0..n.saturating_sub(1)).rev() {
+        starts[r] = if descending[r] > descending[r + 1] {
+            r + 1
+        } else {
+            starts[r + 1]
+        };
+    }
+    starts
+}
+
+/// The rows of outer tile `t`.
+fn tile_rows(t: usize, tile: usize, n: usize) -> Range<usize> {
+    t * tile..((t + 1) * tile).min(n)
 }
 
 /// Worker count for a support of `n`: one below the parallel threshold,

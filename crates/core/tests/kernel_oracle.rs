@@ -290,3 +290,50 @@ proptest! {
         }
     }
 }
+
+/// Both passes are bit-identical at every worker count, narrow and wide:
+/// the outer tiles do not depend on the number of workers, and per-tile
+/// results are merged in tile order.
+#[test]
+fn both_passes_are_bit_identical_across_thread_counts() {
+    let mut state = 0x00DD_BA11_u64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 7
+    };
+    let n = 3000;
+    let lo: Vec<u64> = (0..n).map(|_| next()).collect();
+    let hi: Vec<u64> = (0..n).map(|_| next() & 0xFFFF_FFFF).collect();
+    // Trial counts 1..=5: many ties for the π filter.
+    let probs: Vec<f64> = (0..n).map(|_| (next() % 5 + 1) as f64 / 9000.0).collect();
+    let weights: Vec<f64> = (0..48).map(|d| 1.0 / (1.0 + f64::from(d))).collect();
+    let tuning = KernelTuning {
+        parallel_threshold: 0,
+        tile_size: 64,
+        ..KernelTuning::default()
+    };
+    let run = |threads: usize| {
+        let mut out = vec![
+            kernel::global_chs_parallel(&lo, &probs, 65, threads, &tuning),
+            kernel::wide::global_chs_parallel(&lo, &hi, &probs, 129, threads, &tuning),
+        ];
+        for filter in [FilterRule::LowerProbabilityOnly, FilterRule::None] {
+            out.push(kernel::scores_parallel(
+                &lo, &probs, &weights, filter, threads, &tuning,
+            ));
+            out.push(kernel::wide::scores_parallel(
+                &lo, &hi, &probs, &weights, filter, threads, &tuning,
+            ));
+        }
+        out
+    };
+    let one = run(1);
+    for threads in [2, 3, 7] {
+        assert!(
+            run(threads) == one,
+            "threads {threads} differ from threads 1"
+        );
+    }
+}
