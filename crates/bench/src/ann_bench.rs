@@ -11,7 +11,7 @@
 //! the configuration the gate actually opens for.
 //!
 //! Rows with an affordable exact pass (`N ≤ 64K` here: the blocked
-//! kernel sweeps `2·N²` pairs) record wall-clock speedup, total
+//! kernel's two passes visit about `N²` pairs) record wall-clock speedup, total
 //! variation distance, and whether the reconstructed top outcome
 //! agrees. Larger rows — up to the `N = 1M` reconstruct no exact sweep
 //! can reach on this hardware — record ANN-only timings with recall
@@ -232,7 +232,7 @@ fn run_case(
 /// Quick mode (CI smoke) measures a single 8K-outcome row with an exact
 /// oracle. The full sweep climbs the size ladder at default knobs —
 /// 16K and 64K against the exact kernel, then ANN-only 256K and the
-/// 1M reconstruct row no exact `2·N²` sweep can reach on this hardware
+/// 1M reconstruct row no exact `N²` sweep can reach on this hardware
 /// — and closes with a knob sweep (trees × probe radius) at 64K, the
 /// largest support with a shared exact baseline.
 #[must_use]

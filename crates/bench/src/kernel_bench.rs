@@ -28,7 +28,11 @@ const MAX_D: usize = 32;
 pub struct KernelBenchRow {
     /// Unique outcomes in the support.
     pub n: usize,
-    /// Scored pairs (`n²`).
+    /// The full-pass-equivalent pair count `n²`: the ordered pairs one
+    /// unfiltered scoring pass would visit. The π-suffix kernel visits
+    /// fewer (about `n²/2` on distinct probabilities), so
+    /// [`mpairs_per_sec`](Self::mpairs_per_sec) reads as `n²` work per
+    /// second, comparable across kernels, not as pairs actually visited.
     pub pairs: u128,
     /// Wall-clock seconds of the PR 1 `scores_parallel` at
     /// [`KernelBenchReport::threads`] threads. `None` when skipped
@@ -51,7 +55,8 @@ impl KernelBenchRow {
         self.secs_reference.map(|r| r / self.secs_parallel)
     }
 
-    /// Pair throughput of the new kernel, in millions of pairs/second.
+    /// Full-pass-equivalent throughput of the new kernel: [`pairs`](Self::pairs)
+    /// over its wall-clock time, in millions per second.
     #[must_use]
     pub fn mpairs_per_sec(&self) -> f64 {
         self.pairs as f64 / self.secs_parallel / 1e6
@@ -224,7 +229,9 @@ impl KernelBenchReport {
             "{{\n  \"artifact\": \"BENCH_kernel\",\n  \
              \"description\": \"O(N^2) scoring-kernel trajectory: PR 1 scalar reference vs \
              blocked/branchless/work-stealing kernel. Every timed cell is measured wall clock, \
-             not extrapolated; Table 3's 256K-unique row is the n=262144 entry.\",\n  \
+             not extrapolated; Table 3's 256K-unique row is the n=262144 entry. pairs is the \
+             full-pass-equivalent n^2 (the pi-suffix kernel visits about n^2/2 of them), and \
+             mpairs_per_sec is pairs over the work-stealing time.\",\n  \
              \"n_bits\": {N_BITS},\n  \"max_d\": {MAX_D},\n  \"filter\": \"LowerProbabilityOnly\",\n  \
              \"threads\": {},\n  \"quick\": {},\n  \"rows\": [\n{}\n  ],\n  \
              \"speedup_vs_reference_at_65536\": {}\n}}\n",

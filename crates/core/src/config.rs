@@ -128,9 +128,12 @@ impl Default for AnnTuning {
             bits_per_hash: 0,
             oversample: 16,
             probe_radius: 1,
-            // Measured on the BENCH_kernel box: the exact kernel clears
-            // a 32K support in about a second — below that the forest's
-            // build + query constant costs more than it saves.
+            // Chosen when the exact kernel was a software-popcount,
+            // 2N²-visit sweep that took about a second at 32K. With
+            // POPCNT and the triangular passes it reconstructs 48K
+            // 64-bit halos under `Fixed(16)` in about 0.7 s, against
+            // about 5 s on the forest (2-CPU Xeon host), so this
+            // crossover is due to be re-measured.
             crossover: 32 * 1024,
         }
     }

@@ -97,8 +97,8 @@ impl Hammer {
     /// scalar reference oracle (see
     /// [`with_threads`](Hammer::with_threads)), and a single-core
     /// machine should still get the blocked/branchless kernel by
-    /// default — it is ~5× faster than the oracle at the same thread
-    /// count.
+    /// default — it is about 20× faster than the oracle at the same
+    /// thread count (`BENCH_kernel.json`).
     #[must_use]
     pub fn with_config(config: HammerConfig) -> Self {
         let threads = std::thread::available_parallelism()
@@ -171,8 +171,8 @@ impl Hammer {
     /// * `threads != 1` — one thread pins the scalar reference oracle,
     ///   which doubles as the ANN path's recall oracle;
     /// * the support is at least [`AnnTuning::crossover`] outcomes —
-    ///   below it the exact blocked kernel wins outright (and stays
-    ///   bit-identical to earlier releases);
+    ///   below it the exact blocked kernel runs, bit-identical to a
+    ///   config with the ANN path disabled;
     /// * the neighborhood is *local*: `4 · max_d ≤ n_bits`. Bit-sampling
     ///   LSH separates pairs by `(1 − d/n)^k`; at the paper's half-width
     ///   default (`max_d = n/2`) nearly half of all random pairs are

@@ -254,13 +254,15 @@ fn chaos_proxy_tags_faults_with_the_victim_trace_id() {
     let _ = server.wait();
 }
 
-/// A reconstruction large enough to pin the single worker for tens of
-/// milliseconds.
+/// A reconstruction large enough to pin the single worker well past the
+/// client's 20 ms head start: 40K distinct outcomes take a few hundred
+/// milliseconds on a 2-CPU host even with POPCNT and the triangular
+/// kernel passes.
 fn large_counts() -> Counts {
-    let mut counts = Counts::new(14).unwrap();
-    for i in 0..6000u64 {
+    let mut counts = Counts::new(20).unwrap();
+    for i in 0..40_000u64 {
         counts.record_n(
-            BitString::from_u128(u128::from(i.wrapping_mul(2654) % 16384), 14),
+            BitString::from_u128(u128::from(i.wrapping_mul(2655) % (1 << 20)), 20),
             1 + i % 13,
         );
     }
