@@ -4,8 +4,8 @@
 //! Semantically this is the exact kernel restricted to the sparse pair
 //! graph the forest surfaces: every visited pair contributes exactly
 //! what the blocked kernel would have given it (the same shared weight
-//! table; the π filter as a per-pair select), and unvisited pairs contribute
-//! nothing. Because the weight schemes invert the *measured* CHS, using
+//! table; the π filter as a per-pair select), and unvisited pairs
+//! contribute nothing. Because the weight schemes invert the *measured* CHS, using
 //! the same candidate sets for both the CHS pass and the scoring pass
 //! keeps the two self-consistent: a bin's aggregate contribution stays
 //! `≈ N` whether its pairs were fully or partially covered, and the

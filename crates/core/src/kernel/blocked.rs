@@ -31,7 +31,7 @@ pub(crate) fn hamming<const L: usize>(x: &[u64; L], y: &[u64; L]) -> usize {
 /// A monomorphized neighbor filter: returns `P(y)` when `y` may
 /// contribute to `x`'s score and `0.0` otherwise.
 ///
-/// Each implementation is a pure comparison-select, so the optimizer
+/// Each implementation is at most a comparison-select, so the optimizer
 /// compiles `W[d] * contribution(...)` down to compare + mask (no
 /// branch), and each filter gets its own fully specialized copy of the
 /// scoring loop.
