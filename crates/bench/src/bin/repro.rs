@@ -68,26 +68,29 @@ fn run_bench_artifact(name: &str, quick: bool, out_path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// A serving counter from a metric snapshot; series that were never
+/// registered (the `serve.store.*` set without a store) read as 0.
+fn count(snap: &hammer_obs::MetricsSnapshot, name: &str) -> u64 {
+    snap.counter(name).unwrap_or(0)
+}
+
 /// One digest line shared by the periodic `--stats-every` ticker and
-/// the final shutdown report: the legacy counters, plus latency
-/// quantiles and gauges from the metric registry when `--obs` is on.
-/// Both paths read the same snapshot types, so the numbers an operator
-/// tails are the numbers `MetricsSnapshot` serves over the wire.
-fn digest_line(
-    stats: &hammer_serve::ServeStats,
-    obs: Option<&hammer_obs::MetricsSnapshot>,
-) -> String {
+/// the final shutdown report: the serving counters, plus latency
+/// quantiles and gauges when `--obs` is on. Both read a
+/// `MetricsSnapshot`, so the numbers an operator tails are the numbers
+/// the wire serves.
+fn digest_line(snap: &hammer_obs::MetricsSnapshot, obs: bool) -> String {
     let mut line = format!(
         "{} requests ({} hits, {} misses, {} coalesced, {} busy, {} spills, {} loads)",
-        stats.requests,
-        stats.cache_hits,
-        stats.cache_misses,
-        stats.coalesced,
-        stats.busy_rejections,
-        stats.store_spills,
-        stats.store_loads,
+        count(snap, "serve.requests"),
+        count(snap, "serve.cache.hits"),
+        count(snap, "serve.cache.misses"),
+        count(snap, "serve.coalesced"),
+        count(snap, "serve.busy_rejections"),
+        count(snap, "serve.store.spills"),
+        count(snap, "serve.store.loads"),
     );
-    if let Some(snap) = obs {
+    if obs {
         if let Some(h) = snap.histogram("serve.request_ns") {
             line.push_str(&format!(
                 "; request p50/p95/p99 {:.2}/{:.2}/{:.2} ms",
@@ -267,19 +270,14 @@ fn run_serve(args: &[String]) -> ExitCode {
                 std::thread::sleep(std::time::Duration::from_millis(200));
                 if std::time::Instant::now() >= next {
                     next += period;
-                    let stats = observer.stats();
-                    let snap = obs_digest.then(|| observer.obs_snapshot());
-                    eprintln!("[serve] {}", digest_line(&stats, snap.as_ref()));
+                    let snap = observer.obs_snapshot();
+                    eprintln!("[serve] {}", digest_line(&snap, obs_digest));
                 }
             }
         })
     });
-    let stats = server.wait();
-    let snap = obs_digest.then(|| observer.obs_snapshot());
-    eprintln!(
-        "[serve] shut down after {}",
-        digest_line(&stats, snap.as_ref())
-    );
+    let snap = server.wait();
+    eprintln!("[serve] shut down after {}", digest_line(&snap, obs_digest));
     if let Some(t) = ticker {
         let _ = t.join();
     }
@@ -335,8 +333,9 @@ fn run_top(args: &[String]) -> ExitCode {
 
 /// `repro serve-smoke [--addr A] [--shutdown]`: one client round trip —
 /// Ping, a small Reconstruct (checked against the direct library
-/// call), Stats, and optionally Shutdown. The CI workflow runs this
-/// against a backgrounded `repro serve`.
+/// call), a MetricsSnapshot that must have counted it, and optionally
+/// Shutdown. The CI workflow runs this against a backgrounded
+/// `repro serve`.
 fn run_serve_smoke(args: &[String]) -> ExitCode {
     use hammer_dist::BitString;
     let addr = match flag_value(args, "--addr") {
@@ -377,14 +376,22 @@ fn run_serve_smoke(args: &[String]) -> ExitCode {
         eprintln!("serve-smoke: served reconstruction differs from the direct library call");
         return ExitCode::FAILURE;
     }
-    let stats = match client.stats() {
-        Ok(stats) => stats,
-        Err(e) => return fail("stats", e),
+    let snap = match client.metrics_snapshot() {
+        Ok(snap) => snap,
+        Err(e) => return fail("metrics snapshot", e),
     };
+    let (requests, hits, misses) = (
+        count(&snap, "serve.requests"),
+        count(&snap, "serve.cache.hits"),
+        count(&snap, "serve.cache.misses"),
+    );
+    if requests == 0 || hits + misses == 0 {
+        eprintln!("serve-smoke: the snapshot did not count the reconstruct");
+        return ExitCode::FAILURE;
+    }
     eprintln!(
-        "[serve-smoke] ok: ping + reconstruct round-tripped; server stats: {} requests, \
-         {} hits, {} misses",
-        stats.requests, stats.cache_hits, stats.cache_misses,
+        "[serve-smoke] ok: ping + reconstruct round-tripped; server counters: {requests} \
+         requests, {hits} hits, {misses} misses",
     );
     if args.iter().any(|a| a == "--shutdown") {
         if let Err(e) = client.shutdown() {
@@ -515,10 +522,11 @@ fn run_chaos_smoke(args: &[String]) -> ExitCode {
         let _ = done_tx.send(server.wait());
     });
     match done_rx.recv_timeout(Duration::from_secs(10)) {
-        Ok(stats) => {
+        Ok(snap) => {
             eprintln!(
                 "[chaos-smoke] ok: bounded shutdown after {} requests ({} busy rejections)",
-                stats.requests, stats.busy_rejections
+                count(&snap, "serve.requests"),
+                count(&snap, "serve.busy_rejections"),
             );
             ExitCode::SUCCESS
         }
@@ -540,7 +548,7 @@ fn run_chaos_smoke(args: &[String]) -> ExitCode {
 ///    store (not recomputed).
 /// 2. **torn write**: a fault point aborts the process between a
 ///    record's header and body; the restart must truncate the torn
-///    tail (visible as `store_corrupt_dropped` in `Stats`), keep every
+///    tail (visible as `serve.store.corrupt_dropped`), keep every
 ///    committed record, and serve byte-identical replies.
 /// 3. **pre-fsync crash**: abort after a record's write but before its
 ///    fsync commit point; the restart must come up clean either way —
@@ -668,21 +676,31 @@ fn run_persist_smoke(args: &[String]) -> ExitCode {
         }
     }
 
-    /// Asks a running child for its `Stats`, then shuts it down
-    /// gracefully.
-    fn stats_and_shutdown(
+    /// Asks a running child for a `MetricsSnapshot`, then shuts it
+    /// down gracefully. Returns the `serve.store.recovered`,
+    /// `serve.store.loads`, `serve.store.corrupt_dropped` and
+    /// `serve.cache.misses` counters.
+    fn counters_and_shutdown(
         addr: &str,
         child: &mut std::process::Child,
         what: &str,
-    ) -> Result<hammer_serve::ServeStats, String> {
+    ) -> Result<[u64; 4], String> {
         let mut client = hammer_serve::ServeClient::connect(addr)
-            .map_err(|e| format!("{what}: stats connect: {e}"))?;
-        let stats = client.stats().map_err(|e| format!("{what}: stats: {e}"))?;
+            .map_err(|e| format!("{what}: snapshot connect: {e}"))?;
+        let snap = client
+            .metrics_snapshot()
+            .map_err(|e| format!("{what}: snapshot: {e}"))?;
         client
             .shutdown()
             .map_err(|e| format!("{what}: shutdown: {e}"))?;
         wait_exit(child, what)?;
-        Ok(stats)
+        Ok([
+            "serve.store.recovered",
+            "serve.store.loads",
+            "serve.store.corrupt_dropped",
+            "serve.cache.misses",
+        ]
+        .map(|name| count(&snap, name)))
     }
 
     let quick = args.iter().any(|a| a == "--quick");
@@ -713,32 +731,29 @@ fn run_persist_smoke(args: &[String]) -> ExitCode {
                 ));
             }
         }
-        let stats = stats_and_shutdown(&addr, &mut child, "kill -9 drill")?;
+        let [recovered, loads, _, misses] =
+            counters_and_shutdown(&addr, &mut child, "kill -9 drill")?;
         // At most one entry per 16 shards was resident (and lost) at
         // the kill; everything else had been spilled and fsync'd.
         let floor = hot_set - 16;
-        if stats.store_recovered < floor {
+        if recovered < floor {
             return Err(format!(
-                "kill -9 drill: recovered {} records, expected >= {floor}",
-                stats.store_recovered
+                "kill -9 drill: recovered {recovered} records, expected >= {floor}"
             ));
         }
-        if stats.store_loads < floor {
+        if loads < floor {
             return Err(format!(
-                "kill -9 drill: only {} store loads, expected >= {floor}",
-                stats.store_loads
+                "kill -9 drill: only {loads} store loads, expected >= {floor}"
             ));
         }
-        if stats.cache_misses > 16 {
+        if misses > 16 {
             return Err(format!(
-                "kill -9 drill: {} recomputes after restart, expected <= 16",
-                stats.cache_misses
+                "kill -9 drill: {misses} recomputes after restart, expected <= 16"
             ));
         }
         eprintln!(
-            "[persist-smoke] kill -9: {} replies byte-identical after restart \
-             ({} recovered, {} store loads, {} recomputes)",
-            hot_set, stats.store_recovered, stats.store_loads, stats.cache_misses
+            "[persist-smoke] kill -9: {hot_set} replies byte-identical after restart \
+             ({recovered} recovered, {loads} store loads, {misses} recomputes)"
         );
 
         // ---- Drills 2 + 3: abort mid-append / before fsync ----
@@ -769,18 +784,17 @@ fn run_persist_smoke(args: &[String]) -> ExitCode {
             if !matched {
                 return Err(format!("{spec} drill: a reply changed across the crash"));
             }
-            let stats = stats_and_shutdown(&addr, &mut child, spec)?;
-            if expect_torn && stats.store_corrupt_dropped == 0 {
+            let [recovered, _, corrupt_dropped, _] =
+                counters_and_shutdown(&addr, &mut child, spec)?;
+            if expect_torn && corrupt_dropped == 0 {
                 return Err(format!(
-                    "{spec} drill: expected a torn tail in store_corrupt_dropped"
+                    "{spec} drill: expected a torn tail in serve.store.corrupt_dropped"
                 ));
             }
             eprintln!(
                 "[persist-smoke] {spec}: {} pre-crash replies stable across restart \
-                 ({} recovered, {} corrupt dropped)",
+                 ({recovered} recovered, {corrupt_dropped} corrupt dropped)",
                 survivors.len(),
-                stats.store_recovered,
-                stats.store_corrupt_dropped
             );
         }
 
@@ -818,11 +832,10 @@ fn run_persist_smoke(args: &[String]) -> ExitCode {
         if !matched {
             return Err("double-crash drill: a reply changed across the crashes".into());
         }
-        let stats = stats_and_shutdown(&addr, &mut child, "double-crash drill")?;
+        let [recovered, ..] = counters_and_shutdown(&addr, &mut child, "double-crash drill")?;
         eprintln!(
             "[persist-smoke] double crash: converged after crash-during-recovery \
-             ({} recovered, {} replies stable)",
-            stats.store_recovered,
+             ({recovered} recovered, {} replies stable)",
             survivors.len()
         );
         Ok(())

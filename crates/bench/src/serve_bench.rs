@@ -71,6 +71,32 @@ pub struct ServeBenchRow {
 }
 
 impl ServeBenchRow {
+    /// A row carrying the server-side counters of `snap` (cache hit
+    /// rate, coalesced, store loads/spills); the caller fills in the
+    /// client-side timings.
+    fn counted(scenario: &'static str, snap: &hammer_obs::MetricsSnapshot) -> Self {
+        let count = |name: &str| snap.counter(name).unwrap_or(0);
+        let (hits, coalesced) = (count("serve.cache.hits"), count("serve.coalesced"));
+        let cacheable = hits + count("serve.cache.misses") + coalesced;
+        Self {
+            scenario,
+            clients: 0,
+            requests: 0,
+            secs: 0.0,
+            p50_us: 0.0,
+            p99_us: 0.0,
+            hit_rate: if cacheable > 0 {
+                hits as f64 / cacheable as f64
+            } else {
+                0.0
+            },
+            coalesced,
+            busy: 0,
+            store_loads: count("serve.store.loads"),
+            store_spills: count("serve.store.spills"),
+        }
+    }
+
     /// Requests per second.
     #[must_use]
     pub fn req_per_sec(&self) -> f64 {
@@ -216,24 +242,14 @@ where
     let secs = start.elapsed().as_secs_f64();
     latencies.sort_unstable();
 
-    let stats = server.stats();
-    let cacheable = stats.cache_hits + stats.cache_misses + stats.coalesced;
     let row = ServeBenchRow {
-        scenario,
         clients: CLIENTS,
         requests: latencies.len() as u64,
         secs,
         p50_us: percentile(&latencies, 0.50),
         p99_us: percentile(&latencies, 0.99),
-        hit_rate: if cacheable > 0 {
-            stats.cache_hits as f64 / cacheable as f64
-        } else {
-            0.0
-        },
-        coalesced: stats.coalesced,
         busy: busy.load(Ordering::Relaxed),
-        store_loads: stats.store_loads,
-        store_spills: stats.store_spills,
+        ..ServeBenchRow::counted(scenario, &server.obs_snapshot())
     };
     server.shutdown();
     let _ = server.wait();
@@ -311,24 +327,13 @@ fn run_restart_rows(workers: usize, keys: u64) -> Vec<ServeBenchRow> {
         let secs = start.elapsed().as_secs_f64();
         drop(client);
         latencies.sort_unstable();
-        let stats = server.stats();
-        let cacheable = stats.cache_hits + stats.cache_misses + stats.coalesced;
         let row = ServeBenchRow {
-            scenario,
             clients: 1,
             requests: keys,
             secs,
             p50_us: percentile(&latencies, 0.50),
             p99_us: percentile(&latencies, 0.99),
-            hit_rate: if cacheable > 0 {
-                stats.cache_hits as f64 / cacheable as f64
-            } else {
-                0.0
-            },
-            coalesced: stats.coalesced,
-            busy: 0,
-            store_loads: stats.store_loads,
-            store_spills: stats.store_spills,
+            ..ServeBenchRow::counted(scenario, &server.obs_snapshot())
         };
         server.shutdown();
         let _ = server.wait();

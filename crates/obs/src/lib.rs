@@ -26,8 +26,8 @@
 //!   rollup rings, alerting into the event log.
 //! * **A global kill switch** ([`set_timing_enabled`]) that gates the
 //!   *timing* layers (histograms and spans). Counters and gauges are
-//!   never gated: exact request accounting (`ServeStats`) must not
-//!   depend on an observability flag.
+//!   never gated: exact request accounting (`serve.requests` and the
+//!   other serving counters) must not depend on an observability flag.
 //!
 //! The crate is std-only and dependency-free so every tier — including
 //! the leaf `hammer-pool` crate — can link it without cycles.

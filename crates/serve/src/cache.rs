@@ -14,8 +14,9 @@
 //!    published value without computing (`coalesced` counter);
 //! 3. eviction is per-shard LRU under an approximate byte budget.
 //!
-//! Every counter the `Stats` opcode reports lives here (plus the
-//! request/busy tallies kept by the server runtime).
+//! The cache counters (`serve.cache.{hits,misses,evictions}`,
+//! `serve.coalesced`) live here on the server's metric registry; the
+//! request/busy tallies are kept by the server runtime.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -312,12 +313,6 @@ impl InFlight {
         }
     }
 
-    /// Requests that found a leader to ride on instead of computing.
-    #[must_use]
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced.get()
-    }
-
     /// Claims a key: the first claimant becomes the leader, everyone
     /// else a follower of its slot.
     #[must_use]
@@ -601,7 +596,7 @@ mod tests {
             })
             .collect();
         // Give followers time to park, then publish.
-        while inflight.coalesced() < 4 {
+        while inflight.coalesced.get() < 4 {
             std::thread::yield_now();
         }
         inflight.publish(11, Ok(dist(11)));
@@ -609,7 +604,7 @@ mod tests {
             let result = f.join().unwrap().expect("leader succeeded");
             assert_eq!(*result, *dist(11));
         }
-        assert_eq!(inflight.coalesced(), 4);
+        assert_eq!(inflight.coalesced.get(), 4);
         // The slot retired: the next claim leads again.
         assert!(matches!(inflight.claim(11), Claim::Leader));
         inflight.publish(11, Err(ComputeError::Failed("cleanup".into())));
@@ -626,7 +621,7 @@ mod tests {
                 follower @ Claim::Follower(_) => follower.wait(),
             })
         };
-        while inflight.coalesced() < 1 {
+        while inflight.coalesced.get() < 1 {
             std::thread::yield_now();
         }
         inflight.publish(3, Err(ComputeError::Failed("boom".into())));
@@ -647,7 +642,7 @@ mod tests {
                 follower @ Claim::Follower(_) => follower.wait(),
             })
         };
-        while inflight.coalesced() < 1 {
+        while inflight.coalesced.get() < 1 {
             std::thread::yield_now();
         }
         // The leader "dies": its guard drops without publishing.

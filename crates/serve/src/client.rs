@@ -20,8 +20,8 @@ use std::time::{Duration, Instant};
 use hammer_core::HammerConfig;
 use hammer_dist::{BitString, Counts, Distribution};
 
-use crate::codec::{MetricsReply, Reply, Request, SampleJob, ServeStats, TraceDumpEntry};
-use crate::protocol::{read_frame, write_frame_traced, WireError};
+use crate::codec::{MetricsReply, Reply, Request, SampleJob, TraceDumpEntry};
+use crate::protocol::{read_frame, write_frame, Frame, WireError};
 
 /// The floor for a deadline-derived socket timeout: a budget of a few
 /// milliseconds still deserves one real read attempt.
@@ -199,13 +199,27 @@ impl ServeClient {
             stream.set_read_timeout(nonzero(io_timeout))?;
             stream.set_write_timeout(nonzero(io_timeout))?;
         }
-        write_frame_traced(stream, id, opcode, deadline_ms, trace_id, &payload)?;
-        loop {
-            let (reply_id, op, body) = read_frame(stream)?;
-            // A sync client has exactly one request outstanding; anything
-            // else (e.g. an id-0 framing report) ends the exchange.
-            if reply_id == id || reply_id == 0 {
-                return Reply::decode(op, &body);
+        let exchanged = write_frame(stream, id, opcode, deadline_ms, trace_id, &payload)
+            .map_err(WireError::from)
+            .and_then(|()| loop {
+                let frame = read_frame(stream)?;
+                // A sync client has exactly one request outstanding;
+                // anything else (e.g. an id-0 framing report) ends the
+                // exchange.
+                if frame.request_id == id || frame.request_id == 0 {
+                    break Ok(frame);
+                }
+            });
+        match exchanged {
+            Ok(Frame {
+                opcode, payload, ..
+            }) => Reply::decode(opcode, &payload),
+            Err(e) => {
+                // A transport or framing failure leaves the stream at an
+                // unknown offset (a corrupt header's payload is still
+                // unread), so never parse another reply from it.
+                self.stream = None;
+                Err(e)
             }
         }
     }
@@ -240,13 +254,12 @@ impl ServeClient {
                     // Out of budget is a final verdict, not a dead
                     // connection; everything else (server restart, idle
                     // timeout…) gets one rebuild-and-retry of the
-                    // idempotent request. A timed-out socket may hold a
-                    // half-read reply, so it must be rebuilt too.
+                    // idempotent request (`call_once` already dropped
+                    // the stream).
                     let timed_out = matches!(
                         e.kind(),
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     );
-                    self.stream = None;
                     if timed_out && deadline.is_some_and(|dl| Instant::now() >= dl) {
                         return Err(WireError::DeadlineExceeded);
                     }
@@ -387,18 +400,6 @@ impl ServeClient {
         }
     }
 
-    /// Snapshots the serving counters.
-    ///
-    /// # Errors
-    ///
-    /// Transport/protocol failures.
-    pub fn stats(&mut self) -> Result<ServeStats, WireError> {
-        match self.call(&Request::Stats)? {
-            Reply::Stats(s) => Ok(s),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
     /// Drains the server's slow-request trace ring: span trees of every
     /// request that crossed the configured slow threshold (or missed
     /// its deadline) since the last dump. Draining is destructive —
@@ -415,7 +416,9 @@ impl ServeClient {
     }
 
     /// Snapshots every registered metric series (counters, gauges and
-    /// latency histograms; server-local merged with process-global).
+    /// latency histograms; server-local merged with process-global) —
+    /// the one way to read the serving counters (`serve.requests`,
+    /// `serve.cache.*`, `serve.store.*`, …).
     ///
     /// # Errors
     ///

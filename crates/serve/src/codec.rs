@@ -80,11 +80,6 @@ impl<'a> Cur<'a> {
             .collect())
     }
 
-    /// Bytes left unconsumed (for optional trailing extensions).
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     /// Decoding must consume the payload exactly.
     fn finish(self) -> Result<(), WireError> {
         if self.pos == self.buf.len() {
@@ -565,8 +560,6 @@ pub enum Request {
     },
     /// Run the full simulate-then-reconstruct pipeline.
     SampleAndReconstruct(SampleJob),
-    /// Snapshot the serving counters.
-    Stats,
     /// Drain the server's captured slow-request traces.
     TraceDump,
     /// Snapshot every registered observability series.
@@ -584,21 +577,19 @@ impl Request {
             Self::Reconstruct { .. } => opcode::RECONSTRUCT,
             Self::Metrics { .. } => opcode::METRICS,
             Self::SampleAndReconstruct(_) => opcode::SAMPLE_AND_RECONSTRUCT,
-            Self::Stats => opcode::STATS,
             Self::TraceDump => opcode::TRACE_DUMP,
             Self::MetricsSnapshot => opcode::METRICS_SNAPSHOT,
             Self::Shutdown => opcode::SHUTDOWN,
         }
     }
 
-    /// Encodes the payload bytes (header-less; see
-    /// [`crate::protocol::write_frame`]).
+    /// Encodes the payload bytes; [`crate::protocol::write_frame`] adds
+    /// the header.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            Self::Ping | Self::Stats | Self::TraceDump | Self::MetricsSnapshot | Self::Shutdown => {
-            }
+            Self::Ping | Self::TraceDump | Self::MetricsSnapshot | Self::Shutdown => {}
             Self::Reconstruct { config, counts } => {
                 put_config(&mut out, config);
                 put_counts(&mut out, counts);
@@ -628,7 +619,6 @@ impl Request {
         let mut cur = Cur::new(payload);
         let req = match op {
             opcode::PING => Self::Ping,
-            opcode::STATS => Self::Stats,
             opcode::TRACE_DUMP => Self::TraceDump,
             opcode::METRICS_SNAPSHOT => Self::MetricsSnapshot,
             opcode::SHUTDOWN => Self::Shutdown,
@@ -674,41 +664,6 @@ pub struct MetricsReply {
     pub ehd: f64,
     /// The uniform-error EHD reference `≈ n/2` for the same width.
     pub uniform_ehd: f64,
-}
-
-/// The serving counters the `Stats` opcode returns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServeStats {
-    /// Requests accepted onto the worker pool (excludes pings/stats).
-    pub requests: u64,
-    /// Requests refused with `Busy` (queue full or shutting down).
-    pub busy_rejections: u64,
-    /// Cache hits.
-    pub cache_hits: u64,
-    /// Cache misses (== underlying computations started).
-    pub cache_misses: u64,
-    /// Requests that coalesced onto another request's in-flight
-    /// computation instead of starting their own.
-    pub coalesced: u64,
-    /// Cache entries evicted under memory pressure.
-    pub evictions: u64,
-    /// Current cache entry count.
-    pub cache_entries: u64,
-    /// Current approximate cache footprint in bytes.
-    pub cache_bytes: u64,
-    /// Queued requests shed at dequeue because their deadline had
-    /// already expired (no compute spent).
-    pub deadline_sheds: u64,
-    /// Cache evictions demoted into the persistent store.
-    pub store_spills: u64,
-    /// Cache misses served from the persistent store instead of
-    /// recomputing.
-    pub store_loads: u64,
-    /// Records recovered from the store directory at startup.
-    pub store_recovered: u64,
-    /// Store records dropped as corrupt (torn tails, bad CRCs,
-    /// undecodable payloads) — counted, never fatal.
-    pub store_corrupt_dropped: u64,
 }
 
 /// One decoded stage span of a captured request trace.
@@ -897,8 +852,6 @@ pub enum Reply {
     ApproxDistribution(Distribution),
     /// Figures of merit.
     Metrics(MetricsReply),
-    /// Serving counters.
-    Stats(ServeStats),
     /// Captured slow-request traces, oldest first.
     TraceDump(Vec<TraceDumpEntry>),
     /// A full observability snapshot.
@@ -924,7 +877,6 @@ impl Reply {
             Self::Distribution(_) => opcode::DISTRIBUTION,
             Self::ApproxDistribution(_) => opcode::DISTRIBUTION_APPROX,
             Self::Metrics(_) => opcode::METRICS_REPLY,
-            Self::Stats(_) => opcode::STATS_REPLY,
             Self::TraceDump(_) => opcode::TRACE_DUMP_REPLY,
             Self::MetricsSnapshot(_) => opcode::METRICS_SNAPSHOT_REPLY,
             Self::ShutdownAck => opcode::SHUTDOWN_ACK,
@@ -951,27 +903,6 @@ impl Reply {
                 put_f64(&mut out, m.ist);
                 put_f64(&mut out, m.ehd);
                 put_f64(&mut out, m.uniform_ehd);
-            }
-            Self::Stats(s) => {
-                for v in [
-                    s.requests,
-                    s.busy_rejections,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.coalesced,
-                    s.evictions,
-                    s.cache_entries,
-                    s.cache_bytes,
-                    // PR 8 extension block: absent in older payloads,
-                    // decoded only when present.
-                    s.deadline_sheds,
-                    s.store_spills,
-                    s.store_loads,
-                    s.store_recovered,
-                    s.store_corrupt_dropped,
-                ] {
-                    put_u64(&mut out, v);
-                }
             }
             Self::TraceDump(traces) => put_trace_dump(&mut out, traces),
             Self::MetricsSnapshot(snap) => put_obs_snapshot(&mut out, snap),
@@ -1004,29 +935,6 @@ impl Reply {
                 ehd: cur.f64()?,
                 uniform_ehd: cur.f64()?,
             }),
-            opcode::STATS_REPLY => {
-                let mut s = ServeStats {
-                    requests: cur.u64()?,
-                    busy_rejections: cur.u64()?,
-                    cache_hits: cur.u64()?,
-                    cache_misses: cur.u64()?,
-                    coalesced: cur.u64()?,
-                    evictions: cur.u64()?,
-                    cache_entries: cur.u64()?,
-                    cache_bytes: cur.u64()?,
-                    ..ServeStats::default()
-                };
-                // Extension block (deadline shedding + persistent
-                // store): a pre-PR-8 server simply omits it.
-                if cur.remaining() > 0 {
-                    s.deadline_sheds = cur.u64()?;
-                    s.store_spills = cur.u64()?;
-                    s.store_loads = cur.u64()?;
-                    s.store_recovered = cur.u64()?;
-                    s.store_corrupt_dropped = cur.u64()?;
-                }
-                Self::Stats(s)
-            }
             opcode::TRACE_DUMP_REPLY => Self::TraceDump(get_trace_dump(&mut cur)?),
             opcode::METRICS_SNAPSHOT_REPLY => Self::MetricsSnapshot(get_obs_snapshot(&mut cur)?),
             opcode::ERROR => {
@@ -1061,7 +969,7 @@ mod tests {
 
     #[test]
     fn empty_payload_messages_round_trip() {
-        for req in [Request::Ping, Request::Stats, Request::Shutdown] {
+        for req in [Request::Ping, Request::Shutdown] {
             assert_eq!(round_trip_request(&req), req);
         }
         for reply in [
@@ -1125,7 +1033,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_stats_round_trip() {
+    fn metrics_and_error_round_trip() {
         let d = Distribution::from_probs(3, [(bs("111"), 0.8), (bs("011"), 0.2)]).unwrap();
         let req = Request::Metrics {
             dist: d,
@@ -1139,50 +1047,6 @@ mod tests {
             uniform_ehd: 1.5,
         });
         assert_eq!(round_trip_reply(&reply), reply);
-        let stats = Reply::Stats(ServeStats {
-            requests: 10,
-            busy_rejections: 1,
-            cache_hits: 5,
-            cache_misses: 4,
-            coalesced: 1,
-            evictions: 2,
-            cache_entries: 2,
-            cache_bytes: 4096,
-            deadline_sheds: 3,
-            store_spills: 7,
-            store_loads: 6,
-            store_recovered: 5,
-            store_corrupt_dropped: 1,
-        });
-        assert_eq!(round_trip_reply(&stats), stats);
-        // A pre-extension payload (8 counters only) still decodes, with
-        // the extension counters zeroed — old servers, new clients.
-        let legacy: Vec<u8> = (1u64..=8).flat_map(|v| v.to_le_bytes()).collect();
-        let decoded = Reply::decode(opcode::STATS_REPLY, &legacy).expect("legacy stats");
-        match decoded {
-            Reply::Stats(s) => {
-                assert_eq!(s.requests, 1);
-                assert_eq!(s.cache_bytes, 8);
-                assert_eq!(s.deadline_sheds, 0);
-                assert_eq!(s.store_loads, 0);
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
-        // The registry migration must not have changed the wire layout:
-        // a full payload is still exactly 13 little-endian u64s, and a
-        // new client reading an old 8-counter server keeps working (and
-        // vice versa — the extension decode is gated on remaining
-        // bytes, not version).
-        assert_eq!(stats.encode().len(), 13 * 8);
-        let truncated = &stats.encode()[..8 * 8];
-        match Reply::decode(opcode::STATS_REPLY, truncated).expect("truncated stats") {
-            Reply::Stats(s) => {
-                assert_eq!(s.requests, 10);
-                assert_eq!(s.cache_bytes, 4096);
-                assert_eq!(s.store_spills, 0);
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
         let err = Reply::Error("device width 300 outside 1..=128".into());
         assert_eq!(round_trip_reply(&err), err);
     }
@@ -1398,10 +1262,16 @@ mod tests {
             Request::decode(opcode::SAMPLE_AND_RECONSTRUCT, &job_bytes),
             Err(WireError::Malformed(_))
         ));
-        // Unknown opcode.
+        // Unknown opcodes, including the retired `Stats` pair.
+        for op in [0x05, 0x7E] {
+            assert!(matches!(
+                Request::decode(op, &[]),
+                Err(WireError::UnknownOpcode(o)) if o == op
+            ));
+        }
         assert!(matches!(
-            Request::decode(0x7E, &[]),
-            Err(WireError::UnknownOpcode(0x7E))
+            Reply::decode(0x85, &[0; 104]),
+            Err(WireError::UnknownOpcode(0x85))
         ));
     }
 }

@@ -7,8 +7,9 @@
 //! library into one:
 //!
 //! * [`protocol`] — length-prefixed binary framing (`b"HAMR"` magic,
-//!   version, opcode, request id, payload) with opcodes for `Ping`,
-//!   `Reconstruct`, `Metrics`, `SampleAndReconstruct`, `Stats` and
+//!   version 3 only, opcode, request id, trace id, deadline, payload)
+//!   with opcodes for `Ping`, `Reconstruct`, `Metrics`,
+//!   `SampleAndReconstruct`, `TraceDump`, `MetricsSnapshot` and
 //!   `Shutdown`;
 //! * [`codec`] — std-only payload codecs that stream
 //!   [`hammer_dist::Counts`] / [`hammer_dist::Distribution`] directly
@@ -25,8 +26,7 @@
 //! * the **batching + caching core** — concurrent identical requests
 //!   coalesce onto one computation via an in-flight map keyed by stable
 //!   `u64` fingerprints, backed by a sharded LRU cache of completed
-//!   distributions with hit/miss/eviction/coalesce counters exposed
-//!   through the `Stats` opcode;
+//!   distributions with hit/miss/eviction/coalesce counters;
 //! * [`store`] / [`DistStore`] — a crash-safe, append-only segment
 //!   store the LRU spills evictions into and reloads misses from:
 //!   CRC'd, fsync'd records; recovery that truncates torn tails and
@@ -35,8 +35,9 @@
 //! * [`ServeClient`] — the synchronous, reconnecting client;
 //! * **observability** (`hammer_obs`) — every server owns a metric
 //!   registry (counters, gauges, per-stage latency histograms) exposed
-//!   by the `MetricsSnapshot` opcode; compute requests carry a 64-bit
-//!   trace id in the v3 frame header from client to reply, and slow or
+//!   by the `MetricsSnapshot` opcode, the one way to read the serving
+//!   counters; compute requests carry a 64-bit trace id in the frame
+//!   header from client to reply, and slow or
 //!   deadline-exceeded requests park their per-stage span tree in a
 //!   ring drained by the `TraceDump` opcode. A roller thread folds a
 //!   snapshot per window into rollup rings (`TimeSeries`), evaluates
@@ -94,9 +95,7 @@ mod server;
 pub mod store;
 
 pub use client::ServeClient;
-pub use codec::{
-    DeviceSpec, MetricsReply, Reply, Request, SampleJob, ServeStats, TraceDumpEntry, TraceSpan,
-};
+pub use codec::{DeviceSpec, MetricsReply, Reply, Request, SampleJob, TraceDumpEntry, TraceSpan};
 pub use protocol::WireError;
 pub use server::{serve, DegradeConfig, ServeConfig, ServeObserver, ServerHandle};
 pub use store::{DistStore, StoreStats, FLAG_APPROX};

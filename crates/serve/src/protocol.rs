@@ -3,29 +3,28 @@
 //!
 //! # Framing
 //!
-//! Every message travels in one frame:
+//! Every message travels in one version-3 frame:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic       b"HAMR"
-//! 4       2     version     u16 LE, currently 3
+//! 4       2     version     u16 LE, always 3
 //! 6       1     opcode      message discriminant
 //! 7       8     request id  u64 LE, echoed verbatim in the reply
-//! 15      8     trace id    u64 LE, 0 = untraced (v3 only)
-//! 23      4     deadline    u32 LE milliseconds, 0 = none (v2/v3)
+//! 15      8     trace id    u64 LE, 0 = untraced
+//! 23      4     deadline    u32 LE milliseconds, 0 = none
 //! 27      4     payload len u32 LE, bytes that follow (≤ 64 MiB)
 //! 31      …     payload     opcode-specific (see [`crate::codec`])
 //! ```
 //!
-//! Version 2 added the `deadline` field — the sender's remaining time
-//! budget in milliseconds, propagated so the server can refuse or
-//! cancel work the client will no longer wait for (zero means
-//! "no deadline"). Version 3 added the `trace id`: a 64-bit request
-//! correlation token stamped by [`crate::ServeClient`] (or assigned at
-//! frame arrival for bare clients), carried at a fixed offset directly
-//! after the request id so even protocol-blind middleboxes (the chaos
-//! proxy) can sniff it. Readers still accept v1 (19-byte header) and
-//! v2 (23-byte header) frames; their senders get trace id 0.
+//! The `deadline` is the sender's remaining time budget, propagated so
+//! the server can refuse or cancel work the client will no longer wait
+//! for. The `trace id` is a 64-bit request correlation token stamped by
+//! [`crate::ServeClient`] (or assigned at frame arrival for bare
+//! clients), carried at a fixed offset directly after the request id so
+//! even protocol-blind middleboxes (the chaos proxy) can sniff it.
+//! Version 3 is the only version: [`read_frame`] rejects any other with
+//! [`WireError::BadVersion`] before reading past the version field.
 //!
 //! The request id is an opaque client token: the server echoes it so a
 //! client may pipeline requests and match replies arriving out of order
@@ -42,30 +41,16 @@ use hammer_dist::DistError;
 
 /// Frame magic: `b"HAMR"`.
 pub const MAGIC: [u8; 4] = *b"HAMR";
-/// Current protocol version (v3 added the trace-id header field).
+/// The protocol version, the only one read or written.
 pub const VERSION: u16 = 3;
-/// The version-2 protocol (deadline field, no trace id), still
-/// accepted on read.
-pub const V2_VERSION: u16 = 2;
-/// The version-1 protocol, still accepted on read: identical framing
-/// minus the deadline and trace-id fields.
-pub const LEGACY_VERSION: u16 = 1;
 /// Upper bound on a frame payload; larger length prefixes are rejected
 /// before any allocation happens.
 pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
-/// Version-3 frame header size in bytes.
+/// Frame header size in bytes.
 pub const HEADER_LEN: usize = 31;
-/// Version-2 frame header size in bytes (no trace-id field).
-pub const V2_HEADER_LEN: usize = 23;
-/// Version-1 frame header size in bytes (no deadline or trace-id
-/// field).
-pub const LEGACY_HEADER_LEN: usize = 19;
-/// Byte offset of the trace-id field in a v3 header — fixed directly
-/// after the request id so middleboxes can sniff it without a decoder.
+/// Byte offset of the trace-id field — fixed directly after the request
+/// id so middleboxes can sniff it without a decoder.
 pub const TRACE_ID_OFFSET: usize = 15;
-/// Bytes shared by every version's header: magic, version, opcode and
-/// request id.
-pub const COMMON_PREFIX_LEN: usize = 15;
 
 /// Request opcodes (client → server).
 pub mod opcode {
@@ -78,8 +63,6 @@ pub mod opcode {
     /// Circuit + device + trials + seed + config in, reconstructed
     /// distribution out (the full simulate-then-HAMMER pipeline).
     pub const SAMPLE_AND_RECONSTRUCT: u8 = 0x04;
-    /// Cache/serving counters snapshot.
-    pub const STATS: u8 = 0x05;
     /// Graceful shutdown: stop accepting, drain in-flight work.
     pub const SHUTDOWN: u8 = 0x06;
     /// Drain the server's ring of captured slow-request traces.
@@ -93,8 +76,6 @@ pub mod opcode {
     pub const DISTRIBUTION: u8 = 0x82;
     /// A metrics payload (see [`crate::MetricsReply`]).
     pub const METRICS_REPLY: u8 = 0x83;
-    /// A stats payload (see [`crate::ServeStats`]).
-    pub const STATS_REPLY: u8 = 0x85;
     /// Shutdown acknowledged; the connection stays usable until closed.
     pub const SHUTDOWN_ACK: u8 = 0x86;
     /// Captured slow-request traces (see [`crate::TraceDumpEntry`]).
@@ -158,10 +139,7 @@ impl fmt::Display for WireError {
         match self {
             Self::Io(e) => write!(f, "i/o error: {e}"),
             Self::BadMagic(m) => write!(f, "bad frame magic {m:02x?} (want \"HAMR\")"),
-            Self::BadVersion(v) => write!(
-                f,
-                "unsupported protocol version {v} (want {LEGACY_VERSION}, {V2_VERSION} or {VERSION})"
-            ),
+            Self::BadVersion(v) => write!(f, "unsupported protocol version {v} (want {VERSION})"),
             Self::UnknownOpcode(op) => write!(f, "unknown opcode 0x{op:02x}"),
             Self::PayloadTooLarge(n) => {
                 write!(f, "payload of {n} bytes exceeds the {MAX_PAYLOAD}-byte cap")
@@ -201,54 +179,21 @@ pub struct Frame {
     /// Message discriminant.
     pub opcode: u8,
     /// Sender's remaining time budget in milliseconds; 0 = none.
-    /// Always 0 for version-1 frames.
     pub deadline_ms: u32,
-    /// 64-bit request-correlation token; 0 = untraced. Always 0 for
-    /// version-1 and version-2 frames.
+    /// 64-bit request-correlation token; 0 = untraced.
     pub trace_id: u64,
     /// Opcode-specific bytes.
     pub payload: Vec<u8>,
 }
 
-/// Writes one frame with no deadline: header plus payload, in a single
-/// buffered write so concurrent writers on a shared stream could never
-/// interleave mid-frame.
+/// Writes one frame: header plus payload, in a single buffered write so
+/// concurrent writers on a shared stream could never interleave
+/// mid-frame.
 ///
 /// # Errors
 ///
 /// Propagates transport errors.
 pub fn write_frame<W: Write>(
-    w: &mut W,
-    request_id: u64,
-    opcode: u8,
-    payload: &[u8],
-) -> std::io::Result<()> {
-    write_frame_with_deadline(w, request_id, opcode, 0, payload)
-}
-
-/// [`write_frame`] carrying an explicit deadline budget (milliseconds
-/// the sender is still willing to wait; 0 = no deadline).
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn write_frame_with_deadline<W: Write>(
-    w: &mut W,
-    request_id: u64,
-    opcode: u8,
-    deadline_ms: u32,
-    payload: &[u8],
-) -> std::io::Result<()> {
-    write_frame_traced(w, request_id, opcode, deadline_ms, 0, payload)
-}
-
-/// [`write_frame_with_deadline`] carrying an explicit trace id
-/// (0 = untraced). Emits the full version-3 header.
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn write_frame_traced<W: Write>(
     w: &mut W,
     request_id: u64,
     opcode: u8,
@@ -270,80 +215,43 @@ pub fn write_frame_traced<W: Write>(
     w.flush()
 }
 
-/// Reads one frame and returns `(request_id, opcode, payload)`,
-/// discarding any deadline field — the compatibility shim over
-/// [`read_frame_full`] for callers that never look at deadlines
-/// (replies, tests).
-///
-/// # Errors
-///
-/// See [`read_frame_full`].
-pub fn read_frame<R: Read>(r: &mut R) -> Result<(u64, u8, Vec<u8>), WireError> {
-    let frame = read_frame_full(r)?;
-    Ok((frame.request_id, frame.opcode, frame.payload))
-}
-
-/// Reads one frame, accepting the current (v3, 31-byte header with
-/// trace id), the v2 (23-byte header with deadline) and the legacy
-/// (v1, 19-byte header) framings.
+/// Reads one frame. The magic and version are checked before the rest
+/// of the header is read, so a peer speaking another version gets
+/// [`WireError::BadVersion`] instead of a read stalled on header bytes
+/// it never sends.
 ///
 /// # Errors
 ///
 /// [`WireError::Io`] on transport failure (including a clean EOF before
 /// the header, which surfaces as `UnexpectedEof`), and the framing
 /// variants on a corrupt header.
-pub fn read_frame_full<R: Read>(r: &mut R) -> Result<Frame, WireError> {
-    // Every version shares the first 15 bytes (magic, version, opcode,
-    // request id); the remainder is version-specific.
-    let mut header = [0u8; COMMON_PREFIX_LEN];
-    r.read_exact(&mut header)?;
-    if header[0..4] != MAGIC {
+pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
+    let mut header = [0u8; HEADER_LEN];
+    let (prefix, rest) = header.split_at_mut(6);
+    r.read_exact(prefix)?;
+    if prefix[0..4] != MAGIC {
         return Err(WireError::BadMagic([
-            header[0], header[1], header[2], header[3],
+            prefix[0], prefix[1], prefix[2], prefix[3],
         ]));
     }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    let opcode = header[6];
-    let request_id = u64::from_le_bytes(header[7..15].try_into().expect("8 header bytes"));
-    let (trace_id, deadline_ms, len) = match version {
-        VERSION => {
-            // trace id u64 | deadline u32 | payload len u32.
-            let mut rest = [0u8; 16];
-            r.read_exact(&mut rest)?;
-            (
-                u64::from_le_bytes(rest[0..8].try_into().expect("8 header bytes")),
-                u32::from_le_bytes(rest[8..12].try_into().expect("4 header bytes")),
-                u32::from_le_bytes(rest[12..16].try_into().expect("4 header bytes")),
-            )
-        }
-        V2_VERSION => {
-            // deadline u32 | payload len u32.
-            let mut rest = [0u8; 8];
-            r.read_exact(&mut rest)?;
-            (
-                0,
-                u32::from_le_bytes(rest[0..4].try_into().expect("4 header bytes")),
-                u32::from_le_bytes(rest[4..8].try_into().expect("4 header bytes")),
-            )
-        }
-        LEGACY_VERSION => {
-            // payload len u32 only.
-            let mut rest = [0u8; 4];
-            r.read_exact(&mut rest)?;
-            (0, 0, u32::from_le_bytes(rest))
-        }
-        other => return Err(WireError::BadVersion(other)),
-    };
+    let version = u16::from_le_bytes([prefix[4], prefix[5]]);
+    if version != VERSION {
+        return Err(WireError::BadVersion(version));
+    }
+    r.read_exact(rest)?;
+    let u32_at = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    let u64_at = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    let len = u32_at(27);
     if len > MAX_PAYLOAD {
         return Err(WireError::PayloadTooLarge(len));
     }
     let mut payload = vec![0u8; len as usize];
     r.read_exact(&mut payload)?;
     Ok(Frame {
-        request_id,
-        opcode,
-        deadline_ms,
-        trace_id,
+        request_id: u64_at(7),
+        opcode: header[6],
+        deadline_ms: u32_at(23),
+        trace_id: u64_at(TRACE_ID_OFFSET),
         payload,
     })
 }
@@ -352,20 +260,40 @@ pub fn read_frame_full<R: Read>(r: &mut R) -> Result<Frame, WireError> {
 mod tests {
     use super::*;
 
+    fn ping_frame() -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 1, opcode::PING, 0, 0, b"").unwrap();
+        buf
+    }
+
     #[test]
     fn frame_round_trips() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, 0xDEAD_BEEF, opcode::PING, b"xyz").unwrap();
-        let (id, op, payload) = read_frame(&mut buf.as_slice()).unwrap();
-        assert_eq!(id, 0xDEAD_BEEF);
-        assert_eq!(op, opcode::PING);
-        assert_eq!(payload, b"xyz");
+        write_frame(&mut buf, 9, opcode::RECONSTRUCT, 250, 0xFACE_FEED, b"pp").unwrap();
+        assert_eq!(buf.len(), HEADER_LEN + 2);
+        // The trace id sits at its documented fixed offset.
+        let sniffed = u64::from_le_bytes(
+            buf[TRACE_ID_OFFSET..TRACE_ID_OFFSET + 8]
+                .try_into()
+                .unwrap(),
+        );
+        assert_eq!(sniffed, 0xFACE_FEED);
+        let frame = read_frame(&mut buf.as_slice()).unwrap();
+        assert_eq!(
+            frame,
+            Frame {
+                request_id: 9,
+                opcode: opcode::RECONSTRUCT,
+                deadline_ms: 250,
+                trace_id: 0xFACE_FEED,
+                payload: b"pp".to_vec(),
+            }
+        );
     }
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 1, opcode::PING, b"").unwrap();
+        let mut buf = ping_frame();
         buf[0] = b'X';
         assert!(matches!(
             read_frame(&mut buf.as_slice()),
@@ -375,19 +303,24 @@ mod tests {
 
     #[test]
     fn bad_version_is_rejected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 1, opcode::PING, b"").unwrap();
-        buf[4] = 99;
-        assert!(matches!(
-            read_frame(&mut buf.as_slice()),
-            Err(WireError::BadVersion(99))
-        ));
+        for version in [1u16, 2, 4, 99] {
+            let mut buf = ping_frame();
+            buf[4..6].copy_from_slice(&version.to_le_bytes());
+            // Only magic + version are present: a v1/v2 peer's shorter
+            // header must not leave the reader waiting for more bytes.
+            let mut r = &buf[..6];
+            let err = read_frame(&mut r).unwrap_err();
+            assert!(matches!(err, WireError::BadVersion(v) if v == version));
+            assert_eq!(
+                err.to_string(),
+                format!("unsupported protocol version {version} (want 3)")
+            );
+        }
     }
 
     #[test]
     fn oversized_length_prefix_is_rejected_before_allocation() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 1, opcode::PING, b"").unwrap();
+        let mut buf = ping_frame();
         buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             read_frame(&mut buf.as_slice()),
@@ -396,108 +329,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_id_round_trips_through_the_full_reader() {
-        let mut buf = Vec::new();
-        write_frame_traced(&mut buf, 9, opcode::RECONSTRUCT, 250, 0xFACE_FEED, b"pp").unwrap();
-        assert_eq!(buf.len(), HEADER_LEN + 2);
-        // The trace id sits at its documented fixed offset.
-        let sniffed = u64::from_le_bytes(
-            buf[TRACE_ID_OFFSET..TRACE_ID_OFFSET + 8]
-                .try_into()
-                .unwrap(),
-        );
-        assert_eq!(sniffed, 0xFACE_FEED);
-        let frame = read_frame_full(&mut buf.as_slice()).unwrap();
-        assert_eq!(frame.request_id, 9);
-        assert_eq!(frame.trace_id, 0xFACE_FEED);
-        assert_eq!(frame.deadline_ms, 250);
-        assert_eq!(frame.payload, b"pp");
-    }
-
-    #[test]
-    fn deadline_round_trips_through_the_full_reader() {
-        let mut buf = Vec::new();
-        write_frame_with_deadline(&mut buf, 7, opcode::RECONSTRUCT, 1500, b"pay").unwrap();
-        let frame = read_frame_full(&mut buf.as_slice()).unwrap();
-        assert_eq!(frame.request_id, 7);
-        assert_eq!(frame.opcode, opcode::RECONSTRUCT);
-        assert_eq!(frame.deadline_ms, 1500);
-        assert_eq!(frame.payload, b"pay");
-    }
-
-    #[test]
-    fn legacy_v1_frames_still_read_with_deadline_zero() {
-        // Hand-rolled v1 frame: 19-byte header, no deadline field.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&LEGACY_VERSION.to_le_bytes());
-        buf.push(opcode::PING);
-        buf.extend_from_slice(&42u64.to_le_bytes());
-        buf.extend_from_slice(&3u32.to_le_bytes());
-        buf.extend_from_slice(b"xyz");
-        let frame = read_frame_full(&mut buf.as_slice()).unwrap();
-        assert_eq!(frame.request_id, 42);
-        assert_eq!(frame.opcode, opcode::PING);
-        assert_eq!(frame.deadline_ms, 0);
-        assert_eq!(frame.trace_id, 0);
-        assert_eq!(frame.payload, b"xyz");
-    }
-
-    #[test]
-    fn v2_frames_still_read_with_trace_id_zero() {
-        // Hand-rolled v2 frame: 23-byte header, deadline but no trace.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&V2_VERSION.to_le_bytes());
-        buf.push(opcode::RECONSTRUCT);
-        buf.extend_from_slice(&77u64.to_le_bytes());
-        buf.extend_from_slice(&900u32.to_le_bytes());
-        buf.extend_from_slice(&3u32.to_le_bytes());
-        buf.extend_from_slice(b"abc");
-        let frame = read_frame_full(&mut buf.as_slice()).unwrap();
-        assert_eq!(frame.request_id, 77);
-        assert_eq!(frame.opcode, opcode::RECONSTRUCT);
-        assert_eq!(frame.deadline_ms, 900);
-        assert_eq!(frame.trace_id, 0);
-        assert_eq!(frame.payload, b"abc");
-    }
-
-    #[test]
-    fn all_three_versions_cross_decode_from_one_stream() {
-        // One stream interleaving v1, v2 and v3 frames must yield all
-        // three with the right per-version defaults.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&LEGACY_VERSION.to_le_bytes());
-        buf.push(opcode::PING);
-        buf.extend_from_slice(&1u64.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&V2_VERSION.to_le_bytes());
-        buf.push(opcode::PING);
-        buf.extend_from_slice(&2u64.to_le_bytes());
-        buf.extend_from_slice(&500u32.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        write_frame_traced(&mut buf, 3, opcode::PING, 750, 0xBEEF, b"v3").unwrap();
-
-        let mut r = buf.as_slice();
-        let f1 = read_frame_full(&mut r).unwrap();
-        let f2 = read_frame_full(&mut r).unwrap();
-        let f3 = read_frame_full(&mut r).unwrap();
-        assert_eq!((f1.request_id, f1.deadline_ms, f1.trace_id), (1, 0, 0));
-        assert_eq!((f2.request_id, f2.deadline_ms, f2.trace_id), (2, 500, 0));
-        assert_eq!(
-            (f3.request_id, f3.deadline_ms, f3.trace_id),
-            (3, 750, 0xBEEF)
-        );
-        assert_eq!(f3.payload, b"v3");
-        assert!(r.is_empty());
-    }
-
-    #[test]
     fn truncated_stream_is_an_io_error() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, 1, opcode::PING, b"abcdef").unwrap();
+        write_frame(&mut buf, 1, opcode::PING, 0, 0, b"abcdef").unwrap();
         buf.truncate(buf.len() - 2);
         assert!(matches!(
             read_frame(&mut buf.as_slice()),

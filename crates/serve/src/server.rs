@@ -54,8 +54,8 @@ use hammer_obs::{
 use hammer_sim::{AutoEngine, WorkerPool};
 
 use crate::cache::{Claim, ComputeError, ComputeResult, DistCache, InFlight};
-use crate::codec::{Reply, Request, SampleJob, ServeStats};
-use crate::protocol::{opcode, read_frame_full, write_frame, write_frame_traced, Frame, WireError};
+use crate::codec::{Reply, Request, SampleJob};
+use crate::protocol::{opcode, read_frame, write_frame, Frame, WireError};
 use crate::store::{DistStore, FLAG_APPROX};
 
 /// Graceful-degradation knobs: under queue pressure, large
@@ -268,30 +268,6 @@ pub(crate) struct ServerState {
 }
 
 impl ServerState {
-    fn stats(&self) -> ServeStats {
-        let (hits, misses, evictions, entries, bytes) = self.cache.stats();
-        let store = self
-            .store
-            .as_ref()
-            .map(DistStore::stats)
-            .unwrap_or_default();
-        ServeStats {
-            requests: self.counters.requests.get(),
-            busy_rejections: self.counters.busy.get(),
-            cache_hits: hits,
-            cache_misses: misses,
-            coalesced: self.inflight.coalesced(),
-            evictions,
-            cache_entries: entries,
-            cache_bytes: bytes,
-            deadline_sheds: self.counters.deadline_sheds.get(),
-            store_spills: store.spills,
-            store_loads: store.loads,
-            store_recovered: store.recovered,
-            store_corrupt_dropped: store.corrupt_dropped,
-        }
-    }
-
     /// One coherent snapshot of every registered series: gauges are
     /// refreshed first, then this server's registry is merged over the
     /// process-global one (pool queue waits, kernel/ANN/sim timings).
@@ -376,13 +352,6 @@ impl ServerHandle {
         self.state.slo_statuses()
     }
 
-    /// A snapshot of the serving counters (the `Stats` opcode, without
-    /// a round trip — used by the in-process bench harness).
-    #[must_use]
-    pub fn stats(&self) -> ServeStats {
-        self.state.stats()
-    }
-
     /// A snapshot of every registered metric series (the
     /// `MetricsSnapshot` opcode, without a round trip).
     #[must_use]
@@ -391,8 +360,8 @@ impl ServerHandle {
     }
 
     /// A cloneable, non-owning view of the running server for digest /
-    /// monitoring threads: it can read stats and metric snapshots but
-    /// cannot shut the server down or block its drain.
+    /// monitoring threads: it can read metric snapshots but cannot shut
+    /// the server down or block its drain.
     #[must_use]
     pub fn observer(&self) -> ServeObserver {
         ServeObserver {
@@ -408,9 +377,9 @@ impl ServerHandle {
 
     /// Blocks until the server has shut down: the acceptor has exited
     /// and every accepted request has been answered. Returns the final
-    /// counters.
+    /// metric snapshot, taken after the shutdown spill.
     #[must_use]
-    pub fn wait(mut self) -> ServeStats {
+    pub fn wait(mut self) -> MetricsSnapshot {
         if let Some(acceptor) = self.acceptor.take() {
             acceptor.join().expect("acceptor does not panic");
         }
@@ -439,7 +408,7 @@ impl ServerHandle {
                 let _ = store.spill(key, flags, &value);
             }
         }
-        self.state.stats()
+        self.state.obs_snapshot()
     }
 }
 
@@ -452,12 +421,6 @@ pub struct ServeObserver {
 }
 
 impl ServeObserver {
-    /// Current serving counters.
-    #[must_use]
-    pub fn stats(&self) -> ServeStats {
-        self.state.stats()
-    }
-
     /// Current metric-registry snapshot (server + process-global).
     #[must_use]
     pub fn obs_snapshot(&self) -> MetricsSnapshot {
@@ -605,7 +568,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
                     state.counters.busy.inc();
                     let mut w = BufWriter::new(stream);
                     let busy = Reply::Busy;
-                    let _ = write_frame(&mut w, 0, busy.opcode(), &busy.encode());
+                    let _ = write_frame(&mut w, 0, busy.opcode(), 0, 0, &busy.encode());
                     continue;
                 }
                 state.connections.fetch_add(1, Ordering::SeqCst);
@@ -677,7 +640,7 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>, addr: SocketAddr
                             let _t = traced
                                 .as_ref()
                                 .map(|(_, ctx)| ctx.span("write", Some(&state.stages.write)));
-                            write_frame_traced(&mut w, id, outcome, 0, trace_id, &payload)
+                            write_frame(&mut w, id, outcome, 0, trace_id, &payload)
                         };
                         if wrote.is_err() {
                             broken = true;
@@ -744,9 +707,11 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>, addr: SocketAddr
         let frame = match read_one_frame(&mut read_half, state) {
             FrameOutcome::Frame(frame) => frame,
             FrameOutcome::Closed => break, // EOF, dead peer, slow-loris
-            FrameOutcome::Malformed => {
-                // Framing is unrecoverable mid-stream: report and drop.
-                reply_tx((0, Reply::Error("malformed frame".into()), None));
+            FrameOutcome::Malformed(e) => {
+                // Framing is unrecoverable mid-stream: name the fault
+                // (a wrong-version peer reads which version we want) and
+                // drop the connection.
+                reply_tx((0, Reply::Error(e.to_string()), None));
                 break;
             }
         };
@@ -804,9 +769,6 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>, addr: SocketAddr
         match request {
             Request::Ping => {
                 reply_tx((id, Reply::Pong, None));
-            }
-            Request::Stats => {
-                reply_tx((id, Reply::Stats(state.stats()), None));
             }
             Request::TraceDump => {
                 let entries = state.traces.drain().into_iter().map(Into::into).collect();
@@ -918,8 +880,9 @@ enum FrameOutcome {
     /// EOF, a dead peer, or a slow-loris mid-frame stall — in every
     /// case, stop serving the connection.
     Closed,
-    /// A corrupt header or oversized payload: unrecoverable mid-stream.
-    Malformed,
+    /// A corrupt header, foreign version or oversized payload:
+    /// unrecoverable mid-stream.
+    Malformed(WireError),
 }
 
 /// Reads one frame with the two-speed timeout discipline: *idle* time
@@ -944,10 +907,10 @@ fn read_one_frame(stream: &mut TcpStream, state: &ServerState) -> FrameOutcome {
     };
     let _ = stream.set_read_timeout(state.io_timeout);
     let mut framed = std::io::Cursor::new([first]).chain(stream);
-    match read_frame_full(&mut framed) {
+    match read_frame(&mut framed) {
         Ok(frame) => FrameOutcome::Frame(frame),
         Err(WireError::Io(_)) => FrameOutcome::Closed,
-        Err(_) => FrameOutcome::Malformed,
+        Err(e) => FrameOutcome::Malformed(e),
     }
 }
 
@@ -1035,11 +998,7 @@ fn handle_compute(
                 uniform_ehd: metrics::uniform_ehd(dist.n_bits()),
             })
         }
-        Request::Ping
-        | Request::Stats
-        | Request::TraceDump
-        | Request::MetricsSnapshot
-        | Request::Shutdown => {
+        Request::Ping | Request::TraceDump | Request::MetricsSnapshot | Request::Shutdown => {
             unreachable!("cheap opcodes are answered inline by the reader")
         }
     }

@@ -81,7 +81,8 @@ const RECORD_HEADER: usize = 12;
 /// corruption, not a huge record.
 const MAX_BODY: usize = 64 * 1024 * 1024 + 16;
 
-/// Counters the `Stats` opcode surfaces.
+/// The store's counters, read in process; on the wire they are the
+/// `serve.store.*` series of a `MetricsSnapshot`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Records appended (cache evictions demoted to disk).

@@ -372,13 +372,12 @@ fn shutdown_is_bounded_and_answers_drain_arrivals_in_band() {
     // budget despite the slow job and the dangling loris.
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let stats = server.wait();
-        let _ = done_tx.send(stats);
+        let _ = done_tx.send(server.wait());
     });
-    let stats = done_rx
+    let snap = done_rx
         .recv_timeout(Duration::from_secs(10))
         .expect("shutdown must complete within the watchdog budget");
-    assert!(stats.requests >= 1);
+    assert!(snap.counter("serve.requests").unwrap_or(0) >= 1);
 
     // The in-flight slow job was drained, not dropped — and stayed
     // byte-identical.
@@ -423,9 +422,9 @@ fn delayed_networks_change_latency_never_bytes() {
     for handle in clients {
         assert_eq!(handle.join().expect("finishes"), expected);
     }
-    let stats = server.stats();
     assert_eq!(
-        stats.cache_misses, 1,
+        server.obs_snapshot().counter("serve.cache.misses"),
+        Some(1),
         "identical concurrent requests coalesce to one computation"
     );
 

@@ -8,9 +8,8 @@ use std::time::Duration;
 
 use hammer_core::{Hammer, HammerConfig};
 use hammer_dist::{BitString, Counts, Distribution};
-use hammer_serve::{
-    serve, DeviceSpec, Reply, SampleJob, ServeClient, ServeConfig, ServeStats, WireError,
-};
+use hammer_obs::MetricsSnapshot;
+use hammer_serve::{serve, DeviceSpec, Reply, SampleJob, ServeClient, ServeConfig, WireError};
 use hammer_sim::{AutoEngine, Circuit};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,6 +44,11 @@ fn halo_counts(salt: u64) -> Counts {
         counts.record_n(bs(s), 50);
     }
     counts
+}
+
+/// A serving counter from a metric snapshot (0 if never registered).
+fn count(snap: &MetricsSnapshot, name: &str) -> u64 {
+    snap.counter(name).unwrap_or(0)
 }
 
 /// The reply bytes a distribution travels as — the byte-identical
@@ -128,21 +132,22 @@ fn concurrent_clients_get_byte_identical_replies_and_cache_hits() {
         w.join().expect("client thread");
     }
 
-    let stats = server.stats();
+    let snap = server.obs_snapshot();
     // 3 clients × 2 rounds × 3 compute opcodes.
-    assert_eq!(stats.requests, 18);
+    assert_eq!(count(&snap, "serve.requests"), 18);
     // Two distinct cacheable keys; every later identical request hit
     // the cache or coalesced onto the in-flight leader.
-    assert_eq!(stats.cache_misses, 2, "{stats:?}");
-    assert!(stats.cache_hits > 0, "{stats:?}");
-    assert_eq!(stats.cache_hits + stats.coalesced, 10, "{stats:?}");
-    assert_eq!(stats.busy_rejections, 0);
+    let hits = count(&snap, "serve.cache.hits");
+    assert_eq!(count(&snap, "serve.cache.misses"), 2, "{snap:?}");
+    assert!(hits > 0, "{snap:?}");
+    assert_eq!(hits + count(&snap, "serve.coalesced"), 10, "{snap:?}");
+    assert_eq!(count(&snap, "serve.busy_rejections"), 0);
 
     // Graceful shutdown: acknowledged, then the port actually closes.
     let mut client = ServeClient::connect(&addr).expect("connect for shutdown");
     client.shutdown().expect("shutdown ack");
-    let final_stats = server.wait();
-    assert_eq!(final_stats.requests, 18);
+    let final_snap = server.wait();
+    assert_eq!(count(&final_snap, "serve.requests"), 18);
     assert!(
         std::net::TcpStream::connect(&addr).is_err(),
         "listener must be closed after graceful shutdown"
@@ -182,13 +187,17 @@ fn k_concurrent_identical_requests_compute_once() {
     for r in &replies[1..] {
         assert_eq!(r, &replies[0]);
     }
-    let stats = server.stats();
-    assert_eq!(stats.requests, K as u64);
+    let snap = server.obs_snapshot();
+    assert_eq!(count(&snap, "serve.requests"), K as u64);
     assert_eq!(
-        stats.cache_misses, 1,
-        "K identical requests must compute once: {stats:?}"
+        count(&snap, "serve.cache.misses"),
+        1,
+        "K identical requests must compute once: {snap:?}"
     );
-    assert_eq!(stats.cache_hits + stats.coalesced, (K - 1) as u64);
+    assert_eq!(
+        count(&snap, "serve.cache.hits") + count(&snap, "serve.coalesced"),
+        (K - 1) as u64
+    );
 
     server.shutdown();
     let _ = server.wait();
@@ -220,9 +229,13 @@ fn tiny_cache_evicts_but_stays_correct() {
             .expect("reconstruct again");
         assert_eq!(wire_bytes(&got), wire_bytes(direct));
     }
-    let stats = server.stats();
-    assert!(stats.evictions > 0, "tiny cache must evict: {stats:?}");
-    assert!(stats.cache_bytes <= 16 * 1024, "budget enforced: {stats:?}");
+    let snap = server.obs_snapshot();
+    assert!(
+        count(&snap, "serve.cache.evictions") > 0,
+        "tiny cache must evict: {snap:?}"
+    );
+    let bytes = snap.gauge("serve.cache.bytes").expect("cache gauge");
+    assert!(bytes <= 16 * 1024, "budget enforced: {bytes}");
 
     server.shutdown();
     let _ = server.wait();
@@ -273,9 +286,9 @@ fn zero_queue_limit_replies_busy() {
         Err(WireError::Busy) => {}
         other => panic!("expected Busy, got {other:?}"),
     }
-    let stats = server.stats();
-    assert_eq!(stats.busy_rejections, 1);
-    assert_eq!(stats.requests, 0);
+    let snap = server.obs_snapshot();
+    assert_eq!(count(&snap, "serve.busy_rejections"), 1);
+    assert_eq!(count(&snap, "serve.requests"), 0);
     server.shutdown();
     let _ = server.wait();
 }
@@ -294,12 +307,13 @@ fn busy_replies_are_retried_a_bounded_number_of_times() {
         Err(WireError::Busy) => {}
         other => panic!("expected Busy after exhausted retries, got {other:?}"),
     }
-    let stats = server.stats();
+    let snap = server.obs_snapshot();
     assert_eq!(
-        stats.busy_rejections, 3,
+        count(&snap, "serve.busy_rejections"),
+        3,
         "1 initial attempt + 2 retries must reach the server"
     );
-    assert_eq!(stats.requests, 0);
+    assert_eq!(count(&snap, "serve.requests"), 0);
     // The connection survives the refusals.
     client.ping().expect("still alive");
     server.shutdown();
@@ -338,17 +352,14 @@ fn server_side_failures_are_error_replies_not_panics() {
 
     // A failed job must not be cached: the counters show no hit when
     // the same bad job is retried.
-    let before = server.stats();
+    let hits = || count(&server.obs_snapshot(), "serve.cache.hits");
+    let before = hits();
     let job = SampleJob {
         device: DeviceSpec::IbmParis(40),
         ..ghz_job(6, 100, 1)
     };
     let _ = client.sample_and_reconstruct(&job);
-    let after: ServeStats = server.stats();
-    assert_eq!(
-        after.cache_hits, before.cache_hits,
-        "failures are not cached"
-    );
+    assert_eq!(hits(), before, "failures are not cached");
 
     server.shutdown();
     let _ = server.wait();
@@ -416,4 +427,70 @@ fn graceful_shutdown_drains_in_flight_work() {
     let got = worker.join().expect("worker");
     assert_eq!(done.load(Ordering::SeqCst), 1, "reply arrived");
     assert_eq!(wire_bytes(&got), wire_bytes(&expected));
+}
+
+/// Reads one raw reply frame: `(request id, opcode, payload)`.
+fn read_reply(stream: &mut std::net::TcpStream) -> (u64, u8, Vec<u8>) {
+    let frame = hammer_serve::protocol::read_frame(stream).expect("reply frame");
+    (frame.request_id, frame.opcode, frame.payload)
+}
+
+/// Only protocol v3 is spoken. A v2 peer gets an id-0 `Error` naming
+/// its version and is disconnected, while a v3 client on another
+/// connection keeps being served; the retired `Stats` opcode is an
+/// ordinary unknown opcode on a connection that stays usable.
+#[test]
+fn foreign_versions_and_retired_opcodes_get_named_errors() {
+    use std::io::{Read, Write};
+
+    use hammer_serve::protocol::{opcode, write_frame};
+
+    let server = start(16, 2, 64);
+    let mut v3 = ServeClient::connect(server.local_addr().to_string()).expect("connect");
+    v3.ping().expect("v3 client served");
+
+    // A hand-written v2 Ping: 23-byte header, no trace id.
+    let mut old = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    old.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut v2_frame = b"HAMR".to_vec();
+    v2_frame.extend_from_slice(&2u16.to_le_bytes());
+    v2_frame.push(opcode::PING);
+    v2_frame.extend_from_slice(&77u64.to_le_bytes());
+    v2_frame.extend_from_slice(&0u32.to_le_bytes()); // deadline
+    v2_frame.extend_from_slice(&0u32.to_le_bytes()); // payload length
+    old.write_all(&v2_frame).expect("v2 frame written");
+    let (id, op, payload) = read_reply(&mut old);
+    assert_eq!(id, 0, "framing reports carry request id 0");
+    match Reply::decode(op, &payload).expect("error reply decodes") {
+        Reply::Error(msg) => assert_eq!(msg, "unsupported protocol version 2 (want 3)"),
+        other => panic!("expected an Error reply, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    let closed = old.read_to_end(&mut rest);
+    assert!(
+        matches!(closed, Ok(0)) || closed.is_err(),
+        "the v2 connection must be closed, read {closed:?} {rest:?}"
+    );
+
+    // The v3 client is unaffected.
+    v3.ping().expect("v3 client still served");
+    let d = v3
+        .reconstruct(&halo_counts(0), &HammerConfig::paper())
+        .expect("v3 compute");
+    assert!((d.total_mass() - 1.0).abs() < 1e-9);
+
+    // Opcode 0x05 (the old `Stats`) is unknown; the connection survives.
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    write_frame(&mut raw, 5, 0x05, 0, 0, &[]).expect("frame written");
+    let (id, op, payload) = read_reply(&mut raw);
+    assert_eq!(id, 5);
+    assert_eq!(
+        Reply::decode(op, &payload).expect("error reply decodes"),
+        Reply::Error("unknown opcode 0x05".into())
+    );
+    write_frame(&mut raw, 6, opcode::PING, 0, 0, &[]).expect("frame written");
+    assert_eq!(read_reply(&mut raw).1, opcode::PONG);
+
+    server.shutdown();
+    let _ = server.wait();
 }

@@ -1,7 +1,7 @@
 //! Observability end-to-end: trace-id propagation from client to
 //! server span dump, reply headers echoing the request's trace id,
-//! `MetricsSnapshot` agreeing with the legacy `Stats` counters, and the
-//! chaos proxy tagging injected faults with the victim's trace id.
+//! `MetricsSnapshot` carrying exact serving counters, and the chaos
+//! proxy tagging injected faults with the victim's trace id.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,7 +133,7 @@ fn reply_headers_echo_the_request_trace_id() {
         config: HammerConfig::paper(),
         counts: small_counts(7),
     };
-    protocol::write_frame_traced(
+    protocol::write_frame(
         &mut stream,
         42,
         request.opcode(),
@@ -142,14 +142,14 @@ fn reply_headers_echo_the_request_trace_id() {
         &request.encode(),
     )
     .expect("request written");
-    let frame = protocol::read_frame_full(&mut stream).expect("reply frame");
+    let frame = protocol::read_frame(&mut stream).expect("reply frame");
     assert_eq!(frame.request_id, 42);
     assert_eq!(frame.opcode, opcode::DISTRIBUTION);
     assert_eq!(frame.trace_id, 0xFEED_F00D, "reply must echo the trace id");
 
     // Untraced opcodes reply with trace id 0.
-    protocol::write_frame(&mut stream, 43, opcode::PING, &[]).expect("ping written");
-    let pong = protocol::read_frame_full(&mut stream).expect("pong frame");
+    protocol::write_frame(&mut stream, 43, opcode::PING, 0, 0, &[]).expect("ping written");
+    let pong = protocol::read_frame(&mut stream).expect("pong frame");
     assert_eq!(pong.opcode, opcode::PONG);
     assert_eq!(pong.trace_id, 0);
 
@@ -157,12 +157,11 @@ fn reply_headers_echo_the_request_trace_id() {
     let _ = server.wait();
 }
 
-/// `MetricsSnapshot` is the registry view of the same cells `Stats`
-/// reads: the migrated counters must agree exactly, the per-stage
-/// histograms must have seen every request, and the process-global
-/// compute-tier series must be merged in.
+/// `MetricsSnapshot` carries the serving counters exactly, matches the
+/// in-process snapshot, has per-stage histograms that saw every
+/// request, and merges in the process-global compute-tier series.
 #[test]
-fn metrics_snapshot_agrees_with_stats() {
+fn metrics_snapshot_counts_requests_exactly() {
     let server = start_traced(None);
     let addr = server.local_addr().to_string();
     let mut client = ServeClient::connect(&addr).expect("client connects");
@@ -171,24 +170,29 @@ fn metrics_snapshot_agrees_with_stats() {
     let _ = client.reconstruct(&small_counts(1), &config).expect("cold");
     let _ = client.reconstruct(&small_counts(1), &config).expect("hot");
 
-    let stats = client.stats().expect("stats");
     let snap = client.metrics_snapshot().expect("snapshot");
-    assert_eq!(snap.counter("serve.requests"), Some(stats.requests));
-    assert_eq!(snap.counter("serve.cache.hits"), Some(stats.cache_hits));
-    assert_eq!(snap.counter("serve.cache.misses"), Some(stats.cache_misses));
-    assert_eq!(snap.counter("serve.coalesced"), Some(stats.coalesced));
-    assert_eq!(
-        snap.counter("serve.busy_rejections"),
-        Some(stats.busy_rejections)
-    );
-    assert_eq!(stats.requests, 2);
-    assert_eq!(stats.cache_hits, 1);
+    assert_eq!(snap.counter("serve.requests"), Some(2));
+    assert_eq!(snap.counter("serve.cache.hits"), Some(1));
+    assert_eq!(snap.counter("serve.cache.misses"), Some(1));
+    assert_eq!(snap.counter("serve.coalesced"), Some(0));
+    assert_eq!(snap.counter("serve.busy_rejections"), Some(0));
+    assert_eq!(snap.counter("serve.deadline_sheds"), Some(0));
 
     // Gauges were refreshed at snapshot time.
-    assert_eq!(
-        snap.gauge("serve.cache.entries"),
-        Some(i64::try_from(stats.cache_entries).unwrap())
-    );
+    assert_eq!(snap.gauge("serve.cache.entries"), Some(1));
+
+    // The wire snapshot and the in-process one read the same cells.
+    let local = server.obs_snapshot();
+    for name in [
+        "serve.requests",
+        "serve.cache.hits",
+        "serve.cache.misses",
+        "serve.coalesced",
+        "serve.busy_rejections",
+        "serve.deadline_sheds",
+    ] {
+        assert_eq!(local.counter(name), snap.counter(name), "{name}");
+    }
 
     // Both requests crossed the request histogram; only the miss
     // computed.

@@ -39,9 +39,9 @@ fn v3_frame(request_id: u64, op: u8, trace_id: u64, deadline_ms: u32, payload: &
 /// as both a request and a reply. Only a panic can fail this.
 fn feed(bytes: &[u8]) {
     let mut r = bytes;
-    if let Ok((_, op, payload)) = protocol::read_frame(&mut r) {
-        let _ = Request::decode(op, &payload);
-        let _ = Reply::decode(op, &payload);
+    if let Ok(frame) = protocol::read_frame(&mut r) {
+        let _ = Request::decode(frame.opcode, &frame.payload);
+        let _ = Reply::decode(frame.opcode, &frame.payload);
     }
 }
 
@@ -145,10 +145,10 @@ fn valid_frames_decode_cleanly() {
     // would only ever exercise the first error path.
     for (name, frame) in valid_frames() {
         let mut r = frame.as_slice();
-        let (_, op, payload) =
-            protocol::read_frame(&mut r).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let frame = protocol::read_frame(&mut r).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(r.is_empty(), "{name}: frame not consumed exactly");
-        let ok = Request::decode(op, &payload).is_ok() || Reply::decode(op, &payload).is_ok();
+        let ok = Request::decode(frame.opcode, &frame.payload).is_ok()
+            || Reply::decode(frame.opcode, &frame.payload).is_ok();
         assert!(ok, "{name}: payload does not decode");
     }
 }
@@ -315,4 +315,64 @@ fn golden_v3_reply_headers() {
     drop(stream);
     server.shutdown();
     let _ = server.wait();
+}
+
+/// A reply with a corrupt header leaves its payload unread on the
+/// socket. The client must drop that connection and reconnect, not
+/// parse the leftover bytes as the next reply.
+#[test]
+fn client_reconnects_after_a_corrupt_reply_header() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    listener.set_nonblocking(true).unwrap();
+    let accept = move || {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        loop {
+            match listener.accept() {
+                Ok((conn, _)) => {
+                    conn.set_nonblocking(false).unwrap();
+                    break Some(conn);
+                }
+                Err(_) if std::time::Instant::now() < deadline => {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                }
+                Err(_) => break None,
+            }
+        }
+    };
+    let fake = std::thread::spawn(move || {
+        // First connection: a bad-magic header announcing 8 payload
+        // bytes, then those bytes, and the connection stays open.
+        let mut first = accept().expect("first connection");
+        let mut header = [0u8; 31];
+        first.read_exact(&mut header).unwrap();
+        let mut corrupt = v3_frame(1, opcode::PONG, 0, 0, &[0xAB; 8]);
+        corrupt[..4].copy_from_slice(b"XXXX");
+        first.write_all(&corrupt).unwrap();
+        // Every later ping must arrive on a fresh connection.
+        let mut pongs = 0;
+        while let Some(mut conn) = accept() {
+            while conn.read_exact(&mut header).is_ok() {
+                let id = u64::from_le_bytes(header[7..15].try_into().unwrap());
+                conn.write_all(&v3_frame(id, opcode::PONG, 0, 0, &[]))
+                    .unwrap();
+                pongs += 1;
+            }
+            if pongs >= 2 {
+                break;
+            }
+        }
+        drop(first);
+        pongs
+    });
+
+    let mut client = ServeClient::connect(addr).unwrap();
+    assert!(matches!(
+        client.ping(),
+        Err(hammer_serve::WireError::BadMagic(m)) if &m == b"XXXX"
+    ));
+    client.ping().expect("second ping reconnects");
+    client.ping().expect("third ping on the new connection");
+    drop(client);
+    assert_eq!(fake.join().unwrap(), 2);
 }
