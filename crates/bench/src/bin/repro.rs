@@ -260,9 +260,8 @@ fn run_serve(args: &[String]) -> ExitCode {
             "[serve] metrics exposition on http://{addr} (/metrics /series /events /slo /healthz)"
         );
     }
-    let observer = server.observer();
     let ticker = (stats_every > 0).then(|| {
-        let observer = observer.clone();
+        let observer = server.observer();
         std::thread::spawn(move || {
             let period = std::time::Duration::from_secs(stats_every as u64);
             let mut next = std::time::Instant::now() + period;
@@ -677,14 +676,12 @@ fn run_persist_smoke(args: &[String]) -> ExitCode {
     }
 
     /// Asks a running child for a `MetricsSnapshot`, then shuts it
-    /// down gracefully. Returns the `serve.store.recovered`,
-    /// `serve.store.loads`, `serve.store.corrupt_dropped` and
-    /// `serve.cache.misses` counters.
-    fn counters_and_shutdown(
+    /// down gracefully.
+    fn snapshot_and_shutdown(
         addr: &str,
         child: &mut std::process::Child,
         what: &str,
-    ) -> Result<[u64; 4], String> {
+    ) -> Result<hammer_obs::MetricsSnapshot, String> {
         let mut client = hammer_serve::ServeClient::connect(addr)
             .map_err(|e| format!("{what}: snapshot connect: {e}"))?;
         let snap = client
@@ -694,13 +691,7 @@ fn run_persist_smoke(args: &[String]) -> ExitCode {
             .shutdown()
             .map_err(|e| format!("{what}: shutdown: {e}"))?;
         wait_exit(child, what)?;
-        Ok([
-            "serve.store.recovered",
-            "serve.store.loads",
-            "serve.store.corrupt_dropped",
-            "serve.cache.misses",
-        ]
-        .map(|name| count(&snap, name)))
+        Ok(snap)
     }
 
     let quick = args.iter().any(|a| a == "--quick");
@@ -731,8 +722,10 @@ fn run_persist_smoke(args: &[String]) -> ExitCode {
                 ));
             }
         }
-        let [recovered, loads, _, misses] =
-            counters_and_shutdown(&addr, &mut child, "kill -9 drill")?;
+        let snap = snapshot_and_shutdown(&addr, &mut child, "kill -9 drill")?;
+        let recovered = count(&snap, "serve.store.recovered");
+        let loads = count(&snap, "serve.store.loads");
+        let misses = count(&snap, "serve.cache.misses");
         // At most one entry per 16 shards was resident (and lost) at
         // the kill; everything else had been spilled and fsync'd.
         let floor = hot_set - 16;
@@ -784,8 +777,9 @@ fn run_persist_smoke(args: &[String]) -> ExitCode {
             if !matched {
                 return Err(format!("{spec} drill: a reply changed across the crash"));
             }
-            let [recovered, _, corrupt_dropped, _] =
-                counters_and_shutdown(&addr, &mut child, spec)?;
+            let snap = snapshot_and_shutdown(&addr, &mut child, spec)?;
+            let recovered = count(&snap, "serve.store.recovered");
+            let corrupt_dropped = count(&snap, "serve.store.corrupt_dropped");
             if expect_torn && corrupt_dropped == 0 {
                 return Err(format!(
                     "{spec} drill: expected a torn tail in serve.store.corrupt_dropped"
@@ -832,7 +826,8 @@ fn run_persist_smoke(args: &[String]) -> ExitCode {
         if !matched {
             return Err("double-crash drill: a reply changed across the crashes".into());
         }
-        let [recovered, ..] = counters_and_shutdown(&addr, &mut child, "double-crash drill")?;
+        let snap = snapshot_and_shutdown(&addr, &mut child, "double-crash drill")?;
+        let recovered = count(&snap, "serve.store.recovered");
         eprintln!(
             "[persist-smoke] double crash: converged after crash-during-recovery \
              ({recovered} recovered, {} replies stable)",

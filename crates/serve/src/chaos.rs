@@ -91,7 +91,7 @@ pub struct FaultEvent {
     pub fault: Fault,
     /// Trace id of the last v3 request frame the proxy saw on the
     /// victim connection before the fault fired, if it saw one (bare
-    /// clients and pre-v3 frames leave this `None`).
+    /// clients and frames of any other version leave this `None`).
     pub trace_id: Option<u64>,
 }
 
