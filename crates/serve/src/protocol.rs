@@ -269,6 +269,35 @@ mod tests {
     #[test]
     fn frame_round_trips() {
         let mut buf = Vec::new();
+        write_frame(&mut buf, 0xDEAD_BEEF, opcode::PING, 0, 0, b"xyz").unwrap();
+        let frame = read_frame(&mut buf.as_slice()).unwrap();
+        assert_eq!(
+            frame,
+            Frame {
+                request_id: 0xDEAD_BEEF,
+                opcode: opcode::PING,
+                deadline_ms: 0,
+                trace_id: 0,
+                payload: b"xyz".to_vec(),
+            }
+        );
+    }
+
+    #[test]
+    fn deadline_round_trips_through_the_full_reader() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 7, opcode::RECONSTRUCT, 1500, 0, b"pay").unwrap();
+        let frame = read_frame(&mut buf.as_slice()).unwrap();
+        assert_eq!(frame.request_id, 7);
+        assert_eq!(frame.opcode, opcode::RECONSTRUCT);
+        assert_eq!(frame.deadline_ms, 1500);
+        assert_eq!(frame.trace_id, 0);
+        assert_eq!(frame.payload, b"pay");
+    }
+
+    #[test]
+    fn trace_id_round_trips_through_the_full_reader() {
+        let mut buf = Vec::new();
         write_frame(&mut buf, 9, opcode::RECONSTRUCT, 250, 0xFACE_FEED, b"pp").unwrap();
         assert_eq!(buf.len(), HEADER_LEN + 2);
         // The trace id sits at its documented fixed offset.

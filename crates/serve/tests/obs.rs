@@ -194,17 +194,6 @@ fn metrics_snapshot_counts_requests_exactly() {
         assert_eq!(local.counter(name), snap.counter(name), "{name}");
     }
 
-    // Both requests crossed the request histogram; only the miss
-    // computed.
-    let request_hist = snap
-        .histogram("serve.request_ns")
-        .expect("request histogram registered");
-    assert_eq!(request_hist.count(), 2);
-    let compute_hist = snap
-        .histogram("serve.stage.compute_ns")
-        .expect("compute histogram registered");
-    assert_eq!(compute_hist.count(), 1);
-
     // The merge brought in the process-global compute-tier series: the
     // request pool records every dequeue, the kernel every
     // reconstruction (count is cumulative across the process, so only
@@ -226,7 +215,20 @@ fn metrics_snapshot_counts_requests_exactly() {
     }
 
     client.shutdown().expect("shutdown");
-    let _ = server.wait();
+    // The writer records end-to-end latency after the socket write, so
+    // a client can read a snapshot before its last reply is counted;
+    // the final snapshot `wait` returns is taken after every reply was
+    // written. Both requests crossed the request histogram; only the
+    // miss computed.
+    let last = server.wait();
+    let request_hist = last
+        .histogram("serve.request_ns")
+        .expect("request histogram registered");
+    assert_eq!(request_hist.count(), 2);
+    let compute_hist = last
+        .histogram("serve.stage.compute_ns")
+        .expect("compute histogram registered");
+    assert_eq!(compute_hist.count(), 1);
 }
 
 /// Satellite: the chaos proxy logs the faults it fires with the
@@ -297,7 +299,17 @@ fn deadline_misses_are_always_captured() {
         c.reconstruct(&large_counts(), &HammerConfig::paper())
             .expect("the undeadlined blocker completes")
     });
-    std::thread::sleep(Duration::from_millis(20));
+    // `serve.requests` counts a job once a worker starts it, so at 1
+    // the lone worker is pinned. (Deadlined jobs queue ahead of
+    // undeadlined ones, so the blocker must be running, not queued.)
+    let pinned_by = Instant::now() + Duration::from_secs(30);
+    while server.obs_snapshot().counter("serve.requests") != Some(1) {
+        assert!(
+            Instant::now() < pinned_by,
+            "the blocker never reached the worker"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let mut client = ServeClient::connect(&addr)
         .expect("client connects")
