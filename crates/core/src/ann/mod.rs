@@ -20,17 +20,14 @@
 //!   bits, which rescues neighbors that differ exactly at a sampled
 //!   position;
 //! * the deduplicated union is the **candidate set**: the approximate
-//!   scoring pass ([`score`]) visits only those pairs, and
+//!   scoring pass ([`scores_with_index`]) visits only those pairs, and
 //!   [`AnnIndex::range_query`] post-filters them by exact distance.
 //!
-//! Trees are independent, so construction fans out one build job per
-//! tree — over scoped work-stealing threads by default, or onto a
-//! persistent [`WorkerPool`] ([`AnnIndex::build_on`]) in serving
-//! processes that already own one. Both produce bit-identical forests:
-//! each tree's bit sample is drawn from its own seeded SplitMix64
-//! stream, so the forest (and everything downstream of it) is a pure
-//! function of `(support, params)` — never of thread count or pool
-//! placement. The tests pin this.
+//! Trees are independent, so construction runs one tile per tree on
+//! the work-stealing executor ([`hammer_pool::run_tiles`]). Each tree's
+//! bit sample is drawn from its own seeded SplitMix64 stream, so the
+//! forest (and everything downstream of it) is a pure function of
+//! `(support, params)` — never of thread count. The tests pin this.
 //!
 //! The recall/speed trade is governed by [`AnnTuning`]
 //! (tree count, bits per hash, oversampling, probe radius) and measured
@@ -38,13 +35,10 @@
 //! policy that decides *when* this path replaces the exact kernel lives
 //! on [`crate::Hammer`].
 
-use std::sync::Arc;
-
 use hammer_dist::Distribution;
-use hammer_pool::WorkerPool;
 
 use crate::config::AnnTuning;
-use crate::kernel::{hamming, schedule};
+use crate::kernel::{hamming, uncancelled};
 
 mod score;
 
@@ -162,9 +156,8 @@ impl Table {
 
 /// The bit-sampling LSH forest over one support.
 ///
-/// Owns a copy of the support's key limbs (so tree builds can travel to
-/// a [`WorkerPool`] as `'static` jobs and queries need no borrowed
-/// context), plus one [`Table`] per tree.
+/// Owns a copy of the support's key limbs (so queries need no borrowed
+/// context), plus one bucket table per tree.
 ///
 /// # Example
 ///
@@ -192,15 +185,14 @@ impl Table {
 pub struct AnnIndex {
     n_bits: usize,
     probe_radius: usize,
-    keys: Arc<Vec<u64>>,
-    keys_hi: Arc<Vec<u64>>,
+    keys: Vec<u64>,
+    keys_hi: Vec<u64>,
     tables: Vec<Table>,
 }
 
 impl AnnIndex {
-    /// Builds the forest, fanning one build job per tree across
-    /// `threads` scoped work-stealing workers (serial when `threads`
-    /// is 1). The result is independent of `threads`.
+    /// Builds the forest, one tile per tree across `threads`
+    /// work-stealing workers. The result is independent of `threads`.
     ///
     /// # Panics
     ///
@@ -209,71 +201,22 @@ impl AnnIndex {
     #[must_use]
     pub fn build(dist: &Distribution, params: &AnnParams, threads: usize) -> Self {
         let _t = crate::obs_hooks::ann_build_hist().start();
-        let (keys, keys_hi) = Self::limb_copies(dist);
-        let tables = if threads <= 1 || params.trees == 1 {
-            (0..params.trees)
-                .map(|t| build_table(&keys, &keys_hi, dist.n_bits(), params, t))
-                .collect()
-        } else {
-            schedule::run_tiles(params.trees, threads.min(params.trees), |t| {
-                build_table(&keys, &keys_hi, dist.n_bits(), params, t)
-            })
-        };
-        Self {
-            n_bits: dist.n_bits(),
-            probe_radius: params.probe_radius,
-            keys,
-            keys_hi,
-            tables,
-        }
-    }
-
-    /// Builds the forest on a persistent [`WorkerPool`]: one `'static`
-    /// build job per tree, sharing the limb copies by `Arc`. Produces a
-    /// forest bit-identical to [`build`](AnnIndex::build) — the pool
-    /// only changes *where* each tree is built.
-    ///
-    /// Must not be called from one of `pool`'s own jobs (a nested
-    /// `fan_out` would deadlock — see [`WorkerPool::fan_out`]); the
-    /// serving layer hands its *engine* pool here while requests run on
-    /// a separate request pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the support exceeds `u32::MAX` entries.
-    #[must_use]
-    pub fn build_on(dist: &Distribution, params: &AnnParams, pool: &WorkerPool) -> Self {
-        let _t = crate::obs_hooks::ann_build_hist().start();
-        let (keys, keys_hi) = Self::limb_copies(dist);
-        let n_bits = dist.n_bits();
-        let jobs: Vec<_> = (0..params.trees)
-            .map(|t| {
-                let keys = Arc::clone(&keys);
-                let keys_hi = Arc::clone(&keys_hi);
-                let params = *params;
-                move || build_table(&keys, &keys_hi, n_bits, &params, t)
-            })
-            .collect();
-        let tables = pool.fan_out(jobs);
-        Self {
-            n_bits,
-            probe_radius: params.probe_radius,
-            keys,
-            keys_hi,
-            tables,
-        }
-    }
-
-    fn limb_copies(dist: &Distribution) -> (Arc<Vec<u64>>, Arc<Vec<u64>>) {
         assert!(
             u32::try_from(dist.len()).is_ok(),
             "ANN index ids are u32: support of {} entries is too large",
             dist.len()
         );
-        (
-            Arc::new(dist.keys().to_vec()),
-            Arc::new(dist.keys_hi().to_vec()),
-        )
+        let (keys, keys_hi, n_bits) = (dist.keys(), dist.keys_hi(), dist.n_bits());
+        let tables = uncancelled(hammer_pool::run_tiles(params.trees, threads, None, |t| {
+            build_table(keys, keys_hi, n_bits, params, t)
+        }));
+        Self {
+            n_bits,
+            probe_radius: params.probe_radius,
+            keys: keys.to_vec(),
+            keys_hi: keys_hi.to_vec(),
+            tables,
+        }
     }
 
     /// Number of trees.
@@ -604,15 +547,14 @@ mod tests {
     }
 
     #[test]
-    fn forest_is_deterministic_across_threads_and_pool() {
+    fn forest_is_deterministic_across_threads() {
         let d = clustered(100, 10, 8, 5); // wide: both limbs live
         let p = params(6, 7, 1);
         let serial = AnnIndex::build(&d, &p, 1);
-        let threaded = AnnIndex::build(&d, &p, 4);
-        let pool = WorkerPool::new(3);
-        let pooled = AnnIndex::build_on(&d, &p, &pool);
-        assert_eq!(serial.tables, threaded.tables);
-        assert_eq!(serial.tables, pooled.tables);
+        for threads in [2, 4, 16] {
+            let threaded = AnnIndex::build(&d, &p, threads);
+            assert_eq!(serial.tables, threaded.tables, "threads={threads}");
+        }
         // Distinct trees sample distinct bit subsets (else the forest
         // would be T copies of one tree).
         assert!(serial.tables.windows(2).any(|w| w[0].bits != w[1].bits));

@@ -12,19 +12,19 @@
 //! recall loss shows up only as a (measured, bounded) perturbation of
 //! the relative scores.
 //!
-//! Work is tiled over outcomes with the same work-stealing scheduler as
-//! the blocked kernel; each tile reuses one candidate buffer. Candidate
-//! ids arrive sorted, so per-outcome accumulation order is fixed by the
-//! forest alone — results are bit-identical across thread counts. As in
+//! Work is tiled over outcomes on the same work-stealing executor as
+//! the blocked kernel ([`hammer_pool::run_tiles`]); each tile reuses
+//! one candidate buffer. Candidate ids arrive sorted, so per-outcome
+//! accumulation order is fixed by the forest alone — results are bit-identical across thread counts. As in
 //! the exact kernel, each pass has one body taking an optional
 //! [`CancelToken`], checked before every tile; the public entry points
 //! pass `None`.
 
 use crate::config::FilterRule;
 use crate::kernel::{
-    checkpoint, hamming, merge_bins, schedule, uncancelled, ExcludeSelf, Filter, WeightTable,
+    checkpoint, hamming, merge_bins, uncancelled, ExcludeSelf, Filter, WeightTable,
 };
-use hammer_pool::{CancelToken, Cancelled};
+use hammer_pool::{run_tiles, CancelToken, Cancelled};
 
 use super::AnnIndex;
 
@@ -123,24 +123,23 @@ fn scores_mono<F: Filter>(
     let (keys, keys_hi) = (index.keys(), index.keys_hi());
     let n = probs.len();
     let tile = tile_size.max(1);
-    let per_tile =
-        schedule::run_tiles_cancellable(n.div_ceil(tile), threads.max(1), cancel, |t| {
-            let mut cands: Vec<u32> = Vec::new();
-            (t * tile..((t + 1) * tile).min(n))
-                .map(|i| {
-                    index.candidates_of_into(i, &mut cands);
-                    let (x, px) = ([keys[i], keys_hi[i]], probs[i]);
-                    // Seed with the outcome's own probability (line 17), then
-                    // add every candidate that survives the filter. Candidates
-                    // include `i` itself, which both filters reject.
-                    cands.iter().fold(px, |acc, &id| {
-                        let j = id as usize;
-                        let y = [keys[j], keys_hi[j]];
-                        acc + table.get(hamming(&x, &y)) * F::contribution(&x, px, &y, probs[j])
-                    })
+    let per_tile = run_tiles(n.div_ceil(tile), threads.max(1), cancel, |t| {
+        let mut cands: Vec<u32> = Vec::new();
+        (t * tile..((t + 1) * tile).min(n))
+            .map(|i| {
+                index.candidates_of_into(i, &mut cands);
+                let (x, px) = ([keys[i], keys_hi[i]], probs[i]);
+                // Seed with the outcome's own probability (line 17), then
+                // add every candidate that survives the filter. Candidates
+                // include `i` itself, which both filters reject.
+                cands.iter().fold(px, |acc, &id| {
+                    let j = id as usize;
+                    let y = [keys[j], keys_hi[j]];
+                    acc + table.get(hamming(&x, &y)) * F::contribution(&x, px, &y, probs[j])
                 })
-                .collect::<Vec<f64>>()
-        })?;
+            })
+            .collect::<Vec<f64>>()
+    })?;
     Ok(per_tile.concat())
 }
 
@@ -160,20 +159,19 @@ pub(crate) fn chs(
     let (keys, keys_hi) = (index.keys(), index.keys_hi());
     let n = probs.len();
     let tile = tile_size.max(1);
-    let partials =
-        schedule::run_tiles_cancellable(n.div_ceil(tile), threads.max(1), cancel, |t| {
-            let mut cands: Vec<u32> = Vec::new();
-            let mut bins = vec![0.0f64; WeightTable::SLOTS];
-            for i in t * tile..((t + 1) * tile).min(n) {
-                index.candidates_of_into(i, &mut cands);
-                let x = [keys[i], keys_hi[i]];
-                for &id in &cands {
-                    let j = id as usize;
-                    bins[hamming(&x, &[keys[j], keys_hi[j]])] += probs[j];
-                }
+    let partials = run_tiles(n.div_ceil(tile), threads.max(1), cancel, |t| {
+        let mut cands: Vec<u32> = Vec::new();
+        let mut bins = vec![0.0f64; WeightTable::SLOTS];
+        for i in t * tile..((t + 1) * tile).min(n) {
+            index.candidates_of_into(i, &mut cands);
+            let x = [keys[i], keys_hi[i]];
+            for &id in &cands {
+                let j = id as usize;
+                bins[hamming(&x, &[keys[j], keys_hi[j]])] += probs[j];
             }
-            bins
-        })?;
+        }
+        bins
+    })?;
     Ok(merge_bins(partials, max_d))
 }
 

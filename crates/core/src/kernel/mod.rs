@@ -51,9 +51,10 @@
 //!
 //! 6. **Work-stealing scheduling.** Above
 //!    [`KernelTuning::parallel_threshold`], outer tiles are claimed
-//!    dynamically off a shared atomic cursor by crossbeam scoped worker
-//!    threads, bounding load imbalance by one tile. The triangular
-//!    sweeps make early tiles the heaviest, and they are claimed first.
+//!    dynamically off a shared atomic cursor by the scoped workers of
+//!    [`hammer_pool::run_tiles`], bounding load imbalance by one tile.
+//!    The triangular sweeps make early tiles the heaviest, and they are
+//!    claimed first.
 //!    Below the threshold the same tiles run in order on the calling
 //!    thread, so every result is bit-identical across thread counts.
 //!
@@ -71,11 +72,10 @@
 use std::ops::Range;
 
 use crate::config::{FilterRule, KernelTuning};
-use hammer_pool::{CancelToken, Cancelled};
+use hammer_pool::{run_tiles, CancelToken, Cancelled};
 
 mod blocked;
 pub mod reference;
-pub(crate) mod schedule;
 mod weights;
 pub mod wide;
 
@@ -152,12 +152,9 @@ pub(crate) fn chs<const L: usize>(
     checkpoint(cancel)?;
     let n = keys.len();
     let tile = tuning.tile_size.max(1);
-    let partials = schedule::run_tiles_cancellable(
-        n.div_ceil(tile),
-        workers(n, threads, tuning),
-        cancel,
-        |t| blocked::chs_tile(keys, probs, tile_rows(t, tile, n), tile),
-    )?;
+    let partials = run_tiles(n.div_ceil(tile), workers(n, threads, tuning), cancel, |t| {
+        blocked::chs_tile(keys, probs, tile_rows(t, tile, n), tile)
+    })?;
     Ok(merge_bins(partials, max_d))
 }
 
@@ -224,12 +221,9 @@ fn sweep<F: Filter, const L: usize>(
 ) -> Result<Vec<f64>, Cancelled> {
     let n = keys.len();
     let tile = tuning.tile_size.max(1);
-    let per_tile = schedule::run_tiles_cancellable(
-        n.div_ceil(tile),
-        workers(n, threads, tuning),
-        cancel,
-        |t| blocked::scores_tile::<F, L>(keys, probs, tile_rows(t, tile, n), &first, table, tile),
-    )?;
+    let per_tile = run_tiles(n.div_ceil(tile), workers(n, threads, tuning), cancel, |t| {
+        blocked::scores_tile::<F, L>(keys, probs, tile_rows(t, tile, n), &first, table, tile)
+    })?;
     Ok(per_tile.concat())
 }
 

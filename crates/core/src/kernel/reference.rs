@@ -74,7 +74,7 @@ pub fn score_one(
 }
 
 /// Parallel version of [`scores`]: splits the outer loop over
-/// `threads` crossbeam scoped threads. Falls back to the serial kernel
+/// `threads` scoped threads. Falls back to the serial kernel
 /// for small inputs where spawning would dominate.
 #[must_use]
 pub fn scores_parallel(
@@ -90,16 +90,15 @@ pub fn scores_parallel(
     let n = entries.len();
     let chunk = n.div_ceil(threads);
     let mut out = vec![0.0; n];
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (slot, xs) in out.chunks_mut(chunk).zip(entries.chunks(chunk)) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (o, &(xk, px)) in slot.iter_mut().zip(xs) {
                     *o = score_one(xk, px, entries, weights, filter);
                 }
             });
         }
-    })
-    .expect("scoring threads do not panic");
+    });
     out
 }
 

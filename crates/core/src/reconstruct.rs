@@ -1,9 +1,7 @@
 //! Hamming Reconstruction — Algorithm 1 of the paper.
 
-use std::sync::Arc;
-
 use hammer_dist::{spectrum, BitString, Distribution};
-use hammer_pool::{CancelToken, Cancelled, WorkerPool};
+use hammer_pool::{CancelToken, Cancelled};
 
 use crate::ann::{self, AnnIndex, AnnParams};
 use crate::config::{FilterRule, HammerConfig, WeightScheme};
@@ -55,26 +53,11 @@ use crate::trace::{HammerTrace, ScoreBreakdown};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hammer {
     config: HammerConfig,
     threads: usize,
-    /// Optional persistent pool for ANN tree builds (see
-    /// [`with_pool`](Hammer::with_pool)); `None` falls back to scoped
-    /// work-stealing threads. Never changes results.
-    pool: Option<Arc<WorkerPool>>,
 }
-
-/// Two reconstructors are equal when they would compute the same thing
-/// the same way: configuration and thread count. Pool placement is an
-/// execution detail (like which cores run the kernel) and is ignored.
-impl PartialEq for Hammer {
-    fn eq(&self, other: &Self) -> bool {
-        self.config == other.config && self.threads == other.threads
-    }
-}
-
-impl Eq for Hammer {}
 
 impl Default for Hammer {
     fn default() -> Self {
@@ -105,11 +88,7 @@ impl Hammer {
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1)
             .max(2);
-        Self {
-            config,
-            threads,
-            pool: None,
-        }
+        Self { config, threads }
     }
 
     /// Overrides the worker-thread count.
@@ -131,21 +110,6 @@ impl Hammer {
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads >= 1, "need at least one thread");
         self.threads = threads;
-        self
-    }
-
-    /// Hands this reconstructor a persistent [`WorkerPool`] to fan ANN
-    /// tree builds onto ([`AnnIndex::build_on`]) instead of spinning up
-    /// scoped threads per build. Results are unchanged — the forest is a
-    /// pure function of `(support, params)` — so this is purely an
-    /// execution-placement knob for serving processes that already own
-    /// a pool.
-    ///
-    /// Must not be a pool this reconstructor will itself run *on* (a
-    /// nested `fan_out` deadlocks — see [`WorkerPool::fan_out`]).
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
         self
     }
 
@@ -189,16 +153,6 @@ impl Hammer {
         engaged.then(|| AnnParams::resolve(tuning, dist.len(), n_bits))
     }
 
-    /// Builds the LSH forest — on the attached persistent pool if one
-    /// was provided, over scoped threads otherwise. Bit-identical either
-    /// way.
-    fn build_index(&self, dist: &Distribution, params: &AnnParams) -> AnnIndex {
-        match &self.pool {
-            Some(pool) => AnnIndex::build_on(dist, params, pool),
-            None => AnnIndex::build(dist, params, self.threads),
-        }
-    }
-
     /// Picks the kernel for this distribution, once per call, so both
     /// passes run on it: the ANN candidate pass when the
     /// [`ann_params`](Hammer::ann_params) gate opens (building the
@@ -206,7 +160,7 @@ impl Hammer {
     /// blocked/work-stealing kernel at one or two limbs otherwise.
     fn kernel<'a>(&self, dist: &'a Distribution) -> Kernel<'a> {
         if let Some(params) = self.ann_params(dist) {
-            Kernel::Ann(self.build_index(dist, &params))
+            Kernel::Ann(AnnIndex::build(dist, &params, self.threads))
         } else if self.threads == 1 {
             Kernel::Reference
         } else if dist.n_bits() > 64 {

@@ -1,47 +1,38 @@
-//! A persistent worker-thread pool shared by the noise engines, the
-//! ANN index builder and the serving runtime.
+//! The workspace's thread executors: [`run_tiles`], the one compute
+//! executor, and [`WorkerPool`], the serving tier's bounded
+//! admission queue.
 //!
-//! Before this pool existed, every `TrajectoryEngine::sample` /
-//! `StabilizerEngine::sample` call spawned (and joined) one scoped
-//! thread per trial block. One-shot CLI experiments never notice, but a
-//! serving process answering thousands of small requests pays the
-//! spawn/join cost on every one. [`WorkerPool`] amortizes it: threads
-//! are spawned once, jobs flow through a queue, and the same pool type
-//! doubles as the serving layer's request-execution pool (bounded
-//! submissions + [`WorkerPool::try_submit`] give the 503-style
-//! backpressure path).
+//! * [`run_tiles`] fans a computation's tiles out over scoped threads
+//!   with a work-stealing cursor, a cancellation check before every
+//!   tile claim and results in tile order. The exact kernel's passes,
+//!   the ANN forest build and scoring, and the noise engines' trial
+//!   blocks all run on it, so their outputs are identical at every
+//!   thread count. Tiles borrow the caller's data, and a compute call
+//!   never waits on a queue another call could be holding.
+//! * [`WorkerPool`] is a persistent pool of worker threads behind an
+//!   earliest-deadline-first queue. Bounded submissions
+//!   ([`WorkerPool::try_submit`]) give the serving layer its
+//!   503-style backpressure; each request job runs its compute through
+//!   [`run_tiles`], never through the pool.
 //!
-//! The pool originally lived in `hammer_sim` (which still re-exports it
-//! under the old path); it moved into this dependency-free leaf crate
-//! once `hammer_core`'s ANN forest needed the same fan-out primitive
-//! for parallel tree builds — the core crate must not pull in the whole
-//! simulator for that.
-//!
-//! Determinism is preserved by construction: the pool only changes
-//! *where* a job runs, never how batches are cut or which per-job RNG
-//! stream each job consumes, so engines produce bit-identical
-//! `hammer_dist::Counts` — and the ANN builder bit-identical forests —
-//! with or without a pool (the engine and ANN test suites pin this
-//! exactly).
-//!
-//! Jobs must be `'static` (they travel through a queue that outlives
-//! any caller's stack frame), so engine contexts are `Arc`-shared
-//! rather than borrowed. The per-*gate* amplitude fan-out in
-//! `simkernel::threaded` still uses scoped threads: its workers borrow
-//! disjoint `&mut` slices of one state vector, which a queue of owned
-//! jobs cannot express without `unsafe` — see the ROADMAP headroom
-//! note.
+//! This is a dependency-free leaf crate (apart from `hammer_obs`), so
+//! `hammer_core` and `hammer_sim` share the executor without pulling in
+//! each other. The per-*gate* amplitude passes in `hammer_sim`'s
+//! `simkernel` and the reference oracle's parallel scoring stay on plain
+//! `std::thread::scope`: they split `&mut` output slices, not tiles.
 
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 pub mod cancel;
+mod tiles;
 
 pub use cancel::{CancelToken, Cancelled};
+pub use tiles::run_tiles;
 
 /// A queued unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -131,10 +122,7 @@ struct Shared {
 /// * [`submit`](WorkerPool::submit) — unbounded fire-and-forget;
 /// * [`try_submit`](WorkerPool::try_submit) — bounded, refusing instead
 ///   of blocking when the queue is at the configured limit (the serving
-///   layer's backpressure primitive);
-/// * [`fan_out`](WorkerPool::fan_out) — submit a batch, block until all
-///   results arrive, return them in submission order (the engines'
-///   trial-block primitive).
+///   layer's backpressure primitive).
 ///
 /// Dropping the pool drains every queued job, then joins the workers.
 ///
@@ -142,10 +130,17 @@ struct Shared {
 ///
 /// ```
 /// use hammer_pool::WorkerPool;
+/// use std::sync::atomic::{AtomicU64, Ordering};
+/// use std::sync::Arc;
 ///
-/// let pool = WorkerPool::new(4);
-/// let squares = pool.fan_out((0u64..8).map(|i| move || i * i));
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
+/// let sum = Arc::new(AtomicU64::new(0));
+/// let pool = WorkerPool::with_queue_limit(2, 16);
+/// for i in 0u64..8 {
+///     let sum = Arc::clone(&sum);
+///     assert!(pool.try_submit(move || { sum.fetch_add(i * i, Ordering::Relaxed); }).is_ok());
+/// }
+/// drop(pool); // drains the queue, then joins the workers
+/// assert_eq!(sum.load(Ordering::Relaxed), 140);
 /// ```
 pub struct WorkerPool {
     shared: Arc<Shared>,
@@ -297,103 +292,7 @@ impl WorkerPool {
         self.shared.wake.notify_one();
         Ok(())
     }
-
-    /// Runs a batch of jobs across the pool and returns their results
-    /// **in submission order**, blocking until the whole batch is done.
-    ///
-    /// Must not be called from inside one of this pool's own jobs: with
-    /// every worker blocked in a nested `fan_out`, no worker is left to
-    /// run the nested batch. (The serving runtime therefore keeps two
-    /// pools: one for requests, one — passed to the engines — for trial
-    /// blocks.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job panics (mirroring scoped-thread join
-    /// behavior).
-    pub fn fan_out<T, F, I>(&self, jobs: I) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-        I: IntoIterator<Item = F>,
-    {
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
-        let mut submitted = 0usize;
-        for (idx, job) in jobs.into_iter().enumerate() {
-            let tx = tx.clone();
-            self.submit(move || {
-                let result = catch_unwind(AssertUnwindSafe(job));
-                // The receiver may have panicked and gone away; nothing
-                // useful to do with the send error.
-                let _ = tx.send((idx, result));
-            });
-            submitted += 1;
-        }
-        drop(tx);
-        let mut slots: Vec<Option<T>> = (0..submitted).map(|_| None).collect();
-        for _ in 0..submitted {
-            let (idx, result) = rx.recv().expect("pool workers outlive the batch");
-            match result {
-                Ok(value) => slots[idx] = Some(value),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index reported exactly once"))
-            .collect()
-    }
-
-    /// [`fan_out`](WorkerPool::fan_out) that survives panicking jobs:
-    /// every slot comes back in submission order, panicked slots as
-    /// `Err(JobPanicked)` instead of re-raising. The chaos harness uses
-    /// this to assert a mid-batch panic cannot reorder or lose the
-    /// surviving results.
-    pub fn try_fan_out<T, F, I>(&self, jobs: I) -> Vec<Result<T, JobPanicked>>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-        I: IntoIterator<Item = F>,
-    {
-        let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
-        let mut submitted = 0usize;
-        for (idx, job) in jobs.into_iter().enumerate() {
-            let tx = tx.clone();
-            self.submit(move || {
-                let result = catch_unwind(AssertUnwindSafe(job));
-                let _ = tx.send((idx, result));
-            });
-            submitted += 1;
-        }
-        drop(tx);
-        let mut slots: Vec<Option<Result<T, JobPanicked>>> = (0..submitted).map(|_| None).collect();
-        for _ in 0..submitted {
-            let (idx, result) = rx.recv().expect("pool workers outlive the batch");
-            slots[idx] = Some(result.map_err(|payload| JobPanicked {
-                message: panic_message(payload.as_ref()),
-            }));
-        }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every index reported exactly once"))
-            .collect()
-    }
 }
-
-/// A [`WorkerPool::try_fan_out`] slot whose job panicked.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobPanicked {
-    /// The panic payload when it was a string, else a placeholder.
-    pub message: String,
-}
-
-impl std::fmt::Display for JobPanicked {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for JobPanicked {}
 
 /// Renders a panic payload for error reporting.
 #[must_use]
@@ -466,31 +365,17 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     #[test]
-    fn fan_out_returns_results_in_submission_order() {
-        let pool = WorkerPool::new(3);
-        // Jobs finishing out of order (later jobs sleep less) must
-        // still land in submission order.
-        let results = pool.fan_out((0..16u64).map(|i| {
-            move || {
-                std::thread::sleep(std::time::Duration::from_micros(200 - 10 * i));
-                i * 2
-            }
-        }));
-        assert_eq!(results, (0..16).map(|i| i * 2).collect::<Vec<u64>>());
-    }
-
-    #[test]
     fn more_jobs_than_threads_all_complete() {
-        let pool = WorkerPool::new(2);
         let counter = Arc::new(AtomicUsize::new(0));
-        let results = pool.fan_out((0..64).map(|i| {
-            let counter = Arc::clone(&counter);
-            move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-                i
+        {
+            let pool = WorkerPool::new(2);
+            for _ in 0..64 {
+                let counter = Arc::clone(&counter);
+                pool.submit(move || {
+                    counter.fetch_add(1, Ordering::Relaxed);
+                });
             }
-        }));
-        assert_eq!(results.len(), 64);
+        }
         assert_eq!(counter.load(Ordering::Relaxed), 64);
     }
 
@@ -548,38 +433,10 @@ mod tests {
         let pool = WorkerPool::new(1);
         pool.submit(|| panic!("job panic"));
         // The same single worker must still run later jobs.
-        let results = pool.fan_out([|| 7u32]);
-        assert_eq!(results, vec![7]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.submit(move || tx.send(7u32).expect("receiver alive"));
+        assert_eq!(rx.recv().expect("the worker survived"), 7);
         assert_eq!(pool.panicked_jobs(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "fan_out job panic")]
-    fn fan_out_propagates_job_panics() {
-        let pool = WorkerPool::new(2);
-        let _ = pool.fan_out([|| panic!("fan_out job panic")]);
-    }
-
-    #[test]
-    fn try_fan_out_preserves_order_of_survivors_around_a_panic() {
-        let pool = WorkerPool::new(3);
-        let results = pool.try_fan_out((0..10u64).map(|i| {
-            move || {
-                // Stagger completion so survivors finish out of order.
-                std::thread::sleep(std::time::Duration::from_micros(100 - 9 * i));
-                assert!(i != 4, "chaos panic at index 4");
-                i * 3
-            }
-        }));
-        assert_eq!(results.len(), 10);
-        for (i, slot) in results.iter().enumerate() {
-            if i == 4 {
-                let err = slot.as_ref().expect_err("index 4 panicked");
-                assert!(err.message.contains("chaos panic"), "{err}");
-            } else {
-                assert_eq!(*slot.as_ref().expect("survivor"), i as u64 * 3);
-            }
-        }
     }
 
     #[test]

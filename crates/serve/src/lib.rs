@@ -14,15 +14,17 @@
 //! * [`codec`] — std-only payload codecs that stream
 //!   [`hammer_dist::Counts`] / [`hammer_dist::Distribution`] directly
 //!   from their structure-of-arrays limb views and re-validate every
-//!   invariant on decode ([`Distribution::from_raw_parts`]
-//!   (hammer_dist::Distribution::from_raw_parts)), so hostile bytes
-//!   surface as [`WireError`]s, never panics;
+//!   invariant on decode
+//!   ([`Distribution::from_raw_parts`](hammer_dist::Distribution::from_raw_parts)),
+//!   so hostile bytes surface as [`WireError`]s, never panics;
 //! * [`serve`] / [`ServerHandle`] — a `std::net` TCP runtime: acceptor,
-//!   per-connection framed reader/writer threads, a **bounded** request
-//!   queue on a persistent [`hammer_sim::WorkerPool`] (503-style
-//!   [`Reply::Busy`] backpressure when full), a second shared pool for
-//!   engine trial blocks, and graceful shutdown that drains in-flight
-//!   work;
+//!   per-connection framed reader/writer threads, a **bounded**
+//!   earliest-deadline-first request queue on a persistent
+//!   [`hammer_pool::WorkerPool`] (503-style [`Reply::Busy`]
+//!   backpressure when full), and graceful shutdown that drains
+//!   in-flight work. Each request's computation fans out on scoped
+//!   threads through [`hammer_pool::run_tiles`]; the request queue is
+//!   the only persistent pool;
 //! * the **batching + caching core** — concurrent identical requests
 //!   coalesce onto one computation via an in-flight map keyed by stable
 //!   `u64` fingerprints, backed by a sharded LRU cache of completed

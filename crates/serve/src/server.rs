@@ -7,19 +7,19 @@
 //!
 //! ```text
 //! acceptor ──► per-connection reader ──► request pool (WorkerPool,
-//!     │             │    ▲                bounded queue) ──┐
-//!     │             │    └── Busy reply when full          │ compute
-//!     │             ▼                                      ▼
-//!     │        per-connection writer ◄──── mpsc ◄──── reply (id, frame)
-//!     └── engine pool (WorkerPool, shared): trial blocks of every
-//!         SampleAndReconstruct, amortized across requests
+//!                   │    ▲                bounded EDF queue) ──┐
+//!                   │    └── Busy reply when full              │ compute
+//!                   ▼                                          ▼
+//!              per-connection writer ◄──── mpsc ◄──── reply (id, frame)
 //! ```
 //!
-//! Two pools on purpose: request jobs block on cache coalescing and on
-//! engine fan-out, so running engine trial blocks on the *same* pool
-//! could deadlock (every worker waiting on work only that pool could
-//! run). The request pool is bounded (backpressure); the engine pool is
-//! fed only by request workers, so it needs no bound of its own.
+//! The request pool is the only persistent pool: it admits requests
+//! (bounded queue, `Busy` backpressure, earliest deadline first) and
+//! runs each one on a request worker. The computation inside a request
+//! — kernel tiles, ANN tree builds, simulator trial blocks — fans out
+//! on scoped threads through [`hammer_pool::run_tiles`] and joins
+//! before the request worker moves on, so compute never queues behind
+//! requests and a request job never waits on its own pool.
 //!
 //! # Observability
 //!
@@ -51,7 +51,8 @@ use hammer_obs::{
     gen_trace_id, Counter, EventLog, Histogram, MetricsSnapshot, Registry, RollupConfig, SloSpec,
     SloStatus, SloTracker, TimeSeries, TraceCtx, TraceRing,
 };
-use hammer_sim::{AutoEngine, WorkerPool};
+use hammer_pool::WorkerPool;
+use hammer_sim::AutoEngine;
 
 use crate::cache::{Claim, ComputeError, ComputeResult, DistCache, InFlight};
 use crate::codec::{Reply, Request, SampleJob};
@@ -98,9 +99,6 @@ pub struct ServeConfig {
     pub queue_limit: usize,
     /// Distribution-cache budget in mebibytes.
     pub cache_mb: usize,
-    /// Worker threads for the shared engine pool (trial blocks of
-    /// `SampleAndReconstruct` jobs).
-    pub engine_threads: usize,
     /// Per-connection socket timeout for mid-frame reads and all
     /// writes. A client that starts a frame must finish it within this
     /// window (slow-loris defense); *idle* connections — no frame in
@@ -143,7 +141,6 @@ impl Default for ServeConfig {
             workers: cores.max(2),
             queue_limit: 256,
             cache_mb: 64,
-            engine_threads: cores,
             io_timeout: Some(Duration::from_secs(30)),
             max_connections: 1024,
             degrade: DegradeConfig::default(),
@@ -235,7 +232,6 @@ impl StageHists {
 /// Shared server state.
 pub(crate) struct ServerState {
     request_pool: WorkerPool,
-    engine_pool: Arc<WorkerPool>,
     cache: DistCache,
     /// The persistent spill tier, if configured and openable.
     store: Option<DistStore>,
@@ -473,7 +469,6 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
     });
     let state = Arc::new(ServerState {
         request_pool: WorkerPool::with_queue_limit(config.workers.max(1), config.queue_limit),
-        engine_pool: Arc::new(WorkerPool::new(config.engine_threads.max(1))),
         cache: DistCache::with_registry(config.cache_mb.saturating_mul(1024 * 1024), &obs),
         store,
         inflight: InFlight::with_registry(&obs),
@@ -951,10 +946,6 @@ fn handle_compute(
             });
             key.write_u64(counts.fingerprint());
             key.write_u64(config.fingerprint());
-            // The job itself runs on the *request* pool; the engine
-            // pool is distinct, so handing it to Hammer for ANN tree
-            // builds cannot nest a fan_out on the pool we run on.
-            let engine_pool = Arc::clone(&state.engine_pool);
             let job_cancel = cancel.clone();
             // The store record carries the approx flag too, so even a
             // corrupted key directory can never promote an approximate
@@ -962,7 +953,6 @@ fn handle_compute(
             let flags = if degraded { FLAG_APPROX } else { 0 };
             let reply = cached_compute(state, key.finish(), flags, cancel, trace, move || {
                 Hammer::with_config(config)
-                    .with_pool(engine_pool)
                     .try_reconstruct_counts(&counts, &job_cancel)
                     .map_err(|Cancelled| ComputeError::Cancelled)
             });
@@ -973,10 +963,9 @@ fn handle_compute(
         }
         Request::SampleAndReconstruct(job) => {
             let key = job.fingerprint();
-            let engine_pool = Arc::clone(&state.engine_pool);
             let job_cancel = cancel.clone();
             cached_compute(state, key, 0, cancel, trace, move || {
-                run_sample_job(&job, &engine_pool, &job_cancel)
+                run_sample_job(&job, &job_cancel)
             })
         }
         Request::Metrics { dist, correct } => {
@@ -1107,7 +1096,7 @@ where
                             }
                             Ok(Err(e)) => Err(e),
                             Err(payload) => Err(ComputeError::Panicked(
-                                hammer_sim::pool::panic_message(payload.as_ref()),
+                                hammer_pool::panic_message(payload.as_ref()),
                             )),
                         }
                     }
@@ -1154,12 +1143,8 @@ fn reply_of(result: ComputeResult) -> Reply {
     }
 }
 
-/// Runs one simulate-then-reconstruct job on the shared engine pool.
-fn run_sample_job(
-    job: &SampleJob,
-    engine_pool: &Arc<WorkerPool>,
-    cancel: &CancelToken,
-) -> Result<Distribution, ComputeError> {
+/// Runs one simulate-then-reconstruct job.
+fn run_sample_job(job: &SampleJob, cancel: &CancelToken) -> Result<Distribution, ComputeError> {
     use rand::SeedableRng;
     let fail = |msg: String| ComputeError::Failed(msg);
     let device = job.device.to_device().map_err(fail)?;
@@ -1174,14 +1159,12 @@ fn run_sample_job(
     }
     let mut rng = rand::rngs::StdRng::seed_from_u64(job.seed);
     let counts = AutoEngine::new(&device)
-        .with_pool(Arc::clone(engine_pool))
         .sample_with_cancel(&job.circuit, job.trials, &mut rng, cancel)
         .map_err(|e| match e {
             hammer_sim::SimError::Cancelled => ComputeError::Cancelled,
             other => ComputeError::Failed(other.to_string()),
         })?;
     Hammer::with_config(job.config)
-        .with_pool(Arc::clone(engine_pool))
         .try_reconstruct_counts(&counts, cancel)
         .map_err(|Cancelled| ComputeError::Cancelled)
 }

@@ -106,7 +106,6 @@ pub trait NoiseEngine {
 pub struct AutoEngine<'a> {
     device: &'a DeviceModel,
     tuning: SimTuning,
-    pool: Option<std::sync::Arc<crate::pool::WorkerPool>>,
 }
 
 impl<'a> AutoEngine<'a> {
@@ -117,7 +116,6 @@ impl<'a> AutoEngine<'a> {
         Self {
             device,
             tuning: SimTuning::default(),
-            pool: None,
         }
     }
 
@@ -126,15 +124,6 @@ impl<'a> AutoEngine<'a> {
     #[must_use]
     pub fn with_tuning(mut self, tuning: SimTuning) -> Self {
         self.tuning = tuning;
-        self
-    }
-
-    /// Runs trial blocks on a persistent [`crate::WorkerPool`]
-    /// (forwarded to whichever engine the circuit dispatches to).
-    /// Results are bit-identical with or without a pool.
-    #[must_use]
-    pub fn with_pool(mut self, pool: std::sync::Arc<crate::pool::WorkerPool>) -> Self {
-        self.pool = Some(pool);
         self
     }
 
@@ -169,21 +158,7 @@ impl<'a> AutoEngine<'a> {
         trials: u64,
         rng: &mut R,
     ) -> Result<Counts, SimError> {
-        let _t = sample_hist().start();
-        if circuit.is_clifford() {
-            let mut engine =
-                StabilizerEngine::new(self.device).with_threads(self.tuning.threads.max(1));
-            if let Some(pool) = &self.pool {
-                engine = engine.with_pool(std::sync::Arc::clone(pool));
-            }
-            engine.sample(circuit, trials, rng)
-        } else {
-            let mut engine = TrajectoryEngine::new(self.device).with_tuning(self.tuning);
-            if let Some(pool) = &self.pool {
-                engine = engine.with_pool(std::sync::Arc::clone(pool));
-            }
-            engine.sample(circuit, trials, rng)
-        }
+        self.sample_inner(circuit, trials, rng, None)
     }
 
     /// Cancellable [`sample`](AutoEngine::sample): forwards the token
@@ -200,20 +175,26 @@ impl<'a> AutoEngine<'a> {
         rng: &mut R,
         cancel: &hammer_pool::CancelToken,
     ) -> Result<Counts, SimError> {
+        self.sample_inner(circuit, trials, rng, Some(cancel))
+    }
+
+    /// The one dispatch body; `None` never fires.
+    fn sample_inner<R: Rng + ?Sized>(
+        &self,
+        circuit: &Circuit,
+        trials: u64,
+        rng: &mut R,
+        cancel: Option<&hammer_pool::CancelToken>,
+    ) -> Result<Counts, SimError> {
         let _t = sample_hist().start();
         if circuit.is_clifford() {
-            let mut engine =
-                StabilizerEngine::new(self.device).with_threads(self.tuning.threads.max(1));
-            if let Some(pool) = &self.pool {
-                engine = engine.with_pool(std::sync::Arc::clone(pool));
-            }
-            engine.sample_with_cancel(circuit, trials, rng, cancel)
+            StabilizerEngine::new(self.device)
+                .with_threads(self.tuning.threads.max(1))
+                .sample_inner(circuit, trials, rng, cancel)
         } else {
-            let mut engine = TrajectoryEngine::new(self.device).with_tuning(self.tuning);
-            if let Some(pool) = &self.pool {
-                engine = engine.with_pool(std::sync::Arc::clone(pool));
-            }
-            engine.sample_with_cancel(circuit, trials, rng, cancel)
+            TrajectoryEngine::new(self.device)
+                .with_tuning(self.tuning)
+                .sample_inner(circuit, trials, rng, cancel)
         }
     }
 }

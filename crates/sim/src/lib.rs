@@ -10,11 +10,6 @@
 //!   specialized index-permutation/butterfly passes (threaded above a
 //!   tunable amplitude threshold), with the original scalar loops kept
 //!   as `simkernel::reference`, the correctness oracle.
-//! * [`pool`] / [`WorkerPool`] — the persistent worker-thread pool (now
-//!   owned by the leaf crate `hammer_pool`, re-exported here under its
-//!   historical path): the engines run their trial blocks on it
-//!   (amortizing per-call scoped thread spawns, bit-identical results)
-//!   and the serving layer reuses it as its request-execution pool.
 //! * [`NoiseModel`] / [`DeviceModel`] — depolarizing gate faults +
 //!   asymmetric readout error, with presets mirroring the paper's
 //!   machines (`ibm_paris`, `ibm_manhattan`, `ibm_casablanca`,
@@ -94,12 +89,6 @@ pub use engine::{AutoEngine, NoiseEngine};
 pub use entanglement::entanglement_entropy;
 pub use error::SimError;
 pub use gates::{Gate, GateQubits};
-#[doc(inline)]
-pub use hammer_pool as pool;
-/// The worker pool moved into the dependency-free `hammer_pool` leaf
-/// crate (so `hammer_core`'s ANN builder can fan out on it too); the
-/// historical `hammer_sim::pool` path keeps working via this re-export.
-pub use hammer_pool::WorkerPool;
 pub use linalg::CMatrix;
 pub use mitigation::ReadoutMitigator;
 pub use noise::{NoiseModel, Pauli, PauliFault, ReadoutError};

@@ -2,7 +2,7 @@
 //!
 //! Three tiers, mirroring `hammer_core::kernel`:
 //!
-//! * [`reference`] — the original scalar loops (generic 2×2 matmul +
+//! * [`mod@reference`] — the original scalar loops (generic 2×2 matmul +
 //!   full-array scans), kept verbatim as the correctness oracle and the
 //!   speedup baseline;
 //! * `specialized` — index-permutation / sign-flip passes for the
@@ -24,7 +24,7 @@ use crate::gates::Gate;
 /// Which gate-application kernels the simulator uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GateKernels {
-    /// The original scalar loops ([`reference`]) — oracle + baseline.
+    /// The original scalar loops ([`mod@reference`]) — oracle + baseline.
     Reference,
     /// The specialized (and, above the threshold, threaded) kernels.
     #[default]

@@ -32,8 +32,6 @@
 //! dense cap the tableau path is the only game in town, and the per-gate
 //! cost is `O(n)` bit operations instead of `O(2^n)` amplitude passes.
 
-use std::sync::Arc;
-
 use hammer_dist::{BitString, Counts};
 use rand::{Rng, RngCore};
 
@@ -43,7 +41,6 @@ use crate::engine::NoiseEngine;
 use crate::error::SimError;
 use crate::gates::GateQubits;
 use crate::noise::NoiseModel;
-use crate::pool::WorkerPool;
 use crate::propagation::PauliMask;
 use crate::simkernel::SimTuning;
 use crate::trajectory::{
@@ -79,7 +76,6 @@ use super::tableau::{OutputSupport, Tableau};
 pub struct StabilizerEngine<'a> {
     device: &'a DeviceModel,
     threads: usize,
-    pool: Option<Arc<WorkerPool>>,
 }
 
 impl<'a> StabilizerEngine<'a> {
@@ -91,19 +87,7 @@ impl<'a> StabilizerEngine<'a> {
         Self {
             device,
             threads: SimTuning::default().threads,
-            pool: None,
         }
-    }
-
-    /// Runs trial blocks on a persistent [`WorkerPool`] instead of
-    /// spawning scoped threads per `sample` call. Results are
-    /// bit-identical with or without a pool: the block cuts depend only
-    /// on [`with_threads`](StabilizerEngine::with_threads), never on
-    /// the pool's size.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
-        self
     }
 
     /// Overrides the worker-thread count. Results are unaffected: a
@@ -187,42 +171,39 @@ impl<'a> StabilizerEngine<'a> {
         rng: &mut R,
         cancel: &CancelToken,
     ) -> Result<Counts, SimError> {
-        self.sample_inner(circuit, trials, rng, Some(cancel.clone()))
+        self.sample_inner(circuit, trials, rng, Some(cancel))
     }
 
-    fn sample_inner<R: Rng + ?Sized>(
+    /// The one sampling body; `None` never fires.
+    pub(crate) fn sample_inner<R: Rng + ?Sized>(
         &self,
         circuit: &Circuit,
         trials: u64,
         rng: &mut R,
-        cancel: Option<CancelToken>,
+        cancel: Option<&CancelToken>,
     ) -> Result<Counts, SimError> {
         self.validate(circuit, trials)?;
-        if let Some(token) = &cancel {
-            if token.is_cancelled() {
-                return Err(SimError::Cancelled);
-            }
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(SimError::Cancelled);
         }
         let n = circuit.num_qubits();
         let noise = self.device.noise();
 
         let workers = trial_workers(self.threads, trials);
-        let ctx = Arc::new(StabContext::new(circuit, noise));
+        let ctx = StabContext::new(circuit, noise);
         let base_seed = rng.next_u64();
-        run_trial_blocks(n, workers, trials, self.pool.as_deref(), &ctx, {
-            move |ctx, range| run_trial_block(ctx, base_seed, range, cancel.as_ref())
+        run_trial_blocks(n, workers, trials, |range| {
+            run_trial_block(&ctx, base_seed, range, cancel)
         })
         .map_err(|Cancelled| SimError::Cancelled)
     }
 }
 
-/// Everything a trial worker needs, computed once per `sample` call.
-/// Owns its data (circuit and noise model cloned in) so it can be
-/// `Arc`-shared with persistent pool workers, whose jobs must be
-/// `'static`.
-struct StabContext {
-    circuit: Circuit,
-    noise: NoiseModel,
+/// Everything a trial worker needs, computed once per `sample` call
+/// and borrowed by every trial block.
+struct StabContext<'c> {
+    circuit: &'c Circuit,
+    noise: &'c NoiseModel,
     /// Where faults strike and how likely (shared with the trajectory
     /// engine — identical RNG consumption per trial).
     faults: FaultPlan,
@@ -236,16 +217,16 @@ struct StabContext {
     meas_cut: usize,
 }
 
-impl StabContext {
-    fn new(circuit: &Circuit, noise: &NoiseModel) -> Self {
+impl<'c> StabContext<'c> {
+    fn new(circuit: &'c Circuit, noise: &'c NoiseModel) -> Self {
         let gates = circuit.gates();
         let meas_cut = gates.len() - gates.iter().rev().take_while(|g| g.is_diagonal()).count();
         Self {
             faults: FaultPlan::new(circuit, noise),
             support: Tableau::from_circuit(circuit).output_support(),
             meas_cut,
-            circuit: circuit.clone(),
-            noise: noise.clone(),
+            circuit,
+            noise,
         }
     }
 }
@@ -255,7 +236,7 @@ impl StabContext {
 /// each trial's RNG stream in the identical order: fault sampling, one
 /// outcome draw, readout draws.
 fn run_trial_block(
-    ctx: &StabContext,
+    ctx: &StabContext<'_>,
     base_seed: u64,
     range: std::ops::Range<u64>,
     cancel: Option<&CancelToken>,
@@ -279,7 +260,7 @@ fn run_trial_block(
         let (reduced_offset, tail_mask) = if faults.is_empty() {
             (ctx.support.offset(), 0)
         } else {
-            let (frame, tail_mask) = frame_to_cut(&ctx.circuit, ctx.meas_cut, &faults);
+            let (frame, tail_mask) = frame_to_cut(ctx.circuit, ctx.meas_cut, &faults);
             (
                 ctx.support.reduce(ctx.support.offset() ^ frame.x),
                 tail_mask,
@@ -476,25 +457,6 @@ mod tests {
         for threads in [2, 3, 7] {
             let got = StabilizerEngine::new(&device)
                 .with_threads(threads)
-                .sample(&circuit, 600, &mut StdRng::seed_from_u64(9))
-                .unwrap();
-            assert_eq!(got, reference, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn worker_pool_does_not_change_counts() {
-        let device = DeviceModel::ibm_paris(8);
-        let circuit = ghz(8);
-        for threads in [1usize, 2, 7] {
-            let reference = StabilizerEngine::new(&device)
-                .with_threads(threads)
-                .sample(&circuit, 600, &mut StdRng::seed_from_u64(9))
-                .unwrap();
-            let pool = Arc::new(WorkerPool::new(4));
-            let got = StabilizerEngine::new(&device)
-                .with_threads(threads)
-                .with_pool(pool)
                 .sample(&circuit, 600, &mut StdRng::seed_from_u64(9))
                 .unwrap();
             assert_eq!(got, reference, "threads={threads}");

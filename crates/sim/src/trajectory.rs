@@ -44,8 +44,6 @@
 //! baseline); `tests/simkernel_oracle.rs` pins the checkpointed
 //! trajectories to it at the amplitude level.
 
-use std::sync::Arc;
-
 use hammer_dist::{BitString, Counts};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -56,7 +54,6 @@ use crate::engine::NoiseEngine;
 use crate::error::SimError;
 use crate::gates::{Gate, GateQubits};
 use crate::noise::{NoiseModel, Pauli, PauliFault};
-use crate::pool::WorkerPool;
 use crate::sampler::{AliasSampler, CdfSampler};
 use crate::simkernel::SimTuning;
 use crate::statevector::{StateVector, MAX_DENSE_QUBITS};
@@ -84,7 +81,6 @@ use hammer_pool::{CancelToken, Cancelled};
 pub struct TrajectoryEngine<'a> {
     device: &'a DeviceModel,
     tuning: SimTuning,
-    pool: Option<Arc<WorkerPool>>,
 }
 
 impl<'a> TrajectoryEngine<'a> {
@@ -95,7 +91,6 @@ impl<'a> TrajectoryEngine<'a> {
         Self {
             device,
             tuning: SimTuning::default(),
-            pool: None,
         }
     }
 
@@ -106,18 +101,6 @@ impl<'a> TrajectoryEngine<'a> {
     #[must_use]
     pub fn with_tuning(mut self, tuning: SimTuning) -> Self {
         self.tuning = tuning;
-        self
-    }
-
-    /// Runs trial blocks on a persistent [`WorkerPool`] instead of
-    /// spawning scoped threads per `sample` call — the serving layer's
-    /// amortization. Results are bit-identical with or without a pool:
-    /// trial blocks are cut by [`SimTuning::threads`] (not by the
-    /// pool's size) and per-trial RNG streams are indexed by trial, so
-    /// only the threads that run the blocks change.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = Some(pool);
         self
     }
 
@@ -185,30 +168,29 @@ impl<'a> TrajectoryEngine<'a> {
         rng: &mut R,
         cancel: &CancelToken,
     ) -> Result<Counts, SimError> {
-        self.sample_inner(circuit, trials, rng, Some(cancel.clone()))
+        self.sample_inner(circuit, trials, rng, Some(cancel))
     }
 
-    fn sample_inner<R: Rng + ?Sized>(
+    /// The one sampling body; `None` never fires.
+    pub(crate) fn sample_inner<R: Rng + ?Sized>(
         &self,
         circuit: &Circuit,
         trials: u64,
         rng: &mut R,
-        cancel: Option<CancelToken>,
+        cancel: Option<&CancelToken>,
     ) -> Result<Counts, SimError> {
         self.validate(circuit, trials)?;
-        if let Some(token) = &cancel {
-            if token.is_cancelled() {
-                return Err(SimError::Cancelled);
-            }
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(SimError::Cancelled);
         }
         let n = circuit.num_qubits();
         let noise = self.device.noise();
 
         let workers = trial_workers(self.tuning.threads, trials);
-        let ctx = Arc::new(TrialContext::new(circuit, noise, &self.tuning, workers));
+        let ctx = TrialContext::new(circuit, noise, &self.tuning, workers);
         let base_seed = rng.next_u64();
-        run_trial_blocks(n, workers, trials, self.pool.as_deref(), &ctx, {
-            move |ctx, range| run_trial_block(ctx, base_seed, range, cancel.as_ref())
+        run_trial_blocks(n, workers, trials, |range| {
+            run_trial_block(&ctx, base_seed, range, cancel)
         })
         .map_err(|Cancelled| SimError::Cancelled)
     }
@@ -397,13 +379,11 @@ impl FaultPlan {
     }
 }
 
-/// Everything a trial worker needs, assembled once per `sample` call.
-/// Owns its data (the circuit and noise model are cloned in — both are
-/// small next to the trial work) so it can be `Arc`-shared with
-/// persistent pool workers, whose jobs must be `'static`.
-struct TrialContext {
-    circuit: Circuit,
-    noise: NoiseModel,
+/// Everything a trial worker needs, assembled once per `sample` call
+/// and borrowed by every trial block.
+struct TrialContext<'c> {
+    circuit: &'c Circuit,
+    noise: &'c NoiseModel,
     /// Checkpointing toggle for the trial workers (from the engine's
     /// tuning).
     checkpoint: bool,
@@ -431,8 +411,13 @@ struct TrialContext {
     meas_cut: usize,
 }
 
-impl TrialContext {
-    fn new(circuit: &Circuit, noise: &NoiseModel, tuning: &SimTuning, workers: usize) -> Self {
+impl<'c> TrialContext<'c> {
+    fn new(
+        circuit: &'c Circuit,
+        noise: &'c NoiseModel,
+        tuning: &SimTuning,
+        workers: usize,
+    ) -> Self {
         let ideal = StateVector::from_circuit_with(circuit, tuning);
         let ideal_sampler =
             CdfSampler::from_weights_iter(ideal.amplitudes().iter().map(|a| a.norm_sqr()))
@@ -448,8 +433,8 @@ impl TrialContext {
             *tuning
         };
         Self {
-            circuit: circuit.clone(),
-            noise: noise.clone(),
+            circuit,
+            noise,
             checkpoint: tuning.checkpoint,
             evolve_tuning,
             faults: FaultPlan::new(circuit, noise),
@@ -482,51 +467,31 @@ pub(crate) fn trial_workers(threads: usize, trials: u64) -> usize {
 /// both must hand the same trial indices to the same per-trial streams
 /// — can never drift apart.
 ///
-/// Above one worker the blocks run either on a caller-supplied
-/// persistent [`WorkerPool`] (the serving layer's amortization) or on
-/// crossbeam scoped threads (the one-shot CLI default). The block cuts
-/// depend only on `workers`, never on the pool's thread count, and the
-/// merge is order-insensitive (per-trial streams make each block
-/// independent of its worker), so both execution modes produce
-/// identical [`Counts`].
-pub(crate) fn run_trial_blocks<C, F>(
+/// Above one worker the blocks run as tiles on
+/// [`hammer_pool::run_tiles`]. The block cuts depend only on `workers`,
+/// and per-trial streams make each block independent of the thread
+/// that runs it, so the merged [`Counts`] are identical at every
+/// thread count.
+pub(crate) fn run_trial_blocks<F>(
     n: usize,
     workers: usize,
     trials: u64,
-    pool: Option<&WorkerPool>,
-    ctx: &Arc<C>,
     run_block: F,
 ) -> Result<Counts, Cancelled>
 where
-    C: Send + Sync + 'static,
-    F: Fn(&C, std::ops::Range<u64>) -> Result<Counts, Cancelled> + Send + Sync + Clone + 'static,
+    F: Fn(std::ops::Range<u64>) -> Result<Counts, Cancelled> + Sync,
 {
     if workers <= 1 {
-        return run_block(ctx, 0..trials);
+        return run_block(0..trials);
     }
     let per = trials.div_ceil(workers as u64);
-    let blocks = (0..workers as u64).map(|w| (w * per)..(((w + 1) * per).min(trials)));
-    let block_counts: Vec<Result<Counts, Cancelled>> = match pool {
-        Some(pool) => pool.fan_out(blocks.map(|range| {
-            let ctx = Arc::clone(ctx);
-            let run_block = run_block.clone();
-            move || run_block(&ctx, range)
-        })),
-        None => crossbeam::thread::scope(|scope| {
-            let run_block = &run_block;
-            let handles: Vec<_> = blocks
-                .map(|range| {
-                    let ctx = Arc::clone(ctx);
-                    scope.spawn(move |_| run_block(&ctx, range))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("trial worker does not panic"))
-                .collect()
-        })
-        .expect("trial worker does not panic"),
-    };
+    // Blocks poll the caller's token themselves, so the executor runs
+    // without one.
+    let block_counts = hammer_pool::run_tiles(workers, workers, None, |w| {
+        let w = w as u64;
+        run_block((w * per)..((w + 1) * per).min(trials))
+    })
+    .expect("no token, so the run cannot be cancelled");
     // Merge in block order (deterministic); any cancelled block cancels
     // the whole call — a partial histogram would be statistically
     // biased toward the fast blocks.
@@ -554,7 +519,7 @@ pub(crate) fn trial_rng(base_seed: u64, trial: u64) -> StdRng {
 /// the faulty trials by first-fault site and simulates them off a
 /// shared, incrementally-advanced prefix state.
 fn run_trial_block(
-    ctx: &TrialContext,
+    ctx: &TrialContext<'_>,
     base_seed: u64,
     range: std::ops::Range<u64>,
     cancel: Option<&CancelToken>,
@@ -615,7 +580,7 @@ fn run_trial_block(
         // state evolution at all: the pre-tail state has the ideal
         // measurement distribution, and tail faults only flip bits.
         if trial.fork >= ctx.meas_cut {
-            let mask = tail_flip_mask(&ctx.circuit, &trial.faults, 0) as u64;
+            let mask = tail_flip_mask(ctx.circuit, &trial.faults, 0) as u64;
             let raw = ctx.ideal_sampler.sample(&mut trial.rng) as u64 ^ mask;
             let outcome = BitString::new(raw, n);
             counts.record(ctx.noise.apply_readout(outcome, &mut trial.rng));
@@ -633,7 +598,7 @@ fn run_trial_block(
         }
         let mask = evolve_window_masked(
             &mut scratch,
-            &ctx.circuit,
+            ctx.circuit,
             &trial.faults,
             fork,
             ctx.meas_cut,
@@ -1075,53 +1040,6 @@ mod tests {
                 .sample(&circuit, 600, &mut StdRng::seed_from_u64(9))
                 .unwrap();
             assert_eq!(got, reference, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn worker_pool_does_not_change_counts() {
-        // The persistent-pool path must be bit-identical to the scoped
-        // path at every (engine threads × pool threads) combination —
-        // block cuts follow the tuning, not the pool.
-        let device = DeviceModel::ibm_paris(5);
-        let circuit = ghz(5);
-        for engine_threads in [1usize, 2, 3, 7] {
-            let reference = TrajectoryEngine::new(&device)
-                .with_tuning(SimTuning::default().with_threads(engine_threads))
-                .sample(&circuit, 600, &mut StdRng::seed_from_u64(21))
-                .unwrap();
-            for pool_threads in [1usize, 4] {
-                let pool = Arc::new(crate::pool::WorkerPool::new(pool_threads));
-                let got = TrajectoryEngine::new(&device)
-                    .with_tuning(SimTuning::default().with_threads(engine_threads))
-                    .with_pool(Arc::clone(&pool))
-                    .sample(&circuit, 600, &mut StdRng::seed_from_u64(21))
-                    .unwrap();
-                assert_eq!(
-                    got, reference,
-                    "engine_threads={engine_threads} pool_threads={pool_threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pool_is_reusable_across_sample_calls() {
-        // The amortization story: one pool, many requests.
-        let device = DeviceModel::ibm_paris(4);
-        let circuit = ghz(4);
-        let pool = Arc::new(crate::pool::WorkerPool::new(3));
-        let engine = TrajectoryEngine::new(&device)
-            .with_tuning(SimTuning::default().with_threads(3))
-            .with_pool(Arc::clone(&pool));
-        let a = engine
-            .sample(&circuit, 300, &mut StdRng::seed_from_u64(5))
-            .unwrap();
-        for _ in 0..3 {
-            let b = engine
-                .sample(&circuit, 300, &mut StdRng::seed_from_u64(5))
-                .unwrap();
-            assert_eq!(a, b);
         }
     }
 
