@@ -8,7 +8,6 @@
 //! repro bench-kernel [--quick] [--out PATH]
 //! repro bench-sim [--quick] [--out PATH]
 //! repro bench-stab [--quick] [--out PATH]
-//! repro bench-ann [--quick] [--out PATH]
 //! repro chaos-smoke [--quick]
 //! repro persist-smoke [--quick]
 //! repro --list
@@ -25,9 +24,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use hammer_bench::{
-    ann_bench, experiments, kernel_bench, obs_bench, serve_bench, sim_bench, stab_bench,
-};
+use hammer_bench::{experiments, kernel_bench, obs_bench, serve_bench, sim_bench, stab_bench};
 
 /// Runs one of the JSON-artifact bench subcommands and writes its
 /// output file.
@@ -47,10 +44,6 @@ fn run_bench_artifact(name: &str, quick: bool, out_path: &str) -> ExitCode {
         }
         "bench-serve" => {
             let report = serve_bench::run(quick);
-            (report.render(), report.to_json())
-        }
-        "bench-ann" => {
-            let report = ann_bench::run(quick);
             (report.render(), report.to_json())
         }
         "bench-obs" => {
@@ -922,7 +915,6 @@ fn main() -> ExitCode {
         eprintln!("       repro bench-sim [--quick] [--out PATH]");
         eprintln!("       repro bench-stab [--quick] [--out PATH]");
         eprintln!("       repro bench-serve [--quick] [--out PATH]");
-        eprintln!("       repro bench-ann [--quick] [--out PATH]");
         eprintln!("       repro bench-obs [--quick] [--out PATH]");
         eprintln!("       repro serve [--addr A] [--workers N] [--cache-mb MB]");
         eprintln!("                   [--store-dir D] [--store-mb MB] [--store-fault SPEC]");
@@ -960,7 +952,7 @@ fn main() -> ExitCode {
     if let Some(bench) = args.iter().find(|a| {
         matches!(
             a.as_str(),
-            "bench-kernel" | "bench-sim" | "bench-stab" | "bench-serve" | "bench-ann" | "bench-obs"
+            "bench-kernel" | "bench-sim" | "bench-stab" | "bench-serve" | "bench-obs"
         )
     }) {
         let out_value = match flag_value(&args, "--out") {
@@ -974,7 +966,6 @@ fn main() -> ExitCode {
             "bench-kernel" => "BENCH_kernel.json",
             "bench-sim" => "BENCH_sim.json",
             "bench-serve" => "BENCH_serve.json",
-            "bench-ann" => "BENCH_ann.json",
             "bench-obs" => "BENCH_obs.json",
             _ => "BENCH_stab.json",
         };

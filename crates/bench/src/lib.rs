@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 
 pub mod angles;
-pub mod ann_bench;
 pub mod datasets;
 pub mod experiments;
 pub mod json;

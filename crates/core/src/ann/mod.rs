@@ -31,9 +31,10 @@
 //!
 //! The recall/speed trade is governed by [`AnnTuning`]
 //! (tree count, bits per hash, oversampling, probe radius) and measured
-//! against the exact blocked kernel in `BENCH_ann.json`; the crossover
-//! policy that decides *when* this path replaces the exact kernel lives
-//! on [`crate::Hammer`].
+//! against the exact blocked kernel by the `ann_oracle` tests and the
+//! benchmark's `ann-local` workload; the crossover policy that decides
+//! *when* this path replaces the exact kernel lives on
+//! [`crate::Hammer`].
 
 use hammer_dist::Distribution;
 
@@ -79,7 +80,8 @@ impl AnnParams {
     /// odds of a fixed-distance pair by roughly `(1 − d/n)` (≈ 0.75 on
     /// the benchmark's error-halo workload), so a forest that recalls
     /// 0.96 at `k = 12` decays to 0.79 at `k = 14` and 0.52 at `k = 16`
-    /// if the tree count stays put (BENCH_ann.json, pre-fix rows).
+    /// if the tree count stays put (measured before the tree count
+    /// scaled).
     /// Doubling the trees for every two extra hash bits restores the
     /// union's catch probability, so recall stays flat as the support —
     /// and with it the auto-sized hash — grows. An explicit
@@ -301,8 +303,8 @@ impl AnnIndex {
     /// distance to the query key is `≤ max_d`, as `(id, distance)`
     /// pairs in ascending id order. Approximate in the LSH sense — a
     /// true `≤ max_d` neighbor missed by every probed bucket is absent
-    /// — with recall governed by the build knobs and measured in
-    /// `BENCH_ann.json`.
+    /// — with recall governed by the build knobs and measured by the
+    /// `ann_oracle` tests.
     #[must_use]
     pub fn range_query(&self, key_lo: u64, key_hi: u64, max_d: usize) -> Vec<(u32, u32)> {
         let mut scratch = Vec::new();

@@ -77,9 +77,9 @@ pub enum FilterRule {
 /// Unlike the cache/threading knobs on [`KernelTuning`], these **can
 /// change results**: above the crossover the kernel only visits
 /// candidate pairs surfaced by the forest, trading a bounded recall loss
-/// for sub-quadratic scoring (the `BENCH_ann.json` sweep quantifies the
-/// trade at every knob setting). [`HammerConfig::fingerprint`] therefore
-/// covers these fields.
+/// for sub-quadratic scoring. [`HammerConfig::fingerprint`] therefore
+/// covers these fields. The serving tier always turns this path off:
+/// it answers with the exact reconstruction.
 ///
 /// The approximate path only engages when **all** of the following hold
 /// (otherwise the exact blocked kernel runs, bit-identical to a config

@@ -3,7 +3,7 @@
 use hammer_core::{
     AnnTuning, FilterRule, Hammer, HammerConfig, KernelTuning, NeighborhoodLimit, WeightScheme,
 };
-use hammer_dist::{BitString, Distribution};
+use hammer_dist::{BitString, Counts, Distribution};
 use proptest::prelude::*;
 
 /// XOR relabelling changes the key order, and with it the summation
@@ -121,6 +121,41 @@ fn ann_distribution() -> impl Strategy<Value = Distribution> {
         });
         Distribution::from_probs(48, pairs).expect("valid distribution")
     })
+}
+
+/// Strategy: a histogram over `bits`-wide outcomes. The high limb
+/// hashes the low one, so supports past 64 bits exercise both limbs.
+fn counts(bits: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Counts> {
+    (
+        bits,
+        proptest::collection::btree_map(0u64..=u64::MAX, 1u64..2000, 2..60),
+    )
+        .prop_map(|(n, map)| {
+            let mut counts = Counts::new(n).expect("valid width");
+            for (lo, c) in map {
+                let hi = (lo ^ (lo >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                counts.record_n(BitString::from_u128(mask_of(lo, hi, n), n), c);
+            }
+            counts
+        })
+}
+
+/// The metamorphic relation `reconstruct(k · c) = reconstruct(c)`,
+/// bit for bit: normalization sums integer-valued f64s exactly and
+/// divides once, so scaling every count by `k` changes nothing.
+fn invariant_under_scaling(h: &Hammer, counts: &Counts, k: u64) -> Result<(), String> {
+    let mut scaled = Counts::new(counts.n_bits()).expect("valid width");
+    for (x, c) in counts.iter() {
+        scaled.record_n(x, c * k);
+    }
+    let bits = |d: Distribution| -> Vec<(BitString, u64)> {
+        d.iter().map(|(x, p)| (x, p.to_bits())).collect()
+    };
+    prop_assert_eq!(
+        bits(h.reconstruct_counts(counts)),
+        bits(h.reconstruct_counts(&scaled))
+    );
+    Ok(())
 }
 
 /// A mask of `n` random bits from two random limbs.
@@ -358,6 +393,20 @@ proptest! {
         let kernel = KernelTuning { parallel_threshold: 0, tile_size: 7, ..KernelTuning::default() };
         let h = Hammer::with_config(HammerConfig { kernel, ..cfg }).with_threads(2);
         commutes_with_permutation(&h, &d, &permutation(&sort_keys, d.n_bits()))?;
+    }
+
+    #[test]
+    fn scaling_counts_is_bit_identical_on_every_exact_path(
+        narrow in counts(3..=10),
+        wide in counts(65..=128),
+        cfg in config(),
+        k in prop_oneof![Just(2u64), Just(3), Just(7)],
+    ) {
+        let kernel = KernelTuning { parallel_threshold: 0, tile_size: 7, ..KernelTuning::default() };
+        let forced = HammerConfig { kernel, ..cfg };
+        invariant_under_scaling(&Hammer::with_config(cfg).with_threads(1), &narrow, k)?;
+        invariant_under_scaling(&Hammer::with_config(forced).with_threads(3), &narrow, k)?;
+        invariant_under_scaling(&Hammer::with_config(forced).with_threads(2), &wide, k)?;
     }
 
     #[test]

@@ -36,16 +36,15 @@ fn approx_bytes(d: &Distribution) -> usize {
 
 /// An entry evicted under memory pressure, handed back to the caller
 /// so the serving runtime can demote it to the persistent spill tier
-/// instead of discarding it: `(key, flags, value)`. Flags are the
-/// store's record flags (e.g. [`crate::store::FLAG_APPROX`]).
-pub type Evicted = (u64, u8, Arc<Distribution>);
+/// instead of discarding it: `(key, value)`.
+pub type Evicted = (u64, Arc<Distribution>);
 
 /// One LRU shard: the value map plus a recency index keyed by a
 /// monotone per-shard tick.
 #[derive(Default)]
 struct Shard {
-    /// key → (value, last-touch tick, approximate bytes, record flags).
-    map: HashMap<u64, (Arc<Distribution>, u64, usize, u8)>,
+    /// key → (value, last-touch tick, approximate bytes).
+    map: HashMap<u64, (Arc<Distribution>, u64, usize)>,
     /// last-touch tick → key (unique: ticks only move forward).
     recency: std::collections::BTreeMap<u64, u64>,
     tick: u64,
@@ -55,7 +54,7 @@ struct Shard {
 impl Shard {
     fn touch(&mut self, key: u64) -> Option<Arc<Distribution>> {
         let next_tick = self.tick + 1;
-        let (value, tick, _, _) = self.map.get_mut(&key)?;
+        let (value, tick, _) = self.map.get_mut(&key)?;
         let old = std::mem::replace(tick, next_tick);
         self.tick = next_tick;
         self.recency.remove(&old);
@@ -63,18 +62,10 @@ impl Shard {
         Some(Arc::clone(value))
     }
 
-    fn insert(
-        &mut self,
-        key: u64,
-        value: Arc<Distribution>,
-        flags: u8,
-        budget: usize,
-    ) -> Vec<Evicted> {
+    fn insert(&mut self, key: u64, value: Arc<Distribution>, budget: usize) -> Vec<Evicted> {
         let bytes = approx_bytes(&value);
         self.tick += 1;
-        if let Some((_, old_tick, old_bytes, _)) =
-            self.map.insert(key, (value, self.tick, bytes, flags))
-        {
+        if let Some((_, old_tick, old_bytes)) = self.map.insert(key, (value, self.tick, bytes)) {
             self.recency.remove(&old_tick);
             self.bytes -= old_bytes;
         }
@@ -91,9 +82,9 @@ impl Shard {
                 break;
             }
             self.recency.remove(&lru_tick);
-            let (value, _, freed, fl) = self.map.remove(&lru_key).expect("recency maps into map");
+            let (value, _, freed) = self.map.remove(&lru_key).expect("recency maps into map");
             self.bytes -= freed;
-            evicted.push((lru_key, fl, value));
+            evicted.push((lru_key, value));
         }
         evicted
     }
@@ -171,13 +162,12 @@ impl DistCache {
     /// shard budget. Evicted entries are returned (outside any shard
     /// lock concern — the caller holds only Arcs) so the serving
     /// runtime can demote them to the persistent spill tier.
-    pub fn insert(&self, key: u64, value: Arc<Distribution>, flags: u8) -> Vec<Evicted> {
-        let evicted = self.shard(key).lock().expect("shard unpoisoned").insert(
-            key,
-            value,
-            flags,
-            self.shard_budget,
-        );
+    pub fn insert(&self, key: u64, value: Arc<Distribution>) -> Vec<Evicted> {
+        let evicted =
+            self.shard(key)
+                .lock()
+                .expect("shard unpoisoned")
+                .insert(key, value, self.shard_budget);
         if !evicted.is_empty() {
             self.evictions.add(evicted.len() as u64);
         }
@@ -195,8 +185,8 @@ impl DistCache {
             let s = shard.lock().expect("shard unpoisoned");
             // The recency index iterates coldest-to-hottest already.
             for &key in s.recency.values() {
-                if let Some((value, _, _, flags)) = s.map.get(&key) {
-                    out.push((key, *flags, Arc::clone(value)));
+                if let Some((value, _, _)) = s.map.get(&key) {
+                    out.push((key, Arc::clone(value)));
                 }
             }
         }
@@ -476,7 +466,7 @@ mod tests {
         let cache = DistCache::new(1 << 20);
         assert!(cache.get(42).is_none());
         cache.note_miss();
-        cache.insert(42, dist(0), 0);
+        cache.insert(42, dist(0));
         let hit = cache.get(42).expect("present");
         assert_eq!(*hit, *dist(0));
         let (hits, misses, evictions, entries, bytes) = cache.stats();
@@ -495,11 +485,11 @@ mod tests {
             .take(4)
             .collect();
         let key = |i: u64| same_shard[i as usize];
-        cache.insert(key(1), dist(1), 0);
-        cache.insert(key(2), dist(2), 0);
+        cache.insert(key(1), dist(1));
+        cache.insert(key(2), dist(2));
         // Touch 1 so 2 becomes the LRU.
         assert!(cache.get(key(1)).is_some());
-        cache.insert(key(3), dist(3), 0);
+        cache.insert(key(3), dist(3));
         assert!(cache.get(key(2)).is_none(), "LRU key evicted");
         assert!(cache.get(key(1)).is_some(), "recently-touched key kept");
         assert!(cache.get(key(3)).is_some(), "new key kept");
@@ -516,14 +506,14 @@ mod tests {
             .filter(|&k| fold(k) % SHARDS == fold(0) % SHARDS)
             .take(3)
             .collect();
-        assert!(cache.insert(same_shard[0], dist(1), 7).is_empty());
-        assert!(cache.insert(same_shard[1], dist(2), 0).is_empty());
-        let evicted = cache.insert(same_shard[2], dist(3), 0);
-        // The coldest entry comes back with its key, flags and value
-        // intact — exactly what a spill to disk needs.
+        assert!(cache.insert(same_shard[0], dist(1)).is_empty());
+        assert!(cache.insert(same_shard[1], dist(2)).is_empty());
+        let evicted = cache.insert(same_shard[2], dist(3));
+        // The coldest entry comes back with its key and value intact —
+        // exactly what a spill to disk needs.
         assert_eq!(evicted.len(), 1);
-        let (key, flags, value) = &evicted[0];
-        assert_eq!((*key, *flags), (same_shard[0], 7));
+        let (key, value) = &evicted[0];
+        assert_eq!(*key, same_shard[0]);
         assert_eq!(**value, *dist(1));
         // entries() snapshots the survivors, coldest first.
         let resident = cache.entries();
@@ -563,18 +553,18 @@ mod tests {
     #[test]
     fn tiny_budget_never_evicts_the_entry_just_inserted() {
         let cache = DistCache::new(1); // less than one entry
-        cache.insert(7, dist(7), 0);
+        cache.insert(7, dist(7));
         assert!(cache.get(7).is_some(), "sole entry survives");
-        cache.insert(9, dist(9), 0);
+        cache.insert(9, dist(9));
         assert!(cache.get(9).is_some(), "newest entry survives");
     }
 
     #[test]
     fn reinserting_a_key_replaces_without_leaking_bytes() {
         let cache = DistCache::new(1 << 20);
-        cache.insert(5, dist(1), 0);
+        cache.insert(5, dist(1));
         let (_, _, _, _, bytes_once) = cache.stats();
-        cache.insert(5, dist(2), 0);
+        cache.insert(5, dist(2));
         let (_, _, _, entries, bytes_twice) = cache.stats();
         assert_eq!(entries, 1);
         assert_eq!(bytes_once, bytes_twice);

@@ -332,28 +332,12 @@ impl ServeClient {
         counts: &Counts,
         config: &HammerConfig,
     ) -> Result<Distribution, WireError> {
-        self.reconstruct_flagged(counts, config).map(|(d, _)| d)
-    }
-
-    /// [`reconstruct`](ServeClient::reconstruct), also reporting whether
-    /// the server took the degraded (ANN-approximate) path under load —
-    /// `true` means the distribution is approximate.
-    ///
-    /// # Errors
-    ///
-    /// As for [`reconstruct`](ServeClient::reconstruct).
-    pub fn reconstruct_flagged(
-        &mut self,
-        counts: &Counts,
-        config: &HammerConfig,
-    ) -> Result<(Distribution, bool), WireError> {
         let request = Request::Reconstruct {
             config: *config,
             counts: counts.clone(),
         };
         match self.call(&request)? {
-            Reply::Distribution(d) => Ok((d, false)),
-            Reply::ApproxDistribution(d) => Ok((d, true)),
+            Reply::Distribution(d) => Ok(d),
             other => Err(Self::unexpected(other)),
         }
     }
@@ -395,7 +379,7 @@ impl ServeClient {
     /// As for [`reconstruct`](ServeClient::reconstruct).
     pub fn sample_and_reconstruct(&mut self, job: &SampleJob) -> Result<Distribution, WireError> {
         match self.call(&Request::SampleAndReconstruct(job.clone()))? {
-            Reply::Distribution(d) | Reply::ApproxDistribution(d) => Ok(d),
+            Reply::Distribution(d) => Ok(d),
             other => Err(Self::unexpected(other)),
         }
     }

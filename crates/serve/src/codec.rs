@@ -232,10 +232,9 @@ fn get_bitstrings(cur: &mut Cur, n_bits: usize) -> Result<Vec<BitString>, WireEr
 
 /// Appends the *algorithmic* [`HammerConfig`] knobs (neighborhood,
 /// weights, filter). [`hammer_core::KernelTuning`] never crosses the
-/// wire: how fast the server runs its kernel is the server's business,
-/// and excluding it keeps wire configs aligned with
-/// [`HammerConfig::fingerprint`], which ignores tuning for the same
-/// reason.
+/// wire: how the server runs its kernel is the server's business. The
+/// server always runs the exact kernel, so a served reply depends only
+/// on these three knobs.
 pub fn put_config(out: &mut Vec<u8>, config: &HammerConfig) {
     match config.neighborhood {
         NeighborhoodLimit::HalfWidth => out.push(0),
@@ -846,10 +845,6 @@ pub enum Reply {
     Pong,
     /// A reconstructed distribution.
     Distribution(Distribution),
-    /// A distribution computed by the degraded (ANN-approximate) path
-    /// under load — same payload as [`Reply::Distribution`], flagged so
-    /// the client can tell it got the fallback.
-    ApproxDistribution(Distribution),
     /// Figures of merit.
     Metrics(MetricsReply),
     /// Captured slow-request traces, oldest first.
@@ -875,7 +870,6 @@ impl Reply {
         match self {
             Self::Pong => opcode::PONG,
             Self::Distribution(_) => opcode::DISTRIBUTION,
-            Self::ApproxDistribution(_) => opcode::DISTRIBUTION_APPROX,
             Self::Metrics(_) => opcode::METRICS_REPLY,
             Self::TraceDump(_) => opcode::TRACE_DUMP_REPLY,
             Self::MetricsSnapshot(_) => opcode::METRICS_SNAPSHOT_REPLY,
@@ -897,7 +891,7 @@ impl Reply {
             | Self::Busy
             | Self::DeadlineExceeded
             | Self::ShuttingDown => {}
-            Self::Distribution(d) | Self::ApproxDistribution(d) => put_distribution(&mut out, d),
+            Self::Distribution(d) => put_distribution(&mut out, d),
             Self::Metrics(m) => {
                 put_f64(&mut out, m.pst);
                 put_f64(&mut out, m.ist);
@@ -928,7 +922,6 @@ impl Reply {
             opcode::DEADLINE_EXCEEDED => Self::DeadlineExceeded,
             opcode::SHUTTING_DOWN => Self::ShuttingDown,
             opcode::DISTRIBUTION => Self::Distribution(get_distribution(&mut cur)?),
-            opcode::DISTRIBUTION_APPROX => Self::ApproxDistribution(get_distribution(&mut cur)?),
             opcode::METRICS_REPLY => Self::Metrics(MetricsReply {
                 pst: cur.f64()?,
                 ist: cur.f64()?,
@@ -1262,16 +1255,19 @@ mod tests {
             Request::decode(opcode::SAMPLE_AND_RECONSTRUCT, &job_bytes),
             Err(WireError::Malformed(_))
         ));
-        // Unknown opcodes, including the retired `Stats` pair.
-        for op in [0x05, 0x7E] {
+        // Unknown opcodes, including the retired `Stats` pair and the
+        // retired approximate-distribution reply.
+        for op in [0x05, 0x7E, 0x84] {
             assert!(matches!(
                 Request::decode(op, &[]),
                 Err(WireError::UnknownOpcode(o)) if o == op
             ));
         }
-        assert!(matches!(
-            Reply::decode(0x85, &[0; 104]),
-            Err(WireError::UnknownOpcode(0x85))
-        ));
+        for op in [0x84, 0x85] {
+            assert!(matches!(
+                Reply::decode(op, &[0; 104]),
+                Err(WireError::UnknownOpcode(o)) if o == op
+            ));
+        }
     }
 }

@@ -99,5 +99,5 @@ pub mod store;
 pub use client::ServeClient;
 pub use codec::{DeviceSpec, MetricsReply, Reply, Request, SampleJob, TraceDumpEntry, TraceSpan};
 pub use protocol::WireError;
-pub use server::{serve, DegradeConfig, ServeConfig, ServeObserver, ServerHandle};
-pub use store::{DistStore, StoreStats, FLAG_APPROX};
+pub use server::{serve, ServeConfig, ServeObserver, ServerHandle};
+pub use store::{DistStore, StoreStats};

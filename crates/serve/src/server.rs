@@ -16,10 +16,10 @@
 //! The request pool is the only persistent pool: it admits requests
 //! (bounded queue, `Busy` backpressure, earliest deadline first) and
 //! runs each one on a request worker. The computation inside a request
-//! — kernel tiles, ANN tree builds, simulator trial blocks — fans out
-//! on scoped threads through [`hammer_pool::run_tiles`] and joins
-//! before the request worker moves on, so compute never queues behind
-//! requests and a request job never waits on its own pool.
+//! — kernel tiles and simulator trial blocks — fans out on scoped
+//! threads through [`hammer_pool::run_tiles`] and joins before the
+//! request worker moves on, so compute never queues behind requests
+//! and a request job never waits on its own pool.
 //!
 //! # Observability
 //!
@@ -44,7 +44,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use hammer_core::{CancelToken, Cancelled, Hammer, NeighborhoodLimit};
+use hammer_core::{CancelToken, Cancelled, Hammer, HammerConfig};
 use hammer_dist::fingerprint::Fnv1a;
 use hammer_dist::{metrics, Distribution};
 use hammer_obs::{
@@ -57,35 +57,7 @@ use hammer_sim::AutoEngine;
 use crate::cache::{Claim, ComputeError, ComputeResult, DistCache, InFlight};
 use crate::codec::{Reply, Request, SampleJob};
 use crate::protocol::{opcode, read_frame, write_frame, Frame, WireError};
-use crate::store::{DistStore, FLAG_APPROX};
-
-/// Graceful-degradation knobs: under queue pressure, large
-/// reconstructions fall back to the ANN-approximate scoring path
-/// (answered as `ApproxDistribution` so clients can tell) instead of
-/// being refused outright. Off by default — exactness is the default
-/// contract.
-#[derive(Debug, Clone, Copy)]
-pub struct DegradeConfig {
-    /// Master switch.
-    pub enabled: bool,
-    /// Queued (not yet running) requests at or above which degradation
-    /// kicks in.
-    pub queue_threshold: usize,
-    /// Minimum support size (distinct outcomes) for a request to be
-    /// eligible — small reconstructions are cheap enough to do exactly
-    /// even under load.
-    pub min_support: usize,
-}
-
-impl Default for DegradeConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            queue_threshold: 16,
-            min_support: 4096,
-        }
-    }
-}
+use crate::store::DistStore;
 
 /// Serving configuration (the `repro serve` flags).
 #[derive(Debug, Clone)]
@@ -107,8 +79,6 @@ pub struct ServeConfig {
     /// Concurrent-connection cap; connections over the limit get one
     /// `Busy` frame and are dropped.
     pub max_connections: usize,
-    /// Graceful degradation under queue pressure.
-    pub degrade: DegradeConfig,
     /// Directory of the persistent spill store (`--store-dir`). `None`
     /// runs without one: evictions are discarded and every restart is
     /// cold. A directory that cannot be opened degrades to the same —
@@ -143,7 +113,6 @@ impl Default for ServeConfig {
             cache_mb: 64,
             io_timeout: Some(Duration::from_secs(30)),
             max_connections: 1024,
-            degrade: DegradeConfig::default(),
             store_dir: None,
             store_mb: 256,
             slow_trace_ms: 500,
@@ -260,13 +229,12 @@ pub(crate) struct ServerState {
     io_timeout: Option<Duration>,
     max_connections: usize,
     connections: AtomicUsize,
-    degrade: DegradeConfig,
 }
 
 impl ServerState {
     /// One coherent snapshot of every registered series: gauges are
     /// refreshed first, then this server's registry is merged over the
-    /// process-global one (pool queue waits, kernel/ANN/sim timings).
+    /// process-global one (pool queue waits, kernel and sim timings).
     pub(crate) fn obs_snapshot(&self) -> MetricsSnapshot {
         let (_, _, _, entries, bytes) = self.cache.stats();
         self.obs
@@ -308,11 +276,11 @@ impl ServerState {
     /// Inserts a completed distribution into the cache, demoting any
     /// evicted entries into the spill store. Spill failures lose only
     /// the demotion (the store skips that entry), never the request.
-    fn insert_cached(&self, key: u64, value: Arc<Distribution>, flags: u8) {
-        let evicted = self.cache.insert(key, value, flags);
+    fn insert_cached(&self, key: u64, value: Arc<Distribution>) {
+        let evicted = self.cache.insert(key, value);
         if let Some(store) = &self.store {
-            for (k, f, d) in evicted {
-                let _ = store.spill(k, f, &d);
+            for (k, d) in evicted {
+                let _ = store.spill(k, &d);
             }
         }
     }
@@ -400,8 +368,8 @@ impl ServerHandle {
         // directory serves warm. (A crash skips this; the store still
         // holds every spill fsync'd before the crash.)
         if let Some(store) = &self.state.store {
-            for (key, flags, value) in self.state.cache.entries() {
-                let _ = store.spill(key, flags, &value);
+            for (key, value) in self.state.cache.entries() {
+                let _ = store.spill(key, &value);
             }
         }
         self.state.obs_snapshot()
@@ -487,7 +455,6 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
         io_timeout: config.io_timeout.filter(|t| !t.is_zero()),
         max_connections: config.max_connections.max(1),
         connections: AtomicUsize::new(0),
-        degrade: config.degrade,
     });
     // The roller: one tick per rollup window, folding a full snapshot
     // into the rings and re-evaluating SLOs. Detached — it polls the
@@ -780,16 +747,6 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>, addr: SocketAddr
             compute @ (Request::Reconstruct { .. }
             | Request::Metrics { .. }
             | Request::SampleAndReconstruct(_)) => {
-                // Degradation is decided at admission time, from the
-                // queue depth the request actually experienced.
-                let degraded = state.degrade.enabled
-                    && state.request_pool.queued_jobs() >= state.degrade.queue_threshold
-                    && match &compute {
-                        Request::Reconstruct { counts, .. } => {
-                            counts.len() >= state.degrade.min_support
-                        }
-                        _ => false,
-                    };
                 // Count the job BEFORE re-checking the shutdown flag:
                 // `wait` trusts `active_jobs`, so the increment must be
                 // visible before a concurrent `wait` could observe
@@ -830,13 +787,7 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>, addr: SocketAddr
                                 job_state.counters.deadline_sheds.inc();
                                 Reply::DeadlineExceeded
                             } else {
-                                handle_compute(
-                                    &job_state,
-                                    compute,
-                                    &cancel,
-                                    degraded,
-                                    trace.as_ref(),
-                                )
+                                handle_compute(&job_state, compute, &cancel, trace.as_ref())
                             };
                             job_tx((id, reply, trace.map(|c| (op, c))));
                             job_state
@@ -921,7 +872,6 @@ fn handle_compute(
     state: &Arc<ServerState>,
     request: Request,
     cancel: &CancelToken,
-    degraded: bool,
     trace: Option<&TraceCtx>,
 ) -> Reply {
     state.counters.requests.inc();
@@ -930,41 +880,23 @@ fn handle_compute(
             if counts.is_empty() {
                 return Reply::Error("empty histogram has no distribution".into());
             }
-            let config = if degraded {
-                degrade_config(config, counts.n_bits())
-            } else {
-                config
-            };
+            let config = exact(config);
             let mut key = Fnv1a::new();
-            // Degraded results live under their own namespace: an
-            // approximate answer must never be served to (or cached
-            // for) a request that asked for the exact one.
-            key.write_bytes(if degraded {
-                b"reconstruct/degraded/v1".as_slice()
-            } else {
-                b"reconstruct/v1".as_slice()
-            });
+            key.write_bytes(b"reconstruct/v1");
             key.write_u64(counts.fingerprint());
             key.write_u64(config.fingerprint());
             let job_cancel = cancel.clone();
-            // The store record carries the approx flag too, so even a
-            // corrupted key directory can never promote an approximate
-            // record to an exact answer.
-            let flags = if degraded { FLAG_APPROX } else { 0 };
-            let reply = cached_compute(state, key.finish(), flags, cancel, trace, move || {
+            cached_compute(state, key.finish(), cancel, trace, move || {
                 Hammer::with_config(config)
                     .try_reconstruct_counts(&counts, &job_cancel)
                     .map_err(|Cancelled| ComputeError::Cancelled)
-            });
-            match reply {
-                Reply::Distribution(d) if degraded => Reply::ApproxDistribution(d),
-                other => other,
-            }
+            })
         }
-        Request::SampleAndReconstruct(job) => {
+        Request::SampleAndReconstruct(mut job) => {
+            job.config = exact(job.config);
             let key = job.fingerprint();
             let job_cancel = cancel.clone();
-            cached_compute(state, key, 0, cancel, trace, move || {
+            cached_compute(state, key, cancel, trace, move || {
                 run_sample_job(&job, &job_cancel)
             })
         }
@@ -993,19 +925,12 @@ fn handle_compute(
     }
 }
 
-/// The ANN-approximate configuration a degraded request runs under:
-/// force the LSH-forest scoring path (and a neighborhood it can engage
-/// at this width) so a saturated queue drains with cheap approximate
-/// answers instead of refusals.
-fn degrade_config(
-    mut config: hammer_core::HammerConfig,
-    n_bits: usize,
-) -> hammer_core::HammerConfig {
-    let cap = (n_bits / 4).max(1);
-    let max_d = config.neighborhood.max_distance(n_bits).clamp(1, cap);
-    config.neighborhood = NeighborhoodLimit::Fixed(max_d);
-    config.kernel.ann.enabled = true;
-    config.kernel.ann.crossover = 2;
+/// The configuration a served reconstruction runs under: the wire
+/// config with the approximate scoring path switched off, so every
+/// reply is the exact reconstruction. Applied before the cache key is
+/// hashed, so the key names what actually ran.
+fn exact(mut config: HammerConfig) -> HammerConfig {
+    config.kernel.ann.enabled = false;
     config
 }
 
@@ -1029,7 +954,6 @@ fn degrade_config(
 fn cached_compute<F>(
     state: &Arc<ServerState>,
     key: u64,
-    flags: u8,
     cancel: &CancelToken,
     trace: Option<&TraceCtx>,
     compute: F,
@@ -1068,7 +992,7 @@ where
                     let loaded = state.store.as_ref().and_then(|store| {
                         let _t =
                             trace.map(|c| c.span("store_load", Some(&state.stages.store_load)));
-                        store.load(key, flags)
+                        store.load(key)
                     });
                     if let Some(d) = loaded {
                         // Spill-tier hit: promote back into the cache
@@ -1076,7 +1000,7 @@ where
                         // was CRC- and invariant-revalidated on the way
                         // in.
                         let dist = Arc::new(d);
-                        state.insert_cached(key, Arc::clone(&dist), flags);
+                        state.insert_cached(key, Arc::clone(&dist));
                         Ok(dist)
                     } else {
                         state.cache.note_miss();
@@ -1091,7 +1015,7 @@ where
                         })) {
                             Ok(Ok(dist)) => {
                                 let dist = Arc::new(dist);
-                                state.insert_cached(key, Arc::clone(&dist), flags);
+                                state.insert_cached(key, Arc::clone(&dist));
                                 Ok(dist)
                             }
                             Ok(Err(e)) => Err(e),

@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! u32 magic "HSR1" | u32 body_len | u32 crc32(body) | body
-//! body = u64 key | u8 flags | distribution payload
+//! body = u64 key | u8 reserved (always 0) | distribution payload
 //! ```
 //!
 //! The distribution payload is exactly the wire codec's SoA layout
@@ -59,17 +59,6 @@ use hammer_dist::Distribution;
 
 use crate::codec;
 
-/// Record flag bit: the distribution was computed by the degraded
-/// (ANN-approximate) path. Belt and braces — approximate results
-/// already live under their own key namespace — but the flag travels
-/// with the record so a corrupted directory can never promote an
-/// approximate answer to an exact one.
-pub const FLAG_APPROX: u8 = 1;
-
-/// Every flag bit the current format defines; anything else on disk is
-/// corruption.
-const KNOWN_FLAGS: u8 = FLAG_APPROX;
-
 /// Per-record magic: "HSR1".
 const RECORD_MAGIC: u32 = u32::from_le_bytes(*b"HSR1");
 
@@ -77,7 +66,7 @@ const RECORD_MAGIC: u32 = u32::from_le_bytes(*b"HSR1");
 const RECORD_HEADER: usize = 12;
 
 /// Upper bound on a record body — matches the wire protocol's payload
-/// cap, plus the key/flags prefix. A length field beyond this is
+/// cap, plus the key/reserved-byte prefix. A length field beyond this is
 /// corruption, not a huge record.
 const MAX_BODY: usize = 64 * 1024 * 1024 + 16;
 
@@ -96,9 +85,7 @@ pub struct StoreStats {
     pub corrupt_dropped: u64,
 }
 
-/// Where one committed record lives. Flags live in the record itself
-/// and are re-verified on every load, so the directory doesn't copy
-/// them.
+/// Where one committed record lives.
 #[derive(Debug, Clone, Copy)]
 struct IndexEntry {
     segment: u64,
@@ -220,8 +207,8 @@ impl DistStore {
     /// I/O failures of the underlying filesystem. The caller (the
     /// serving runtime) treats them as "this entry was not demoted" —
     /// the in-RAM result is unaffected.
-    pub fn spill(&self, key: u64, flags: u8, d: &Distribution) -> std::io::Result<()> {
-        let record = encode_record(key, flags, d);
+    pub fn spill(&self, key: u64, d: &Distribution) -> std::io::Result<()> {
+        let record = encode_record(key, d);
         let mut inner = self.inner.lock().expect("store mutex unpoisoned");
         let inner = &mut *inner;
         if inner.segment_bytes(inner.active_id) >= inner.segment_target {
@@ -256,16 +243,15 @@ impl DistStore {
     }
 
     /// Loads a committed record, re-verifying the CRC and re-validating
-    /// the distribution through [`Distribution::from_raw_parts`]. The
-    /// record's flags must match `flags` exactly — a mismatch (e.g. an
-    /// approximate record under an exact key) is treated as corruption
-    /// and dropped, never served.
+    /// the distribution through [`Distribution::from_raw_parts`]. A
+    /// record that fails any check, or holds another key, is treated
+    /// as corruption and dropped, never served.
     #[must_use]
-    pub fn load(&self, key: u64, flags: u8) -> Option<Distribution> {
+    pub fn load(&self, key: u64) -> Option<Distribution> {
         let mut inner = self.inner.lock().expect("store mutex unpoisoned");
         let entry = *inner.index.get(&key)?;
         match inner.read_record(entry) {
-            Some((stored_key, stored_flags, d)) if stored_key == key && stored_flags == flags => {
+            Some((stored_key, d)) if stored_key == key => {
                 self.loads.inc();
                 Some(d)
             }
@@ -339,7 +325,7 @@ impl DistStore {
                     live: 0,
                 },
             );
-            for (key, _flags, offset, len) in scan.records {
+            for (key, offset, len) in scan.records {
                 let entry = IndexEntry {
                     segment: id,
                     offset,
@@ -399,7 +385,7 @@ impl StoreInner {
     }
 
     /// Reads and fully re-verifies one record.
-    fn read_record(&mut self, entry: IndexEntry) -> Option<(u64, u8, Distribution)> {
+    fn read_record(&mut self, entry: IndexEntry) -> Option<(u64, Distribution)> {
         let path = segment_path(&self.dir, entry.segment);
         let mut f = File::open(path).ok()?;
         f.seek(SeekFrom::Start(entry.offset)).ok()?;
@@ -489,12 +475,13 @@ fn segment_id(name: &str) -> Option<u64> {
 }
 
 /// Serializes one record: header (magic, body length, CRC) + body
-/// (key, flags, distribution payload in the wire codec's SoA layout).
+/// (key, reserved byte 0, distribution payload in the wire codec's SoA
+/// layout).
 #[must_use]
-pub fn encode_record(key: u64, flags: u8, d: &Distribution) -> Vec<u8> {
+pub fn encode_record(key: u64, d: &Distribution) -> Vec<u8> {
     let mut body = Vec::with_capacity(16 + d.len() * 24);
     body.extend_from_slice(&key.to_le_bytes());
-    body.push(flags);
+    body.push(0);
     codec::put_distribution(&mut body, d);
     let mut out = Vec::with_capacity(RECORD_HEADER + body.len());
     out.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
@@ -505,24 +492,24 @@ pub fn encode_record(key: u64, flags: u8, d: &Distribution) -> Vec<u8> {
 }
 
 /// Decodes and fully validates one record's bytes: magic, length, CRC,
-/// known flags, and the distribution itself (via
+/// a zero reserved byte, and the distribution itself (via
 /// [`Distribution::from_raw_parts`]). `None` on any violation — hostile
 /// bytes can never panic or produce an invalid distribution.
 #[must_use]
-pub fn decode_record(buf: &[u8]) -> Option<(u64, u8, Distribution)> {
-    let (key, flags, body_len) = record_header(buf)?;
+pub fn decode_record(buf: &[u8]) -> Option<(u64, Distribution)> {
+    let (key, body_len) = record_header(buf)?;
     if RECORD_HEADER + body_len != buf.len() {
         return None;
     }
     let payload = &buf[RECORD_HEADER + 9..];
     let d = codec::read_distribution(payload).ok()?;
-    Some((key, flags, d))
+    Some((key, d))
 }
 
 /// Validates a record prefix (magic, plausible length, CRC over the
-/// body, known flags) without decoding the distribution. Returns
-/// `(key, flags, body_len)`.
-fn record_header(buf: &[u8]) -> Option<(u64, u8, usize)> {
+/// body, zero reserved byte) without decoding the distribution.
+/// Returns `(key, body_len)`.
+fn record_header(buf: &[u8]) -> Option<(u64, usize)> {
     let magic = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?);
     if magic != RECORD_MAGIC {
         return None;
@@ -537,18 +524,19 @@ fn record_header(buf: &[u8]) -> Option<(u64, u8, usize)> {
         return None;
     }
     let key = u64::from_le_bytes(body[0..8].try_into().ok()?);
-    let flags = body[8];
-    if flags & !KNOWN_FLAGS != 0 {
+    // Older formats set this byte for approximate results; no current
+    // writer does, so any nonzero value is corruption.
+    if body[8] != 0 {
         return None;
     }
-    Some((key, flags, body_len))
+    Some((key, body_len))
 }
 
 /// What scanning one segment found.
 struct SegmentScan {
-    /// `(key, flags, offset, record_len)` of every valid record, in
-    /// file order.
-    records: Vec<(u64, u8, u64, u32)>,
+    /// `(key, offset, record_len)` of every valid record, in file
+    /// order.
+    records: Vec<(u64, u64, u32)>,
     /// Offset of the first byte past the last structurally-sound
     /// record; everything after is a torn or garbage tail.
     valid_bytes: u64,
@@ -583,10 +571,8 @@ fn scan_segment(bytes: &[u8]) -> SegmentScan {
         }
         let record = &rest[..RECORD_HEADER + body_len];
         match record_header(record) {
-            Some((key, flags, _)) => {
-                records.push((key, flags, pos as u64, record.len() as u32));
-            }
-            None => corrupt += 1, // CRC mismatch: skip, stay in sync
+            Some((key, _)) => records.push((key, pos as u64, record.len() as u32)),
+            None => corrupt += 1, // bad CRC or reserved byte: skip, stay in sync
         }
         pos += RECORD_HEADER + body_len;
         valid = pos;
@@ -658,12 +644,12 @@ mod tests {
     #[test]
     fn record_round_trips() {
         let d = dist(7, 5);
-        let record = encode_record(42, FLAG_APPROX, &d);
-        let (key, flags, back) = decode_record(&record).expect("round trip");
-        assert_eq!((key, flags), (42, FLAG_APPROX));
+        let record = encode_record(42, &d);
+        let (key, back) = decode_record(&record).expect("round trip");
+        assert_eq!(key, 42);
         assert_eq!(back, d);
         // Re-encoding reproduces the bytes exactly.
-        assert_eq!(encode_record(key, flags, &back), record);
+        assert_eq!(encode_record(key, &back), record);
     }
 
     #[test]
@@ -671,31 +657,63 @@ mod tests {
         let dir = tmp_dir("warm");
         let store = DistStore::open(&dir, 1 << 20).expect("open");
         for i in 0..10u64 {
-            store.spill(i, 0, &dist(i, 4)).expect("spill");
+            store.spill(i, &dist(i, 4)).expect("spill");
         }
-        assert_eq!(store.load(3, 0).expect("hit"), dist(3, 4));
-        assert!(store.load(99, 0).is_none());
+        assert_eq!(store.load(3).expect("hit"), dist(3, 4));
+        assert!(store.load(99).is_none());
         drop(store);
         // Restart over the same directory: everything committed is back.
         let warm = DistStore::open(&dir, 1 << 20).expect("reopen");
         assert_eq!(warm.stats().recovered, 10);
         for i in 0..10u64 {
-            assert_eq!(warm.load(i, 0).expect("recovered"), dist(i, 4));
+            assert_eq!(warm.load(i).expect("recovered"), dist(i, 4));
         }
         assert_eq!(warm.stats().corrupt_dropped, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Sets the reserved body byte of the record starting at
+    /// `record[0]` and recomputes its CRC, so only that byte is wrong.
+    fn set_reserved_byte(record: &mut [u8]) {
+        let body_len = u32::from_le_bytes(record[4..8].try_into().expect("4 bytes")) as usize;
+        record[RECORD_HEADER + 8] = 1;
+        let crc = crc32(&record[RECORD_HEADER..RECORD_HEADER + body_len]);
+        record[8..12].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// [`set_reserved_byte`] on the record at `offset` of segment 1.
+    fn set_reserved_byte_on_disk(dir: &Path, offset: usize) {
+        let path = segment_path(dir, 1);
+        let mut bytes = fs::read(&path).expect("read");
+        set_reserved_byte(&mut bytes[offset..]);
+        fs::write(&path, &bytes).expect("write");
+    }
+
     #[test]
-    fn flag_mismatch_is_dropped_not_served() {
-        let dir = tmp_dir("flags");
+    fn nonzero_reserved_byte_is_dropped_not_served() {
+        // Older formats flagged approximate results in the reserved
+        // byte; such a record must never be served.
+        let mut record = encode_record(5, &dist(5, 4));
+        set_reserved_byte(&mut record);
+        assert!(decode_record(&record).is_none());
+
+        // Recovery skips it and keeps its neighbor.
+        let dir = tmp_dir("reserved");
         let store = DistStore::open(&dir, 1 << 20).expect("open");
-        store.spill(5, FLAG_APPROX, &dist(5, 4)).expect("spill");
-        // Asking for the exact flavor of an approximate record must
-        // never serve it.
-        assert!(store.load(5, 0).is_none());
-        assert_eq!(store.stats().corrupt_dropped, 1);
-        assert!(store.load(5, FLAG_APPROX).is_none(), "entry dropped");
+        store.spill(1, &dist(1, 4)).expect("spill");
+        store.spill(2, &dist(2, 4)).expect("spill");
+        drop(store);
+        set_reserved_byte_on_disk(&dir, encode_record(1, &dist(1, 4)).len());
+        let warm = DistStore::open(&dir, 1 << 20).expect("recover");
+        assert_eq!(warm.stats().recovered, 1);
+        assert_eq!(warm.stats().corrupt_dropped, 1);
+        assert!(warm.load(2).is_none());
+        assert_eq!(warm.load(1).expect("neighbor survives"), dist(1, 4));
+
+        // A record changed after it was indexed is dropped at load.
+        set_reserved_byte_on_disk(&dir, 0);
+        assert!(warm.load(1).is_none());
+        assert_eq!(warm.stats().corrupt_dropped, 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -703,13 +721,13 @@ mod tests {
     fn supersede_keeps_the_latest_record() {
         let dir = tmp_dir("supersede");
         let store = DistStore::open(&dir, 1 << 20).expect("open");
-        store.spill(1, 0, &dist(1, 4)).expect("spill");
-        store.spill(1, 0, &dist(2, 4)).expect("spill");
-        assert_eq!(store.load(1, 0).expect("hit"), dist(2, 4));
+        store.spill(1, &dist(1, 4)).expect("spill");
+        store.spill(1, &dist(2, 4)).expect("spill");
+        assert_eq!(store.load(1).expect("hit"), dist(2, 4));
         drop(store);
         let warm = DistStore::open(&dir, 1 << 20).expect("reopen");
         assert_eq!(warm.stats().recovered, 1);
-        assert_eq!(warm.load(1, 0).expect("recovered"), dist(2, 4));
+        assert_eq!(warm.load(1).expect("recovered"), dist(2, 4));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -720,7 +738,7 @@ mod tests {
         let store = DistStore::open(&dir, budget).expect("open");
         // Far more data than the budget: ~200 records × ~1.3 KB.
         for i in 0..200u64 {
-            store.spill(i, 0, &dist(i, 50)).expect("spill");
+            store.spill(i, &dist(i, 50)).expect("spill");
         }
         let on_disk: u64 = fs::read_dir(&dir)
             .expect("dir")
@@ -735,8 +753,8 @@ mod tests {
             "footprint {on_disk} vs budget {budget}"
         );
         // The newest records survive; the oldest were evicted.
-        assert_eq!(store.load(199, 0).expect("newest"), dist(199, 50));
-        assert!(store.load(0, 0).is_none(), "oldest evicted from disk");
+        assert_eq!(store.load(199).expect("newest"), dist(199, 50));
+        assert!(store.load(0).is_none(), "oldest evicted from disk");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -748,17 +766,17 @@ mod tests {
         // Overwrite one hot key many times (dead records pile up) while
         // a few cold keys stay live.
         for i in 0..8u64 {
-            store.spill(1000 + i, 0, &dist(i, 40)).expect("spill");
+            store.spill(1000 + i, &dist(i, 40)).expect("spill");
         }
         for round in 0..120u64 {
-            store.spill(7, 0, &dist(round, 40)).expect("spill");
+            store.spill(7, &dist(round, 40)).expect("spill");
         }
-        assert_eq!(store.load(7, 0).expect("hot key live"), dist(119, 40));
+        assert_eq!(store.load(7).expect("hot key live"), dist(119, 40));
         // A store dominated by one key must keep its footprint near one
         // record, not 120.
         drop(store);
         let warm = DistStore::open(&dir, budget).expect("reopen");
-        assert_eq!(warm.load(7, 0).expect("hot key recovered"), dist(119, 40));
+        assert_eq!(warm.load(7).expect("hot key recovered"), dist(119, 40));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -767,14 +785,14 @@ mod tests {
         let dir = tmp_dir("torn");
         let store = DistStore::open(&dir, 1 << 20).expect("open");
         for i in 0..5u64 {
-            store.spill(i, 0, &dist(i, 4)).expect("spill");
+            store.spill(i, &dist(i, 4)).expect("spill");
         }
         drop(store);
         // Simulate a crash mid-append: a half-written record at the
         // tail of the active segment.
         let path = segment_path(&dir, 1);
         let mut f = OpenOptions::new().append(true).open(&path).expect("open");
-        let torn = encode_record(99, 0, &dist(99, 4));
+        let torn = encode_record(99, &dist(99, 4));
         f.write_all(&torn[..torn.len() / 2]).expect("half write");
         drop(f);
         let len_with_tear = fs::metadata(&path).expect("meta").len();
@@ -782,9 +800,9 @@ mod tests {
         assert_eq!(warm.stats().recovered, 5);
         assert_eq!(warm.stats().corrupt_dropped, 1);
         for i in 0..5u64 {
-            assert_eq!(warm.load(i, 0).expect("survivor"), dist(i, 4));
+            assert_eq!(warm.load(i).expect("survivor"), dist(i, 4));
         }
-        assert!(warm.load(99, 0).is_none());
+        assert!(warm.load(99).is_none());
         assert!(
             fs::metadata(&path).expect("meta").len() < len_with_tear,
             "tail truncated"
@@ -802,22 +820,22 @@ mod tests {
         let dir = tmp_dir("bitflip");
         let store = DistStore::open(&dir, 1 << 20).expect("open");
         for i in 0..3u64 {
-            store.spill(i, 0, &dist(i, 4)).expect("spill");
+            store.spill(i, &dist(i, 4)).expect("spill");
         }
         drop(store);
         let path = segment_path(&dir, 1);
         let mut bytes = fs::read(&path).expect("read");
         // Flip one byte inside the SECOND record's body (past its
         // header) so the frame stays sound but the CRC fails.
-        let rec_len = encode_record(0, 0, &dist(0, 4)).len();
+        let rec_len = encode_record(0, &dist(0, 4)).len();
         bytes[rec_len + RECORD_HEADER + 12] ^= 0x40;
         fs::write(&path, &bytes).expect("write corrupted");
         let warm = DistStore::open(&dir, 1 << 20).expect("recover");
         assert_eq!(warm.stats().recovered, 2, "records 0 and 2 survive");
         assert_eq!(warm.stats().corrupt_dropped, 1);
-        assert_eq!(warm.load(0, 0).expect("first"), dist(0, 4));
-        assert!(warm.load(1, 0).is_none(), "corrupted record dropped");
-        assert_eq!(warm.load(2, 0).expect("third"), dist(2, 4));
+        assert_eq!(warm.load(0).expect("first"), dist(0, 4));
+        assert!(warm.load(1).is_none(), "corrupted record dropped");
+        assert_eq!(warm.load(2).expect("third"), dist(2, 4));
         let _ = fs::remove_dir_all(&dir);
     }
 

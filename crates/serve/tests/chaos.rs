@@ -26,9 +26,7 @@ use std::time::{Duration, Instant};
 use hammer_core::{Hammer, HammerConfig};
 use hammer_dist::{BitString, Counts, Distribution};
 use hammer_serve::chaos::{ChaosProxy, Fault};
-use hammer_serve::{
-    fault, serve, DegradeConfig, ServeClient, ServeConfig, ServerHandle, WireError,
-};
+use hammer_serve::{fault, serve, ServeClient, ServeConfig, ServerHandle, WireError};
 
 /// Serializes the tests sharing the process-wide fault-point globals.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -280,51 +278,6 @@ fn short_deadlines_cut_slow_computes_short() {
     assert_eq!(got, direct(&chaos_counts(6)));
 
     fault::reset();
-    server.shutdown();
-    let _ = server.wait();
-}
-
-/// Degradation under pressure: with the knob on and the queue saturated,
-/// a large reconstruction gets an ANN-approximate answer — flagged as
-/// such — instead of a refusal; small requests stay exact.
-#[test]
-fn saturated_queues_degrade_large_requests_to_approx() {
-    let _guard = exclusive();
-    let server = serve(&ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        queue_limit: 64,
-        cache_mb: 16,
-        degrade: DegradeConfig {
-            enabled: true,
-            queue_threshold: 0, // treat every instant as saturated
-            min_support: 30,
-        },
-        ..ServeConfig::default()
-    })
-    .expect("bind");
-    let addr = server.local_addr().to_string();
-    let mut client = ServeClient::connect(&addr).expect("connect");
-
-    // Large support: degraded, flagged, still a valid distribution.
-    let big = chaos_counts(7); // 41 distinct outcomes ≥ min_support
-    let (dist, approx) = client
-        .reconstruct_flagged(&big, &HammerConfig::paper())
-        .expect("degraded reply");
-    assert!(approx, "saturated large request must be flagged approx");
-    assert!((dist.total_mass() - 1.0).abs() < 1e-9);
-
-    // Small support: exact even under "saturation".
-    let mut small = Counts::new(6).unwrap();
-    small.record_n(bs("111111"), 400);
-    small.record_n(bs("011111"), 60);
-    small.record_n(bs("101010"), 90);
-    let (dist, approx) = client
-        .reconstruct_flagged(&small, &HammerConfig::paper())
-        .expect("exact reply");
-    assert!(!approx, "small requests stay exact");
-    assert_eq!(dist, direct(&small));
-
     server.shutdown();
     let _ = server.wait();
 }

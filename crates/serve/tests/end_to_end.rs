@@ -6,13 +6,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use hammer_core::{Hammer, HammerConfig};
+use hammer_core::{AnnTuning, Hammer, HammerConfig, KernelTuning, NeighborhoodLimit};
 use hammer_dist::{BitString, Counts, Distribution};
 use hammer_obs::MetricsSnapshot;
 use hammer_serve::{serve, DeviceSpec, Reply, SampleJob, ServeClient, ServeConfig, WireError};
 use hammer_sim::{AutoEngine, Circuit};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn bs(s: &str) -> BitString {
     BitString::parse(s).unwrap()
@@ -267,6 +267,64 @@ fn wide_registers_round_trip_through_the_service() {
         .metrics(&counts.to_distribution(), &[correct])
         .expect("wide metrics");
     assert!(m.pst > 0.0 && m.ehd > 0.0);
+
+    server.shutdown();
+    let _ = server.wait();
+}
+
+/// About 33K distinct 64-bit outcomes: a halo of 1–3-flip errors
+/// around one key, plus a quarter of uniform background.
+fn large_halo_counts() -> Counts {
+    let mut rng = StdRng::seed_from_u64(33);
+    let key: u64 = rng.gen();
+    let mut counts = Counts::new(64).unwrap();
+    counts.record_n(BitString::new(key, 64), 5_000);
+    while counts.len() < 33_000 {
+        let outcome = if rng.gen_bool(0.25) {
+            rng.gen()
+        } else {
+            let mut member = key;
+            for _ in 0..rng.gen_range(1..=3) {
+                member ^= 1u64 << rng.gen_range(0..64);
+            }
+            member
+        };
+        counts.record(BitString::new(outcome, 64));
+    }
+    counts
+}
+
+/// A served `Reconstruct` is the exact reconstruction. This request is
+/// local (`Fixed(16)` at 64 bits) and above the library's default ANN
+/// crossover, so `Hammer` with the wire config's default tuning would
+/// answer it approximately.
+#[test]
+fn large_local_reconstructs_are_answered_exactly() {
+    let counts = large_halo_counts();
+    let config = HammerConfig {
+        neighborhood: NeighborhoodLimit::Fixed(16),
+        ..HammerConfig::paper()
+    };
+    let exact = Hammer::with_config(HammerConfig {
+        kernel: KernelTuning {
+            ann: AnnTuning {
+                enabled: false,
+                ..AnnTuning::default()
+            },
+            ..KernelTuning::default()
+        },
+        ..config
+    })
+    .reconstruct_counts(&counts);
+
+    let server = start(64, 2, 8);
+    let mut client = ServeClient::connect(server.local_addr().to_string()).expect("connect");
+    let served = client.reconstruct(&counts, &config).expect("reconstruct");
+    // 33K outcomes: compare the bytes, but do not print them.
+    assert!(
+        wire_bytes(&served) == wire_bytes(&exact),
+        "served reply differs from the exact reconstruction"
+    );
 
     server.shutdown();
     let _ = server.wait();

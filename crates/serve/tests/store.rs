@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hammer_dist::{BitString, Distribution};
-use hammer_serve::store::{self, DistStore, FLAG_APPROX};
+use hammer_serve::store::{self, DistStore};
 use proptest::prelude::*;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -57,25 +57,22 @@ fn any_width_distribution() -> impl Strategy<Value = Distribution> {
         })
 }
 
-/// Spills three small deterministic distributions (one in the
-/// approximate namespace) into a fresh store and closes it, returning
-/// the directory and the expected contents.
-fn populated_store() -> (PathBuf, Vec<(u64, u8, Distribution)>) {
+/// Spills three small deterministic distributions into a fresh store
+/// and closes it, returning the directory and the expected contents.
+fn populated_store() -> (PathBuf, Vec<(u64, Distribution)>) {
     let dir = scratch_dir();
-    let entries: Vec<(u64, u8, Distribution)> = (0..3u64)
+    let entries: Vec<(u64, Distribution)> = (0..3u64)
         .map(|i| {
             let pairs = (0..8u64).map(|k| (BitString::new(k, 4), (1 + i + k) as f64));
-            let flags = if i == 2 { FLAG_APPROX } else { 0 };
             (
                 0x1000 + i,
-                flags,
                 Distribution::from_probs(4, pairs).expect("positive weights"),
             )
         })
         .collect();
     let store = DistStore::open(&dir, 1 << 30).expect("open fresh store");
-    for (key, flags, d) in &entries {
-        store.spill(*key, *flags, d).expect("spill");
+    for (key, d) in &entries {
+        store.spill(*key, d).expect("spill");
     }
     drop(store);
     (dir, entries)
@@ -97,7 +94,7 @@ fn segment_file(dir: &Path) -> PathBuf {
 /// every corpus test shares: the open never fails, every served load
 /// is byte-for-byte the original distribution, and the counters agree
 /// with what was served.
-fn assert_never_wrong(dir: &Path, entries: &[(u64, u8, Distribution)]) -> Result<(), String> {
+fn assert_never_wrong(dir: &Path, entries: &[(u64, Distribution)]) -> Result<(), String> {
     let store = DistStore::open(dir, 1 << 30).expect("damaged store must still open");
     let recovered = store.stats().recovered;
     prop_assert!(
@@ -106,8 +103,8 @@ fn assert_never_wrong(dir: &Path, entries: &[(u64, u8, Distribution)]) -> Result
         entries.len()
     );
     let mut served = 0u64;
-    for (key, flags, d) in entries {
-        if let Some(got) = store.load(*key, *flags) {
+    for (key, d) in entries {
+        if let Some(got) = store.load(*key) {
             prop_assert_eq!(&got, d, "a served distribution must be the original");
             served += 1;
         }
@@ -123,12 +120,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn records_round_trip_at_any_width(d in any_width_distribution(), key in 0u64..=u64::MAX, approx in 0u8..2) {
-        let flags = if approx == 1 { FLAG_APPROX } else { 0 };
-        let record = store::encode_record(key, flags, &d);
-        let (got_key, got_flags, got) = store::decode_record(&record).expect("freshly encoded record decodes");
+    fn records_round_trip_at_any_width(d in any_width_distribution(), key in 0u64..=u64::MAX) {
+        let record = store::encode_record(key, &d);
+        let (got_key, got) = store::decode_record(&record).expect("freshly encoded record decodes");
         prop_assert_eq!(got_key, key);
-        prop_assert_eq!(got_flags, flags);
         prop_assert_eq!(got, d);
     }
 
@@ -159,11 +154,7 @@ proptest! {
         // tail, so a second open over the same directory sees a clean
         // log — nothing further to drop, same directory size.
         let reopened = DistStore::open(&dir, 1 << 30).expect("reopen after recovery");
-        let record_bytes = store::encode_record(
-            entries[0].0,
-            entries[0].1,
-            &entries[0].2,
-        ).len();
+        let record_bytes = store::encode_record(entries[0].0, &entries[0].1).len();
         let whole_records = cut / record_bytes; // identical record sizes
         prop_assert_eq!(reopened.stats().recovered, whole_records as u64);
         prop_assert_eq!(reopened.stats().corrupt_dropped, 0);
@@ -177,8 +168,8 @@ fn a_missing_segment_degrades_to_cold_not_refused() {
     std::fs::remove_file(segment_file(&dir)).expect("delete segment");
     let store = DistStore::open(&dir, 1 << 30).expect("empty store opens");
     assert_eq!(store.stats().recovered, 0);
-    for (key, flags, _) in &entries {
-        assert_eq!(store.load(*key, *flags), None);
+    for (key, _) in &entries {
+        assert_eq!(store.load(*key), None);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
