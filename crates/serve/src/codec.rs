@@ -845,6 +845,11 @@ pub enum Reply {
     Pong,
     /// A reconstructed distribution.
     Distribution(Distribution),
+    /// A distribution flagged approximate (opcode
+    /// [`DISTRIBUTION_APPROX`](opcode::DISTRIBUTION_APPROX)). The server
+    /// never sends it, and [`ServeClient`](crate::ServeClient) treats it
+    /// as an unexpected reply.
+    ApproxDistribution(Distribution),
     /// Figures of merit.
     Metrics(MetricsReply),
     /// Captured slow-request traces, oldest first.
@@ -870,6 +875,7 @@ impl Reply {
         match self {
             Self::Pong => opcode::PONG,
             Self::Distribution(_) => opcode::DISTRIBUTION,
+            Self::ApproxDistribution(_) => opcode::DISTRIBUTION_APPROX,
             Self::Metrics(_) => opcode::METRICS_REPLY,
             Self::TraceDump(_) => opcode::TRACE_DUMP_REPLY,
             Self::MetricsSnapshot(_) => opcode::METRICS_SNAPSHOT_REPLY,
@@ -891,7 +897,7 @@ impl Reply {
             | Self::Busy
             | Self::DeadlineExceeded
             | Self::ShuttingDown => {}
-            Self::Distribution(d) => put_distribution(&mut out, d),
+            Self::Distribution(d) | Self::ApproxDistribution(d) => put_distribution(&mut out, d),
             Self::Metrics(m) => {
                 put_f64(&mut out, m.pst);
                 put_f64(&mut out, m.ist);
@@ -922,6 +928,7 @@ impl Reply {
             opcode::DEADLINE_EXCEEDED => Self::DeadlineExceeded,
             opcode::SHUTTING_DOWN => Self::ShuttingDown,
             opcode::DISTRIBUTION => Self::Distribution(get_distribution(&mut cur)?),
+            opcode::DISTRIBUTION_APPROX => Self::ApproxDistribution(get_distribution(&mut cur)?),
             opcode::METRICS_REPLY => Self::Metrics(MetricsReply {
                 pst: cur.f64()?,
                 ist: cur.f64()?,
@@ -1255,19 +1262,16 @@ mod tests {
             Request::decode(opcode::SAMPLE_AND_RECONSTRUCT, &job_bytes),
             Err(WireError::Malformed(_))
         ));
-        // Unknown opcodes, including the retired `Stats` pair and the
-        // retired approximate-distribution reply.
-        for op in [0x05, 0x7E, 0x84] {
+        // Unknown opcodes, including the retired `Stats` pair.
+        for op in [0x05, 0x7E] {
             assert!(matches!(
                 Request::decode(op, &[]),
                 Err(WireError::UnknownOpcode(o)) if o == op
             ));
         }
-        for op in [0x84, 0x85] {
-            assert!(matches!(
-                Reply::decode(op, &[0; 104]),
-                Err(WireError::UnknownOpcode(o)) if o == op
-            ));
-        }
+        assert!(matches!(
+            Reply::decode(0x85, &[0; 104]),
+            Err(WireError::UnknownOpcode(0x85))
+        ));
     }
 }

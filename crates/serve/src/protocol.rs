@@ -83,6 +83,10 @@ pub mod opcode {
     /// A full observability snapshot (see
     /// [`hammer_obs::MetricsSnapshot`]).
     pub const METRICS_SNAPSHOT_REPLY: u8 = 0x88;
+    /// A [`hammer_dist::Distribution`] payload flagged approximate —
+    /// same encoding as [`DISTRIBUTION`]. The server never sends it;
+    /// it stays decodable while perfbench's tests still name it.
+    pub const DISTRIBUTION_APPROX: u8 = 0x84;
     /// 503-style backpressure: the request queue is full, retry later.
     pub const BUSY: u8 = 0xF0;
     /// The request's deadline expired before (or while) computing.
