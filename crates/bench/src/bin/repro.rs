@@ -276,15 +276,14 @@ fn run_serve(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro top [--addr A] [--binary] [--once] [--interval-ms N]
-/// [--frames N]`: live terminal dashboard over a running server's
-/// exposition endpoints (`--addr` is the `--metrics-addr` port), or
-/// over the binary protocol with `--binary` (then `--addr` is the
-/// serving port). `--once` prints a single frame and exits.
+/// `repro top [--addr A] [--once] [--interval-ms N] [--frames N]`:
+/// live terminal dashboard over a running server's serving port
+/// (`--addr`), polling `MetricsSnapshot` over the binary protocol and
+/// keeping the rollup history on the client. `--once` prints a single
+/// lifetime frame and exits.
 fn run_top(args: &[String]) -> ExitCode {
     let mut config = hammer_bench::top::TopConfig {
         once: args.iter().any(|a| a == "--once"),
-        binary: args.iter().any(|a| a == "--binary"),
         ..hammer_bench::top::TopConfig::default()
     };
     let parsed = flag_value(args, "--addr")
@@ -920,7 +919,7 @@ fn main() -> ExitCode {
         eprintln!("                   [--store-dir D] [--store-mb MB] [--store-fault SPEC]");
         eprintln!("                   [--obs] [--stats-every SECS]");
         eprintln!("                   [--metrics-addr A] [--rollup-ms N] [--slo SPEC]...");
-        eprintln!("       repro top [--addr A] [--binary] [--once] [--interval-ms N]");
+        eprintln!("       repro top [--addr A] [--once] [--interval-ms N] [--frames N]");
         eprintln!("       repro serve-smoke [--addr A] [--shutdown]");
         eprintln!("       repro chaos-smoke [--quick]");
         eprintln!("       repro persist-smoke [--quick]");

@@ -18,7 +18,6 @@
 pub mod angles;
 pub mod datasets;
 pub mod experiments;
-pub mod json;
 pub mod kernel_bench;
 pub mod obs_bench;
 pub mod pipeline;

@@ -1,35 +1,32 @@
 //! `repro top` — a live terminal dashboard over a running server.
 //!
-//! Polls the HTTP exposition endpoints (`/series`, `/slo`, `/events`,
-//! backed by the server's rollup rings) and renders request rate,
-//! per-stage latency quantiles, cache hit rate, queue depth, store
-//! traffic and firing SLO alerts. When the target has no exposition
-//! listener, `--binary` falls back to diffing `MetricsSnapshot`s over
-//! the binary protocol — same numbers, no rollup history, no events.
+//! Every poll reads one `MetricsSnapshot` over the binary protocol (the
+//! serving port) and folds it into a client-side [`TimeSeries`], the
+//! same rollup engine behind the server's `/series`. The frame renders
+//! from that history alone: request rate, queue depth and connections,
+//! cache hit rate, store traffic, per-stage latency quantiles and the
+//! SLO burn gauges.
 //!
-//! `--once` prints a single frame and exits (scriptable snapshots, CI
-//! smoke); live mode redraws every `--interval-ms` until interrupted.
+//! The first window holds the server's whole history up to the first
+//! poll, so `--once` (one poll) prints lifetime figures. Live mode
+//! redraws every `--interval-ms` until interrupted; from the second
+//! poll on, every figure spans the polls since the first, at most
+//! the last 30.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::time::Duration;
 
-use hammer_obs::{format_human_parts, Level, MetricsSnapshot};
-
-use crate::json::Json;
+use hammer_obs::{PointValue, RollupConfig, TimeSeries, DEFAULT_BURN_THRESHOLD};
 
 /// What `repro top` connects to and how.
 #[derive(Debug, Clone)]
 pub struct TopConfig {
-    /// The exposition address (HTTP mode) or serving address
-    /// (`--binary` mode).
+    /// The serving address.
     pub addr: String,
-    /// Poll `MetricsSnapshot` over the binary protocol instead of the
-    /// HTTP endpoints.
-    pub binary: bool,
     /// Render one frame and exit.
     pub once: bool,
-    /// Redraw period in live mode.
+    /// Poll and redraw period in live mode; also the width of one
+    /// client-side rollup window.
     pub interval_ms: u64,
     /// Maximum frames to render in live mode; `None` runs until the
     /// process is interrupted. (Tests bound their runs with this.)
@@ -39,8 +36,7 @@ pub struct TopConfig {
 impl Default for TopConfig {
     fn default() -> Self {
         Self {
-            addr: "127.0.0.1:9878".into(),
-            binary: false,
+            addr: "127.0.0.1:7878".into(),
             once: true,
             interval_ms: 1_000,
             max_frames: None,
@@ -48,308 +44,162 @@ impl Default for TopConfig {
     }
 }
 
+/// Most polls a frame's figures span (the sparkline's width).
+const HISTORY: usize = 30;
+
+/// The latency series the stage table lists, in pipeline order.
+const STAGES: [&str; 9] = [
+    "serve.stage.decode_ns",
+    "serve.stage.queue_ns",
+    "serve.stage.coalesce_wait_ns",
+    "serve.stage.cache_probe_ns",
+    "serve.stage.store_load_ns",
+    "serve.stage.compute_ns",
+    "serve.stage.encode_ns",
+    "serve.stage.write_ns",
+    "serve.request_ns",
+];
+
 /// Runs the dashboard, writing frames to `out`.
 ///
 /// # Errors
 ///
 /// Connection and protocol failures, described.
 pub fn run(config: &TopConfig, out: &mut impl Write) -> Result<(), String> {
+    let interval_ms = config.interval_ms.max(100);
+    let series = TimeSeries::new(RollupConfig {
+        window_ms: interval_ms,
+        ..RollupConfig::default()
+    });
+    let mut client = hammer_serve::ServeClient::connect(&config.addr)
+        .map_err(|e| format!("connect {}: {e}", config.addr))?
+        .with_io_timeout(Some(Duration::from_secs(3)));
     let mut frames = 0u64;
-    let mut binary = BinaryPoller::default();
     loop {
-        let frame = if config.binary {
-            binary.frame(&config.addr)?
-        } else {
-            http_frame(&config.addr)?
-        };
+        let snap = client
+            .metrics_snapshot()
+            .map_err(|e| format!("metrics snapshot: {e}"))?;
+        series.roll(&snap);
         if !config.once {
             // Clear + home; plain ANSI, no terminal library.
             let _ = write!(out, "\x1b[2J\x1b[H");
         }
-        writeln!(out, "{frame}").map_err(|e| format!("write frame: {e}"))?;
+        writeln!(out, "{}", frame(&config.addr, &series))
+            .map_err(|e| format!("write frame: {e}"))?;
         frames += 1;
         if config.once || config.max_frames.is_some_and(|max| frames >= max) {
             return Ok(());
         }
-        std::thread::sleep(Duration::from_millis(config.interval_ms.max(100)));
+        std::thread::sleep(Duration::from_millis(interval_ms));
     }
 }
 
-// ---------------------------------------------------------------------
-// HTTP mode
-// ---------------------------------------------------------------------
+/// Renders one frame from the client-side rollup history.
+fn frame(addr: &str, ts: &TimeSeries) -> String {
+    let rolled = ts.windows_rolled() as usize;
+    let window_ms = ts.config().window_ms;
+    // The first window is lifetime-to-date, so it is the span only
+    // while it is the only window.
+    let (span, label) = if rolled <= 1 {
+        (1, "lifetime".to_owned())
+    } else {
+        let n = (rolled - 1).min(HISTORY);
+        (n, format!("last {n} polls, {window_ms} ms apart"))
+    };
+    let mut f = format!("repro top — {addr} ({label})\n\n");
 
-/// One `GET` against the exposition listener; returns the body.
-fn http_get(addr: &str, path: &str) -> Result<String, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(3)))
-        .and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(3))))
-        .map_err(|e| e.to_string())?;
-    stream
-        .write_all(
-            format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").as_bytes(),
-        )
-        .map_err(|e| format!("send {path}: {e}"))?;
-    let mut response = Vec::new();
-    stream
-        .read_to_end(&mut response)
-        .map_err(|e| format!("read {path}: {e}"))?;
-    let response = String::from_utf8_lossy(&response);
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("{path}: malformed HTTP response"))?;
-    let status = head.split_whitespace().nth(1).unwrap_or("?");
-    if status != "200" {
-        return Err(format!("{path}: HTTP {status}"));
-    }
-    Ok(body.to_owned())
-}
-
-fn get_json(addr: &str, path: &str) -> Result<Json, String> {
-    Json::parse(&http_get(addr, path)?).map_err(|e| format!("{path}: {e}"))
-}
-
-/// Last-point quantiles of a histogram series over `window` seconds.
-fn stage_quantiles(addr: &str, series: &str, window: u64) -> Option<(u64, u64, u64, u64)> {
-    let doc = get_json(
-        addr,
-        &format!("/series?name={series}&window={window}&points=1"),
-    )
-    .ok()?;
-    let p = doc.get("points")?.as_array()?.last()?;
-    Some((
-        p.get("count")?.as_u64()?,
-        p.get("p50_ns")?.as_u64()?,
-        p.get("p95_ns")?.as_u64()?,
-        p.get("p99_ns")?.as_u64()?,
-    ))
-}
-
-/// Per-window deltas of a counter series, oldest first.
-fn counter_deltas(addr: &str, series: &str, points: usize) -> Vec<u64> {
-    get_json(
-        addr,
-        &format!("/series?name={series}&window=1&points={points}"),
-    )
-    .ok()
-    .and_then(|doc| {
-        Some(
-            doc.get("points")?
-                .as_array()?
+    let deltas: Vec<u64> = ts
+        .query("serve.requests", 1, span)
+        .map(|s| {
+            s.points
                 .iter()
-                .filter_map(|p| p.get("delta")?.as_u64())
-                .collect(),
-        )
-    })
-    .unwrap_or_default()
-}
-
-/// Latest value of a gauge series.
-fn gauge_last(addr: &str, series: &str) -> Option<i64> {
-    let doc = get_json(addr, &format!("/series?name={series}&window=1&points=1")).ok()?;
-    let p = doc.get("points")?.as_array()?.last()?;
-    Some(p.get("last")?.as_f64()? as i64)
-}
-
-fn http_frame(addr: &str) -> Result<String, String> {
-    let mut f = String::new();
-    let reqs = counter_deltas(addr, "serve.requests", 30);
-    let rate = reqs.last().copied().unwrap_or(0);
+                .filter_map(|p| match p.value {
+                    PointValue::Rate { delta, .. } => Some(delta),
+                    _ => None,
+                })
+                .collect()
+        })
+        .unwrap_or_default();
+    let rate = match deltas.last() {
+        Some(&delta) if rolled > 1 => format!("{:.1}", delta as f64 * 1e3 / window_ms as f64),
+        _ => "-".to_owned(),
+    };
     f.push_str(&format!(
-        "repro top — {addr}\n\nreq/s {rate:>8}  {}\n",
-        sparkline(&reqs)
+        "req/s {rate:>9}  {}  {} requests\n",
+        sparkline(&deltas),
+        deltas.iter().sum::<u64>()
     ));
     if let (Some(depth), Some(conns)) = (
-        gauge_last(addr, "serve.queue.depth"),
-        gauge_last(addr, "serve.connections"),
+        gauge_last(ts, "serve.queue.depth"),
+        gauge_last(ts, "serve.connections"),
     ) {
         f.push_str(&format!("queue {depth:>9}  conns {conns}\n"));
     }
-    let hits: u64 = counter_deltas(addr, "serve.cache.hits", 30).iter().sum();
-    let misses: u64 = counter_deltas(addr, "serve.cache.misses", 30).iter().sum();
+    let (hits, _) = ts.counter_delta("serve.cache.hits", span);
+    let (misses, _) = ts.counter_delta("serve.cache.misses", span);
     if hits + misses > 0 {
         f.push_str(&format!(
-            "cache {:>8.1}%  hit rate over 30 s ({hits} hits / {misses} misses)\n",
+            "cache {:>8.1}%  hit rate ({hits} hits / {misses} misses)\n",
             100.0 * hits as f64 / (hits + misses) as f64
         ));
     }
-    let spills: u64 = counter_deltas(addr, "serve.store.spills", 30).iter().sum();
-    let loads: u64 = counter_deltas(addr, "serve.store.loads", 30).iter().sum();
+    let (spills, _) = ts.counter_delta("serve.store.spills", span);
+    let (loads, _) = ts.counter_delta("serve.store.loads", span);
     if spills + loads > 0 {
-        f.push_str(&format!(
-            "store {spills:>8} spills / {loads} loads over 30 s\n"
-        ));
+        f.push_str(&format!("store {spills:>9}  spills / {loads} loads\n"));
     }
+
     f.push_str("\nstage            count      p50        p95        p99\n");
-    for stage in [
-        "serve.stage.decode_ns",
-        "serve.stage.queue_ns",
-        "serve.stage.coalesce_wait_ns",
-        "serve.stage.cache_probe_ns",
-        "serve.stage.store_load_ns",
-        "serve.stage.compute_ns",
-        "serve.stage.encode_ns",
-        "serve.stage.write_ns",
-        "serve.request_ns",
-    ] {
-        if let Some((count, p50, p95, p99)) = stage_quantiles(addr, stage, 60) {
-            if count > 0 {
-                let label = stage
-                    .trim_start_matches("serve.stage.")
-                    .trim_start_matches("serve.");
-                f.push_str(&format!(
-                    "{label:<14} {count:>7}  {:>9} {:>10} {:>10}\n",
-                    fmt_ns(p50),
-                    fmt_ns(p95),
-                    fmt_ns(p99)
-                ));
-            }
-        }
-    }
-    // SLOs: firing alerts lead; healthy ones print their burn.
-    if let Ok(doc) = get_json(addr, "/slo") {
-        if let Some(slos) = doc.get("slos").and_then(Json::as_array) {
-            if !slos.is_empty() {
-                f.push_str("\nslo              state    burn(fast/slow)\n");
-                for s in slos {
-                    let name = s.get("name").and_then(Json::as_str).unwrap_or("?");
-                    let firing = s.get("firing").and_then(Json::as_bool).unwrap_or(false);
-                    let fast = s.get("fast_burn").and_then(Json::as_f64).unwrap_or(0.0);
-                    let slow = s.get("slow_burn").and_then(Json::as_f64).unwrap_or(0.0);
-                    f.push_str(&format!(
-                        "{name:<14} {:>8}  {fast:>7.1} / {slow:.1}\n",
-                        if firing { "FIRING" } else { "ok" }
-                    ));
-                }
-            }
-        }
-    }
-    // Recent warnings and errors, rendered by the shared formatter.
-    if let Ok(doc) = get_json(addr, "/events?n=8&level=warn") {
-        if let Some(events) = doc.get("events").and_then(Json::as_array) {
-            if !events.is_empty() {
-                f.push_str("\nrecent events\n");
-                for e in events {
-                    f.push_str(&format!("  {}\n", render_event(e)));
-                }
-            }
-        }
-    }
-    Ok(f)
-}
-
-/// Re-renders one `/events` entry with the same formatter as the
-/// server's stderr echo.
-fn render_event(e: &Json) -> String {
-    let level = e
-        .get("level")
-        .and_then(Json::as_str)
-        .and_then(Level::parse)
-        .unwrap_or(Level::Info);
-    let fields: Vec<(&str, &str)> = e
-        .get("fields")
-        .map(|f| match f {
-            Json::Obj(members) => members
-                .iter()
-                .filter_map(|(k, v)| Some((k.as_str(), v.as_str()?)))
-                .collect(),
-            _ => Vec::new(),
-        })
-        .unwrap_or_default();
-    format_human_parts(
-        e.get("unix_ms").and_then(Json::as_u64).unwrap_or(0),
-        level,
-        e.get("target").and_then(Json::as_str).unwrap_or("?"),
-        e.get("message").and_then(Json::as_str).unwrap_or(""),
-        fields.iter().copied(),
-        e.get("trace_id")
-            .and_then(Json::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .unwrap_or(0),
-    )
-}
-
-// ---------------------------------------------------------------------
-// binary fallback
-// ---------------------------------------------------------------------
-
-/// Diffs successive `MetricsSnapshot`s over the binary protocol — the
-/// fallback for servers running without `--metrics-addr`.
-#[derive(Default)]
-struct BinaryPoller {
-    prev: Option<MetricsSnapshot>,
-}
-
-impl BinaryPoller {
-    fn frame(&mut self, addr: &str) -> Result<String, String> {
-        let mut client =
-            hammer_serve::ServeClient::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-        let snap = client
-            .metrics_snapshot()
-            .map_err(|e| format!("metrics snapshot: {e}"))?;
-        let mut f = format!("repro top — {addr} (binary protocol; cumulative quantiles)\n\n");
-        let delta = |name: &str| -> u64 {
-            let now = snap.counter(name).unwrap_or(0);
-            let before = self
-                .prev
-                .as_ref()
-                .and_then(|p| p.counter(name))
-                .unwrap_or(now);
-            now.saturating_sub(before)
-        };
-        f.push_str(&format!(
-            "requests {:>8}  (+{} since last poll)\n",
-            snap.counter("serve.requests").unwrap_or(0),
-            delta("serve.requests")
-        ));
-        if let (Some(depth), Some(conns)) = (
-            snap.gauge("serve.queue.depth"),
-            snap.gauge("serve.connections"),
-        ) {
-            f.push_str(&format!("queue {depth:>11}  conns {conns}\n"));
-        }
-        let (hits, misses) = (
-            snap.counter("serve.cache.hits").unwrap_or(0),
-            snap.counter("serve.cache.misses").unwrap_or(0),
-        );
-        if hits + misses > 0 {
+    for stage in STAGES {
+        let h = ts.merged_histogram(stage, span);
+        let count = h.count();
+        if count > 0 {
+            let label = stage
+                .trim_start_matches("serve.stage.")
+                .trim_start_matches("serve.");
             f.push_str(&format!(
-                "cache {:>10.1}%  lifetime hit rate\n",
-                100.0 * hits as f64 / (hits + misses) as f64
+                "{label:<14} {count:>7}  {:>9} {:>10} {:>10}\n",
+                fmt_ns(h.quantile(0.50)),
+                fmt_ns(h.quantile(0.95)),
+                fmt_ns(h.quantile(0.99))
             ));
         }
-        f.push_str("\nstage            count      p50        p95        p99\n");
-        for s in &snap.series {
-            if let hammer_obs::SeriesValue::Histogram(h) = &s.value {
-                let count = h.count();
-                if count == 0 || !s.name.starts_with("serve.") {
-                    continue;
-                }
-                let label = s
-                    .name
-                    .trim_start_matches("serve.stage.")
-                    .trim_start_matches("serve.");
-                f.push_str(&format!(
-                    "{label:<14} {count:>7}  {:>9} {:>10} {:>10}\n",
-                    fmt_ns(h.quantile(0.50)),
-                    fmt_ns(h.quantile(0.95)),
-                    fmt_ns(h.quantile(0.99))
-                ));
-            }
-        }
-        f.push_str(
-            "\n(no rollup history, SLOs or events over the binary protocol — \
-                    start the server with --metrics-addr for the full dashboard)\n",
-        );
-        self.prev = Some(snap);
-        Ok(f)
     }
+
+    // SLOs from the per-objective burn gauges (milli-burn), judged
+    // against the server's own alert threshold.
+    let slos: Vec<(String, i64)> = ts
+        .names()
+        .into_iter()
+        .filter_map(|name| {
+            let slo = name
+                .strip_prefix("serve.slo.")?
+                .strip_suffix(".burn_rate")?;
+            Some((slo.to_owned(), gauge_last(ts, &name)?))
+        })
+        .collect();
+    if !slos.is_empty() {
+        f.push_str("\nslo              state     burn\n");
+        for (name, milli) in slos {
+            let burn = milli as f64 / 1_000.0;
+            let state = if burn >= DEFAULT_BURN_THRESHOLD {
+                "FIRING"
+            } else {
+                "ok"
+            };
+            f.push_str(&format!("{name:<14} {state:>8}  {burn:>7.1}\n"));
+        }
+    }
+    f
 }
 
-// ---------------------------------------------------------------------
-// rendering helpers
-// ---------------------------------------------------------------------
+/// Latest value of a gauge series.
+fn gauge_last(ts: &TimeSeries, name: &str) -> Option<i64> {
+    match ts.query(name, 1, 1)?.points.last()?.value {
+        PointValue::Gauge { last, .. } => Some(last),
+        _ => None,
+    }
+}
 
 /// `1234567` ns → `1.23ms`; keeps stage tables readable across six
 /// orders of magnitude.
@@ -379,6 +229,7 @@ fn sparkline(values: &[u64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hammer_obs::{HistogramSnapshot, MetricsSnapshot, SeriesSnapshot, SeriesValue};
 
     #[test]
     fn ns_formatting_scales() {
@@ -400,17 +251,82 @@ mod tests {
         assert!(line.starts_with('▁'));
     }
 
+    /// Whitespace-split fields of the frame line whose first field is
+    /// `first`.
+    fn row<'a>(frame: &'a str, first: &str) -> Vec<&'a str> {
+        frame
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .find(|fields| fields.first() == Some(&first))
+            .unwrap_or_else(|| panic!("no `{first}` row in\n{frame}"))
+    }
+
+    /// A server snapshot with cumulative counters, `fast` request
+    /// latencies in the 1 µs bucket, `slow` ones in the 5 ms bucket and
+    /// fixed gauges, built by hand so no global timing switch applies.
+    fn snapshot(requests: u64, hits: u64, misses: u64, fast: u64, slow: u64) -> MetricsSnapshot {
+        let mut latency = HistogramSnapshot::empty();
+        latency.buckets[9] = fast; // [512, 1023] ns
+        latency.buckets[22] = slow; // [4.19, 8.39) ms
+        let series = |name: &str, value| SeriesSnapshot {
+            name: name.to_owned(),
+            value,
+        };
+        MetricsSnapshot {
+            series: vec![
+                series("serve.requests", SeriesValue::Counter(requests)),
+                series("serve.cache.hits", SeriesValue::Counter(hits)),
+                series("serve.cache.misses", SeriesValue::Counter(misses)),
+                series("serve.request_ns", SeriesValue::Histogram(latency)),
+                series("serve.queue.depth", SeriesValue::Gauge(3)),
+                series("serve.connections", SeriesValue::Gauge(2)),
+                series("serve.slo.burn_rate", SeriesValue::Gauge(14_400)),
+                series("serve.slo.hot.burn_rate", SeriesValue::Gauge(14_400)),
+                series("serve.slo.cool.burn_rate", SeriesValue::Gauge(14_399)),
+            ],
+        }
+    }
+
     #[test]
-    fn render_event_matches_shared_formatter() {
-        let doc = Json::parse(
-            r#"{"seq":3,"unix_ms":3661234,"level":"warn","target":"slo","message":"slo alert firing","trace_id":"00000000000000ab","fields":{"slo":"reconstruct"}}"#,
-        )
-        .unwrap();
-        let events = [doc];
-        let line = render_event(&events[0]);
+    fn frame_renders_windowed_figures_from_the_rollup() {
+        let ts = TimeSeries::new(RollupConfig {
+            window_ms: 1_000,
+            ..RollupConfig::default()
+        });
+        // Lifetime-to-date at the first poll: fast, all cache hits.
+        ts.roll_at(&snapshot(1_000, 1_000, 0, 1_000, 0), 1_000);
+        let first = frame("test", &ts);
+        assert!(first.contains("(lifetime)"), "{first}");
+        assert_eq!(row(&first, "req/s")[1], "-", "{first}");
+        assert!(first.contains("1000 requests"), "{first}");
+
+        // Two more polls of slow, all-miss traffic: +10, then +20.
+        ts.roll_at(&snapshot(1_010, 1_000, 10, 1_000, 10), 2_000);
+        ts.roll_at(&snapshot(1_030, 1_000, 30, 1_000, 30), 3_000);
+        let f = frame("test", &ts);
+        assert!(f.contains("(last 2 polls, 1000 ms apart)"), "{f}");
+        // The windowed delta, never the lifetime total of 1030.
+        let req = row(&f, "req/s");
+        assert_eq!(req[1], "20.0", "{f}");
+        assert_eq!(req[3..], ["30", "requests"], "{f}");
+        assert!(!f.contains("1030"), "{f}");
+        assert_eq!(row(&f, "cache")[1], "0.0%", "{f}");
+        assert_eq!(row(&f, "queue")[1..], ["3", "conns", "2"], "{f}");
+        let mut slow = HistogramSnapshot::empty();
+        slow.buckets[22] = 30;
         assert_eq!(
-            line,
-            "01:01:01.234 WARN  [slo] slo alert firing slo=reconstruct trace=00000000000000ab"
+            row(&f, "request_ns")[1..],
+            [
+                "30".to_owned(),
+                fmt_ns(slow.quantile(0.50)),
+                fmt_ns(slow.quantile(0.95)),
+                fmt_ns(slow.quantile(0.99))
+            ],
+            "{f}"
         );
+        // Per-objective gauges only, judged at the alert threshold.
+        assert_eq!(row(&f, "hot")[1..], ["FIRING", "14.4"], "{f}");
+        assert_eq!(row(&f, "cool")[1..], ["ok", "14.4"], "{f}");
+        assert!(!f.contains("\nburn_rate"), "{f}");
     }
 }

@@ -90,35 +90,16 @@ pub struct Event {
 /// echo print it: `HH:MM:SS.mmm LEVEL [target] message k=v ... trace=…`.
 #[must_use]
 pub fn format_human(e: &Event) -> String {
-    format_human_parts(
-        e.unix_ms,
-        e.level,
-        e.target,
-        &e.message,
-        e.fields.iter().map(|(k, v)| (*k, v.as_str())),
-        e.trace_id,
-    )
-}
-
-/// The formatter behind [`format_human`], taking the event apart — so
-/// consumers that reassemble events from a wire payload (`repro top`
-/// tailing `/events`) render the exact same line as the stderr echo.
-pub fn format_human_parts<'a>(
-    unix_ms: u64,
-    level: Level,
-    target: &str,
-    message: &str,
-    fields: impl Iterator<Item = (&'a str, &'a str)>,
-    trace_id: u64,
-) -> String {
-    let secs = unix_ms / 1_000;
-    let ms = unix_ms % 1_000;
+    let secs = e.unix_ms / 1_000;
+    let ms = e.unix_ms % 1_000;
     let (h, m, s) = ((secs / 3_600) % 24, (secs / 60) % 60, secs % 60);
     let mut out = format!(
-        "{h:02}:{m:02}:{s:02}.{ms:03} {:<5} [{target}] {message}",
-        level.as_str().to_ascii_uppercase(),
+        "{h:02}:{m:02}:{s:02}.{ms:03} {:<5} [{}] {}",
+        e.level.as_str().to_ascii_uppercase(),
+        e.target,
+        e.message,
     );
-    for (k, v) in fields {
+    for (k, v) in &e.fields {
         // Quote values with spaces so the line stays field-splittable.
         if v.contains(' ') {
             out.push_str(&format!(" {k}={v:?}"));
@@ -126,8 +107,8 @@ pub fn format_human_parts<'a>(
             out.push_str(&format!(" {k}={v}"));
         }
     }
-    if trace_id != 0 {
-        out.push_str(&format!(" trace={trace_id:016x}"));
+    if e.trace_id != 0 {
+        out.push_str(&format!(" trace={:016x}", e.trace_id));
     }
     out
 }
@@ -241,7 +222,7 @@ impl EventLog {
     }
 
     /// Every retained event with `seq > after_seq`, oldest first — the
-    /// incremental-poll primitive `repro top` uses.
+    /// incremental-poll primitive.
     #[must_use]
     pub fn since(&self, after_seq: u64) -> Vec<Event> {
         let inner = self.inner.lock().unwrap();

@@ -41,7 +41,7 @@ mod rollup;
 mod slo;
 mod trace;
 
-pub use events::{format_human, format_human_parts, Event, EventBuilder, EventLog, Level};
+pub use events::{format_human, Event, EventBuilder, EventLog, Level};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry, SeriesSnapshot,
     SeriesValue, HIST_BUCKETS,

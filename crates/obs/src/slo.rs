@@ -21,8 +21,9 @@ use crate::events::EventLog;
 use crate::metrics::Registry;
 use crate::rollup::TimeSeries;
 
-/// Default burn-rate threshold for the fast/slow pair — the classic
+/// Burn-rate threshold for the fast/slow pair — the classic
 /// page-worthy rate (2% of a 30-day budget in one hour scales to 14.4).
+/// The server's alert and `repro top`'s FIRING mark both use it.
 pub const DEFAULT_BURN_THRESHOLD: f64 = 14.4;
 
 /// What an SLO measures.
@@ -163,7 +164,6 @@ struct TrackedSlo {
 /// module docs for the burn-rate rule.
 pub struct SloTracker {
     slos: Vec<TrackedSlo>,
-    threshold: f64,
     max_burn_gauge: crate::metrics::Gauge,
 }
 
@@ -184,15 +184,8 @@ impl SloTracker {
             .collect();
         Self {
             slos,
-            threshold: DEFAULT_BURN_THRESHOLD,
             max_burn_gauge: registry.gauge("serve.slo.burn_rate"),
         }
-    }
-
-    /// Overrides the fast/slow burn threshold (default
-    /// [`DEFAULT_BURN_THRESHOLD`]).
-    pub fn set_threshold(&mut self, threshold: f64) {
-        self.threshold = threshold.max(0.0);
     }
 
     /// Whether any SLO was declared.
@@ -222,7 +215,7 @@ impl SloTracker {
             let fast_burn = fast_frac / budget;
             let slow_burn = slow_frac / budget;
             let burn = fast_burn.min(slow_burn);
-            let firing = burn >= self.threshold;
+            let firing = burn >= DEFAULT_BURN_THRESHOLD;
             slo.burn_gauge.set((burn * 1_000.0) as i64);
             max_burn = max_burn.max(burn);
             if firing != slo.firing {
@@ -232,7 +225,7 @@ impl SloTracker {
                         .field("slo", slo.spec.name.clone())
                         .field("burn_rate", format!("{burn:.1}"))
                         .field("bad_fraction", format!("{slow_frac:.4}"))
-                        .field("threshold", format!("{:.1}", self.threshold));
+                        .field("threshold", format!("{DEFAULT_BURN_THRESHOLD:.1}"));
                 } else {
                     log.info("slo", "slo alert resolved")
                         .field("slo", slo.spec.name.clone())

@@ -119,10 +119,14 @@ struct Shared {
 
 /// A persistent pool of worker threads executing boxed jobs.
 ///
-/// * [`submit`](WorkerPool::submit) — unbounded fire-and-forget;
-/// * [`try_submit`](WorkerPool::try_submit) — bounded, refusing instead
-///   of blocking when the queue is at the configured limit (the serving
-///   layer's backpressure primitive).
+/// * [`try_submit`](WorkerPool::try_submit) and
+///   [`try_submit_with_deadline`](WorkerPool::try_submit_with_deadline)
+///   — bounded, refusing instead of blocking when the queue is at the
+///   configured limit (the serving layer's backpressure primitive);
+/// * [`queued_jobs`](WorkerPool::queued_jobs) — the waiting depth
+///   behind the `serve.queue.depth` gauge;
+/// * [`begin_shutdown`](WorkerPool::begin_shutdown) — refuse new jobs
+///   while the queue drains.
 ///
 /// Dropping the pool drains every queued job, then joins the workers.
 ///
@@ -160,17 +164,6 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns a pool of `threads` workers with an unbounded queue
-    /// ([`try_submit`](WorkerPool::try_submit) never refuses).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        Self::with_queue_limit(threads, usize::MAX)
-    }
-
     /// Spawns a pool whose [`try_submit`](WorkerPool::try_submit)
     /// refuses once `queue_limit` jobs are waiting (jobs already
     /// *running* on workers do not count against the limit).
@@ -220,8 +213,8 @@ impl WorkerPool {
     }
 
     /// Number of jobs currently waiting in the queue (not counting jobs
-    /// already running on workers). The serving layer's saturation
-    /// signal for graceful degradation.
+    /// already running on workers). Feeds the serving layer's
+    /// `serve.queue.depth` gauge.
     #[must_use]
     pub fn queued_jobs(&self) -> usize {
         self.shared
@@ -242,14 +235,6 @@ impl WorkerPool {
         state.shutdown = true;
         drop(state);
         self.shared.wake.notify_all();
-    }
-
-    /// Enqueues a fire-and-forget job, ignoring the queue limit.
-    pub fn submit<F: FnOnce() + Send + 'static>(&self, job: F) {
-        let mut state = self.shared.state.lock().expect("pool mutex unpoisoned");
-        state.push(None, Box::new(job));
-        drop(state);
-        self.shared.wake.notify_one();
     }
 
     /// Enqueues a job unless `queue_limit` jobs are already waiting —
@@ -368,12 +353,14 @@ mod tests {
     fn more_jobs_than_threads_all_complete() {
         let counter = Arc::new(AtomicUsize::new(0));
         {
-            let pool = WorkerPool::new(2);
+            let pool = WorkerPool::with_queue_limit(2, usize::MAX);
             for _ in 0..64 {
                 let counter = Arc::clone(&counter);
-                pool.submit(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
+                assert!(pool
+                    .try_submit(move || {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    })
+                    .is_ok());
             }
         }
         assert_eq!(counter.load(Ordering::Relaxed), 64);
@@ -387,13 +374,15 @@ mod tests {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         {
             let gate = Arc::clone(&gate);
-            pool.submit(move || {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            });
+            assert!(pool
+                .try_submit(move || {
+                    let (lock, cv) = &*gate;
+                    let mut open = lock.lock().unwrap();
+                    while !*open {
+                        open = cv.wait(open).unwrap();
+                    }
+                })
+                .is_ok());
         }
         // Wait until the worker has *dequeued* the blocker.
         loop {
@@ -417,12 +406,14 @@ mod tests {
     fn drop_drains_queued_jobs() {
         let counter = Arc::new(AtomicUsize::new(0));
         {
-            let pool = WorkerPool::new(1);
+            let pool = WorkerPool::with_queue_limit(1, usize::MAX);
             for _ in 0..32 {
                 let counter = Arc::clone(&counter);
-                pool.submit(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
+                assert!(pool
+                    .try_submit(move || {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    })
+                    .is_ok());
             }
         }
         assert_eq!(counter.load(Ordering::Relaxed), 32);
@@ -430,18 +421,20 @@ mod tests {
 
     #[test]
     fn workers_survive_panicking_jobs() {
-        let pool = WorkerPool::new(1);
-        pool.submit(|| panic!("job panic"));
+        let pool = WorkerPool::with_queue_limit(1, usize::MAX);
+        assert!(pool.try_submit(|| panic!("job panic")).is_ok());
         // The same single worker must still run later jobs.
         let (tx, rx) = std::sync::mpsc::channel();
-        pool.submit(move || tx.send(7u32).expect("receiver alive"));
+        assert!(pool
+            .try_submit(move || tx.send(7u32).expect("receiver alive"))
+            .is_ok());
         assert_eq!(rx.recv().expect("the worker survived"), 7);
         assert_eq!(pool.panicked_jobs(), 1);
     }
 
     #[test]
     fn try_submit_during_shutdown_is_refused_not_hung() {
-        let pool = WorkerPool::new(1);
+        let pool = WorkerPool::with_queue_limit(1, usize::MAX);
         pool.begin_shutdown();
         let ran = Arc::new(AtomicUsize::new(0));
         let job = {
@@ -462,17 +455,21 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         let start = std::time::Instant::now();
         {
-            let pool = WorkerPool::new(1);
+            let pool = WorkerPool::with_queue_limit(1, usize::MAX);
             let counter_slow = Arc::clone(&counter);
-            pool.submit(move || {
-                std::thread::sleep(std::time::Duration::from_millis(150));
-                counter_slow.fetch_add(1, Ordering::Relaxed);
-            });
+            assert!(pool
+                .try_submit(move || {
+                    std::thread::sleep(std::time::Duration::from_millis(150));
+                    counter_slow.fetch_add(1, Ordering::Relaxed);
+                })
+                .is_ok());
             for _ in 0..8 {
                 let counter = Arc::clone(&counter);
-                pool.submit(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
+                assert!(pool
+                    .try_submit(move || {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    })
+                    .is_ok());
             }
         }
         // Drop drained everything — including behind the slow job — and
@@ -496,13 +493,15 @@ mod tests {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         {
             let gate = Arc::clone(&gate);
-            pool.submit(move || {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            });
+            assert!(pool
+                .try_submit(move || {
+                    let (lock, cv) = &*gate;
+                    let mut open = lock.lock().unwrap();
+                    while !*open {
+                        open = cv.wait(open).unwrap();
+                    }
+                })
+                .is_ok());
         }
         loop {
             if pool.queued_jobs() == 0 {
@@ -539,13 +538,15 @@ mod tests {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         {
             let gate = Arc::clone(&gate);
-            pool.submit(move || {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            });
+            assert!(pool
+                .try_submit(move || {
+                    let (lock, cv) = &*gate;
+                    let mut open = lock.lock().unwrap();
+                    while !*open {
+                        open = cv.wait(open).unwrap();
+                    }
+                })
+                .is_ok());
         }
         loop {
             if pool.queued_jobs() == 0 {
