@@ -1,17 +1,27 @@
 //! Regenerates the paper's tables and figures.
 //!
-//! Usage:
+//! Usage (as `--help` prints it):
 //!
 //! ```text
-//! repro all [--quick] [--jobs N]
-//! repro fig8b fig9a table3 [--quick]
+//! repro <experiment-id>... | all [--quick] [--jobs N]
 //! repro bench-kernel [--quick] [--out PATH]
 //! repro bench-sim [--quick] [--out PATH]
 //! repro bench-stab [--quick] [--out PATH]
+//! repro bench-serve [--quick] [--out PATH]
+//! repro bench-obs [--quick] [--out PATH]
+//! repro serve [--addr A] [--workers N] [--cache-mb MB]
+//!             [--store-dir D] [--store-mb MB] [--store-fault SPEC]
+//!             [--obs] [--stats-every SECS]
+//!             [--metrics-addr A] [--rollup-ms N] [--slo SPEC]...
+//! repro top [--addr A] [--once] [--interval-ms N] [--frames N]
+//! repro serve-smoke [--addr A] [--shutdown]
 //! repro chaos-smoke [--quick]
 //! repro persist-smoke [--quick]
 //! repro --list
 //! ```
+//!
+//! Each `bench-*` subcommand prints a table and writes its JSON
+//! artifact to `PATH`, by default `BENCH_<name>.json`.
 //!
 //! `repro all` runs independent experiment instances concurrently:
 //! `--jobs N` sets the worker count. The default divides the cores by
@@ -24,40 +34,33 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use hammer_bench::report::Artifact;
 use hammer_bench::{experiments, kernel_bench, obs_bench, serve_bench, sim_bench, stab_bench};
 
-/// Runs one of the JSON-artifact bench subcommands and writes its
-/// output file.
-fn run_bench_artifact(name: &str, quick: bool, out_path: &str) -> ExitCode {
-    let (rendered, json) = match name {
-        "bench-kernel" => {
-            let report = kernel_bench::run(quick);
-            (report.render(), report.to_json())
-        }
-        "bench-sim" => {
-            let report = sim_bench::run(quick);
-            (report.render(), report.to_json())
-        }
-        "bench-stab" => {
-            let report = stab_bench::run(quick);
-            (report.render(), report.to_json())
-        }
-        "bench-serve" => {
-            let report = serve_bench::run(quick);
-            (report.render(), report.to_json())
-        }
-        "bench-obs" => {
-            let report = obs_bench::run(quick);
-            (report.render(), report.to_json())
-        }
-        other => unreachable!("unknown bench subcommand {other}"),
-    };
-    println!("{rendered}");
-    if let Err(e) = std::fs::write(out_path, json) {
+/// A bench subcommand's measurement: `--quick` in, artifact out.
+type BenchRun = fn(bool) -> Artifact;
+
+/// The JSON-artifact bench subcommands, each `repro NAME [--quick]
+/// [--out PATH]`.
+const BENCHES: [(&str, BenchRun); 5] = [
+    ("bench-kernel", kernel_bench::run),
+    ("bench-sim", sim_bench::run),
+    ("bench-stab", stab_bench::run),
+    ("bench-serve", serve_bench::run),
+    ("bench-obs", obs_bench::run),
+];
+
+/// Runs one bench subcommand, prints its table and writes its artifact
+/// to `out_path`, by default `<artifact name>.json`.
+fn run_bench_artifact(run: BenchRun, quick: bool, out_path: Option<&str>) -> ExitCode {
+    let artifact = run(quick);
+    println!("{}", artifact.render());
+    let out_path = out_path.map_or_else(|| format!("{}.json", artifact.name()), String::from);
+    if let Err(e) = std::fs::write(&out_path, artifact.to_json()) {
         eprintln!("failed to write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
-    eprintln!("[{name} wrote {out_path}]");
+    eprintln!("[{} wrote {out_path}]", artifact.name());
     ExitCode::SUCCESS
 }
 
@@ -910,11 +913,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!("usage: repro <experiment-id>... | all [--quick] [--jobs N]");
-        eprintln!("       repro bench-kernel [--quick] [--out PATH]");
-        eprintln!("       repro bench-sim [--quick] [--out PATH]");
-        eprintln!("       repro bench-stab [--quick] [--out PATH]");
-        eprintln!("       repro bench-serve [--quick] [--out PATH]");
-        eprintln!("       repro bench-obs [--quick] [--out PATH]");
+        for (name, _) in BENCHES {
+            eprintln!("       repro {name} [--quick] [--out PATH]");
+        }
         eprintln!("       repro serve [--addr A] [--workers N] [--cache-mb MB]");
         eprintln!("                   [--store-dir D] [--store-mb MB] [--store-fault SPEC]");
         eprintln!("                   [--obs] [--stats-every SECS]");
@@ -948,25 +949,16 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let quick = args.iter().any(|a| a == "--quick");
-    if let Some(bench) = args.iter().find(|a| {
-        matches!(
-            a.as_str(),
-            "bench-kernel" | "bench-sim" | "bench-stab" | "bench-serve" | "bench-obs"
-        )
-    }) {
+    if let Some(&(bench, run)) = BENCHES
+        .iter()
+        .find(|(name, _)| args.iter().any(|a| a == name))
+    {
         let out_value = match flag_value(&args, "--out") {
             Ok(v) => v,
             Err(e) => {
                 eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
-        };
-        let default_out = match bench.as_str() {
-            "bench-kernel" => "BENCH_kernel.json",
-            "bench-sim" => "BENCH_sim.json",
-            "bench-serve" => "BENCH_serve.json",
-            "bench-obs" => "BENCH_obs.json",
-            _ => "BENCH_stab.json",
         };
         // Refuse to silently drop experiment ids passed alongside the
         // subcommand (the out path itself is not an id).
@@ -984,7 +976,7 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        return run_bench_artifact(bench, quick, out_value.unwrap_or(default_out));
+        return run_bench_artifact(run, quick, out_value);
     }
     let jobs = match flag_value(&args, "--jobs") {
         Ok(None) => {

@@ -205,7 +205,7 @@ pub fn table3(quick: bool) -> String {
         out,
         "\nevery row measured (blocked kernel, {threads} workers); memory: two \
          O(n/2) vectors (CHS + weights) -> well under 1 MB even at 500 qubits; \
-         see also `repro bench-kernel` and `cargo bench` target hammer_scaling"
+         see also `repro bench-kernel`"
     );
     out
 }

@@ -14,6 +14,8 @@ use hammer_core::{FilterRule, Hammer, KernelTuning};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::report::{Artifact, Cell};
+
 /// Width of the synthetic outcomes. 64 bits puts the `d < n/2` cutoff
 /// exactly at the mode of the pair-distance distribution — the
 /// worst case for the reference kernel's cutoff branch and therefore
@@ -22,57 +24,6 @@ const N_BITS: usize = 64;
 
 /// Neighborhood bins, the paper's `d < n/2` rule at 64 bits.
 const MAX_D: usize = 32;
-
-/// One measured support size.
-#[derive(Debug, Clone)]
-pub struct KernelBenchRow {
-    /// Unique outcomes in the support.
-    pub n: usize,
-    /// The full-pass-equivalent pair count `n²`: the ordered pairs one
-    /// unfiltered scoring pass would visit. The π-suffix kernel visits
-    /// fewer (about `n²/2` on distinct probabilities), so
-    /// [`mpairs_per_sec`](Self::mpairs_per_sec) reads as `n²` work per
-    /// second, comparable across kernels, not as pairs actually visited.
-    pub pairs: u128,
-    /// Wall-clock seconds of the PR 1 `scores_parallel` at
-    /// [`KernelBenchReport::threads`] threads. `None` when skipped
-    /// (quick mode caps the slow reference at smaller supports).
-    pub secs_reference: Option<f64>,
-    /// Wall-clock seconds of the blocked branchless serial kernel.
-    pub secs_blocked_serial: f64,
-    /// Wall-clock seconds of the work-stealing kernel at
-    /// [`KernelBenchReport::threads`] threads.
-    pub secs_parallel: f64,
-    /// Largest absolute score difference vs the reference (when run).
-    pub max_abs_diff: Option<f64>,
-}
-
-impl KernelBenchRow {
-    /// Measured speedup of the work-stealing kernel over the reference
-    /// at the same thread count, when the reference was run.
-    #[must_use]
-    pub fn speedup_vs_reference(&self) -> Option<f64> {
-        self.secs_reference.map(|r| r / self.secs_parallel)
-    }
-
-    /// Full-pass-equivalent throughput of the new kernel: [`pairs`](Self::pairs)
-    /// over its wall-clock time, in millions per second.
-    #[must_use]
-    pub fn mpairs_per_sec(&self) -> f64 {
-        self.pairs as f64 / self.secs_parallel / 1e6
-    }
-}
-
-/// The full sweep.
-#[derive(Debug, Clone)]
-pub struct KernelBenchReport {
-    /// Thread count used for *both* the reference and the new kernel.
-    pub threads: usize,
-    /// True when run with `--quick` (CI smoke: small sweep).
-    pub quick: bool,
-    /// One row per support size, ascending.
-    pub rows: Vec<KernelBenchRow>,
-}
 
 fn synthetic_soa(n: usize, rng: &mut StdRng) -> (Vec<u64>, Vec<f64>) {
     let mut seen = std::collections::HashSet::with_capacity(n);
@@ -88,16 +39,17 @@ fn synthetic_soa(n: usize, rng: &mut StdRng) -> (Vec<u64>, Vec<f64>) {
     (keys, probs)
 }
 
-/// Runs the sweep. Quick mode covers {4K, 16K}; the full sweep covers
-/// N ∈ {4K, 16K, 64K, 256K} with the reference kernel measured at every
-/// size — including 256K — so every cell of the emitted artifact is a
-/// measurement, not an extrapolation.
-///
-/// Every size is above the default 2048-entry parallel threshold, so
-/// even the quick (CI smoke) sweep exercises the work-stealing
-/// scheduler, not just the serial fallback.
+/// The quick (CI smoke) sweep. Every size is above the default
+/// 2048-entry parallel threshold, so even the smoke run exercises the
+/// work-stealing scheduler, not just the serial fallback.
+const QUICK_SIZES: [usize; 2] = [1 << 12, 1 << 14];
+
+/// Runs the sweep. Quick mode covers {4K, 16K}; the full sweep
+/// covers N ∈ {4K, 16K, 64K, 256K} with the reference kernel measured
+/// at every size — including 256K — so every cell of the emitted
+/// artifact is a measurement, not an extrapolation.
 #[must_use]
-pub fn run(quick: bool) -> KernelBenchReport {
+pub fn run(quick: bool) -> Artifact {
     // `Hammer`'s default worker policy (every core, minimum 2 so the
     // work-stealing path — not the serial fallback — is what the
     // artifact records). Taken from the library rather than recomputed,
@@ -105,7 +57,7 @@ pub fn run(quick: bool) -> KernelBenchReport {
     // reconstruction actually uses.
     let threads = Hammer::new().threads();
     let sizes: &[usize] = if quick {
-        &[1 << 12, 1 << 14]
+        &QUICK_SIZES
     } else {
         &[1 << 12, 1 << 14, 1 << 16, 1 << 18]
     };
@@ -117,17 +69,26 @@ pub fn run(quick: bool) -> KernelBenchReport {
 
 /// The measurement loop behind [`run`], parameterized so tests can
 /// sweep tiny supports without paying for benchmark-scale timings.
-fn run_sizes(
-    sizes: &[usize],
-    reference_cap: usize,
-    threads: usize,
-    quick: bool,
-) -> KernelBenchReport {
+fn run_sizes(sizes: &[usize], reference_cap: usize, threads: usize, quick: bool) -> Artifact {
+    let mut artifact = Artifact::new(
+        "BENCH_kernel",
+        "O(N^2) scoring-kernel trajectory: scalar reference vs \
+         blocked/branchless/work-stealing kernel. Every timed cell is measured wall clock, \
+         not extrapolated; Table 3's 256K-unique row is the n=262144 entry. pairs is the \
+         full-pass-equivalent n^2 (the pi-suffix kernel visits about n^2/2 of them), and \
+         mpairs_per_sec is pairs over the work-stealing time.",
+    );
+    artifact
+        .field("n_bits", N_BITS)
+        .field("max_d", MAX_D)
+        .field("filter", "LowerProbabilityOnly")
+        .field("threads", threads)
+        .field("quick", quick);
     let weights: Vec<f64> = (0..MAX_D).map(|d| 1.0 / (1.0 + d as f64)).collect();
     let filter = FilterRule::LowerProbabilityOnly;
     let tuning = KernelTuning::default();
     let mut rng = StdRng::seed_from_u64(0x4A11);
-    let mut rows = Vec::new();
+    let mut speedup_at_64k = None;
     for &n in sizes {
         let (keys, probs) = synthetic_soa(n, &mut rng);
         let entries: Vec<(u128, f64)> = keys
@@ -158,118 +119,38 @@ fn run_sizes(
         } else {
             (None, None)
         };
-
-        rows.push(KernelBenchRow {
-            n,
-            pairs: (n as u128) * (n as u128),
-            secs_reference,
-            secs_blocked_serial,
-            secs_parallel,
-            max_abs_diff,
-        });
-        eprintln!(
-            "[bench-kernel] N={n}: reference {} s, blocked {:.3} s, parallel({threads}) {:.3} s{}",
-            secs_reference.map_or_else(|| "skipped".into(), |s| format!("{s:.3}")),
-            secs_blocked_serial,
-            secs_parallel,
-            rows.last()
-                .unwrap()
-                .speedup_vs_reference()
-                .map_or_else(String::new, |s| format!(", speedup {s:.2}x")),
-        );
-    }
-    KernelBenchReport {
-        threads,
-        quick,
-        rows,
-    }
-}
-
-fn json_opt(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".into(), |x| format!("{x:.6}"))
-}
-
-impl KernelBenchReport {
-    /// The speedup at the issue's checkpoint size (N = 64K), when that
-    /// row was measured.
-    #[must_use]
-    pub fn speedup_at_64k(&self) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.n == 1 << 16)
-            .and_then(KernelBenchRow::speedup_vs_reference)
-    }
-
-    /// Serializes the sweep as the `BENCH_kernel.json` artifact
-    /// (hand-rolled: the workspace has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut rows = String::new();
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                rows.push_str(",\n");
-            }
-            rows.push_str(&format!(
-                "    {{\"n\": {}, \"pairs\": {}, \"secs_reference_parallel\": {}, \
-                 \"secs_blocked_serial\": {:.6}, \"secs_parallel\": {:.6}, \
-                 \"speedup_vs_reference\": {}, \"mpairs_per_sec\": {:.3}, \
-                 \"max_abs_diff_vs_reference\": {}, \"measured\": true}}",
-                r.n,
-                r.pairs,
-                json_opt(r.secs_reference),
-                r.secs_blocked_serial,
-                r.secs_parallel,
-                json_opt(r.speedup_vs_reference()),
-                r.mpairs_per_sec(),
-                r.max_abs_diff
-                    .map_or_else(|| "null".into(), |d| format!("{d:.3e}")),
-            ));
+        let speedup = secs_reference.map(|r| r / secs_parallel);
+        if n == 1 << 16 {
+            speedup_at_64k = speedup;
         }
-        format!(
-            "{{\n  \"artifact\": \"BENCH_kernel\",\n  \
-             \"description\": \"O(N^2) scoring-kernel trajectory: PR 1 scalar reference vs \
-             blocked/branchless/work-stealing kernel. Every timed cell is measured wall clock, \
-             not extrapolated; Table 3's 256K-unique row is the n=262144 entry. pairs is the \
-             full-pass-equivalent n^2 (the pi-suffix kernel visits about n^2/2 of them), and \
-             mpairs_per_sec is pairs over the work-stealing time.\",\n  \
-             \"n_bits\": {N_BITS},\n  \"max_d\": {MAX_D},\n  \"filter\": \"LowerProbabilityOnly\",\n  \
-             \"threads\": {},\n  \"quick\": {},\n  \"rows\": [\n{}\n  ],\n  \
-             \"speedup_vs_reference_at_65536\": {}\n}}\n",
-            self.threads,
-            self.quick,
-            rows,
-            json_opt(self.speedup_at_64k()),
-        )
-    }
-
-    /// A human-readable summary table for the terminal.
-    #[must_use]
-    pub fn render(&self) -> String {
-        use crate::report::{fnum, Table};
-        let mut table = Table::new(&[
-            "unique outcomes",
-            "reference (s)",
-            "blocked serial (s)",
-            "work-stealing (s)",
-            "speedup",
-            "Mpairs/s",
+        // `pairs` is the full-pass-equivalent n²: the ordered pairs one
+        // unfiltered scoring pass would visit. The π-suffix kernel
+        // visits fewer (about n²/2 on distinct probabilities), so
+        // `mpairs_per_sec` reads as n² work per second, comparable
+        // across kernels, not as pairs actually visited.
+        let pairs = (n as u128) * (n as u128);
+        artifact.row(vec![
+            ("n", n.into()),
+            ("pairs", Cell::Int(pairs)),
+            ("secs_reference_parallel", Cell::opt(secs_reference, 6)),
+            ("secs_blocked_serial", Cell::Fixed(secs_blocked_serial, 6)),
+            ("secs_parallel", Cell::Fixed(secs_parallel, 6)),
+            ("speedup_vs_reference", Cell::opt(speedup, 6)),
+            (
+                "mpairs_per_sec",
+                Cell::Fixed(pairs as f64 / secs_parallel / 1e6, 3),
+            ),
+            (
+                "max_abs_diff_vs_reference",
+                max_abs_diff.map_or(Cell::Null, |d| Cell::Sci(d, 3)),
+            ),
         ]);
-        for r in &self.rows {
-            table.row_owned(vec![
-                r.n.to_string(),
-                r.secs_reference.map_or_else(|| "-".into(), |s| fnum(s, 3)),
-                fnum(r.secs_blocked_serial, 3),
-                fnum(r.secs_parallel, 3),
-                r.speedup_vs_reference()
-                    .map_or_else(|| "-".into(), |s| format!("{s:.2}x")),
-                fnum(r.mpairs_per_sec(), 1),
-            ]);
-        }
-        format!(
-            "\n=== bench-kernel: O(N^2) scoring kernel sweep (threads = {}) ===\n{table}",
-            self.threads
-        )
     }
+    artifact.field(
+        "speedup_vs_reference_at_65536",
+        Cell::opt(speedup_at_64k, 6),
+    );
+    artifact
 }
 
 #[cfg(test)]
@@ -281,29 +162,32 @@ mod tests {
         // Benchmark-scale timings belong to the CI `bench-kernel
         // --quick` step; the unit test sweeps tiny supports through the
         // same loop to guard the measurement + serialization paths.
-        let report = run_sizes(&[256, 512], 256, 2, true);
-        assert_eq!(report.rows.len(), 2);
-        let json = report.to_json();
+        let artifact = run_sizes(&[256, 512], 256, 2, true);
+        assert_eq!(artifact.row_count(), 2);
+        let json = artifact.to_json();
         assert!(json.contains("\"artifact\": \"BENCH_kernel\""));
         assert!(json.contains("\"n\": 256"));
         // The capped row measures the reference (with a tight diff);
         // the row beyond the cap records null for it.
-        assert!(report.rows[0].secs_reference.is_some());
-        assert!(report.rows[0].max_abs_diff.unwrap() < 1e-9);
-        assert!(report.rows[1].secs_reference.is_none());
+        let num = |row, key| artifact.cell(row, key).and_then(Cell::as_f64);
+        assert!(num(0, "secs_reference_parallel").is_some());
+        assert!(num(0, "max_abs_diff_vs_reference").unwrap() < 1e-9);
+        assert_eq!(
+            artifact.cell(1, "secs_reference_parallel"),
+            Some(&Cell::Null)
+        );
         assert!(json.contains("\"secs_reference_parallel\": null"));
+        crate::report::assert_same_schema(&json, include_str!("../../../BENCH_kernel.json"));
         // Render must not panic and must show every row.
-        let text = report.render();
+        let text = artifact.render();
         assert!(text.contains("256") && text.contains("512"));
     }
 
     #[test]
     fn quick_sweep_sizes_cross_the_parallel_threshold() {
         // The CI smoke sweep must exercise the work-stealing scheduler,
-        // not the serial fallback — pin the size list, not a run.
+        // not the serial fallback.
         let threshold = KernelTuning::default().parallel_threshold;
-        for &n in &[1usize << 12, 1 << 14] {
-            assert!(n >= threshold);
-        }
+        assert!(QUICK_SIZES.iter().all(|&n| n >= threshold));
     }
 }

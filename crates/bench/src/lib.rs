@@ -9,8 +9,9 @@
 //! cargo run --release -p hammer-bench --bin repro -- fig8b fig9a --quick
 //! ```
 //!
-//! Criterion benches (`cargo bench`) cover the Table 3 runtime scaling,
-//! simulator throughput and the Hamming kernel.
+//! The `repro bench-*` subcommands measure the Hamming kernel, the
+//! simulators, the serving tier and the observability overhead, and
+//! write `BENCH_*.json` artifacts through [`report::Artifact`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

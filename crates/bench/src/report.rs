@@ -154,6 +154,242 @@ pub fn section(id: &str, title: &str, paper_expectation: &str) -> String {
     format!("\n=== {id}: {title} ===\npaper: {paper_expectation}\n")
 }
 
+/// One value of a bench [`Artifact`], carrying the precision it prints
+/// with so the JSON file and the terminal table show the same text.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cell {
+    /// JSON `null`: a cell that was not measured.
+    Null,
+    /// A boolean.
+    Bool(bool),
+    /// A non-negative integer.
+    Int(u128),
+    /// A float printed with this many decimal places.
+    Fixed(f64, usize),
+    /// A float in scientific notation with this many mantissa decimals.
+    Sci(f64, usize),
+    /// A string (no quotes or backslashes).
+    Str(&'static str),
+}
+
+impl Cell {
+    /// [`Cell::Fixed`] when measured, [`Cell::Null`] otherwise.
+    #[must_use]
+    pub fn opt(value: Option<f64>, digits: usize) -> Self {
+        value.map_or(Self::Null, |v| Self::Fixed(v, digits))
+    }
+
+    /// The numeric value of an `Int`, `Fixed` or `Sci` cell.
+    #[must_use]
+    pub fn as_f64(&self) -> Option<f64> {
+        match *self {
+            Self::Int(v) => Some(v as f64),
+            Self::Fixed(v, _) | Self::Sci(v, _) => Some(v),
+            Self::Null | Self::Bool(_) | Self::Str(_) => None,
+        }
+    }
+}
+
+impl std::fmt::Display for Cell {
+    /// The unquoted text of the cell: a JSON literal for everything but
+    /// strings.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Self::Null => f.write_str("null"),
+            Self::Bool(b) => write!(f, "{b}"),
+            Self::Int(v) => write!(f, "{v}"),
+            Self::Fixed(v, digits) => write!(f, "{v:.digits$}"),
+            Self::Sci(v, digits) => write!(f, "{v:.digits$e}"),
+            Self::Str(s) => f.write_str(s),
+        }
+    }
+}
+
+impl From<bool> for Cell {
+    fn from(b: bool) -> Self {
+        Self::Bool(b)
+    }
+}
+
+impl From<u64> for Cell {
+    fn from(v: u64) -> Self {
+        Self::Int(v.into())
+    }
+}
+
+impl From<usize> for Cell {
+    fn from(v: usize) -> Self {
+        Self::Int(v as u128)
+    }
+}
+
+impl From<&'static str> for Cell {
+    fn from(s: &'static str) -> Self {
+        Self::Str(s)
+    }
+}
+
+/// The cells of one artifact row, keyed in output order.
+pub type Row = Vec<(&'static str, Cell)>;
+
+/// A `BENCH_*.json` artifact: a name, a description, top-level fields
+/// and rows of measured cells. [`to_json`](Self::to_json) and
+/// [`render`](Self::render) print the same cells under the same keys.
+#[derive(Debug, Clone)]
+pub struct Artifact {
+    name: &'static str,
+    description: String,
+    fields: Row,
+    rows: Vec<Row>,
+}
+
+impl Artifact {
+    /// Starts an artifact with no fields and no rows.
+    #[must_use]
+    pub fn new(name: &'static str, description: impl Into<String>) -> Self {
+        Self {
+            name,
+            description: description.into(),
+            fields: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// The artifact name, e.g. `BENCH_kernel`.
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// Appends a top-level field.
+    pub fn field(&mut self, key: &'static str, value: impl Into<Cell>) -> &mut Self {
+        self.fields.push((key, value.into()));
+        self
+    }
+
+    /// Appends a row, marks it `"measured": true` (no cell of an
+    /// artifact is extrapolated) and echoes it to stderr as progress.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row's keys differ from the first row's.
+    pub fn row(&mut self, mut cells: Row) -> &mut Self {
+        cells.push(("measured", Cell::Bool(true)));
+        if let Some(first) = self.rows.first() {
+            assert!(
+                first
+                    .iter()
+                    .map(|(k, _)| k)
+                    .eq(cells.iter().map(|(k, _)| k)),
+                "every row of {} must carry the same keys",
+                self.name
+            );
+        }
+        let echo: Vec<String> = cells.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        eprintln!("[{}] {}", self.name, echo.join(" "));
+        self.rows.push(cells);
+        self
+    }
+
+    /// Number of rows so far.
+    #[must_use]
+    pub fn row_count(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The cell under `key` in row `row`.
+    #[must_use]
+    pub fn cell(&self, row: usize, key: &str) -> Option<&Cell> {
+        self.rows
+            .get(row)?
+            .iter()
+            .find_map(|(k, v)| (*k == key).then_some(v))
+    }
+
+    /// Serializes the artifact (hand-rolled: the workspace has no
+    /// serde), one row per line.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        fn json_pair((key, value): &(&str, Cell)) -> String {
+            match value {
+                Cell::Str(s) => format!("\"{key}\": \"{s}\""),
+                _ => format!("\"{key}\": {value}"),
+            }
+        }
+        let mut out = format!(
+            "{{\n  \"artifact\": \"{}\",\n  \"description\": \"{}\",\n",
+            self.name, self.description
+        );
+        for field in &self.fields {
+            let _ = writeln!(out, "  {},", json_pair(field));
+        }
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|row| {
+                let cells: Vec<String> = row.iter().map(json_pair).collect();
+                format!("    {{{}}}", cells.join(", "))
+            })
+            .collect();
+        let _ = write!(out, "  \"rows\": [\n{}\n  ]\n}}\n", rows.join(",\n"));
+        out
+    }
+
+    /// A terminal summary: the name and top-level fields, then the rows
+    /// as a [`Table`] whose headers are the row keys.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let fields: Vec<String> = self
+            .fields
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        let mut out = format!("\n=== {} ({}) ===\n", self.name, fields.join(", "));
+        if let Some(first) = self.rows.first() {
+            let headers: Vec<&str> = first.iter().map(|(k, _)| *k).collect();
+            let mut table = Table::new(&headers);
+            for row in &self.rows {
+                table.row_owned(row.iter().map(|(_, v)| v.to_string()).collect());
+            }
+            let _ = write!(out, "{table}");
+        }
+        out
+    }
+}
+
+/// Asserts that an emitted artifact has the checked-in file's schema:
+/// the same top-level key set, and the same first-row keys in the same
+/// order. Scans `"key":` tokens in the layout [`Artifact::to_json`]
+/// writes (two-space top-level lines, one row per line).
+#[cfg(test)]
+pub(crate) fn assert_same_schema(emitted: &str, checked_in: &str) {
+    fn keys(line: &str) -> Vec<&str> {
+        let parts: Vec<&str> = line.split('"').collect();
+        (1..parts.len())
+            .step_by(2)
+            .filter(|&i| parts.get(i + 1).is_some_and(|next| next.starts_with(':')))
+            .map(|i| parts[i])
+            .collect()
+    }
+    fn schema(json: &str) -> (std::collections::BTreeSet<&str>, Vec<&str>) {
+        let top = json
+            .lines()
+            .filter(|l| l.starts_with("  \""))
+            .flat_map(|l| keys(l).into_iter().take(1))
+            .collect();
+        let first_row = json
+            .lines()
+            .find(|l| l.starts_with("    {"))
+            .map(keys)
+            .unwrap_or_default();
+        (top, first_row)
+    }
+    let (emitted, checked_in) = (schema(emitted), schema(checked_in));
+    assert_eq!(emitted.0, checked_in.0, "top-level keys");
+    assert_eq!(emitted.1, checked_in.1, "first-row keys");
+    assert!(!checked_in.1.is_empty(), "the checked-in file has rows");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

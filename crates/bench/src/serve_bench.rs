@@ -35,85 +35,13 @@ use hammer_sim::Circuit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::report::{Artifact, Cell, Row};
+
 /// Client threads driving the server.
 const CLIENTS: usize = 4;
 /// Fraction of requests that share the hot fingerprint (per mille to
 /// keep the schedule integer-deterministic).
 const HOT_PER_10: u64 = 8;
-
-/// One measured serving scenario.
-#[derive(Debug, Clone)]
-pub struct ServeBenchRow {
-    /// Scenario id.
-    pub scenario: &'static str,
-    /// Concurrent client threads.
-    pub clients: usize,
-    /// Total requests completed (excludes busy retries).
-    pub requests: u64,
-    /// Wall-clock seconds for the whole scenario.
-    pub secs: f64,
-    /// Median request latency in microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile request latency in microseconds.
-    pub p99_us: f64,
-    /// Cache hit rate over cacheable requests (hits / (hits + misses +
-    /// coalesced)).
-    pub hit_rate: f64,
-    /// Requests that coalesced onto an in-flight computation.
-    pub coalesced: u64,
-    /// Busy rejections observed (each retried until served).
-    pub busy: u64,
-    /// Cache misses served from the persistent store instead of
-    /// recomputed (zero when no store is attached).
-    pub store_loads: u64,
-    /// Cache evictions spilled to the persistent store.
-    pub store_spills: u64,
-}
-
-impl ServeBenchRow {
-    /// A row carrying the server-side counters of `snap` (cache hit
-    /// rate, coalesced, store loads/spills); the caller fills in the
-    /// client-side timings.
-    fn counted(scenario: &'static str, snap: &hammer_obs::MetricsSnapshot) -> Self {
-        let count = |name: &str| snap.counter(name).unwrap_or(0);
-        let (hits, coalesced) = (count("serve.cache.hits"), count("serve.coalesced"));
-        let cacheable = hits + count("serve.cache.misses") + coalesced;
-        Self {
-            scenario,
-            clients: 0,
-            requests: 0,
-            secs: 0.0,
-            p50_us: 0.0,
-            p99_us: 0.0,
-            hit_rate: if cacheable > 0 {
-                hits as f64 / cacheable as f64
-            } else {
-                0.0
-            },
-            coalesced,
-            busy: 0,
-            store_loads: count("serve.store.loads"),
-            store_spills: count("serve.store.spills"),
-        }
-    }
-
-    /// Requests per second.
-    #[must_use]
-    pub fn req_per_sec(&self) -> f64 {
-        self.requests as f64 / self.secs
-    }
-}
-
-/// The full sweep.
-#[derive(Debug, Clone)]
-pub struct ServeBenchReport {
-    /// Request-pool workers of the server under test.
-    pub workers: usize,
-    /// True when run with `--quick` (CI smoke: smaller sweep).
-    pub quick: bool,
-    /// One row per scenario.
-    pub rows: Vec<ServeBenchRow>,
-}
 
 /// The §4.5 halo histogram, salted for cold requests.
 fn halo_counts(salt: u64) -> Counts {
@@ -174,13 +102,47 @@ fn percentile(sorted_us: &[u64], q: f64) -> f64 {
     sorted_us[idx] as f64
 }
 
-/// Runs one scenario against a fresh server and measures it.
-fn run_scenario<F>(
+/// One artifact row: the client-side latencies (sorted, one per
+/// completed request) and wall clock, plus the server-side counters of
+/// `snap` (cache hit rate, coalesced, store loads/spills).
+fn scenario_row(
     scenario: &'static str,
-    workers: usize,
-    per_client: u64,
-    make_work: F,
-) -> ServeBenchRow
+    clients: usize,
+    sorted_us: &[u64],
+    secs: f64,
+    busy_retries: u64,
+    snap: &hammer_obs::MetricsSnapshot,
+) -> Row {
+    let count = |name: &str| snap.counter(name).unwrap_or(0);
+    let (hits, coalesced) = (count("serve.cache.hits"), count("serve.coalesced"));
+    // Hit rate over cacheable requests: hits / (hits + misses + coalesced).
+    let cacheable = hits + count("serve.cache.misses") + coalesced;
+    let hit_rate = if cacheable > 0 {
+        hits as f64 / cacheable as f64
+    } else {
+        0.0
+    };
+    vec![
+        ("scenario", scenario.into()),
+        ("clients", clients.into()),
+        ("requests", sorted_us.len().into()),
+        ("secs", Cell::Fixed(secs, 6)),
+        ("req_per_sec", Cell::Fixed(sorted_us.len() as f64 / secs, 1)),
+        ("p50_us", Cell::Fixed(percentile(sorted_us, 0.50), 1)),
+        ("p99_us", Cell::Fixed(percentile(sorted_us, 0.99), 1)),
+        ("cache_hit_rate", Cell::Fixed(hit_rate, 4)),
+        ("coalesced", coalesced.into()),
+        ("busy_retries", busy_retries.into()),
+        // Cache misses served from the persistent store instead of
+        // recomputed (zero when no store is attached), and cache
+        // evictions spilled to it.
+        ("store_loads", count("serve.store.loads").into()),
+        ("store_spills", count("serve.store.spills").into()),
+    ]
+}
+
+/// Runs one scenario against a fresh server and measures it.
+fn run_scenario<F>(scenario: &'static str, workers: usize, per_client: u64, make_work: F) -> Row
 where
     F: Fn(u64, u64) -> Work + Send + Sync + 'static,
 {
@@ -242,30 +204,16 @@ where
     let secs = start.elapsed().as_secs_f64();
     latencies.sort_unstable();
 
-    let row = ServeBenchRow {
-        clients: CLIENTS,
-        requests: latencies.len() as u64,
+    let row = scenario_row(
+        scenario,
+        CLIENTS,
+        &latencies,
         secs,
-        p50_us: percentile(&latencies, 0.50),
-        p99_us: percentile(&latencies, 0.99),
-        busy: busy.load(Ordering::Relaxed),
-        ..ServeBenchRow::counted(scenario, &server.obs_snapshot())
-    };
+        busy.load(Ordering::Relaxed),
+        &server.obs_snapshot(),
+    );
     server.shutdown();
     let _ = server.wait();
-    eprintln!(
-        "[bench-serve] {}: {} reqs in {:.3} s ({:.0} req/s), p50 {:.0} µs, p99 {:.0} µs, \
-         hit rate {:.3}, coalesced {}, busy {}",
-        row.scenario,
-        row.requests,
-        row.secs,
-        row.req_per_sec(),
-        row.p50_us,
-        row.p99_us,
-        row.hit_rate,
-        row.coalesced,
-        row.busy,
-    );
     row
 }
 
@@ -276,7 +224,7 @@ where
 /// over the same store directory and (b) a server over a fresh, empty
 /// one. Warm restarts answer from the store (decode and reply); cold
 /// restarts pay the full O(N²) reconstruction per key.
-fn run_restart_rows(workers: usize, keys: u64) -> Vec<ServeBenchRow> {
+fn run_restart_rows(workers: usize, keys: u64) -> Vec<Row> {
     let root =
         std::env::temp_dir().join(format!("hammer-bench-serve-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -327,27 +275,9 @@ fn run_restart_rows(workers: usize, keys: u64) -> Vec<ServeBenchRow> {
         let secs = start.elapsed().as_secs_f64();
         drop(client);
         latencies.sort_unstable();
-        let row = ServeBenchRow {
-            clients: 1,
-            requests: keys,
-            secs,
-            p50_us: percentile(&latencies, 0.50),
-            p99_us: percentile(&latencies, 0.99),
-            ..ServeBenchRow::counted(scenario, &server.obs_snapshot())
-        };
+        let row = scenario_row(scenario, 1, &latencies, secs, 0, &server.obs_snapshot());
         server.shutdown();
         let _ = server.wait();
-        eprintln!(
-            "[bench-serve] {}: {} reqs in {:.3} s ({:.0} req/s), p50 {:.0} µs, p99 {:.0} µs, \
-             {} store loads",
-            row.scenario,
-            row.requests,
-            row.secs,
-            row.req_per_sec(),
-            row.p50_us,
-            row.p99_us,
-            row.store_loads,
-        );
         rows.push(row);
     }
     let _ = std::fs::remove_dir_all(&root);
@@ -356,128 +286,56 @@ fn run_restart_rows(workers: usize, keys: u64) -> Vec<ServeBenchRow> {
 
 /// Runs the sweep. Quick mode shrinks the request budgets (CI smoke).
 #[must_use]
-pub fn run(quick: bool) -> ServeBenchReport {
+pub fn run(quick: bool) -> Artifact {
     let workers = ServeConfig::default().workers;
     let (small_n, large_n, sample_n, restart_n) = if quick {
         (50, 8, 6, 6)
     } else {
         (2000, 150, 100, 24)
     };
+    let mut artifact = Artifact::new(
+        "BENCH_serve",
+        format!(
+            "hammer_serve under concurrent load: an in-process TCP server \
+             (binary wire protocol, bounded worker-pool queue, request coalescing, sharded LRU \
+             distribution cache) driven by {CLIENTS} client threads through mixed 80/20 hot/cold \
+             workloads, plus warm-vs-cold restart replays over the persistent spill \
+             store. Every cell is measured wall clock (not extrapolated)."
+        ),
+    );
+    artifact.field("workers", workers).field("quick", quick);
 
     // Hot requests share salt 0; cold requests get a unique salt per
     // (client, index) pair, offset to never collide with the hot key.
-    let salt_of = |client: u64, i: u64| 1 + client * 1_000_000 + i;
-    let mut rows = vec![
-        run_scenario("reconstruct-small", workers, small_n, move |c, i| {
-            let salt = if i % 10 < HOT_PER_10 {
-                0
-            } else {
-                salt_of(c, i)
-            };
-            Work::Reconstruct(halo_counts(salt))
-        }),
-        run_scenario("reconstruct-large", workers, large_n, move |c, i| {
-            let salt = if i % 10 < HOT_PER_10 {
-                0
-            } else {
-                salt_of(c, i)
-            };
-            Work::Reconstruct(large_counts(4096, salt))
-        }),
-        run_scenario("sample-reconstruct", workers, sample_n, move |c, i| {
-            let seed = if i % 10 < HOT_PER_10 {
-                0
-            } else {
-                salt_of(c, i)
-            };
-            Work::Sample(ghz_job(16, 20_000, seed))
-        }),
-    ];
-    rows.extend(run_restart_rows(workers, restart_n));
-    ServeBenchReport {
+    let salt = |client: u64, i: u64| {
+        if i % 10 < HOT_PER_10 {
+            0
+        } else {
+            1 + client * 1_000_000 + i
+        }
+    };
+    artifact.row(run_scenario(
+        "reconstruct-small",
         workers,
-        quick,
-        rows,
+        small_n,
+        move |c, i| Work::Reconstruct(halo_counts(salt(c, i))),
+    ));
+    artifact.row(run_scenario(
+        "reconstruct-large",
+        workers,
+        large_n,
+        move |c, i| Work::Reconstruct(large_counts(4096, salt(c, i))),
+    ));
+    artifact.row(run_scenario(
+        "sample-reconstruct",
+        workers,
+        sample_n,
+        move |c, i| Work::Sample(ghz_job(16, 20_000, salt(c, i))),
+    ));
+    for row in run_restart_rows(workers, restart_n) {
+        artifact.row(row);
     }
-}
-
-impl ServeBenchReport {
-    /// Serializes the sweep as the `BENCH_serve.json` artifact
-    /// (hand-rolled: the workspace has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut rows = String::new();
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                rows.push_str(",\n");
-            }
-            rows.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"clients\": {}, \"requests\": {}, \
-                 \"secs\": {:.6}, \"req_per_sec\": {:.1}, \"p50_us\": {:.1}, \
-                 \"p99_us\": {:.1}, \"cache_hit_rate\": {:.4}, \"coalesced\": {}, \
-                 \"busy_retries\": {}, \"store_loads\": {}, \"store_spills\": {}, \
-                 \"measured\": true}}",
-                r.scenario,
-                r.clients,
-                r.requests,
-                r.secs,
-                r.req_per_sec(),
-                r.p50_us,
-                r.p99_us,
-                r.hit_rate,
-                r.coalesced,
-                r.busy,
-                r.store_loads,
-                r.store_spills,
-            ));
-        }
-        format!(
-            "{{\n  \"artifact\": \"BENCH_serve\",\n  \
-             \"description\": \"hammer_serve under concurrent load: an in-process TCP server \
-             (binary wire protocol, bounded worker-pool queue, request coalescing, sharded LRU \
-             distribution cache) driven by {} client threads through mixed 80/20 hot/cold \
-             workloads, plus warm-vs-cold restart replays over the persistent spill \
-             store. Every cell is measured wall clock (not extrapolated).\",\n  \
-             \"workers\": {},\n  \"quick\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            CLIENTS, self.workers, self.quick, rows,
-        )
-    }
-
-    /// A human-readable summary table for the terminal.
-    #[must_use]
-    pub fn render(&self) -> String {
-        use crate::report::{fnum, Table};
-        let mut table = Table::new(&[
-            "scenario",
-            "clients",
-            "requests",
-            "secs",
-            "req/s",
-            "p50 (µs)",
-            "p99 (µs)",
-            "hit rate",
-            "coalesced",
-            "st.loads",
-        ]);
-        for r in &self.rows {
-            table.row_owned(vec![
-                r.scenario.to_string(),
-                r.clients.to_string(),
-                r.requests.to_string(),
-                fnum(r.secs, 3),
-                fnum(r.req_per_sec(), 0),
-                fnum(r.p50_us, 0),
-                fnum(r.p99_us, 0),
-                fnum(r.hit_rate, 3),
-                r.coalesced.to_string(),
-                r.store_loads.to_string(),
-            ]);
-        }
-        format!(
-            "bench-serve: {} workers, {} client threads, 80% hot / 20% cold\n{table}",
-            self.workers, CLIENTS
-        )
-    }
+    artifact
 }
 
 #[cfg(test)]
@@ -509,33 +367,43 @@ mod tests {
 
     #[test]
     fn quick_sweep_runs_end_to_end() {
-        let report = run(true);
-        assert_eq!(report.rows.len(), 5);
-        for row in &report.rows {
-            assert!(row.requests > 0);
-            assert!(row.secs > 0.0);
-            if !row.scenario.starts_with("restart-") {
-                assert!(row.hit_rate > 0.0, "hot requests must hit: {row:?}");
-            }
+        let artifact = run(true);
+        assert_eq!(artifact.row_count(), 5);
+        let num = |row, key| {
+            artifact
+                .cell(row, key)
+                .and_then(Cell::as_f64)
+                .expect("numeric cell")
+        };
+        for row in 0..5 {
+            assert!(num(row, "requests") > 0.0);
+            assert!(num(row, "secs") > 0.0);
         }
-        let warm = report
-            .rows
-            .iter()
-            .find(|r| r.scenario == "restart-warm")
-            .expect("warm restart row");
+        for row in 0..3 {
+            assert!(
+                num(row, "cache_hit_rate") > 0.0,
+                "hot requests must hit: {:?}",
+                artifact.cell(row, "scenario")
+            );
+        }
         assert_eq!(
-            warm.store_loads, warm.requests,
-            "every warm-restart key must be served from the store: {warm:?}"
+            artifact.cell(3, "scenario"),
+            Some(&Cell::Str("restart-warm"))
         );
-        let cold = report
-            .rows
-            .iter()
-            .find(|r| r.scenario == "restart-cold")
-            .expect("cold restart row");
-        assert_eq!(cold.store_loads, 0, "an empty store cannot serve: {cold:?}");
-        let json = report.to_json();
+        assert_eq!(
+            num(3, "store_loads"),
+            num(3, "requests"),
+            "every warm-restart key must be served from the store"
+        );
+        assert_eq!(
+            artifact.cell(4, "scenario"),
+            Some(&Cell::Str("restart-cold"))
+        );
+        assert_eq!(num(4, "store_loads"), 0.0, "an empty store cannot serve");
+        let json = artifact.to_json();
         assert!(json.contains("\"artifact\": \"BENCH_serve\""));
         assert!(json.contains("\"store_loads\""));
-        assert!(report.render().contains("req/s"));
+        crate::report::assert_same_schema(&json, include_str!("../../../BENCH_serve.json"));
+        assert!(artifact.render().contains("req_per_sec"));
     }
 }

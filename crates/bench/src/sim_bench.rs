@@ -20,76 +20,16 @@ use hammer_sim::{Circuit, DeviceModel, GateKernels, SimTuning, TrajectoryEngine}
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Trials per measured width (scaled down by `--quick`).
+use crate::report::{Artifact, Cell};
+
+/// RNG seed of every timed sampling run, the baseline included.
 const SEED: u64 = 0x51B7;
-
-/// One measured register width.
-#[derive(Debug, Clone)]
-pub struct SimBenchRow {
-    /// Register width (qubits); the state holds `2^qubits` amplitudes.
-    pub qubits: usize,
-    /// Gate count of the benchmark circuit.
-    pub gates: usize,
-    /// Monte-Carlo trials per configuration.
-    pub trials: u64,
-    /// Wall-clock seconds of the pre-subsystem baseline
-    /// (`sample_reference`: scalar kernels, full re-simulation per
-    /// faulty trial, per-moment idle draws, one thread).
-    pub secs_reference: f64,
-    /// Stage 1: specialized gate kernels only (no checkpointing, one
-    /// thread).
-    pub secs_kernels: f64,
-    /// Stage 2: + prefix checkpointing (one thread).
-    pub secs_checkpoint: f64,
-    /// Stage 3: + trial parallelism at [`SimBenchReport::threads`]
-    /// workers.
-    pub secs_parallel: f64,
-}
-
-impl SimBenchRow {
-    /// Speedup of the specialized kernels alone.
-    #[must_use]
-    pub fn speedup_kernels(&self) -> f64 {
-        self.secs_reference / self.secs_kernels
-    }
-
-    /// Speedup of kernels + checkpointing (single-threaded — the same
-    /// thread count as the baseline).
-    #[must_use]
-    pub fn speedup_checkpoint(&self) -> f64 {
-        self.secs_reference / self.secs_checkpoint
-    }
-
-    /// End-to-end speedup of the full fast path.
-    #[must_use]
-    pub fn speedup_end_to_end(&self) -> f64 {
-        self.secs_reference / self.secs_parallel
-    }
-
-    /// Trial throughput of the full fast path, in trials/second.
-    #[must_use]
-    pub fn trials_per_sec(&self) -> f64 {
-        self.trials as f64 / self.secs_parallel
-    }
-}
-
-/// The full sweep.
-#[derive(Debug, Clone)]
-pub struct SimBenchReport {
-    /// Worker threads used by the trial-parallel stage.
-    pub threads: usize,
-    /// True when run with `--quick` (CI smoke: small sweep).
-    pub quick: bool,
-    /// One row per register width, ascending.
-    pub rows: Vec<SimBenchRow>,
-}
 
 /// The benchmark workload: a layered circuit in the shape of the
 /// paper's benchmarks (Hadamard walls, CX ladders, parametric phase
 /// layers), shallow enough that trials carry the ~1 fault typical of
 /// the NISQ regime the paper evaluates.
-#[must_use]
-pub fn bench_circuit(n: usize) -> Circuit {
+fn bench_circuit(n: usize) -> Circuit {
     let mut c = Circuit::new(n);
     for layer in 0..3 {
         for q in 0..n {
@@ -107,29 +47,22 @@ pub fn bench_circuit(n: usize) -> Circuit {
 
 /// The cumulative stage configurations measured against the
 /// `sample_reference` baseline, in measurement order: specialized
-/// kernels only, + prefix checkpointing, + trial parallelism. Shared
-/// with the criterion `simulator` bench so the two harnesses can never
-/// measure different stages.
-#[must_use]
-pub fn stage_tunings() -> [(&'static str, SimTuning); 3] {
+/// kernels only, + prefix checkpointing, + trial parallelism.
+fn stage_tunings() -> [SimTuning; 3] {
     let kernels_only = SimTuning {
         kernels: GateKernels::Specialized,
         checkpoint: false,
         threads: 1,
         gate_parallel_threshold: usize::MAX,
     };
-    [
-        ("kernels", kernels_only),
-        ("checkpoint", SimTuning::serial()),
-        ("parallel", SimTuning::default()),
-    ]
+    [kernels_only, SimTuning::serial(), SimTuning::default()]
 }
 
 /// Runs the sweep. Quick mode covers 10 and 12 qubits with small trial
 /// budgets (CI smoke); the full sweep covers {10, 13, 16} qubits —
 /// the 16-qubit row is the issue's ≥ 4x checkpoint.
 #[must_use]
-pub fn run(quick: bool) -> SimBenchReport {
+pub fn run(quick: bool) -> Artifact {
     let sizes: &[(usize, u64)] = if quick {
         &[(10, 300), (12, 200)]
     } else {
@@ -140,11 +73,24 @@ pub fn run(quick: bool) -> SimBenchReport {
 
 /// The measurement loop behind [`run`], parameterized so tests can
 /// sweep tiny instances without paying for benchmark-scale timings.
-fn run_sizes(sizes: &[(usize, u64)], quick: bool) -> SimBenchReport {
+fn run_sizes(sizes: &[(usize, u64)], quick: bool) -> Artifact {
     let threads = SimTuning::default().threads;
-    let [(_, kernels_only), (_, checkpointed), (_, parallel)] = stage_tunings();
+    let mut artifact = Artifact::new(
+        "BENCH_sim",
+        "TrajectoryEngine::sample trajectory: pre-subsystem baseline \
+         (scalar kernels, full re-simulation per faulty trial) vs the staged fast path \
+         (specialized gate kernels, prefix checkpointing, trial parallelism). Every timed \
+         cell is measured wall clock on the layered benchmark circuit under the ibm_paris \
+         noise model; stage columns are cumulative and stages 1-2 run on one thread, the \
+         same thread count as the baseline.",
+    );
+    artifact
+        .field("device", "ibm_paris")
+        .field("threads", threads)
+        .field("quick", quick);
+    let [kernels_only, checkpointed, parallel] = stage_tunings();
 
-    let mut rows = Vec::new();
+    let mut speedup_at_16q = None;
     for &(n, trials) in sizes {
         let circuit = bench_circuit(n);
         let device = DeviceModel::ibm_paris(n);
@@ -160,6 +106,8 @@ fn run_sizes(sizes: &[(usize, u64)], quick: bool) -> SimBenchReport {
             start.elapsed().as_secs_f64()
         };
 
+        // The pre-subsystem baseline: scalar kernels, full re-simulation
+        // per faulty trial, per-moment idle draws, one thread.
         let start = Instant::now();
         let reference_counts = engine
             .sample_reference(&circuit, trials, &mut StdRng::seed_from_u64(SEED))
@@ -170,123 +118,39 @@ fn run_sizes(sizes: &[(usize, u64)], quick: bool) -> SimBenchReport {
         let secs_kernels = time_sample(&kernels_only);
         let secs_checkpoint = time_sample(&checkpointed);
         let secs_parallel = time_sample(&parallel);
-
-        rows.push(SimBenchRow {
-            qubits: n,
-            gates: circuit.gate_count(),
-            trials,
-            secs_reference,
-            secs_kernels,
-            secs_checkpoint,
-            secs_parallel,
-        });
-        let r = rows.last().unwrap();
-        eprintln!(
-            "[bench-sim] {n} qubits × {trials} trials: reference {secs_reference:.3} s, \
-             kernels {secs_kernels:.3} s ({:.2}x), +checkpoint {secs_checkpoint:.3} s ({:.2}x), \
-             +threads({threads}) {secs_parallel:.3} s ({:.2}x)",
-            r.speedup_kernels(),
-            r.speedup_checkpoint(),
-            r.speedup_end_to_end(),
-        );
-    }
-    SimBenchReport {
-        threads,
-        quick,
-        rows,
-    }
-}
-
-impl SimBenchReport {
-    /// The end-to-end speedup at the issue's checkpoint width
-    /// (16 qubits), when that row was measured.
-    #[must_use]
-    pub fn speedup_at_16q(&self) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.qubits == 16)
-            .map(SimBenchRow::speedup_end_to_end)
-    }
-
-    /// Serializes the sweep as the `BENCH_sim.json` artifact
-    /// (hand-rolled: the workspace has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut rows = String::new();
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                rows.push_str(",\n");
-            }
-            rows.push_str(&format!(
-                "    {{\"qubits\": {}, \"gates\": {}, \"trials\": {}, \
-                 \"secs_reference\": {:.6}, \"secs_gate_kernels\": {:.6}, \
-                 \"secs_checkpoint\": {:.6}, \"secs_parallel\": {:.6}, \
-                 \"speedup_gate_kernels\": {:.3}, \"speedup_checkpoint\": {:.3}, \
-                 \"speedup_end_to_end\": {:.3}, \"trials_per_sec\": {:.1}, \
-                 \"measured\": true}}",
-                r.qubits,
-                r.gates,
-                r.trials,
-                r.secs_reference,
-                r.secs_kernels,
-                r.secs_checkpoint,
-                r.secs_parallel,
-                r.speedup_kernels(),
-                r.speedup_checkpoint(),
-                r.speedup_end_to_end(),
-                r.trials_per_sec(),
-            ));
+        let speedup_end_to_end = secs_reference / secs_parallel;
+        if n == 16 {
+            speedup_at_16q = Some(speedup_end_to_end);
         }
-        let speedup_16q = self
-            .speedup_at_16q()
-            .map_or_else(|| "null".into(), |s| format!("{s:.3}"));
-        format!(
-            "{{\n  \"artifact\": \"BENCH_sim\",\n  \
-             \"description\": \"TrajectoryEngine::sample trajectory: pre-subsystem baseline \
-             (scalar kernels, full re-simulation per faulty trial) vs the staged fast path \
-             (specialized gate kernels, prefix checkpointing, trial parallelism). Every timed \
-             cell is measured wall clock on the layered benchmark circuit under the ibm_paris \
-             noise model; stage columns are cumulative and stages 1-2 run on one thread, the \
-             same thread count as the baseline.\",\n  \
-             \"device\": \"ibm_paris\",\n  \"threads\": {},\n  \"quick\": {},\n  \
-             \"rows\": [\n{}\n  ],\n  \"speedup_end_to_end_at_16_qubits\": {}\n}}\n",
-            self.threads, self.quick, rows, speedup_16q,
-        )
-    }
 
-    /// A human-readable summary table for the terminal.
-    #[must_use]
-    pub fn render(&self) -> String {
-        use crate::report::{fnum, Table};
-        let mut table = Table::new(&[
-            "qubits",
-            "gates",
-            "trials",
-            "reference (s)",
-            "kernels (s)",
-            "+checkpoint (s)",
-            "+threads (s)",
-            "speedup",
-            "trials/s",
+        artifact.row(vec![
+            ("qubits", n.into()),
+            ("gates", circuit.gate_count().into()),
+            ("trials", trials.into()),
+            ("secs_reference", Cell::Fixed(secs_reference, 6)),
+            ("secs_gate_kernels", Cell::Fixed(secs_kernels, 6)),
+            ("secs_checkpoint", Cell::Fixed(secs_checkpoint, 6)),
+            ("secs_parallel", Cell::Fixed(secs_parallel, 6)),
+            (
+                "speedup_gate_kernels",
+                Cell::Fixed(secs_reference / secs_kernels, 3),
+            ),
+            (
+                "speedup_checkpoint",
+                Cell::Fixed(secs_reference / secs_checkpoint, 3),
+            ),
+            ("speedup_end_to_end", Cell::Fixed(speedup_end_to_end, 3)),
+            (
+                "trials_per_sec",
+                Cell::Fixed(trials as f64 / secs_parallel, 1),
+            ),
         ]);
-        for r in &self.rows {
-            table.row_owned(vec![
-                r.qubits.to_string(),
-                r.gates.to_string(),
-                r.trials.to_string(),
-                fnum(r.secs_reference, 3),
-                fnum(r.secs_kernels, 3),
-                fnum(r.secs_checkpoint, 3),
-                fnum(r.secs_parallel, 3),
-                format!("{:.2}x", r.speedup_end_to_end()),
-                fnum(r.trials_per_sec(), 0),
-            ]);
-        }
-        format!(
-            "\n=== bench-sim: trajectory-engine sweep (threads = {}) ===\n{table}",
-            self.threads
-        )
     }
+    artifact.field(
+        "speedup_end_to_end_at_16_qubits",
+        Cell::opt(speedup_at_16q, 3),
+    );
+    artifact
 }
 
 #[cfg(test)]
@@ -298,16 +162,20 @@ mod tests {
         // Benchmark-scale timings belong to the CI `bench-sim --quick`
         // step; the unit test sweeps tiny instances through the same
         // loop to guard the measurement + serialization paths.
-        let report = run_sizes(&[(4, 40), (5, 30)], true);
-        assert_eq!(report.rows.len(), 2);
-        assert!(report.rows.iter().all(|r| r.secs_reference > 0.0));
-        let json = report.to_json();
+        let artifact = run_sizes(&[(4, 40), (5, 30)], true);
+        assert_eq!(artifact.row_count(), 2);
+        for row in 0..2 {
+            let secs = artifact.cell(row, "secs_reference").and_then(Cell::as_f64);
+            assert!(secs.unwrap() > 0.0);
+        }
+        let json = artifact.to_json();
         assert!(json.contains("\"artifact\": \"BENCH_sim\""));
         assert!(json.contains("\"qubits\": 4"));
         // No 16-qubit row in the tiny sweep.
         assert!(json.contains("\"speedup_end_to_end_at_16_qubits\": null"));
-        let text = report.render();
-        assert!(text.contains("bench-sim") && text.contains('4') && text.contains('5'));
+        crate::report::assert_same_schema(&json, include_str!("../../../BENCH_sim.json"));
+        let text = artifact.render();
+        assert!(text.contains("BENCH_sim") && text.contains('4') && text.contains('5'));
     }
 
     #[test]

@@ -20,59 +20,9 @@ use hammer_sim::{Circuit, DeviceModel, SimTuning, StabilizerEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::report::{Artifact, Cell, Row};
+
 const SEED: u64 = 0x57AB;
-
-/// One measured wide-circuit experiment.
-#[derive(Debug, Clone)]
-pub struct StabBenchRow {
-    /// Benchmark family: `bv` or `ghz`.
-    pub family: &'static str,
-    /// Full register width (for BV: data qubits + 1 ancilla).
-    pub qubits: usize,
-    /// Gate count of the circuit.
-    pub gates: usize,
-    /// Monte-Carlo trials sampled.
-    pub trials: u64,
-    /// Distinct outcomes observed (the `N` of the `O(N²)` kernel).
-    pub unique_outcomes: usize,
-    /// Wall-clock seconds of `StabilizerEngine::sample`.
-    pub secs_sample: f64,
-    /// Wall-clock seconds of the HAMMER reconstruction that follows.
-    pub secs_reconstruct: f64,
-    /// Probability of a correct outcome before reconstruction.
-    pub pst_before: f64,
-    /// Probability of a correct outcome after reconstruction.
-    pub pst_after: f64,
-}
-
-impl StabBenchRow {
-    /// Sampling throughput in trials/second.
-    #[must_use]
-    pub fn trials_per_sec(&self) -> f64 {
-        self.trials as f64 / self.secs_sample
-    }
-
-    /// PST improvement factor from reconstruction.
-    #[must_use]
-    pub fn pst_gain(&self) -> f64 {
-        if self.pst_before > 0.0 {
-            self.pst_after / self.pst_before
-        } else {
-            1.0
-        }
-    }
-}
-
-/// The full sweep.
-#[derive(Debug, Clone)]
-pub struct StabBenchReport {
-    /// Worker threads of the stabilizer engine's trial split.
-    pub threads: usize,
-    /// True when run with `--quick` (CI smoke: smaller sweep).
-    pub quick: bool,
-    /// One row per (family, width), BV first.
-    pub rows: Vec<StabBenchRow>,
-}
 
 /// The deterministic wide BV key for a given data width: a mixed
 /// pattern (not all-ones) so the oracle's CX fan-in is representative.
@@ -96,7 +46,7 @@ fn run_one(
     correct: &[BitString],
     marginal: Option<&[usize]>,
     trials: u64,
-) -> StabBenchRow {
+) -> Row {
     let engine = StabilizerEngine::new(device);
     let mut rng = StdRng::seed_from_u64(SEED ^ circuit.num_qubits() as u64);
 
@@ -118,39 +68,66 @@ fn run_one(
     let recovered = Hammer::new().reconstruct(&noisy);
     let secs_reconstruct = start.elapsed().as_secs_f64();
     let pst_after = metrics::pst(&recovered, correct);
+    let pst_gain = if pst_before > 0.0 {
+        pst_after / pst_before
+    } else {
+        1.0
+    };
 
-    StabBenchRow {
-        family,
-        qubits: circuit.num_qubits(),
-        gates: circuit.gate_count(),
-        trials,
-        unique_outcomes: noisy.len(),
-        secs_sample,
-        secs_reconstruct,
-        pst_before,
-        pst_after,
-    }
+    vec![
+        ("family", family.into()),
+        ("qubits", circuit.num_qubits().into()),
+        ("gates", circuit.gate_count().into()),
+        ("trials", trials.into()),
+        // The `N` of the `O(N²)` kernel.
+        ("unique_outcomes", noisy.len().into()),
+        ("secs_sample", Cell::Fixed(secs_sample, 6)),
+        ("secs_reconstruct", Cell::Fixed(secs_reconstruct, 6)),
+        (
+            "trials_per_sec",
+            Cell::Fixed(trials as f64 / secs_sample, 1),
+        ),
+        ("pst_before", Cell::Fixed(pst_before, 6)),
+        ("pst_after", Cell::Fixed(pst_after, 6)),
+        ("pst_gain", Cell::Fixed(pst_gain, 3)),
+    ]
 }
 
 /// Runs the sweep. Quick mode covers the 64-qubit BV and GHZ rows with
 /// a reduced trial budget (CI smoke); the full sweep spans 64–128
 /// qubits for both families.
 #[must_use]
-pub fn run(quick: bool) -> StabBenchReport {
+pub fn run(quick: bool) -> Artifact {
     // BV widths are *data* widths (the circuit adds an ancilla);
     // GHZ widths are full register widths.
-    let (bv_widths, ghz_widths, trials): (&[usize], &[usize], u64) = if quick {
-        (&[64], &[64], 1024)
+    if quick {
+        sweep(&[64], &[64], 1024, quick)
     } else {
-        (&[64, 96, 127], &[64, 96, 128], 8192)
-    };
+        sweep(&[64, 96, 127], &[64, 96, 128], 8192, quick)
+    }
+}
 
-    let mut rows = Vec::new();
+/// The measurement loop behind [`run`]: one row per (family, width),
+/// BV first.
+fn sweep(bv_widths: &[usize], ghz_widths: &[usize], trials: u64, quick: bool) -> Artifact {
+    let mut artifact = Artifact::new(
+        "BENCH_stab",
+        "Noisy wide-register BV/GHZ experiments on the stabilizer \
+         (Aaronson-Gottesman tableau) engine, end-to-end through HAMMER reconstruction. \
+         Every cell is measured wall clock (not extrapolated) under the google_sycamore \
+         noise preset; widths 64-128 sit far beyond the 24-qubit dense state-vector \
+         cap.",
+    );
+    artifact
+        .field("device", "google_sycamore")
+        .field("engine", "stabilizer")
+        .field("threads", SimTuning::default().threads)
+        .field("quick", quick);
     for &w in bv_widths {
         let bench = BernsteinVazirani::new(wide_bv_key(w));
         let circuit = bench.circuit();
         let device = DeviceModel::google_sycamore(circuit.num_qubits());
-        rows.push(run_one(
+        artifact.row(run_one(
             "bv",
             &circuit,
             &device,
@@ -158,114 +135,14 @@ pub fn run(quick: bool) -> StabBenchReport {
             Some(&bench.data_qubits()),
             trials,
         ));
-        report_row(rows.last().expect("just pushed"));
     }
     for &w in ghz_widths {
         let circuit = hammer_circuits::ghz(w);
         let device = DeviceModel::google_sycamore(w);
         let correct = hammer_circuits::ghz_correct_outcomes(w);
-        rows.push(run_one("ghz", &circuit, &device, &correct, None, trials));
-        report_row(rows.last().expect("just pushed"));
+        artifact.row(run_one("ghz", &circuit, &device, &correct, None, trials));
     }
-    StabBenchReport {
-        threads: SimTuning::default().threads,
-        quick,
-        rows,
-    }
-}
-
-fn report_row(r: &StabBenchRow) {
-    eprintln!(
-        "[bench-stab] {}-{}q × {} trials: sample {:.3} s ({:.0} trials/s), \
-         reconstruct {:.3} s over {} unique, PST {:.4} → {:.4}",
-        r.family,
-        r.qubits,
-        r.trials,
-        r.secs_sample,
-        r.trials_per_sec(),
-        r.secs_reconstruct,
-        r.unique_outcomes,
-        r.pst_before,
-        r.pst_after,
-    );
-}
-
-impl StabBenchReport {
-    /// Serializes the sweep as the `BENCH_stab.json` artifact
-    /// (hand-rolled: the workspace has no serde).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut rows = String::new();
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                rows.push_str(",\n");
-            }
-            rows.push_str(&format!(
-                "    {{\"family\": \"{}\", \"qubits\": {}, \"gates\": {}, \"trials\": {}, \
-                 \"unique_outcomes\": {}, \"secs_sample\": {:.6}, \"secs_reconstruct\": {:.6}, \
-                 \"trials_per_sec\": {:.1}, \"pst_before\": {:.6}, \"pst_after\": {:.6}, \
-                 \"pst_gain\": {:.3}, \"measured\": true}}",
-                r.family,
-                r.qubits,
-                r.gates,
-                r.trials,
-                r.unique_outcomes,
-                r.secs_sample,
-                r.secs_reconstruct,
-                r.trials_per_sec(),
-                r.pst_before,
-                r.pst_after,
-                r.pst_gain(),
-            ));
-        }
-        format!(
-            "{{\n  \"artifact\": \"BENCH_stab\",\n  \
-             \"description\": \"Noisy wide-register BV/GHZ experiments on the stabilizer \
-             (Aaronson-Gottesman tableau) engine, end-to-end through HAMMER reconstruction. \
-             Every cell is measured wall clock (not extrapolated) under the google_sycamore \
-             noise preset; widths 64-128 sit far beyond the 24-qubit dense state-vector \
-             cap.\",\n  \
-             \"device\": \"google_sycamore\",\n  \"engine\": \"stabilizer\",\n  \
-             \"threads\": {},\n  \"quick\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            self.threads, self.quick, rows,
-        )
-    }
-
-    /// A human-readable summary table for the terminal.
-    #[must_use]
-    pub fn render(&self) -> String {
-        use crate::report::{fnum, Table};
-        let mut table = Table::new(&[
-            "family",
-            "qubits",
-            "gates",
-            "trials",
-            "unique",
-            "sample (s)",
-            "trials/s",
-            "hammer (s)",
-            "PST before",
-            "PST after",
-        ]);
-        for r in &self.rows {
-            table.row_owned(vec![
-                r.family.to_string(),
-                r.qubits.to_string(),
-                r.gates.to_string(),
-                r.trials.to_string(),
-                r.unique_outcomes.to_string(),
-                fnum(r.secs_sample, 3),
-                fnum(r.trials_per_sec(), 0),
-                fnum(r.secs_reconstruct, 3),
-                fnum(r.pst_before, 4),
-                fnum(r.pst_after, 4),
-            ]);
-        }
-        format!(
-            "\n=== bench-stab: wide-register stabilizer sweep (threads = {}) ===\n{table}",
-            self.threads
-        )
-    }
+    artifact
 }
 
 #[cfg(test)]
@@ -277,31 +154,19 @@ mod tests {
         // The CI `bench-stab --quick` step covers benchmark scale; the
         // unit test drives the same measurement loop on one small-ish
         // instance to guard the plumbing.
-        let bench = BernsteinVazirani::new(wide_bv_key(32));
-        let circuit = bench.circuit();
-        let device = DeviceModel::google_sycamore(33);
-        let row = run_one(
-            "bv",
-            &circuit,
-            &device,
-            &[bench.key()],
-            Some(&bench.data_qubits()),
-            256,
-        );
-        assert_eq!(row.qubits, 33);
-        assert!(row.secs_sample > 0.0);
-        assert!(row.pst_after >= 0.0 && row.pst_after <= 1.0 + 1e-9);
-        let report = StabBenchReport {
-            threads: 4,
-            quick: true,
-            rows: vec![row],
-        };
-        let json = report.to_json();
+        let artifact = sweep(&[32], &[], 256, true);
+        assert_eq!(artifact.row_count(), 1);
+        let num = |key| artifact.cell(0, key).and_then(Cell::as_f64).unwrap();
+        assert_eq!(num("qubits"), 33.0);
+        assert!(num("secs_sample") > 0.0);
+        assert!(num("pst_after") >= 0.0 && num("pst_after") <= 1.0 + 1e-9);
+        let json = artifact.to_json();
         assert!(json.contains("\"artifact\": \"BENCH_stab\""));
         assert!(json.contains("\"family\": \"bv\""));
         assert!(json.contains("\"measured\": true"));
-        let text = report.render();
-        assert!(text.contains("bench-stab") && text.contains("33"));
+        crate::report::assert_same_schema(&json, include_str!("../../../BENCH_stab.json"));
+        let text = artifact.render();
+        assert!(text.contains("BENCH_stab") && text.contains("33"));
     }
 
     #[test]
