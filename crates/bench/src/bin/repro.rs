@@ -24,11 +24,8 @@
 //! artifact to `PATH`, by default `BENCH_<name>.json`.
 //!
 //! `repro all` runs independent experiment instances concurrently:
-//! `--jobs N` sets the worker count. The default divides the cores by
-//! the trajectory engine's own per-experiment thread count so the two
-//! levels of parallelism multiply out to roughly the machine, not its
-//! square. Reports are printed in experiment order regardless of
-//! completion order.
+//! `--jobs N` sets the worker count, by default 1. Reports are printed
+//! in experiment order regardless of completion order.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -979,14 +976,9 @@ fn main() -> ExitCode {
         return run_bench_artifact(run, quick, out_value);
     }
     let jobs = match flag_value(&args, "--jobs") {
-        Ok(None) => {
-            // Each experiment's TrajectoryEngine already fans its trial
-            // budget out over SimTuning::default().threads workers;
-            // divide that out so jobs × engine-threads ≈ cores instead
-            // of cores².
-            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-            (cores / hammer_sim::SimTuning::default().threads).max(1)
-        }
+        // Each experiment's engines already split their trial budget
+        // across every core, so experiments run one at a time.
+        Ok(None) => 1,
         Ok(Some(v)) => match v.parse::<usize>() {
             Ok(j) if j >= 1 => j,
             _ => {

@@ -4,19 +4,18 @@
 //!
 //! Every figure/table sweep of the reproduction runs thousands of
 //! trajectory trials, so simulator throughput bounds every scenario we
-//! can reproduce. This harness measures the three stages of the kernel
-//! subsystem separately against the pre-subsystem baseline
+//! can reproduce. This harness measures the engine at two thread counts
+//! against the pre-subsystem baseline
 //! ([`hammer_sim::TrajectoryEngine::sample_reference`]):
 //!
-//! 1. **gate kernels** — specialized passes, full re-simulation per
-//!    faulty trial, one thread;
-//! 2. **+ checkpointing** — prefix states shared/forked at fault sites;
-//! 3. **+ trial parallelism** — the trial budget split across worker
-//!    threads.
+//! 1. **checkpoint** — specialized gate kernels with prefix states
+//!    shared/forked at fault sites, on one thread;
+//! 2. **parallel** — the same path with the trial budget split across
+//!    the engine's default worker threads.
 
 use std::time::Instant;
 
-use hammer_sim::{Circuit, DeviceModel, GateKernels, SimTuning, TrajectoryEngine};
+use hammer_sim::{Circuit, DeviceModel, TrajectoryEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,19 +44,6 @@ fn bench_circuit(n: usize) -> Circuit {
     c
 }
 
-/// The cumulative stage configurations measured against the
-/// `sample_reference` baseline, in measurement order: specialized
-/// kernels only, + prefix checkpointing, + trial parallelism.
-fn stage_tunings() -> [SimTuning; 3] {
-    let kernels_only = SimTuning {
-        kernels: GateKernels::Specialized,
-        checkpoint: false,
-        threads: 1,
-        gate_parallel_threshold: usize::MAX,
-    };
-    [kernels_only, SimTuning::serial(), SimTuning::default()]
-}
-
 /// Runs the sweep. Quick mode covers 10 and 12 qubits with small trial
 /// budgets (CI smoke); the full sweep covers {10, 13, 16} qubits —
 /// the 16-qubit row is the issue's ≥ 4x checkpoint.
@@ -74,21 +60,20 @@ pub fn run(quick: bool) -> Artifact {
 /// The measurement loop behind [`run`], parameterized so tests can
 /// sweep tiny instances without paying for benchmark-scale timings.
 fn run_sizes(sizes: &[(usize, u64)], quick: bool) -> Artifact {
-    let threads = SimTuning::default().threads;
+    let threads = TrajectoryEngine::new(&DeviceModel::noiseless(1)).threads();
     let mut artifact = Artifact::new(
         "BENCH_sim",
         "TrajectoryEngine::sample trajectory: pre-subsystem baseline \
-         (scalar kernels, full re-simulation per faulty trial) vs the staged fast path \
-         (specialized gate kernels, prefix checkpointing, trial parallelism). Every timed \
-         cell is measured wall clock on the layered benchmark circuit under the ibm_paris \
-         noise model; stage columns are cumulative and stages 1-2 run on one thread, the \
-         same thread count as the baseline.",
+         (scalar kernels, full re-simulation per faulty trial) vs the fast path \
+         (specialized gate kernels with prefix checkpointing), first on one thread, the \
+         same thread count as the baseline, then with the trial budget split across \
+         `threads` workers. Every timed cell is measured wall clock on the layered \
+         benchmark circuit under the ibm_paris noise model.",
     );
     artifact
         .field("device", "ibm_paris")
         .field("threads", threads)
         .field("quick", quick);
-    let [kernels_only, checkpointed, parallel] = stage_tunings();
 
     let mut speedup_at_16q = None;
     for &(n, trials) in sizes {
@@ -96,8 +81,7 @@ fn run_sizes(sizes: &[(usize, u64)], quick: bool) -> Artifact {
         let device = DeviceModel::ibm_paris(n);
         let engine = TrajectoryEngine::new(&device);
 
-        let time_sample = |tuning: &SimTuning| {
-            let engine = engine.clone().with_tuning(*tuning);
+        let time_sample = |engine: TrajectoryEngine<'_>| {
             let start = Instant::now();
             let counts = engine
                 .sample(&circuit, trials, &mut StdRng::seed_from_u64(SEED))
@@ -115,9 +99,8 @@ fn run_sizes(sizes: &[(usize, u64)], quick: bool) -> Artifact {
         let secs_reference = start.elapsed().as_secs_f64();
         assert_eq!(reference_counts.total(), trials);
 
-        let secs_kernels = time_sample(&kernels_only);
-        let secs_checkpoint = time_sample(&checkpointed);
-        let secs_parallel = time_sample(&parallel);
+        let secs_checkpoint = time_sample(engine.clone().with_threads(1));
+        let secs_parallel = time_sample(engine);
         let speedup_end_to_end = secs_reference / secs_parallel;
         if n == 16 {
             speedup_at_16q = Some(speedup_end_to_end);
@@ -128,13 +111,8 @@ fn run_sizes(sizes: &[(usize, u64)], quick: bool) -> Artifact {
             ("gates", circuit.gate_count().into()),
             ("trials", trials.into()),
             ("secs_reference", Cell::Fixed(secs_reference, 6)),
-            ("secs_gate_kernels", Cell::Fixed(secs_kernels, 6)),
             ("secs_checkpoint", Cell::Fixed(secs_checkpoint, 6)),
             ("secs_parallel", Cell::Fixed(secs_parallel, 6)),
-            (
-                "speedup_gate_kernels",
-                Cell::Fixed(secs_reference / secs_kernels, 3),
-            ),
             (
                 "speedup_checkpoint",
                 Cell::Fixed(secs_reference / secs_checkpoint, 3),

@@ -16,7 +16,7 @@ use std::time::Instant;
 use hammer_circuits::BernsteinVazirani;
 use hammer_core::Hammer;
 use hammer_dist::{metrics, BitString, Distribution};
-use hammer_sim::{Circuit, DeviceModel, SimTuning, StabilizerEngine};
+use hammer_sim::{Circuit, DeviceModel, StabilizerEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -121,7 +121,10 @@ fn sweep(bv_widths: &[usize], ghz_widths: &[usize], trials: u64, quick: bool) ->
     artifact
         .field("device", "google_sycamore")
         .field("engine", "stabilizer")
-        .field("threads", SimTuning::default().threads)
+        .field(
+            "threads",
+            StabilizerEngine::new(&DeviceModel::noiseless(1)).threads(),
+        )
         .field("quick", quick);
     for &w in bv_widths {
         let bench = BernsteinVazirani::new(wide_bv_key(w));

@@ -7,9 +7,8 @@ use rand::{Rng, RngCore};
 use crate::circuit::Circuit;
 use crate::device::DeviceModel;
 use crate::error::SimError;
-use crate::simkernel::SimTuning;
 use crate::stabilizer::StabilizerEngine;
-use crate::trajectory::TrajectoryEngine;
+use crate::trajectory::{default_threads, TrajectoryEngine};
 
 /// A noisy executor: something that runs a circuit for a number of trials
 /// on a simulated device and returns the measured histogram — the role a
@@ -105,26 +104,38 @@ pub trait NoiseEngine {
 #[derive(Debug, Clone)]
 pub struct AutoEngine<'a> {
     device: &'a DeviceModel,
-    tuning: SimTuning,
+    threads: usize,
 }
 
 impl<'a> AutoEngine<'a> {
-    /// Creates a dispatcher bound to a device model with the default
-    /// [`SimTuning`].
+    /// Creates a dispatcher bound to a device model, with the trial
+    /// budget split across all cores.
     #[must_use]
     pub fn new(device: &'a DeviceModel) -> Self {
         Self {
             device,
-            tuning: SimTuning::default(),
+            threads: default_threads(),
         }
     }
 
-    /// Replaces the performance tuning (forwarded whole to the dense
-    /// engine; the stabilizer engine takes its thread count).
+    /// Overrides the worker-thread count, forwarded to whichever engine
+    /// a circuit dispatches to. Results are unaffected: a fixed seed
+    /// yields the same [`Counts`] at any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is zero.
     #[must_use]
-    pub fn with_tuning(mut self, tuning: SimTuning) -> Self {
-        self.tuning = tuning;
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        assert!(threads >= 1, "need at least one thread");
+        self.threads = threads;
         self
+    }
+
+    /// The worker-thread count.
+    #[must_use]
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// The device this engine executes on.
@@ -189,11 +200,11 @@ impl<'a> AutoEngine<'a> {
         let _t = sample_hist().start();
         if circuit.is_clifford() {
             StabilizerEngine::new(self.device)
-                .with_threads(self.tuning.threads.max(1))
+                .with_threads(self.threads)
                 .sample_inner(circuit, trials, rng, cancel)
         } else {
             TrajectoryEngine::new(self.device)
-                .with_tuning(self.tuning)
+                .with_threads(self.threads)
                 .sample_inner(circuit, trials, rng, cancel)
         }
     }
@@ -219,5 +230,17 @@ impl NoiseEngine for AutoEngine<'_> {
         rng: &mut dyn RngCore,
     ) -> Result<Counts, SimError> {
         self.sample(circuit, trials, rng)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "need at least one thread")]
+    fn zero_threads_rejected() {
+        let device = DeviceModel::noiseless(2);
+        let _ = AutoEngine::new(&device).with_threads(0);
     }
 }

@@ -6,10 +6,9 @@
 //! * [`Circuit`] / [`Gate`] — the circuit IR (terminal Z-basis
 //!   measurement implied).
 //! * [`StateVector`] — dense ideal simulation up to 24 qubits.
-//! * [`simkernel`] / [`SimTuning`] — the gate-kernel subsystem:
-//!   specialized index-permutation/butterfly passes (threaded above a
-//!   tunable amplitude threshold), with the original scalar loops kept
-//!   as `simkernel::reference`, the correctness oracle.
+//! * [`simkernel`] — the gate-kernel subsystem: specialized serial
+//!   index-permutation/butterfly passes, with the original scalar loops
+//!   kept as `simkernel::reference`, the correctness oracle.
 //! * [`NoiseModel`] / [`DeviceModel`] — depolarizing gate faults +
 //!   asymmetric readout error, with presets mirroring the paper's
 //!   machines (`ibm_paris`, `ibm_manhattan`, `ibm_casablanca`,
@@ -17,7 +16,7 @@
 //! * [`TrajectoryEngine`] — exact Monte-Carlo fault injection (gold
 //!   standard), with prefix-checkpointed faulty trials and
 //!   thread-parallel trial batches under deterministic per-trial RNG
-//!   streams.
+//!   streams. Each engine has one performance setting, `with_threads`.
 //! * [`stabilizer`] / [`StabilizerEngine`] — the Aaronson–Gottesman
 //!   tableau subsystem: exact noisy sampling of Clifford circuits (BV,
 //!   GHZ) at 64–128 qubits, seed-compatible with the trajectory
@@ -94,7 +93,6 @@ pub use mitigation::ReadoutMitigator;
 pub use noise::{NoiseModel, Pauli, PauliFault, ReadoutError};
 pub use propagation::{PauliMask, PropagationEngine};
 pub use sampler::{AliasSampler, CdfSampler};
-pub use simkernel::{GateKernels, SimTuning};
 pub use stabilizer::{StabilizerEngine, Tableau};
 pub use statevector::{simulate_ideal, StateVector, MAX_DENSE_QUBITS};
 pub use trajectory::TrajectoryEngine;

@@ -4,9 +4,9 @@
 //! These are the loops [`crate::StateVector`] shipped with before the
 //! kernel subsystem existed: a generic dense 2×2 matrix multiply for
 //! every single-qubit gate and full-array scans with per-index bit
-//! tests for the two-qubit gates. Every specialized or threaded kernel
-//! in this module tree is property-pinned to these functions to
-//! `≤ 1e-12` amplitude agreement (see `tests/simkernel_oracle.rs`).
+//! tests for the two-qubit gates. Every specialized kernel in this
+//! module tree is property-pinned to these functions to `≤ 1e-12`
+//! amplitude agreement (see `tests/simkernel_oracle.rs`).
 
 use crate::complex::Complex;
 use crate::gates::{Gate, GateQubits};

@@ -3,13 +3,9 @@
 //! and stride-blocked two-amplitude butterflies with real coefficient
 //! arithmetic for the rotation family.
 //!
-//! Every function operates on an **aligned** amplitude slice: the slice
-//! length must be a multiple of `2^(max_operand_qubit + 1)` and, when
-//! the slice is a window into a larger register, its start offset must
-//! be a multiple of the same power of two. Under that contract all the
-//! operand bits of the absolute amplitude index are local to the slice
-//! index, which is what lets the threaded scheduler hand disjoint
-//! contiguous chunks of one register to these same loops.
+//! Every pass walks the register in aligned `2^(operand + 1)` blocks,
+//! so the operand bits of an amplitude index are local to its block and
+//! the array streams linearly, one block at a time.
 
 use std::f64::consts::FRAC_1_SQRT_2;
 
@@ -20,8 +16,7 @@ use crate::gates::Gate;
 ///
 /// # Panics
 ///
-/// Panics if an operand is out of range for the register (or aligned
-/// sub-slice) `amps` spans.
+/// Panics if an operand is out of range for the register `amps` spans.
 pub fn apply_gate(amps: &mut [Complex], gate: Gate) {
     match gate {
         Gate::H(q) => for_each_pair(amps, step(amps, q), h_pair),
@@ -88,11 +83,11 @@ where
     }
 }
 
-// --- pair kernels (shared with the threaded top-qubit path) ---------
+// --- pair kernels ---------------------------------------------------
 
 /// Hadamard butterfly: 2 real multiplies per component, no complex
 /// products.
-pub(super) fn h_pair(lo: &mut [Complex], hi: &mut [Complex]) {
+fn h_pair(lo: &mut [Complex], hi: &mut [Complex]) {
     for (l, h) in lo.iter_mut().zip(hi) {
         let (a, b) = (*l, *h);
         *l = Complex::new((a.re + b.re) * FRAC_1_SQRT_2, (a.im + b.im) * FRAC_1_SQRT_2);
@@ -101,12 +96,12 @@ pub(super) fn h_pair(lo: &mut [Complex], hi: &mut [Complex]) {
 }
 
 /// Pauli-X: pure amplitude exchange.
-pub(super) fn x_pair(lo: &mut [Complex], hi: &mut [Complex]) {
+fn x_pair(lo: &mut [Complex], hi: &mut [Complex]) {
     lo.swap_with_slice(hi);
 }
 
 /// Pauli-Y: exchange + `±i` factors, realized as component shuffles.
-pub(super) fn y_pair(lo: &mut [Complex], hi: &mut [Complex]) {
+fn y_pair(lo: &mut [Complex], hi: &mut [Complex]) {
     for (l, h) in lo.iter_mut().zip(hi) {
         let (a, b) = (*l, *h);
         *l = Complex::new(b.im, -b.re);
@@ -115,7 +110,7 @@ pub(super) fn y_pair(lo: &mut [Complex], hi: &mut [Complex]) {
 }
 
 /// Pauli-Z: sign flip on the `|1⟩` branch.
-pub(super) fn z_pair(_lo: &mut [Complex], hi: &mut [Complex]) {
+fn z_pair(_lo: &mut [Complex], hi: &mut [Complex]) {
     for h in hi {
         *h = -*h;
     }
@@ -124,7 +119,7 @@ pub(super) fn z_pair(_lo: &mut [Complex], hi: &mut [Complex]) {
 /// A diagonal phase on the `|1⟩` branch, with shuffle fast paths for
 /// the `±i` phases of `S`/`S†`.
 #[derive(Clone, Copy)]
-pub(super) enum Phase {
+enum Phase {
     /// Multiply by `i`.
     I,
     /// Multiply by `−i`.
@@ -133,7 +128,7 @@ pub(super) enum Phase {
     Unit(Complex),
 }
 
-pub(super) fn phase_pair(_lo: &mut [Complex], hi: &mut [Complex], phase: Phase) {
+fn phase_pair(_lo: &mut [Complex], hi: &mut [Complex], phase: Phase) {
     match phase {
         Phase::I => {
             for h in hi {
@@ -154,14 +149,14 @@ pub(super) fn phase_pair(_lo: &mut [Complex], hi: &mut [Complex], phase: Phase) 
 }
 
 /// The two diagonal phases of `Rz(θ) = diag(e^{−iθ/2}, e^{+iθ/2})`.
-pub(super) fn rz_phases(theta: f64) -> (Complex, Complex) {
+fn rz_phases(theta: f64) -> (Complex, Complex) {
     (
         Complex::from_polar_unit(-theta / 2.0),
         Complex::from_polar_unit(theta / 2.0),
     )
 }
 
-pub(super) fn rz_pair(lo: &mut [Complex], hi: &mut [Complex], plo: Complex, phi: Complex) {
+fn rz_pair(lo: &mut [Complex], hi: &mut [Complex], plo: Complex, phi: Complex) {
     for l in lo {
         *l *= plo;
     }
@@ -172,7 +167,7 @@ pub(super) fn rz_pair(lo: &mut [Complex], hi: &mut [Complex], plo: Complex, phi:
 
 /// `Rx(θ)` butterfly with real coefficients:
 /// `b0 = c·a0 − i·s·a1`, `b1 = −i·s·a0 + c·a1`.
-pub(super) fn rx_pair(lo: &mut [Complex], hi: &mut [Complex], c: f64, s: f64) {
+fn rx_pair(lo: &mut [Complex], hi: &mut [Complex], c: f64, s: f64) {
     for (l, h) in lo.iter_mut().zip(hi) {
         let (a, b) = (*l, *h);
         *l = Complex::new(c * a.re + s * b.im, c * a.im - s * b.re);
@@ -181,7 +176,7 @@ pub(super) fn rx_pair(lo: &mut [Complex], hi: &mut [Complex], c: f64, s: f64) {
 }
 
 /// `Ry(θ)` butterfly (all-real matrix).
-pub(super) fn ry_pair(lo: &mut [Complex], hi: &mut [Complex], c: f64, s: f64) {
+fn ry_pair(lo: &mut [Complex], hi: &mut [Complex], c: f64, s: f64) {
     for (l, h) in lo.iter_mut().zip(hi) {
         let (a, b) = (*l, *h);
         *l = Complex::new(c * a.re - s * b.re, c * a.im - s * b.im);
@@ -191,7 +186,7 @@ pub(super) fn ry_pair(lo: &mut [Complex], hi: &mut [Complex], c: f64, s: f64) {
 
 /// `√X` (`sign = +1`) / `√X†` (`sign = −1`) butterfly:
 /// `b0 = ((a0+a1) ± i(a0−a1)) / 2`, `b1 = ((a0+a1) ∓ i(a0−a1)) / 2`.
-pub(super) fn sx_pair(lo: &mut [Complex], hi: &mut [Complex], sign: f64) {
+fn sx_pair(lo: &mut [Complex], hi: &mut [Complex], sign: f64) {
     for (l, h) in lo.iter_mut().zip(hi) {
         let (a, b) = (*l, *h);
         let (sum_re, sum_im) = (a.re + b.re, a.im + b.im);

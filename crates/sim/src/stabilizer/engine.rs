@@ -42,9 +42,9 @@ use crate::error::SimError;
 use crate::gates::GateQubits;
 use crate::noise::NoiseModel;
 use crate::propagation::PauliMask;
-use crate::simkernel::SimTuning;
 use crate::trajectory::{
-    run_trial_blocks, tail_flip_mask, trial_rng, trial_workers, FaultPlan, TrialFault,
+    default_threads, run_trial_blocks, tail_flip_mask, trial_rng, trial_workers, FaultPlan,
+    TrialFault,
 };
 use hammer_pool::{CancelToken, Cancelled};
 
@@ -81,12 +81,12 @@ pub struct StabilizerEngine<'a> {
 impl<'a> StabilizerEngine<'a> {
     /// Creates an engine bound to a device model, with the trial budget
     /// split across all cores (the same default as
-    /// [`SimTuning::default`]).
+    /// [`crate::TrajectoryEngine::new`]).
     #[must_use]
     pub fn new(device: &'a DeviceModel) -> Self {
         Self {
             device,
-            threads: SimTuning::default().threads,
+            threads: default_threads(),
         }
     }
 

@@ -7,7 +7,7 @@ use rand::Rng;
 use crate::circuit::Circuit;
 use crate::complex::{Complex, C_ONE, C_ZERO};
 use crate::gates::Gate;
-use crate::simkernel::{self, SimTuning};
+use crate::simkernel;
 
 /// Maximum register width for dense simulation (`2^24` amplitudes ≈
 /// 256 MiB). The paper's largest instance uses 24 qubits.
@@ -65,25 +65,10 @@ impl StateVector {
         sv
     }
 
-    /// Runs `circuit` on `|00…0⟩` under an explicit kernel
-    /// configuration (see [`SimTuning`]).
-    #[must_use]
-    pub fn from_circuit_with(circuit: &Circuit, tuning: &SimTuning) -> Self {
-        let mut sv = Self::new(circuit.num_qubits());
-        sv.apply_circuit_with(circuit, tuning);
-        sv
-    }
-
     /// Number of qubits.
     #[must_use]
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
-    }
-
-    /// Resets to `|00…0⟩` in place, reusing the amplitude buffer.
-    pub fn reset(&mut self) {
-        self.amps.fill(C_ZERO);
-        self.amps[0] = C_ONE;
     }
 
     /// Copies another state's amplitudes into this one's buffer —
@@ -102,6 +87,12 @@ impl StateVector {
     #[must_use]
     pub fn amplitudes(&self) -> &[Complex] {
         &self.amps
+    }
+
+    /// Mutable raw amplitudes, for driving `simkernel::reference`
+    /// directly.
+    pub(crate) fn amplitudes_mut(&mut self) -> &mut [Complex] {
+        &mut self.amps
     }
 
     /// Amplitude of a single basis state.
@@ -153,15 +144,6 @@ impl StateVector {
     ///
     /// Panics if the circuit register is wider than the state.
     pub fn apply_circuit(&mut self, circuit: &Circuit) {
-        self.apply_circuit_with(circuit, &SimTuning::serial());
-    }
-
-    /// Applies a whole circuit under an explicit kernel configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit register is wider than the state.
-    pub fn apply_circuit_with(&mut self, circuit: &Circuit, tuning: &SimTuning) {
         assert!(
             circuit.num_qubits() <= self.num_qubits,
             "circuit of {} qubits applied to {}-qubit state",
@@ -169,21 +151,17 @@ impl StateVector {
             self.num_qubits
         );
         for &g in circuit.gates() {
-            self.apply_gate_with(g, tuning);
+            self.apply_gate(g);
         }
     }
 
-    /// Applies a single gate with the default serial specialized
-    /// kernels.
+    /// Applies a single gate with the specialized serial kernels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a gate operand is out of range.
     pub fn apply_gate(&mut self, gate: Gate) {
-        self.apply_gate_with(gate, &SimTuning::serial());
-    }
-
-    /// Applies a single gate under an explicit kernel configuration:
-    /// reference or specialized kernels, threaded above
-    /// [`SimTuning::gate_parallel_threshold`].
-    pub fn apply_gate_with(&mut self, gate: Gate, tuning: &SimTuning) {
-        simkernel::apply_gate(&mut self.amps, gate, tuning);
+        simkernel::specialized::apply_gate(&mut self.amps, gate);
     }
 
     /// Applies a 2×2 unitary to qubit `q` (the generic dense butterfly —

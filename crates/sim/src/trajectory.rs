@@ -10,7 +10,7 @@
 //! # The fast path
 //!
 //! The engine no longer re-simulates the whole circuit per faulty
-//! trial. Under the default [`SimTuning`] it:
+//! trial. It:
 //!
 //! * applies gates through the specialized `simkernel` passes
 //!   (index-permutation Paulis, real-coefficient butterflies) instead
@@ -55,7 +55,7 @@ use crate::error::SimError;
 use crate::gates::{Gate, GateQubits};
 use crate::noise::{NoiseModel, Pauli, PauliFault};
 use crate::sampler::{AliasSampler, CdfSampler};
-use crate::simkernel::SimTuning;
+use crate::simkernel::reference;
 use crate::statevector::{StateVector, MAX_DENSE_QUBITS};
 use hammer_pool::{CancelToken, Cancelled};
 
@@ -80,34 +80,37 @@ use hammer_pool::{CancelToken, Cancelled};
 #[derive(Debug, Clone)]
 pub struct TrajectoryEngine<'a> {
     device: &'a DeviceModel,
-    tuning: SimTuning,
+    threads: usize,
 }
 
 impl<'a> TrajectoryEngine<'a> {
-    /// Creates an engine bound to a device model, with the default
-    /// [`SimTuning`] (specialized kernels, checkpointing, all cores).
+    /// Creates an engine bound to a device model, with the trial budget
+    /// split across all cores.
     #[must_use]
     pub fn new(device: &'a DeviceModel) -> Self {
         Self {
             device,
-            tuning: SimTuning::default(),
+            threads: default_threads(),
         }
     }
 
-    /// Replaces the performance tuning (kernel tier, checkpointing,
-    /// worker threads). Results are unaffected: a fixed seed yields the
-    /// same [`Counts`] under every tuning with the same fault-sampling
-    /// strategy.
+    /// Overrides the worker-thread count. Results are unaffected: a
+    /// fixed seed yields the same [`Counts`] at any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is zero.
     #[must_use]
-    pub fn with_tuning(mut self, tuning: SimTuning) -> Self {
-        self.tuning = tuning;
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        assert!(threads >= 1, "need at least one thread");
+        self.threads = threads;
         self
     }
 
-    /// The engine's current tuning.
+    /// The worker-thread count.
     #[must_use]
-    pub fn tuning(&self) -> &SimTuning {
-        &self.tuning
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 
     /// The device this engine executes on.
@@ -137,7 +140,7 @@ impl<'a> TrajectoryEngine<'a> {
     /// Draws one `u64` from `rng` to derive an independent,
     /// deterministic RNG stream per trial; everything after that is a
     /// pure function of the per-trial streams, so the returned
-    /// histogram is identical at any [`SimTuning::threads`] setting.
+    /// histogram is identical at any [`threads`](Self::threads) setting.
     ///
     /// # Errors
     ///
@@ -186,8 +189,8 @@ impl<'a> TrajectoryEngine<'a> {
         let n = circuit.num_qubits();
         let noise = self.device.noise();
 
-        let workers = trial_workers(self.tuning.threads, trials);
-        let ctx = TrialContext::new(circuit, noise, &self.tuning, workers);
+        let workers = trial_workers(self.threads, trials);
+        let ctx = TrialContext::new(circuit, noise);
         let base_seed = rng.next_u64();
         run_trial_blocks(n, workers, trials, |range| {
             run_trial_block(&ctx, base_seed, range, cancel)
@@ -214,7 +217,6 @@ impl<'a> TrajectoryEngine<'a> {
         self.validate(circuit, trials)?;
         let n = circuit.num_qubits();
         let noise = self.device.noise();
-        let reference = SimTuning::reference();
 
         // Fault probability per gate location.
         let gate_ps: Vec<f64> = circuit
@@ -227,7 +229,8 @@ impl<'a> TrajectoryEngine<'a> {
             .collect();
 
         // Ideal final state, reused by every fault-free trial.
-        let ideal = StateVector::from_circuit_with(circuit, &reference);
+        let mut ideal = StateVector::new(n);
+        evolve_with_faults(&mut ideal, circuit, &[]);
         let ideal_sampler = AliasSampler::new(&ideal.probabilities()).expect("normalized state");
 
         // Idle periods only matter when the model has an idle rate.
@@ -282,7 +285,7 @@ impl<'a> TrajectoryEngine<'a> {
                 BitString::new(ideal_sampler.sample(rng) as u64, n)
             } else {
                 let mut sv = StateVector::new(n);
-                evolve_with_faults(&mut sv, circuit, &faults, 0, &reference);
+                evolve_with_faults(&mut sv, circuit, &faults);
                 sv.sample(rng)
             };
             counts.record(noise.apply_readout(outcome, rng));
@@ -384,16 +387,6 @@ impl FaultPlan {
 struct TrialContext<'c> {
     circuit: &'c Circuit,
     noise: &'c NoiseModel,
-    /// Checkpointing toggle for the trial workers (from the engine's
-    /// tuning).
-    checkpoint: bool,
-    /// The tuning trial workers evolve states with. When the trial
-    /// budget is already split across multiple workers, per-gate
-    /// threading is disabled here (threshold pushed to `usize::MAX`) —
-    /// the trial-level split saturates the cores, and nesting another
-    /// `threads`-way fan-out per gate per worker would only pay
-    /// spawn/join cost.
-    evolve_tuning: SimTuning,
     /// Where faults strike and how likely (shared with the stabilizer
     /// engine).
     faults: FaultPlan,
@@ -412,31 +405,16 @@ struct TrialContext<'c> {
 }
 
 impl<'c> TrialContext<'c> {
-    fn new(
-        circuit: &'c Circuit,
-        noise: &'c NoiseModel,
-        tuning: &SimTuning,
-        workers: usize,
-    ) -> Self {
-        let ideal = StateVector::from_circuit_with(circuit, tuning);
+    fn new(circuit: &'c Circuit, noise: &'c NoiseModel) -> Self {
+        let ideal = StateVector::from_circuit(circuit);
         let ideal_sampler =
             CdfSampler::from_weights_iter(ideal.amplitudes().iter().map(|a| a.norm_sqr()))
                 .expect("normalized state");
         let gates = circuit.gates();
         let meas_cut = gates.len() - gates.iter().rev().take_while(|g| g.is_diagonal()).count();
-        let evolve_tuning = if workers > 1 {
-            SimTuning {
-                gate_parallel_threshold: usize::MAX,
-                ..*tuning
-            }
-        } else {
-            *tuning
-        };
         Self {
             circuit,
             noise,
-            checkpoint: tuning.checkpoint,
-            evolve_tuning,
             faults: FaultPlan::new(circuit, noise),
             ideal_sampler,
             meas_cut,
@@ -454,10 +432,15 @@ struct FaultyTrial {
     rng: StdRng,
 }
 
+/// The default worker-thread count of every engine: all cores.
+pub(crate) fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
+
 /// Number of trial workers a sampling call actually spawns: the
 /// configured thread count, but never more than one worker per trial.
 pub(crate) fn trial_workers(threads: usize, trials: u64) -> usize {
-    (threads.max(1) as u64).min(trials) as usize
+    (threads as u64).min(trials) as usize
 }
 
 /// Splits `trials` into one contiguous block per worker, runs
@@ -559,12 +542,9 @@ fn run_trial_block(
         }
     }
 
-    // Phase B: faulty-trial simulation.
-    let checkpoint = ctx.checkpoint;
-    if checkpoint {
-        // Sort by fork point so the shared prefix only ever advances.
-        faulty.sort_by_key(|f| f.fork);
-    }
+    // Phase B: faulty-trial simulation. Sort by fork point so the
+    // shared prefix only ever advances.
+    faulty.sort_by_key(|f| f.fork);
     let mut prefix = StateVector::new(n);
     let mut prefix_len = 0usize;
     let mut scratch = StateVector::new(n);
@@ -586,23 +566,17 @@ fn run_trial_block(
             counts.record(ctx.noise.apply_readout(outcome, &mut trial.rng));
             continue;
         }
-        let fork = if checkpoint { trial.fork } else { 0 };
-        if checkpoint {
-            for &g in &ctx.circuit.gates()[prefix_len..fork] {
-                prefix.apply_gate_with(g, &ctx.evolve_tuning);
-            }
-            prefix_len = fork;
-            scratch.copy_from(&prefix);
-        } else {
-            scratch.reset();
+        for &g in &ctx.circuit.gates()[prefix_len..trial.fork] {
+            prefix.apply_gate(g);
         }
+        prefix_len = trial.fork;
+        scratch.copy_from(&prefix);
         let mask = evolve_window_masked(
             &mut scratch,
             ctx.circuit,
             &trial.faults,
-            fork,
+            trial.fork,
             ctx.meas_cut,
-            &ctx.evolve_tuning,
         );
         let raw = scratch.sample(&mut trial.rng).as_u64() ^ mask;
         let outcome = BitString::new(raw, n);
@@ -662,20 +636,19 @@ fn evolve_window_masked(
     faults: &[TrialFault],
     start: usize,
     meas_cut: usize,
-    tuning: &SimTuning,
 ) -> u64 {
     let mut next = 0usize;
     for (gi, &g) in circuit.gates()[..meas_cut].iter().enumerate().skip(start) {
         while next < faults.len() {
             match faults[next] {
                 TrialFault::BeforeGate { idx, qubit, pauli } if idx == gi => {
-                    sv.apply_gate_with(pauli_gate(pauli, qubit), tuning);
+                    sv.apply_gate(pauli_gate(pauli, qubit));
                     next += 1;
                 }
                 _ => break,
             }
         }
-        sv.apply_gate_with(g, tuning);
+        sv.apply_gate(g);
         while next < faults.len() {
             match faults[next] {
                 TrialFault::AfterGate { idx, fault } if idx == gi => {
@@ -684,10 +657,10 @@ fn evolve_window_masked(
                         GateQubits::Two(a, b) => (a, Some(b)),
                     };
                     if let Some(p) = fault.first {
-                        sv.apply_gate_with(pauli_gate(p, qa), tuning);
+                        sv.apply_gate(pauli_gate(p, qa));
                     }
                     if let (Some(p), Some(b)) = (fault.second, qb) {
-                        sv.apply_gate_with(pauli_gate(p, b), tuning);
+                        sv.apply_gate(pauli_gate(p, b));
                     }
                     next += 1;
                 }
@@ -733,31 +706,26 @@ pub(crate) fn tail_flip_mask(circuit: &Circuit, faults: &[TrialFault], from: usi
     mask
 }
 
-/// Evolves `sv` through `circuit.gates()[start..]` with the given
-/// faults injected at their recorded positions (idle faults before
-/// their gate, gate faults after, end faults before measurement) —
-/// the original full-evolution loop, kept verbatim for
-/// [`TrajectoryEngine::sample_reference`]. `faults` must be ordered by
-/// gate index with `End` faults last.
-fn evolve_with_faults(
-    sv: &mut StateVector,
-    circuit: &Circuit,
-    faults: &[TrialFault],
-    start: usize,
-    tuning: &SimTuning,
-) {
+/// Evolves `sv` through the whole circuit on the
+/// [`reference`] kernels with the given faults injected at their
+/// recorded positions (idle faults before their gate, gate faults
+/// after, end faults before measurement) — the original full-evolution
+/// loop, kept for [`TrajectoryEngine::sample_reference`]. `faults` must
+/// be ordered by gate index with `End` faults last.
+fn evolve_with_faults(sv: &mut StateVector, circuit: &Circuit, faults: &[TrialFault]) {
+    let mut apply = |g: Gate| reference::apply_gate(sv.amplitudes_mut(), g);
     let mut next = 0usize;
-    for (gi, &g) in circuit.gates().iter().enumerate().skip(start) {
+    for (gi, &g) in circuit.gates().iter().enumerate() {
         while next < faults.len() {
             match faults[next] {
                 TrialFault::BeforeGate { idx, qubit, pauli } if idx == gi => {
-                    sv.apply_gate_with(pauli_gate(pauli, qubit), tuning);
+                    apply(pauli_gate(pauli, qubit));
                     next += 1;
                 }
                 _ => break,
             }
         }
-        sv.apply_gate_with(g, tuning);
+        apply(g);
         while next < faults.len() {
             match faults[next] {
                 TrialFault::AfterGate { idx, fault } if idx == gi => {
@@ -766,10 +734,10 @@ fn evolve_with_faults(
                         GateQubits::Two(a, b) => (a, Some(b)),
                     };
                     if let Some(p) = fault.first {
-                        sv.apply_gate_with(pauli_gate(p, qa), tuning);
+                        apply(pauli_gate(p, qa));
                     }
                     if let (Some(p), Some(b)) = (fault.second, qb) {
-                        sv.apply_gate_with(pauli_gate(p, b), tuning);
+                        apply(pauli_gate(p, b));
                     }
                     next += 1;
                 }
@@ -779,7 +747,7 @@ fn evolve_with_faults(
     }
     for f in &faults[next..] {
         if let TrialFault::End { qubit, pauli } = *f {
-            sv.apply_gate_with(pauli_gate(pauli, qubit), tuning);
+            apply(pauli_gate(pauli, qubit));
         }
     }
 }
@@ -872,8 +840,7 @@ mod tests {
         let circuit = ghz(6);
         let token = CancelToken::new();
         for threads in [1usize, 4] {
-            let engine = TrajectoryEngine::new(&device)
-                .with_tuning(SimTuning::default().with_threads(threads));
+            let engine = TrajectoryEngine::new(&device).with_threads(threads);
             let plain = engine
                 .sample(&circuit, 900, &mut StdRng::seed_from_u64(3))
                 .unwrap();
@@ -900,8 +867,7 @@ mod tests {
     #[test]
     fn mid_flight_cancel_stops_sampling() {
         let device = DeviceModel::ibm_paris(10);
-        let engine =
-            TrajectoryEngine::new(&device).with_tuning(SimTuning::default().with_threads(2));
+        let engine = TrajectoryEngine::new(&device).with_threads(2);
         let token = CancelToken::new();
         let watchdog = {
             let token = token.clone();
@@ -1031,12 +997,12 @@ mod tests {
         let device = DeviceModel::ibm_paris(5);
         let circuit = ghz(5);
         let reference = TrajectoryEngine::new(&device)
-            .with_tuning(SimTuning::default().with_threads(1))
+            .with_threads(1)
             .sample(&circuit, 600, &mut StdRng::seed_from_u64(9))
             .unwrap();
         for threads in [2, 3, 7] {
             let got = TrajectoryEngine::new(&device)
-                .with_tuning(SimTuning::default().with_threads(threads))
+                .with_threads(threads)
                 .sample(&circuit, 600, &mut StdRng::seed_from_u64(9))
                 .unwrap();
             assert_eq!(got, reference, "threads={threads}");
@@ -1044,20 +1010,10 @@ mod tests {
     }
 
     #[test]
-    fn checkpointing_does_not_change_counts() {
-        let device = DeviceModel::ibm_paris(4);
-        let circuit = ghz(4);
-        let mut no_ckpt = SimTuning::serial();
-        no_ckpt.checkpoint = false;
-        let a = TrajectoryEngine::new(&device)
-            .with_tuning(SimTuning::serial())
-            .sample(&circuit, 800, &mut StdRng::seed_from_u64(13))
-            .unwrap();
-        let b = TrajectoryEngine::new(&device)
-            .with_tuning(no_ckpt)
-            .sample(&circuit, 800, &mut StdRng::seed_from_u64(13))
-            .unwrap();
-        assert_eq!(a, b);
+    #[should_panic(expected = "need at least one thread")]
+    fn zero_threads_rejected() {
+        let device = DeviceModel::noiseless(2);
+        let _ = TrajectoryEngine::new(&device).with_threads(0);
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Oracle property suite for the state-vector kernel subsystem: the
-//! specialized serial kernels, the threaded chunk scheduler and the
-//! checkpointed trajectory machinery are pinned to the original scalar
-//! kernels (`simkernel::reference`) to `≤ 1e-12` amplitude agreement
-//! across gate types, register widths 1..=12 and thread counts
-//! {1, 2, 7}; the trajectory engine is additionally pinned to produce
-//! *identical* histograms under every tuning and thread count for a
+//! specialized serial kernels and the checkpointed trajectory machinery
+//! are pinned to the original scalar kernels (`simkernel::reference`)
+//! to `≤ 1e-12` amplitude agreement across gate types and register
+//! widths 1..=12; the trajectory engine is additionally pinned to
+//! produce *identical* histograms at thread counts {1, 2, 7} for a
 //! fixed seed.
 
 use hammer_dist::Counts;
+use hammer_sim::simkernel::reference;
 use hammer_sim::{
-    Circuit, DeviceModel, Gate, GateKernels, NoiseModel, ReadoutError, SimTuning, StateVector,
-    TrajectoryEngine,
+    Circuit, Complex, DeviceModel, Gate, NoiseModel, ReadoutError, StateVector, TrajectoryEngine,
+    C_ONE, C_ZERO,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -75,23 +75,22 @@ fn circuit() -> impl Strategy<Value = Circuit> {
         })
 }
 
-fn max_amp_diff(a: &StateVector, b: &StateVector) -> f64 {
-    a.amplitudes()
-        .iter()
+/// The final amplitudes of `circuit` run on `|00…0⟩` through the
+/// scalar reference kernels.
+fn reference_state(circuit: &Circuit) -> Vec<Complex> {
+    let mut amps = vec![C_ZERO; 1 << circuit.num_qubits()];
+    amps[0] = C_ONE;
+    for &g in circuit.gates() {
+        reference::apply_gate(&mut amps, g);
+    }
+    amps
+}
+
+fn max_amp_diff(a: &[Complex], b: &StateVector) -> f64 {
+    a.iter()
         .zip(b.amplitudes())
         .map(|(x, y)| (*x - *y).abs())
         .fold(0.0f64, f64::max)
-}
-
-/// A threaded tuning with the parallel threshold dropped to 1 so even
-/// 2-amplitude registers exercise the chunk scheduler.
-fn threaded(threads: usize) -> SimTuning {
-    SimTuning {
-        kernels: GateKernels::Specialized,
-        checkpoint: true,
-        threads,
-        gate_parallel_threshold: 1,
-    }
 }
 
 proptest! {
@@ -100,26 +99,9 @@ proptest! {
     /// Specialized serial kernels match the scalar reference.
     #[test]
     fn specialized_kernels_match_reference(c in circuit()) {
-        let reference = StateVector::from_circuit_with(&c, &SimTuning::reference());
-        let fast = StateVector::from_circuit_with(&c, &SimTuning::serial());
-        let diff = max_amp_diff(&reference, &fast);
+        let fast = StateVector::from_circuit(&c);
+        let diff = max_amp_diff(&reference_state(&c), &fast);
         prop_assert!(diff <= 1e-12, "specialized kernels drift: {diff:e}");
-    }
-
-    /// Threaded kernels match the scalar reference at 1, 2 and 7
-    /// workers (including top-qubit pair/recursion paths, forced by the
-    /// threshold of 1).
-    #[test]
-    fn threaded_kernels_match_reference(c in circuit()) {
-        let reference = StateVector::from_circuit_with(&c, &SimTuning::reference());
-        for threads in [1usize, 2, 7] {
-            let fast = StateVector::from_circuit_with(&c, &threaded(threads));
-            let diff = max_amp_diff(&reference, &fast);
-            prop_assert!(
-                diff <= 1e-12,
-                "threaded kernels drift at {threads} threads: {diff:e}"
-            );
-        }
     }
 
     /// The checkpoint fork machinery — evolve a shared prefix once,
@@ -157,21 +139,20 @@ proptest! {
         for &g in &gates[cut..] {
             full.push(g);
         }
-        let want = StateVector::from_circuit_with(&full, &SimTuning::reference());
+        let want = reference_state(&full);
 
         // Checkpoint path: shared prefix, forked scratch, suffix only.
-        let tuning = threaded(2);
         let mut prefix = StateVector::new(n);
         for &g in &gates[..cut] {
-            prefix.apply_gate_with(g, &tuning);
+            prefix.apply_gate(g);
         }
         let mut scratch = StateVector::new(n);
         scratch.copy_from(&prefix);
         for &f in &faults {
-            scratch.apply_gate_with(f, &tuning);
+            scratch.apply_gate(f);
         }
         for &g in &gates[cut..] {
-            scratch.apply_gate_with(g, &tuning);
+            scratch.apply_gate(g);
         }
         let diff = max_amp_diff(&want, &scratch);
         prop_assert!(diff <= 1e-12, "checkpoint fork drift: {diff:e}");
@@ -201,45 +182,41 @@ fn laddered(n: usize) -> Circuit {
     c
 }
 
-fn sample_with(tuning: SimTuning, seed: u64) -> Counts {
-    let device = noisy_device(6);
-    let circuit = laddered(6);
-    TrajectoryEngine::new(&device)
-        .with_tuning(tuning)
-        .sample(&circuit, 700, &mut StdRng::seed_from_u64(seed))
+fn sample_with(device: &DeviceModel, circuit: &Circuit, trials: u64, threads: usize) -> Counts {
+    TrajectoryEngine::new(device)
+        .with_threads(threads)
+        .sample(circuit, trials, &mut StdRng::seed_from_u64(77))
         .unwrap()
 }
 
-/// Kernel tier, checkpointing and threading are pure performance knobs:
-/// with per-trial RNG streams the engine returns bit-identical
-/// histograms under every tuning.
-#[test]
-fn engine_counts_identical_across_tunings() {
-    let baseline = sample_with(SimTuning::serial(), 31);
-    let mut no_ckpt = SimTuning::serial();
-    no_ckpt.checkpoint = false;
-    let mut ref_kernels = SimTuning::serial();
-    ref_kernels.kernels = GateKernels::Reference;
-    for (name, tuning) in [
-        ("no-checkpoint", no_ckpt),
-        ("reference-kernels", ref_kernels),
-        ("threaded-2", threaded(2)),
-        ("threaded-7", threaded(7)),
-    ] {
-        assert_eq!(sample_with(tuning, 31), baseline, "{name}");
+/// GHZ-16 plus a T gate: non-Clifford, so it stays on the dense engine,
+/// at the register width the serving workload simulates.
+fn ghz16_t() -> Circuit {
+    let mut c = Circuit::new(16);
+    c.h(0);
+    for q in 0..15 {
+        c.cx(q, q + 1);
     }
+    c.t(15);
+    c
 }
 
 /// Fixed seed ⇒ identical `Counts` at any thread count (the
 /// determinism contract the per-trial RNG streams provide).
 #[test]
 fn engine_counts_identical_across_thread_counts() {
-    let one = sample_with(SimTuning::default().with_threads(1), 77);
-    for threads in [2usize, 7] {
-        assert_eq!(
-            sample_with(SimTuning::default().with_threads(threads), 77),
-            one,
-            "threads={threads}"
-        );
+    let cases = [
+        ("laddered-6", noisy_device(6), laddered(6), 700),
+        ("ghz16+t", DeviceModel::ibm_paris(16), ghz16_t(), 400),
+    ];
+    for (name, device, circuit, trials) in &cases {
+        let one = sample_with(device, circuit, *trials, 1);
+        for threads in [2usize, 7] {
+            assert_eq!(
+                sample_with(device, circuit, *trials, threads),
+                one,
+                "{name}: threads={threads}"
+            );
+        }
     }
 }

@@ -18,7 +18,7 @@
 use hammer_dist::{metrics, BitString};
 use hammer_sim::stabilizer::Tableau;
 use hammer_sim::{
-    AutoEngine, Circuit, DeviceModel, Gate, NoiseModel, ReadoutError, SimTuning, StabilizerEngine,
+    AutoEngine, Circuit, DeviceModel, Gate, NoiseModel, ReadoutError, StabilizerEngine,
     StateVector, TrajectoryEngine,
 };
 use proptest::prelude::*;
@@ -110,7 +110,7 @@ fn devices(n: usize) -> Vec<DeviceModel> {
 /// The keystone: exact counts equality between the two engines.
 fn assert_engines_agree(circuit: &Circuit, device: &DeviceModel, trials: u64, seed: u64) {
     let dense = TrajectoryEngine::new(device)
-        .with_tuning(SimTuning::default().with_threads(1))
+        .with_threads(1)
         .sample(circuit, trials, &mut StdRng::seed_from_u64(seed))
         .expect("dense sample");
     for threads in [1usize, 2, 7] {
@@ -129,7 +129,7 @@ fn assert_engines_agree(circuit: &Circuit, device: &DeviceModel, trials: u64, se
     // {1,2,7} × {1,2,7} matrix reduce to this diagonal).
     for threads in [2usize, 7] {
         let dense_t = TrajectoryEngine::new(device)
-            .with_tuning(SimTuning::default().with_threads(threads))
+            .with_threads(threads)
             .sample(circuit, trials, &mut StdRng::seed_from_u64(seed))
             .expect("dense sample");
         assert_eq!(dense_t, dense, "dense thread-count variance");
@@ -250,7 +250,7 @@ proptest! {
         let circuit = random_clifford(n, gates, circuit_seed);
         let device = DeviceModel::ibm_paris(n);
         let dense = TrajectoryEngine::new(&device)
-            .with_tuning(SimTuning::default().with_threads(2))
+            .with_threads(2)
             .sample(&circuit, 200, &mut StdRng::seed_from_u64(sample_seed))
             .expect("dense sample");
         let stab = StabilizerEngine::new(&device)
