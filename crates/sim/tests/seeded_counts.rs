@@ -1,0 +1,277 @@
+//! Golden fixed-seed histograms for every production noise engine.
+//!
+//! The oracle suites compare engines against each other and across
+//! thread counts; this suite pins what each engine actually returns for
+//! a fixed seed, as a [`Counts::fingerprint`]. A refactor of the fault
+//! walk, the fault sampler or the outcome draw that shifts a single
+//! trial fails here. Together the cases hit every fault kind: idle
+//! faults before a gate, one- and two-qubit depolarizing faults after
+//! it, trailing `End` faults, faults in the diagonal measurement tail,
+//! and non-Clifford gates before and inside the fault window.
+//!
+//! A deliberate change to an RNG stream must re-capture these values
+//! and say so in its change notes.
+
+use hammer_dist::Counts;
+use hammer_sim::{
+    Circuit, CouplingMap, DeviceModel, NoiseModel, PropagationEngine, ReadoutError,
+    StabilizerEngine, TrajectoryEngine,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// Gate depolarizing, idle decoherence and readout error together.
+fn idle_device(n: usize) -> DeviceModel {
+    let noise =
+        NoiseModel::uniform(n, 0.004, 0.03, ReadoutError::new(0.01, 0.03)).with_idle_rate(0.015);
+    DeviceModel::new("oracle", CouplingMap::full(n), noise)
+}
+
+/// A CX ladder with a layer of T gates inside the fault window (the
+/// last gate is a CX, so there is no diagonal tail).
+fn laddered(n: usize) -> Circuit {
+    let mut c = Circuit::new(n);
+    c.h(0);
+    for q in 0..n - 1 {
+        c.cx(q, q + 1);
+    }
+    for q in 0..n {
+        c.t(q);
+    }
+    c.cx(0, n - 1);
+    c
+}
+
+/// GHZ-16 plus a T gate: the T is the whole diagonal tail.
+fn ghz16_t() -> Circuit {
+    let mut c = Circuit::new(16);
+    c.h(0);
+    for q in 0..15 {
+        c.cx(q, q + 1);
+    }
+    c.t(15);
+    c
+}
+
+/// An early non-Clifford Rx, a CX ladder, then a long diagonal tail of
+/// one- and two-qubit gates on which idle faults also land.
+fn diagonal_tail(n: usize) -> Circuit {
+    let mut c = Circuit::new(n);
+    c.h(0).rx(1, 0.3);
+    for q in 0..n - 1 {
+        c.cx(q, q + 1);
+    }
+    for q in 0..n {
+        c.t(q);
+    }
+    c.cz(0, n - 1).rz(2, 0.7).zz(1, 3, 0.4).s(4);
+    c
+}
+
+/// Two QAOA-style layers: ZZ(γ) cost terms on a ring, then an Rx mixer.
+fn qaoa_ring(n: usize) -> Circuit {
+    let mut c = Circuit::new(n);
+    for q in 0..n {
+        c.h(q);
+    }
+    for (gamma, beta) in [(0.7, 0.4), (1.1, 0.25)] {
+        for q in 0..n {
+            c.zz(q, (q + 1) % n, gamma);
+        }
+        for q in 0..n {
+            c.rx(q, 2.0 * beta);
+        }
+    }
+    c
+}
+
+/// The Bernstein–Vazirani shape, all-ones key, ancilla last.
+fn bv(n: usize) -> Circuit {
+    let mut c = Circuit::new(n);
+    let anc = n - 1;
+    c.x(anc);
+    for q in 0..n {
+        c.h(q);
+    }
+    for q in 0..anc {
+        c.cx(q, anc);
+    }
+    for q in 0..n {
+        c.h(q);
+    }
+    c
+}
+
+/// A Clifford GHZ with a diagonal Clifford tail (S, Z, CZ), so the
+/// stabilizer engine's tail flips and idle faults both fire.
+fn ghz_clifford_tail(n: usize) -> Circuit {
+    let mut c = Circuit::new(n);
+    c.h(0);
+    for q in 0..n - 1 {
+        c.cx(q, q + 1);
+    }
+    c.s(0).z(1).cz(2, n - 1).s(n - 1);
+    c
+}
+
+fn seeded() -> StdRng {
+    StdRng::seed_from_u64(0x5EED)
+}
+
+fn assert_golden(name: &str, counts: &Counts, trials: u64, want: u64) {
+    assert_eq!(counts.total(), trials, "{name}: trial total");
+    assert_eq!(
+        counts.fingerprint(),
+        want,
+        "{name}: fixed-seed histogram changed (got {:#018x})",
+        counts.fingerprint()
+    );
+}
+
+#[test]
+fn propagation_counts_are_pinned() {
+    let cases: [(&str, DeviceModel, Circuit, u64, u64); 3] = [
+        (
+            "qaoa-ring-8",
+            idle_device(8),
+            qaoa_ring(8),
+            3000,
+            0xafff_87b8_5eee_9f96,
+        ),
+        (
+            "laddered-6",
+            idle_device(6),
+            laddered(6),
+            3000,
+            0xba3b_dab0_00c1_1ae9,
+        ),
+        (
+            "diagonal-tail-8",
+            idle_device(8),
+            diagonal_tail(8),
+            3000,
+            0xae05_4020_bb84_6d98,
+        ),
+    ];
+    for (name, device, circuit, trials, want) in &cases {
+        let counts = PropagationEngine::new(device)
+            .sample(circuit, *trials, &mut seeded())
+            .unwrap();
+        assert_golden(name, &counts, *trials, *want);
+    }
+}
+
+#[test]
+fn trajectory_counts_are_pinned_at_one_and_two_threads() {
+    let cases: [(&str, DeviceModel, Circuit, u64, u64); 4] = [
+        (
+            "laddered-6",
+            idle_device(6),
+            laddered(6),
+            2000,
+            0x62d2_5629_34ff_7235,
+        ),
+        (
+            "ghz16+t",
+            DeviceModel::ibm_paris(16),
+            ghz16_t(),
+            400,
+            0xffc5_11e5_4792_3775,
+        ),
+        (
+            "diagonal-tail-8",
+            idle_device(8),
+            diagonal_tail(8),
+            2000,
+            0xc86f_297b_fa00_e773,
+        ),
+        (
+            "qaoa-ring-6",
+            idle_device(6),
+            qaoa_ring(6),
+            2000,
+            0xe54e_7ddf_3653_6a43,
+        ),
+    ];
+    for (name, device, circuit, trials, want) in &cases {
+        for threads in [1usize, 2] {
+            let counts = TrajectoryEngine::new(device)
+                .with_threads(threads)
+                .sample(circuit, *trials, &mut seeded())
+                .unwrap();
+            assert_golden(
+                &format!("{name} threads={threads}"),
+                &counts,
+                *trials,
+                *want,
+            );
+        }
+    }
+}
+
+#[test]
+fn trajectory_reference_counts_are_pinned() {
+    let cases: [(&str, DeviceModel, Circuit, u64, u64); 2] = [
+        (
+            "laddered-6",
+            idle_device(6),
+            laddered(6),
+            1500,
+            0xab37_7d1c_fb50_760d,
+        ),
+        (
+            "diagonal-tail-8",
+            idle_device(8),
+            diagonal_tail(8),
+            1500,
+            0x0f9f_c759_4a9e_315d,
+        ),
+    ];
+    for (name, device, circuit, trials, want) in &cases {
+        let counts = TrajectoryEngine::new(device)
+            .sample_reference(circuit, *trials, &mut seeded())
+            .unwrap();
+        assert_golden(name, &counts, *trials, *want);
+    }
+}
+
+#[test]
+fn stabilizer_counts_are_pinned() {
+    let cases: [(&str, DeviceModel, Circuit, u64, u64); 3] = [
+        (
+            "bv-12",
+            idle_device(12),
+            bv(12),
+            3000,
+            0x1e67_8734_53fd_7e73,
+        ),
+        (
+            "bv-65",
+            idle_device(65),
+            bv(65),
+            2000,
+            0xa6df_f021_655e_02db,
+        ),
+        (
+            "ghz-clifford-tail-10",
+            idle_device(10),
+            ghz_clifford_tail(10),
+            3000,
+            0x433d_663f_aaaa_57bd,
+        ),
+    ];
+    for (name, device, circuit, trials, want) in &cases {
+        for threads in [1usize, 2] {
+            let counts = StabilizerEngine::new(device)
+                .with_threads(threads)
+                .sample(circuit, *trials, &mut seeded())
+                .unwrap();
+            assert_golden(
+                &format!("{name} threads={threads}"),
+                &counts,
+                *trials,
+                *want,
+            );
+        }
+    }
+}
