@@ -12,7 +12,8 @@ use rand::RngCore;
 /// Which noise engine executes a pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Clifford-propagation engine (scales to 20+ qubits).
+    /// Approximate Clifford-propagation engine: O(gates) per trial, no
+    /// state evolution, capped at the dense width like `Trajectory`.
     #[default]
     Propagation,
     /// Exact Monte-Carlo trajectories (≤ ~14 qubits).

@@ -17,9 +17,10 @@
 //!
 //! This is a dependency-free leaf crate (apart from `hammer_obs`), so
 //! `hammer_core` and `hammer_sim` share the executor without pulling in
-//! each other. The per-*gate* amplitude passes in `hammer_sim`'s
-//! `simkernel` and the reference oracle's parallel scoring stay on plain
-//! `std::thread::scope`: they split `&mut` output slices, not tiles.
+//! each other. `hammer_sim`'s gate passes are serial; its only
+//! parallelism is trial blocks on [`run_tiles`]. The reference oracle's
+//! parallel scoring stays on plain `std::thread::scope`, because it
+//! splits `&mut` output slices, not tiles.
 
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};

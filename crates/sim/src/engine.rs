@@ -25,9 +25,11 @@ use crate::trajectory::{default_threads, TrajectoryEngine};
 /// * [`crate::AutoEngine`] — routes each circuit to one of the above by
 ///   [`Circuit::is_clifford`];
 /// * [`crate::PropagationEngine`] — approximate Clifford-skeleton
-///   Pauli-fault propagation over an ideal sample (the scalable engine
-///   for non-Clifford 20+ qubit sweeps; cross-validated against the
-///   trajectory engine).
+///   Pauli-fault propagation over an ideal sample: O(gates) per trial
+///   with no state evolution, but capped at
+///   [`crate::MAX_DENSE_QUBITS`] qubits like the trajectory engine,
+///   because the ideal sample comes from a dense state vector
+///   (cross-validated against the trajectory engine).
 pub trait NoiseEngine {
     /// Short engine identifier for reports.
     fn engine_name(&self) -> &'static str;

@@ -22,9 +22,10 @@
 //!   GHZ) at 64–128 qubits, seed-compatible with the trajectory
 //!   engine; [`AutoEngine`] dispatches per circuit via
 //!   [`Circuit::is_clifford`].
-//! * [`PropagationEngine`] — Clifford-skeleton Pauli propagation, the
-//!   scalable approximate engine for non-Clifford wide sweeps;
-//!   validated against the trajectory engine.
+//! * [`PropagationEngine`] — Clifford-skeleton Pauli propagation: an
+//!   approximate engine, O(gates) per trial over an ideal sample and
+//!   capped at the dense width; validated against the trajectory
+//!   engine. All three engines inject faults through one shared walk.
 //! * [`transpile`] / [`CouplingMap`] — SWAP routing onto heavy-hex,
 //!   grid, linear, ring or full connectivity.
 //! * [`entanglement_entropy`] — the §7 entanglement measure (dense
@@ -68,6 +69,7 @@ mod device;
 mod engine;
 mod entanglement;
 mod error;
+mod faults;
 mod gates;
 mod linalg;
 mod mitigation;

@@ -1,19 +1,25 @@
-//! Clifford-skeleton Pauli-fault propagation: the scalable noise engine.
+//! Clifford-skeleton Pauli-fault propagation: an approximate noise
+//! engine at dense widths.
 //!
-//! A sampled Pauli fault at gate location `i` is conjugated *classically*
-//! through the remaining gates: Clifford gates (`H`, `S`, `√X`, `CX`,
-//! `CZ`, `SWAP`, and `Rz` at multiples of `π/2`) transform Paulis
-//! exactly; non-Clifford rotations (`Rx/Ry`, other `Rz` angles, `T`,
-//! `ZZ(γ)`) are approximated as identity for fault transport. At
-//! measurement, the accumulated X-component of all faults is XORed onto
-//! a sample drawn from the *ideal* output distribution.
+//! A trial's sampled Pauli faults are conjugated *classically* through
+//! the remaining gates as one Pauli frame (the shared fault walk in
+//! `faults.rs`): Clifford gates (`H`, `S`, `√X`, `CX`, `CZ`, `SWAP`, and
+//! `Rz` at multiples of `π/2`) transform Paulis exactly; non-Clifford
+//! rotations (`Rx/Ry`, other `Rz` angles, `T`, `ZZ(γ)`) are
+//! approximated as identity for fault transport. At measurement, the
+//! frame's X component is XORed onto a sample drawn from the *ideal*
+//! output distribution, so each trial costs O(gates) and no state
+//! evolution.
 //!
 //! This is the textbook Pauli-propagation approximation. It preserves
 //! exactly the two mechanisms the paper's Hamming-behavior observations
 //! rest on: a small number of local faults flips few measured bits, and
 //! deeper circuits with more entangling gates spread each fault onto
-//! more qubits (growing EHD, §7). The engine is cross-validated against
-//! [`crate::TrajectoryEngine`] in the integration suite.
+//! more qubits (growing EHD, §7). It is not a wide-register engine: the
+//! ideal distribution comes from a dense state vector, so circuits are
+//! capped at [`crate::MAX_DENSE_QUBITS`] qubits. The engine is
+//! cross-validated against [`crate::TrajectoryEngine`] in the
+//! integration suite.
 
 use hammer_dist::{BitString, Counts};
 use rand::{Rng, RngCore};
@@ -22,10 +28,12 @@ use crate::circuit::Circuit;
 use crate::device::DeviceModel;
 use crate::engine::NoiseEngine;
 use crate::error::SimError;
+use crate::faults::{flip_mask, FaultPlan};
 use crate::gates::Gate;
-use crate::noise::{Pauli, PauliFault};
+use crate::noise::Pauli;
 use crate::sampler::AliasSampler;
-use crate::statevector::{StateVector, MAX_DENSE_QUBITS};
+use crate::statevector::StateVector;
+use crate::trajectory::validate_dense;
 
 /// A Pauli operator on the whole register, tracked as X/Z bit masks
 /// (`Y` on qubit `q` sets bit `q` in both masks; 128-bit masks cover
@@ -146,7 +154,8 @@ impl PauliMask {
     }
 }
 
-/// The scalable Pauli-propagation noise engine.
+/// The approximate Pauli-propagation noise engine: O(gates) per trial
+/// over an ideal sample, capped at [`crate::MAX_DENSE_QUBITS`] qubits.
 ///
 /// # Example
 ///
@@ -183,22 +192,6 @@ impl<'a> PropagationEngine<'a> {
         self.device
     }
 
-    fn validate(&self, circuit: &Circuit, trials: u64) -> Result<(), SimError> {
-        if trials == 0 {
-            return Err(SimError::ZeroTrials);
-        }
-        if circuit.num_qubits() > self.device.num_qubits() {
-            return Err(SimError::CircuitTooWide {
-                circuit: circuit.num_qubits(),
-                device: self.device.num_qubits(),
-            });
-        }
-        if circuit.num_qubits() > MAX_DENSE_QUBITS {
-            return Err(SimError::TooManyQubitsForDense(circuit.num_qubits()));
-        }
-        Ok(())
-    }
-
     /// Executes `circuit` for `trials` trials.
     ///
     /// # Errors
@@ -210,7 +203,7 @@ impl<'a> PropagationEngine<'a> {
         trials: u64,
         rng: &mut R,
     ) -> Result<Counts, SimError> {
-        self.validate(circuit, trials)?;
+        validate_dense(self.device, circuit, trials)?;
         let n = circuit.num_qubits();
         let noise = self.device.noise();
 
@@ -220,90 +213,19 @@ impl<'a> PropagationEngine<'a> {
         let weights: Vec<f64> = entries.iter().map(|&(_, p)| p).collect();
         let ideal_sampler = AliasSampler::new(&weights).expect("normalized distribution");
 
-        let gates = circuit.gates();
-        let gate_ps: Vec<f64> = gates
-            .iter()
-            .map(|g| match g.qubits() {
-                crate::gates::GateQubits::One(q) => noise.p1_for(q),
-                crate::gates::GateQubits::Two(a, b) => noise.p2_for(a, b),
-            })
-            .collect();
-
-        // Idle periods only matter when the model has an idle rate.
-        let idle_rate = noise.idle();
-        let (idle_before, idle_trailing) = if idle_rate > 0.0 {
-            circuit.idle_periods()
-        } else {
-            (Vec::new(), Vec::new())
-        };
-
+        let plan = FaultPlan::new(circuit, noise);
         let mut counts = Counts::new(n).expect("validated width");
+        let mut faults = Vec::new();
         for _ in 0..trials {
-            // Accumulated X-flip mask from all faults of this trial.
-            let mut flips = 0u128;
-            for (i, (&p, g)) in gate_ps.iter().zip(gates).enumerate() {
-                // Idle faults propagate through this gate too.
-                if idle_rate > 0.0 {
-                    for &(q, moments) in &idle_before[i] {
-                        for _ in 0..moments {
-                            if rng.gen::<f64>() < idle_rate {
-                                let mut mask = PauliMask::single(Pauli::random(rng), q);
-                                for &later in &gates[i..] {
-                                    mask = mask.conjugate_through(later);
-                                }
-                                flips ^= mask.x;
-                            }
-                        }
-                    }
-                }
-                if p > 0.0 && rng.gen::<f64>() < p {
-                    let fault = if g.is_two_qubit() {
-                        PauliFault::random_double(rng)
-                    } else {
-                        PauliFault::random_single(rng)
-                    };
-                    flips ^= self.propagate(gates, i, *g, fault).x;
-                }
-            }
-            if idle_rate > 0.0 {
-                for (q, &moments) in idle_trailing.iter().enumerate() {
-                    for _ in 0..moments {
-                        if rng.gen::<f64>() < idle_rate && Pauli::random(rng).flips_measurement() {
-                            flips ^= 1u128 << q;
-                        }
-                    }
-                }
-            }
+            faults.clear();
+            plan.sample_faults_per_moment(&mut faults, rng);
+            // Every fault of the trial walks to measurement in one frame.
+            let flips = flip_mask(circuit, &faults);
             let ideal_key = entries[ideal_sampler.sample(rng)].0;
             let outcome = BitString::from_u128(ideal_key ^ flips, n);
             counts.record(noise.apply_readout(outcome, rng));
         }
         Ok(counts)
-    }
-
-    /// Builds the initial mask of a fault at gate `g` (location `i`) and
-    /// conjugates it through the rest of the circuit.
-    fn propagate(&self, gates: &[Gate], i: usize, g: Gate, fault: PauliFault) -> PauliMask {
-        let mut mask = PauliMask::identity();
-        match g.qubits() {
-            crate::gates::GateQubits::One(q) => {
-                if let Some(p) = fault.first {
-                    mask = mask.compose(PauliMask::single(p, q));
-                }
-            }
-            crate::gates::GateQubits::Two(a, b) => {
-                if let Some(p) = fault.first {
-                    mask = mask.compose(PauliMask::single(p, a));
-                }
-                if let Some(p) = fault.second {
-                    mask = mask.compose(PauliMask::single(p, b));
-                }
-            }
-        }
-        for &later in &gates[i + 1..] {
-            mask = mask.conjugate_through(later);
-        }
-        mask
     }
 }
 

@@ -4,10 +4,11 @@
 //! [`StabilizerEngine`] is [`crate::TrajectoryEngine`]'s wide-register
 //! twin. It reuses the trajectory layer's machinery wholesale — the
 //! same per-trial RNG-stream derivation ([`trial_rng`]), the same
-//! [`FaultPlan`] fault sampling, the same thread-split trial budget —
-//! and replaces only the *state representation*: instead of `2^n` dense
-//! amplitudes, a [`Tableau`] computed **once** per call plus one
-//! O(gate-count) Pauli-frame walk per faulty trial.
+//! [`FaultPlan`] fault sampling, the same fault walk ([`inject`]), the
+//! same thread-split trial budget — and replaces only the *state
+//! representation*: instead of `2^n` dense amplitudes, a [`Tableau`]
+//! computed **once** per call plus one O(gate-count) Pauli-frame walk
+//! per faulty trial.
 //!
 //! Per trial the engines are bit-for-bit interchangeable on Clifford
 //! circuits:
@@ -39,12 +40,11 @@ use crate::circuit::Circuit;
 use crate::device::DeviceModel;
 use crate::engine::NoiseEngine;
 use crate::error::SimError;
-use crate::gates::GateQubits;
+use crate::faults::{self, first_site, flip_mask, inject, FaultPlan, TrialFault};
 use crate::noise::NoiseModel;
 use crate::propagation::PauliMask;
 use crate::trajectory::{
-    default_threads, run_trial_blocks, tail_flip_mask, trial_rng, trial_workers, FaultPlan,
-    TrialFault,
+    default_threads, run_trial_blocks, trial_rng, trial_workers, validate_run,
 };
 use hammer_pool::{CancelToken, Cancelled};
 
@@ -118,15 +118,7 @@ impl<'a> StabilizerEngine<'a> {
     }
 
     fn validate(&self, circuit: &Circuit, trials: u64) -> Result<(), SimError> {
-        if trials == 0 {
-            return Err(SimError::ZeroTrials);
-        }
-        if circuit.num_qubits() > self.device.num_qubits() {
-            return Err(SimError::CircuitTooWide {
-                circuit: circuit.num_qubits(),
-                device: self.device.num_qubits(),
-            });
-        }
+        validate_run(self.device, circuit, trials)?;
         if let Some(bad) = circuit.gates().iter().find(|g| !g.is_clifford()) {
             return Err(SimError::NotClifford(bad.to_string()));
         }
@@ -210,21 +202,18 @@ struct StabContext<'c> {
     /// The ideal output support, extracted from the final tableau once;
     /// every trial samples through it.
     support: OutputSupport,
-    /// Length of the shortest gate prefix whose suffix is entirely
-    /// diagonal — the same measurement cut the dense engine uses:
-    /// faults at or past it act as outcome bit flips, not frame
+    /// The measurement cut ([`faults::meas_cut`]) the dense engine also
+    /// uses: faults at or past it act as outcome bit flips, not frame
     /// conjugations.
     meas_cut: usize,
 }
 
 impl<'c> StabContext<'c> {
     fn new(circuit: &'c Circuit, noise: &'c NoiseModel) -> Self {
-        let gates = circuit.gates();
-        let meas_cut = gates.len() - gates.iter().rev().take_while(|g| g.is_diagonal()).count();
         Self {
             faults: FaultPlan::new(circuit, noise),
             support: Tableau::from_circuit(circuit).output_support(),
-            meas_cut,
+            meas_cut: faults::meas_cut(circuit),
             circuit,
             noise,
         }
@@ -260,10 +249,17 @@ fn run_trial_block(
         let (reduced_offset, tail_mask) = if faults.is_empty() {
             (ctx.support.offset(), 0)
         } else {
-            let (frame, tail_mask) = frame_to_cut(ctx.circuit, ctx.meas_cut, &faults);
+            // The sampled faults walk as a Pauli frame to the measurement
+            // cut. Only the frame's X component shifts the support; the Z
+            // component rides along because H-type gates rotate it into
+            // X. Faults past the cut flip outcome bits, as on the dense
+            // engine.
+            let start = first_site(&faults, ctx.circuit.gate_count()).min(ctx.meas_cut);
+            let mut frame = PauliMask::identity();
+            let walked = inject(ctx.circuit, &faults, start..ctx.meas_cut, &mut frame);
             (
                 ctx.support.reduce(ctx.support.offset() ^ frame.x),
-                tail_mask,
+                flip_mask(ctx.circuit, &faults[walked..]),
             )
         };
         let raw = ctx.support.sample_outcome(reduced_offset, &mut rng) ^ tail_mask;
@@ -271,64 +267,6 @@ fn run_trial_block(
         counts.record(ctx.noise.apply_readout(outcome, &mut rng));
     }
     Ok(counts)
-}
-
-/// Walks the sampled faults through `circuit.gates()[..meas_cut]` as a
-/// Pauli frame (idle faults compose before their gate, depolarizing
-/// faults after — the same injection points as the dense
-/// `evolve_window_masked`) and returns `(frame at the cut, bit-flip
-/// mask of the diagonal-tail faults)`.
-///
-/// Only the frame's X component matters downstream (it shifts the
-/// measurement support); the Z component rides along because H-type
-/// gates rotate it into X.
-fn frame_to_cut(circuit: &Circuit, meas_cut: usize, faults: &[TrialFault]) -> (PauliMask, u128) {
-    let gates = circuit.gates();
-    let fork = match faults[0] {
-        TrialFault::BeforeGate { idx, .. } | TrialFault::AfterGate { idx, .. } => idx,
-        TrialFault::End { .. } => gates.len(),
-    };
-    let mut frame = PauliMask::identity();
-    let mut next = 0usize;
-    for (gi, &g) in gates[..meas_cut]
-        .iter()
-        .enumerate()
-        .skip(fork.min(meas_cut))
-    {
-        while next < faults.len() {
-            match faults[next] {
-                TrialFault::BeforeGate { idx, qubit, pauli } if idx == gi => {
-                    frame = frame.compose(PauliMask::single(pauli, qubit));
-                    next += 1;
-                }
-                _ => break,
-            }
-        }
-        frame = frame.conjugate_through(g);
-        while next < faults.len() {
-            match faults[next] {
-                TrialFault::AfterGate { idx, fault } if idx == gi => {
-                    let (qa, qb) = match g.qubits() {
-                        GateQubits::One(a) => (a, None),
-                        GateQubits::Two(a, b) => (a, Some(b)),
-                    };
-                    if let Some(p) = fault.first {
-                        frame = frame.compose(PauliMask::single(p, qa));
-                    }
-                    if let (Some(p), Some(b)) = (fault.second, qb) {
-                        frame = frame.compose(PauliMask::single(p, b));
-                    }
-                    next += 1;
-                }
-                _ => break,
-            }
-        }
-    }
-    // Faults at or past the measurement cut (and trailing idle faults):
-    // diagonal gates commute with Z-basis measurement, so X and Y
-    // components flip outcome bits directly — the dense engine's
-    // `tail_flip_mask`, shared.
-    (frame, tail_flip_mask(circuit, faults, next))
 }
 
 impl NoiseEngine for StabilizerEngine<'_> {

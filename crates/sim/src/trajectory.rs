@@ -28,6 +28,11 @@
 //!   an inverse-CDF sampler ([`crate::CdfSampler`] for fault-free and
 //!   diagonal-tail trials, the state-vector walk for evolved trials).
 //!
+//! Faults are injected by the walker in `faults.rs` that every engine
+//! shares: the state evolves through the window from the first fault to
+//! the measurement cut, and faults in the diagonal tail after it reduce
+//! to outcome bit flips.
+//!
 //! The single-draw discipline is shared with
 //! [`crate::StabilizerEngine`]: both engines derive the same per-trial
 //! streams, sample the same fault configurations through the shared
@@ -52,8 +57,9 @@ use crate::circuit::Circuit;
 use crate::device::DeviceModel;
 use crate::engine::NoiseEngine;
 use crate::error::SimError;
+use crate::faults::{self, first_site, flip_mask, inject, pauli_gate, FaultPlan, TrialFault};
 use crate::gates::{Gate, GateQubits};
-use crate::noise::{NoiseModel, Pauli, PauliFault};
+use crate::noise::NoiseModel;
 use crate::sampler::{AliasSampler, CdfSampler};
 use crate::simkernel::reference;
 use crate::statevector::{StateVector, MAX_DENSE_QUBITS};
@@ -119,22 +125,6 @@ impl<'a> TrajectoryEngine<'a> {
         self.device
     }
 
-    fn validate(&self, circuit: &Circuit, trials: u64) -> Result<(), SimError> {
-        if trials == 0 {
-            return Err(SimError::ZeroTrials);
-        }
-        if circuit.num_qubits() > self.device.num_qubits() {
-            return Err(SimError::CircuitTooWide {
-                circuit: circuit.num_qubits(),
-                device: self.device.num_qubits(),
-            });
-        }
-        if circuit.num_qubits() > MAX_DENSE_QUBITS {
-            return Err(SimError::TooManyQubitsForDense(circuit.num_qubits()));
-        }
-        Ok(())
-    }
-
     /// Executes `circuit` for `trials` trials.
     ///
     /// Draws one `u64` from `rng` to derive an independent,
@@ -182,7 +172,7 @@ impl<'a> TrajectoryEngine<'a> {
         rng: &mut R,
         cancel: Option<&CancelToken>,
     ) -> Result<Counts, SimError> {
-        self.validate(circuit, trials)?;
+        validate_dense(self.device, circuit, trials)?;
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(SimError::Cancelled);
         }
@@ -198,7 +188,7 @@ impl<'a> TrajectoryEngine<'a> {
         .map_err(|Cancelled| SimError::Cancelled)
     }
 
-    /// The pre-kernel-subsystem sampling loop, kept verbatim: generic
+    /// The pre-kernel-subsystem sampling loop, kept draw for draw: generic
     /// scalar gate kernels, a fresh full-circuit re-simulation per
     /// faulty trial, one Bernoulli draw per idle moment, and a dense
     /// probability vector for the ideal sampler. This is the `repro
@@ -214,73 +204,21 @@ impl<'a> TrajectoryEngine<'a> {
         trials: u64,
         rng: &mut R,
     ) -> Result<Counts, SimError> {
-        self.validate(circuit, trials)?;
+        validate_dense(self.device, circuit, trials)?;
         let n = circuit.num_qubits();
         let noise = self.device.noise();
-
-        // Fault probability per gate location.
-        let gate_ps: Vec<f64> = circuit
-            .gates()
-            .iter()
-            .map(|g| match g.qubits() {
-                GateQubits::One(q) => noise.p1_for(q),
-                GateQubits::Two(a, b) => noise.p2_for(a, b),
-            })
-            .collect();
+        let plan = FaultPlan::new(circuit, noise);
 
         // Ideal final state, reused by every fault-free trial.
         let mut ideal = StateVector::new(n);
         evolve_with_faults(&mut ideal, circuit, &[]);
         let ideal_sampler = AliasSampler::new(&ideal.probabilities()).expect("normalized state");
 
-        // Idle periods only matter when the model has an idle rate.
-        let idle_rate = noise.idle();
-        let (idle_before, idle_trailing) = if idle_rate > 0.0 {
-            circuit.idle_periods()
-        } else {
-            (Vec::new(), Vec::new())
-        };
-
         let mut counts = Counts::new(n).expect("validated width");
         let mut faults: Vec<TrialFault> = Vec::new();
         for _ in 0..trials {
             faults.clear();
-            for (i, (&p, g)) in gate_ps.iter().zip(circuit.gates()).enumerate() {
-                // Decoherence while waiting for this gate's operands.
-                if idle_rate > 0.0 {
-                    for &(q, moments) in &idle_before[i] {
-                        for _ in 0..moments {
-                            if rng.gen::<f64>() < idle_rate {
-                                faults.push(TrialFault::BeforeGate {
-                                    idx: i,
-                                    qubit: q,
-                                    pauli: Pauli::random(rng),
-                                });
-                            }
-                        }
-                    }
-                }
-                if p > 0.0 && rng.gen::<f64>() < p {
-                    let fault = if g.is_two_qubit() {
-                        PauliFault::random_double(rng)
-                    } else {
-                        PauliFault::random_single(rng)
-                    };
-                    faults.push(TrialFault::AfterGate { idx: i, fault });
-                }
-            }
-            if idle_rate > 0.0 {
-                for (q, &moments) in idle_trailing.iter().enumerate() {
-                    for _ in 0..moments {
-                        if rng.gen::<f64>() < idle_rate {
-                            faults.push(TrialFault::End {
-                                qubit: q,
-                                pauli: Pauli::random(rng),
-                            });
-                        }
-                    }
-                }
-            }
+            plan.sample_faults_per_moment(&mut faults, rng);
             let outcome = if faults.is_empty() {
                 BitString::new(ideal_sampler.sample(rng) as u64, n)
             } else {
@@ -291,94 +229,6 @@ impl<'a> TrajectoryEngine<'a> {
             counts.record(noise.apply_readout(outcome, rng));
         }
         Ok(counts)
-    }
-}
-
-/// The per-location fault model of one circuit on one device: where
-/// faults can strike and how likely they are. Shared verbatim between
-/// [`TrajectoryEngine`] and [`crate::StabilizerEngine`] so the two
-/// engines draw **identical** fault configurations from identical
-/// per-trial RNG streams — the foundation of their exact-counts
-/// agreement on Clifford circuits.
-pub(crate) struct FaultPlan {
-    /// Fault probability per gate location.
-    gate_ps: Vec<f64>,
-    /// Whether the gate at each location is two-qubit (a two-qubit
-    /// depolarizing fault draws from 15 Paulis instead of 3).
-    two_qubit: Vec<bool>,
-    /// Per-gate `(qubit, idle_moments)` waits (empty without idle noise).
-    idle_before: Vec<Vec<(usize, usize)>>,
-    /// Trailing idle moments per qubit before measurement.
-    idle_trailing: Vec<usize>,
-    idle_rate: f64,
-}
-
-impl FaultPlan {
-    pub(crate) fn new(circuit: &Circuit, noise: &NoiseModel) -> Self {
-        let gate_ps = circuit
-            .gates()
-            .iter()
-            .map(|g| match g.qubits() {
-                GateQubits::One(q) => noise.p1_for(q),
-                GateQubits::Two(a, b) => noise.p2_for(a, b),
-            })
-            .collect();
-        let two_qubit = circuit.gates().iter().map(Gate::is_two_qubit).collect();
-        let idle_rate = noise.idle();
-        let (idle_before, idle_trailing) = if idle_rate > 0.0 {
-            circuit.idle_periods()
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        Self {
-            gate_ps,
-            two_qubit,
-            idle_before,
-            idle_trailing,
-            idle_rate,
-        }
-    }
-
-    /// Samples one trial's fault configuration into `faults`, ordered by
-    /// gate index with `End` faults last.
-    ///
-    /// Idle periods draw a single geometric/binomial sample per period
-    /// (one RNG draw per *fault* plus one, instead of one per idle
-    /// *moment*), which is the distribution-preserving replacement for
-    /// the old per-moment Bernoulli loop — see the RNG-stream note on
-    /// the seeded-determinism test.
-    pub(crate) fn sample_faults(&self, faults: &mut Vec<TrialFault>, rng: &mut StdRng) {
-        for (i, (&p, &two)) in self.gate_ps.iter().zip(&self.two_qubit).enumerate() {
-            if self.idle_rate > 0.0 {
-                for &(q, moments) in &self.idle_before[i] {
-                    for_each_geometric_hit(rng, moments, self.idle_rate, |rng| {
-                        faults.push(TrialFault::BeforeGate {
-                            idx: i,
-                            qubit: q,
-                            pauli: Pauli::random(rng),
-                        });
-                    });
-                }
-            }
-            if p > 0.0 && rng.gen::<f64>() < p {
-                let fault = if two {
-                    PauliFault::random_double(rng)
-                } else {
-                    PauliFault::random_single(rng)
-                };
-                faults.push(TrialFault::AfterGate { idx: i, fault });
-            }
-        }
-        if self.idle_rate > 0.0 {
-            for (q, &moments) in self.idle_trailing.iter().enumerate() {
-                for_each_geometric_hit(rng, moments, self.idle_rate, |rng| {
-                    faults.push(TrialFault::End {
-                        qubit: q,
-                        pauli: Pauli::random(rng),
-                    });
-                });
-            }
-        }
     }
 }
 
@@ -395,12 +245,9 @@ struct TrialContext<'c> {
     /// uniform draw per sample, mapped onto the support in ascending
     /// basis order — the discipline the stabilizer engine mirrors.
     ideal_sampler: CdfSampler,
-    /// Length of the shortest gate prefix whose suffix is entirely
-    /// diagonal. Diagonal gates commute with Z-basis measurement, so
-    /// trajectories stop evolving here; faults in the diagonal tail
-    /// reduce to an outcome bit-flip mask, and trials whose *first*
-    /// fault lands in the tail skip state evolution entirely (ideal
-    /// sample XOR mask).
+    /// The measurement cut ([`faults::meas_cut`]): trajectories stop
+    /// evolving here, and trials whose *first* fault lands at or past
+    /// it skip state evolution entirely (ideal sample XOR flip mask).
     meas_cut: usize,
 }
 
@@ -410,14 +257,12 @@ impl<'c> TrialContext<'c> {
         let ideal_sampler =
             CdfSampler::from_weights_iter(ideal.amplitudes().iter().map(|a| a.norm_sqr()))
                 .expect("normalized state");
-        let gates = circuit.gates();
-        let meas_cut = gates.len() - gates.iter().rev().take_while(|g| g.is_diagonal()).count();
         Self {
             circuit,
             noise,
             faults: FaultPlan::new(circuit, noise),
             ideal_sampler,
-            meas_cut,
+            meas_cut: faults::meas_cut(circuit),
         }
     }
 }
@@ -430,6 +275,39 @@ struct FaultyTrial {
     fork: usize,
     faults: Vec<TrialFault>,
     rng: StdRng,
+}
+
+/// The run checks of the dense engines: a nonzero trial budget and a
+/// circuit that fits both the device and the dense state vector.
+pub(crate) fn validate_dense(
+    device: &DeviceModel,
+    circuit: &Circuit,
+    trials: u64,
+) -> Result<(), SimError> {
+    validate_run(device, circuit, trials)?;
+    if circuit.num_qubits() > MAX_DENSE_QUBITS {
+        return Err(SimError::TooManyQubitsForDense(circuit.num_qubits()));
+    }
+    Ok(())
+}
+
+/// The run checks of every engine: a nonzero trial budget and a circuit
+/// no wider than the device.
+pub(crate) fn validate_run(
+    device: &DeviceModel,
+    circuit: &Circuit,
+    trials: u64,
+) -> Result<(), SimError> {
+    if trials == 0 {
+        return Err(SimError::ZeroTrials);
+    }
+    if circuit.num_qubits() > device.num_qubits() {
+        return Err(SimError::CircuitTooWide {
+            circuit: circuit.num_qubits(),
+            device: device.num_qubits(),
+        });
+    }
+    Ok(())
 }
 
 /// The default worker-thread count of every engine: all cores.
@@ -530,12 +408,8 @@ fn run_trial_block(
             let outcome = BitString::new(ctx.ideal_sampler.sample(&mut rng) as u64, n);
             counts.record(ctx.noise.apply_readout(outcome, &mut rng));
         } else {
-            let fork = match scratch_faults[0] {
-                TrialFault::BeforeGate { idx, .. } | TrialFault::AfterGate { idx, .. } => idx,
-                TrialFault::End { .. } => gate_count,
-            };
             faulty.push(FaultyTrial {
-                fork,
+                fork: first_site(&scratch_faults, gate_count),
                 faults: std::mem::take(&mut scratch_faults),
                 rng,
             });
@@ -559,151 +433,28 @@ fn run_trial_block(
         // Trials whose first fault lands in the diagonal tail need no
         // state evolution at all: the pre-tail state has the ideal
         // measurement distribution, and tail faults only flip bits.
-        if trial.fork >= ctx.meas_cut {
-            let mask = tail_flip_mask(ctx.circuit, &trial.faults, 0) as u64;
-            let raw = ctx.ideal_sampler.sample(&mut trial.rng) as u64 ^ mask;
-            let outcome = BitString::new(raw, n);
-            counts.record(ctx.noise.apply_readout(outcome, &mut trial.rng));
-            continue;
-        }
-        for &g in &ctx.circuit.gates()[prefix_len..trial.fork] {
-            prefix.apply_gate(g);
-        }
-        prefix_len = trial.fork;
-        scratch.copy_from(&prefix);
-        let mask = evolve_window_masked(
-            &mut scratch,
-            ctx.circuit,
-            &trial.faults,
-            trial.fork,
-            ctx.meas_cut,
-        );
-        let raw = scratch.sample(&mut trial.rng).as_u64() ^ mask;
+        let (draw, walked) = if trial.fork >= ctx.meas_cut {
+            (ctx.ideal_sampler.sample(&mut trial.rng) as u64, 0)
+        } else {
+            for &g in &ctx.circuit.gates()[prefix_len..trial.fork] {
+                prefix.apply_gate(g);
+            }
+            prefix_len = trial.fork;
+            scratch.copy_from(&prefix);
+            let walked = inject(
+                ctx.circuit,
+                &trial.faults,
+                trial.fork..ctx.meas_cut,
+                &mut scratch,
+            );
+            (scratch.sample(&mut trial.rng).as_u64(), walked)
+        };
+        // Dense registers cap at MAX_DENSE_QUBITS, far inside u64.
+        let raw = draw ^ flip_mask(ctx.circuit, &trial.faults[walked..]) as u64;
         let outcome = BitString::new(raw, n);
         counts.record(ctx.noise.apply_readout(outcome, &mut trial.rng));
     }
     Ok(counts)
-}
-
-/// Calls `hit` once per fault in an idle period of `moments` slots with
-/// per-moment fault probability `rate`, skipping fault-free moments
-/// with geometric jumps: `floor(ln(1−u) / ln(1−rate))` failures precede
-/// each success, so the total count is exactly `Binomial(moments,
-/// rate)`-distributed at a cost of one uniform draw per fault plus one.
-fn for_each_geometric_hit<R, F>(rng: &mut R, moments: usize, rate: f64, mut hit: F)
-where
-    R: Rng + ?Sized,
-    F: FnMut(&mut R),
-{
-    if moments == 0 || rate <= 0.0 {
-        return;
-    }
-    if rate >= 1.0 {
-        for _ in 0..moments {
-            hit(rng);
-        }
-        return;
-    }
-    let denom = (1.0 - rate).ln();
-    let mut pos = 0usize;
-    loop {
-        let u: f64 = rng.gen();
-        // (1 − u) ∈ (0, 1]: the ratio is a finite non-negative float;
-        // the saturating `as` cast handles the enormous-skip tail.
-        let skip = ((1.0 - u).ln() / denom) as usize;
-        match pos.checked_add(skip) {
-            Some(p) if p < moments => {
-                hit(rng);
-                pos = p + 1;
-            }
-            _ => break,
-        }
-    }
-}
-
-/// Evolves `sv` through `circuit.gates()[start..meas_cut]` with the
-/// given faults injected at their recorded positions, and returns the
-/// measurement bit-flip mask of every fault at or beyond `meas_cut`.
-///
-/// Gates past `meas_cut` are diagonal, so they never change the
-/// measurement distribution; a Pauli fault landing among them only
-/// matters through its bit-flip action (X/Y) on the sampled outcome.
-/// `faults` must be ordered by gate index with `End` faults last and
-/// contain no fault site before `start`.
-fn evolve_window_masked(
-    sv: &mut StateVector,
-    circuit: &Circuit,
-    faults: &[TrialFault],
-    start: usize,
-    meas_cut: usize,
-) -> u64 {
-    let mut next = 0usize;
-    for (gi, &g) in circuit.gates()[..meas_cut].iter().enumerate().skip(start) {
-        while next < faults.len() {
-            match faults[next] {
-                TrialFault::BeforeGate { idx, qubit, pauli } if idx == gi => {
-                    sv.apply_gate(pauli_gate(pauli, qubit));
-                    next += 1;
-                }
-                _ => break,
-            }
-        }
-        sv.apply_gate(g);
-        while next < faults.len() {
-            match faults[next] {
-                TrialFault::AfterGate { idx, fault } if idx == gi => {
-                    let (qa, qb) = match g.qubits() {
-                        GateQubits::One(a) => (a, None),
-                        GateQubits::Two(a, b) => (a, Some(b)),
-                    };
-                    if let Some(p) = fault.first {
-                        sv.apply_gate(pauli_gate(p, qa));
-                    }
-                    if let (Some(p), Some(b)) = (fault.second, qb) {
-                        sv.apply_gate(pauli_gate(p, b));
-                    }
-                    next += 1;
-                }
-                _ => break,
-            }
-        }
-    }
-    // Dense registers cap at MAX_DENSE_QUBITS, far inside u64.
-    tail_flip_mask(circuit, faults, next) as u64
-}
-
-/// The measurement bit-flip mask of the faults `faults[from..]`, all of
-/// which sit in the diagonal tail (or after the last gate): X and Y
-/// flip their qubit's outcome bit, Z leaves it unchanged. Shared with
-/// the stabilizer engine (whose registers run past 64 bits — dense
-/// callers truncate to their `u64` width).
-pub(crate) fn tail_flip_mask(circuit: &Circuit, faults: &[TrialFault], from: usize) -> u128 {
-    let mut mask = 0u128;
-    let mut flip = |pauli: Pauli, qubit: usize| {
-        if pauli.flips_measurement() {
-            mask ^= 1u128 << qubit;
-        }
-    };
-    for f in &faults[from..] {
-        match *f {
-            TrialFault::BeforeGate { qubit, pauli, .. } | TrialFault::End { qubit, pauli } => {
-                flip(pauli, qubit);
-            }
-            TrialFault::AfterGate { idx, fault } => {
-                let (qa, qb) = match circuit.gates()[idx].qubits() {
-                    GateQubits::One(a) => (a, None),
-                    GateQubits::Two(a, b) => (a, Some(b)),
-                };
-                if let Some(p) = fault.first {
-                    flip(p, qa);
-                }
-                if let (Some(p), Some(b)) = (fault.second, qb) {
-                    flip(p, b);
-                }
-            }
-        }
-    }
-    mask
 }
 
 /// Evolves `sv` through the whole circuit on the
@@ -749,32 +500,6 @@ fn evolve_with_faults(sv: &mut StateVector, circuit: &Circuit, faults: &[TrialFa
         if let TrialFault::End { qubit, pauli } = *f {
             apply(pauli_gate(pauli, qubit));
         }
-    }
-}
-
-/// One fault event within a trial. Shared with the stabilizer engine,
-/// which realizes the same events as Pauli-frame updates instead of
-/// state-vector gate applications.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum TrialFault {
-    /// Idle-decoherence fault on `qubit` just before gate `idx`.
-    BeforeGate {
-        idx: usize,
-        qubit: usize,
-        pauli: Pauli,
-    },
-    /// Depolarizing fault on the operands of gate `idx`.
-    AfterGate { idx: usize, fault: PauliFault },
-    /// Idle fault after a qubit's last gate, before measurement.
-    End { qubit: usize, pauli: Pauli },
-}
-
-/// The gate realizing a Pauli error on qubit `q`.
-fn pauli_gate(p: Pauli, q: usize) -> Gate {
-    match p {
-        Pauli::X => Gate::X(q),
-        Pauli::Y => Gate::Y(q),
-        Pauli::Z => Gate::Z(q),
     }
 }
 
