@@ -11,7 +11,6 @@
 //! repro bench-obs [--quick] [--out PATH]
 //! repro serve [--addr A] [--workers N] [--cache-mb MB]
 //!             [--store-dir D] [--store-mb MB] [--store-fault SPEC]
-//!             [--obs] [--stats-every SECS]
 //!             [--metrics-addr A] [--rollup-ms N] [--slo SPEC]...
 //! repro top [--addr A] [--once] [--interval-ms N] [--frames N]
 //! repro serve-smoke [--addr A] [--shutdown]
@@ -22,6 +21,10 @@
 //!
 //! Each `bench-*` subcommand prints a table and writes its JSON
 //! artifact to `PATH`, by default `BENCH_<name>.json`.
+//!
+//! `serve` and `top` refuse any `--flag` outside their own list, so a
+//! typo fails loudly instead of running with a default. `repro top` is
+//! the live view of a running server's counters.
 //!
 //! `repro all` runs independent experiment instances concurrently:
 //! `--jobs N` sets the worker count, by default 1. Reports are printed
@@ -67,13 +70,9 @@ fn count(snap: &hammer_obs::MetricsSnapshot, name: &str) -> u64 {
     snap.counter(name).unwrap_or(0)
 }
 
-/// One digest line shared by the periodic `--stats-every` ticker and
-/// the final shutdown report: the serving counters, plus latency
-/// quantiles and gauges when `--obs` is on. Both read a
-/// `MetricsSnapshot`, so the numbers an operator tails are the numbers
-/// the wire serves.
-fn digest_line(snap: &hammer_obs::MetricsSnapshot, obs: bool) -> String {
-    let mut line = format!(
+/// The serving counters `repro serve` prints when it shuts down.
+fn shutdown_line(snap: &hammer_obs::MetricsSnapshot) -> String {
+    format!(
         "{} requests ({} hits, {} misses, {} coalesced, {} busy, {} spills, {} loads)",
         count(snap, "serve.requests"),
         count(snap, "serve.cache.hits"),
@@ -82,31 +81,47 @@ fn digest_line(snap: &hammer_obs::MetricsSnapshot, obs: bool) -> String {
         count(snap, "serve.busy_rejections"),
         count(snap, "serve.store.spills"),
         count(snap, "serve.store.loads"),
-    );
-    if obs {
-        if let Some(h) = snap.histogram("serve.request_ns") {
-            line.push_str(&format!(
-                "; request p50/p95/p99 {:.2}/{:.2}/{:.2} ms",
-                h.quantile(0.50) as f64 / 1e6,
-                h.quantile(0.95) as f64 / 1e6,
-                h.quantile(0.99) as f64 / 1e6,
-            ));
-        }
-        if let Some(entries) = snap.gauge("serve.cache.entries") {
-            line.push_str(&format!("; cache {entries} entries"));
-        }
-        if let Some(conns) = snap.gauge("serve.connections") {
-            line.push_str(&format!(", {conns} conns"));
-        }
+    )
+}
+
+/// `repro serve`'s usage line.
+const SERVE_USAGE: &str = "repro serve [--addr A] [--workers N] [--cache-mb MB] \
+[--store-dir D] [--store-mb MB] [--store-fault SPEC] \
+[--metrics-addr A] [--rollup-ms N] [--slo SPEC]...";
+/// The flags `repro serve` takes.
+const SERVE_FLAGS: [&str; 9] = [
+    "--addr",
+    "--workers",
+    "--cache-mb",
+    "--store-dir",
+    "--store-mb",
+    "--store-fault",
+    "--metrics-addr",
+    "--rollup-ms",
+    "--slo",
+];
+/// `repro top`'s usage line.
+const TOP_USAGE: &str = "repro top [--addr A] [--once] [--interval-ms N] [--frames N]";
+/// The flags `repro top` takes.
+const TOP_FLAGS: [&str; 4] = ["--addr", "--once", "--interval-ms", "--frames"];
+
+/// Rejects the first `--flag` in `args` that is not in `known`, with a
+/// message that ends in the subcommand's usage line.
+fn check_flags(args: &[String], known: &[&str], usage: &str) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        None => Ok(()),
+        Some(flag) => Err(format!("unknown flag {flag}\nusage: {usage}")),
     }
-    line
 }
 
 /// `repro serve [--addr A] [--workers N] [--cache-mb MB]
 /// [--store-dir D] [--store-mb MB] [--store-fault KIND:N]
-/// [--obs] [--stats-every SECS] [--metrics-addr A] [--rollup-ms N]
-/// [--slo SPEC]...`: run the serving subsystem in the foreground until
-/// a client sends `Shutdown`.
+/// [--metrics-addr A] [--rollup-ms N] [--slo SPEC]...`: run the
+/// serving subsystem in the foreground until a client sends
+/// `Shutdown`, then print the serving counters.
 ///
 /// `--metrics-addr` binds the HTTP exposition listener (`/metrics`,
 /// `/series`, `/events`, `/slo`, `/healthz`) on a second port;
@@ -114,10 +129,6 @@ fn digest_line(snap: &hammer_obs::MetricsSnapshot, obs: bool) -> String {
 /// 1000); `--slo` declares an objective
 /// (`latency:NAME:SERIES:THRESH:PCT:WINDOW` or
 /// `avail:NAME:BAD:TOTAL:PCT:WINDOW`) and may repeat.
-///
-/// `--stats-every SECS` prints a periodic stats digest; `--obs` widens
-/// it (and the final shutdown line) with registry latency quantiles,
-/// defaulting the period to 30 s if `--stats-every` is absent.
 ///
 /// `--store-fault` arms a crash-injection point for the persist-smoke
 /// drill: `append:N` aborts mid-way through the Nth store append
@@ -134,6 +145,10 @@ fn run_serve(args: &[String]) -> ExitCode {
                 .map(Some)
                 .map_err(|_| format!("{flag} requires a non-negative integer, got {v}")),
         }
+    }
+    if let Err(e) = check_flags(args, &SERVE_FLAGS, SERVE_USAGE) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
     }
     let mut config = hammer_serve::ServeConfig::default();
     let parsed = usize_flag(args, "--workers")
@@ -197,14 +212,6 @@ fn run_serve(args: &[String]) -> ExitCode {
             }
         }
     }
-    let obs_digest = args.iter().any(|a| a == "--obs");
-    let stats_every = match usize_flag(args, "--stats-every") {
-        Ok(v) => v.unwrap_or(if obs_digest { 30 } else { 0 }),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
     // Fault points must be armed before `serve` opens the store: the
     // recovery fault fires during that open.
     match flag_value(args, "--store-fault") {
@@ -253,26 +260,8 @@ fn run_serve(args: &[String]) -> ExitCode {
             "[serve] metrics exposition on http://{addr} (/metrics /series /events /slo /healthz)"
         );
     }
-    let ticker = (stats_every > 0).then(|| {
-        let observer = server.observer();
-        std::thread::spawn(move || {
-            let period = std::time::Duration::from_secs(stats_every as u64);
-            let mut next = std::time::Instant::now() + period;
-            while !observer.is_shut_down() {
-                std::thread::sleep(std::time::Duration::from_millis(200));
-                if std::time::Instant::now() >= next {
-                    next += period;
-                    let snap = observer.obs_snapshot();
-                    eprintln!("[serve] {}", digest_line(&snap, obs_digest));
-                }
-            }
-        })
-    });
     let snap = server.wait();
-    eprintln!("[serve] shut down after {}", digest_line(&snap, obs_digest));
-    if let Some(t) = ticker {
-        let _ = t.join();
-    }
+    eprintln!("[serve] shut down after {}", shutdown_line(&snap));
     ExitCode::SUCCESS
 }
 
@@ -282,6 +271,10 @@ fn run_serve(args: &[String]) -> ExitCode {
 /// keeping the rollup history on the client. `--once` prints a single
 /// lifetime frame and exits.
 fn run_top(args: &[String]) -> ExitCode {
+    if let Err(e) = check_flags(args, &TOP_FLAGS, TOP_USAGE) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
     let mut config = hammer_bench::top::TopConfig {
         once: args.iter().any(|a| a == "--once"),
         ..hammer_bench::top::TopConfig::default()
@@ -913,11 +906,8 @@ fn main() -> ExitCode {
         for (name, _) in BENCHES {
             eprintln!("       repro {name} [--quick] [--out PATH]");
         }
-        eprintln!("       repro serve [--addr A] [--workers N] [--cache-mb MB]");
-        eprintln!("                   [--store-dir D] [--store-mb MB] [--store-fault SPEC]");
-        eprintln!("                   [--obs] [--stats-every SECS]");
-        eprintln!("                   [--metrics-addr A] [--rollup-ms N] [--slo SPEC]...");
-        eprintln!("       repro top [--addr A] [--once] [--interval-ms N] [--frames N]");
+        eprintln!("       {SERVE_USAGE}");
+        eprintln!("       {TOP_USAGE}");
         eprintln!("       repro serve-smoke [--addr A] [--shutdown]");
         eprintln!("       repro chaos-smoke [--quick]");
         eprintln!("       repro persist-smoke [--quick]");
@@ -1004,5 +994,46 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(xs: &[&str]) -> Vec<String> {
+        xs.iter().map(|&x| x.to_owned()).collect()
+    }
+
+    #[test]
+    fn known_flags_and_their_values_pass() {
+        let serve = args(&[
+            "--addr",
+            "127.0.0.1:0",
+            "--store-fault",
+            "append:3",
+            "--slo",
+            "latency:p99:serve.request_ns:50ms:99%:60s",
+            "--slo",
+            "avail:a:serve.replies.failed:serve.replies.total:99%:60s",
+        ]);
+        assert_eq!(check_flags(&serve, &SERVE_FLAGS, SERVE_USAGE), Ok(()));
+        let top = args(&["--once", "--addr", "127.0.0.1:7878", "--frames", "2"]);
+        assert_eq!(check_flags(&top, &TOP_FLAGS, TOP_USAGE), Ok(()));
+        assert_eq!(check_flags(&[], &TOP_FLAGS, TOP_USAGE), Ok(()));
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_with_the_usage_line() {
+        for (bad, known, usage) in [
+            ("--worker", &SERVE_FLAGS[..], SERVE_USAGE),
+            ("--once", &SERVE_FLAGS[..], SERVE_USAGE),
+            ("--interval", &TOP_FLAGS[..], TOP_USAGE),
+            ("--workers", &TOP_FLAGS[..], TOP_USAGE),
+        ] {
+            let err = check_flags(&args(&["--addr", "x", bad, "4"]), known, usage)
+                .expect_err("an unknown flag is refused");
+            assert_eq!(err, format!("unknown flag {bad}\nusage: {usage}"));
+        }
     }
 }

@@ -86,8 +86,8 @@ pub struct Event {
     pub fields: Vec<(&'static str, String)>,
 }
 
-/// Renders an event the way `repro serve --obs` digests and the stderr
-/// echo print it: `HH:MM:SS.mmm LEVEL [target] message k=v ... trace=…`.
+/// Renders an event the way the stderr echo prints it:
+/// `HH:MM:SS.mmm LEVEL [target] message k=v ... trace=…`.
 #[must_use]
 pub fn format_human(e: &Event) -> String {
     let secs = e.unix_ms / 1_000;

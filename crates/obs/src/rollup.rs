@@ -367,14 +367,17 @@ impl TimeSeries {
                 &rings.coarse,
                 &inner.coarse_stamps,
                 g,
-                self.config.window_ms * self.config.coarse_factor as u64 * g as u64,
+                self.config
+                    .window_ms
+                    .saturating_mul(self.config.coarse_factor as u64)
+                    .saturating_mul(g as u64),
             )
         } else {
             (
                 &rings.fine,
                 &inner.fine_stamps,
                 group,
-                self.config.window_ms * group as u64,
+                self.config.window_ms.saturating_mul(group as u64),
             )
         };
         let kind = ring
@@ -601,6 +604,24 @@ mod tests {
         // windows 1,2 | 3,4 | 5,6
         assert_eq!(deltas, [3, 7, 11]);
         assert_eq!(s.point_window_ms, 200);
+    }
+
+    #[test]
+    fn huge_groups_saturate_instead_of_overflowing() {
+        let reg = Registry::new();
+        let c = reg.counter("c");
+        let ts = TimeSeries::new(quick_config());
+        // Before any coarse window closes the fine ring answers; after,
+        // the coarse ring does. Neither may overflow the point width.
+        for rolls in [2u64, 6] {
+            for i in 0..rolls {
+                c.add(1);
+                ts.roll_at(&reg.snapshot(), 10_000 * rolls + i * 100);
+            }
+            let s = ts.query("c", usize::MAX, 10).expect("series exists");
+            assert_eq!(s.point_window_ms, u64::MAX);
+            assert_eq!(s.points.len(), 1, "one point merges all history");
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 use hammer_dist::Distribution;
+use hammer_obs::{Counter, Registry};
 
 /// Shard count: fingerprints are well-mixed, so a modest fixed fan-out
 /// removes lock contention without a tuning knob.
@@ -90,45 +91,29 @@ impl Shard {
     }
 }
 
-/// The sharded LRU cache with hit/miss/eviction counters.
-///
-/// The counters are [`hammer_obs::Counter`] handles: built via
-/// [`DistCache::with_registry`] they appear in the server's metrics
-/// snapshot under `serve.cache.*`; built via [`DistCache::new`] they
-/// are detached cells with identical semantics.
+/// The sharded LRU cache. Its hit/miss/eviction counters live on the
+/// registry it is built with, as `serve.cache.{hits,misses,evictions}`.
 pub struct DistCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard byte budget (total budget / shard count).
     shard_budget: usize,
-    hits: hammer_obs::Counter,
-    misses: hammer_obs::Counter,
-    evictions: hammer_obs::Counter,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
 }
 
 impl DistCache {
     /// A cache bounded by `capacity_bytes` (approximate, split evenly
-    /// across shards; at least one entry per shard always fits), with
-    /// detached (unregistered) counters.
+    /// across shards; at least one entry per shard always fits), counting
+    /// on `registry`.
     #[must_use]
-    pub fn new(capacity_bytes: usize) -> Self {
+    pub fn new(capacity_bytes: usize, registry: &Registry) -> Self {
         Self {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             shard_budget: capacity_bytes / SHARDS,
-            hits: hammer_obs::Counter::detached(),
-            misses: hammer_obs::Counter::detached(),
-            evictions: hammer_obs::Counter::detached(),
-        }
-    }
-
-    /// [`DistCache::new`], with the counters registered on `registry`
-    /// as `serve.cache.{hits,misses,evictions}`.
-    #[must_use]
-    pub fn with_registry(capacity_bytes: usize, registry: &hammer_obs::Registry) -> Self {
-        Self {
             hits: registry.counter("serve.cache.hits"),
             misses: registry.counter("serve.cache.misses"),
             evictions: registry.counter("serve.cache.evictions"),
-            ..Self::new(capacity_bytes)
         }
     }
 
@@ -193,22 +178,14 @@ impl DistCache {
         out
     }
 
-    /// `(hits, misses, evictions, entries, bytes)` snapshot.
+    /// `(entries, approximate bytes)` resident right now, for the
+    /// `serve.cache.{entries,bytes}` gauges.
     #[must_use]
-    pub fn stats(&self) -> (u64, u64, u64, u64, u64) {
-        let (mut entries, mut bytes) = (0u64, 0u64);
-        for shard in &self.shards {
+    pub fn resident(&self) -> (u64, u64) {
+        self.shards.iter().fold((0, 0), |(entries, bytes), shard| {
             let s = shard.lock().expect("shard unpoisoned");
-            entries += s.map.len() as u64;
-            bytes += s.bytes as u64;
-        }
-        (
-            self.hits.get(),
-            self.misses.get(),
-            self.evictions.get(),
-            entries,
-            bytes,
-        )
+            (entries + s.map.len() as u64, bytes + s.bytes as u64)
+        })
     }
 }
 
@@ -279,27 +256,20 @@ pub enum Claim {
     Follower(Arc<Slot>),
 }
 
-/// The in-flight request-coalescing map.
-#[derive(Default)]
+/// The in-flight request-coalescing map. Followers that join a leader
+/// count on `serve.coalesced`.
 pub struct InFlight {
     slots: Mutex<HashMap<u64, Arc<Slot>>>,
-    coalesced: hammer_obs::Counter,
+    coalesced: Counter,
 }
 
 impl InFlight {
-    /// An empty map with a detached coalesce counter.
+    /// An empty map counting on `registry`.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty map whose coalesce counter is registered on `registry`
-    /// as `serve.coalesced`.
-    #[must_use]
-    pub fn with_registry(registry: &hammer_obs::Registry) -> Self {
+    pub fn new(registry: &Registry) -> Self {
         Self {
+            slots: Mutex::new(HashMap::new()),
             coalesced: registry.counter("serve.coalesced"),
-            ..Self::new()
         }
     }
 
@@ -461,16 +431,34 @@ mod tests {
         )
     }
 
+    /// A cache counting on a fresh registry, returned alongside it.
+    fn cache(capacity_bytes: usize) -> (DistCache, Registry) {
+        let registry = Registry::new();
+        (DistCache::new(capacity_bytes, &registry), registry)
+    }
+
+    /// `(hits, misses, evictions)` as the registry snapshot reports them.
+    fn counts(registry: &Registry) -> (u64, u64, u64) {
+        let snap = registry.snapshot();
+        let get = |name| snap.counter(name).unwrap_or(0);
+        (
+            get("serve.cache.hits"),
+            get("serve.cache.misses"),
+            get("serve.cache.evictions"),
+        )
+    }
+
     #[test]
     fn get_miss_then_hit() {
-        let cache = DistCache::new(1 << 20);
+        let (cache, registry) = cache(1 << 20);
         assert!(cache.get(42).is_none());
         cache.note_miss();
         cache.insert(42, dist(0));
         let hit = cache.get(42).expect("present");
         assert_eq!(*hit, *dist(0));
-        let (hits, misses, evictions, entries, bytes) = cache.stats();
-        assert_eq!((hits, misses, evictions, entries), (1, 1, 0, 1));
+        assert_eq!(counts(&registry), (1, 1, 0));
+        let (entries, bytes) = cache.resident();
+        assert_eq!(entries, 1);
         assert!(bytes > 0);
     }
 
@@ -479,7 +467,7 @@ mod tests {
         // Budget fits ~2 entries per shard; keys chosen to land in ONE
         // shard so the LRU order is observable.
         let per_entry = approx_bytes(&dist(0));
-        let cache = DistCache::new(per_entry * 2 * SHARDS + SHARDS);
+        let (cache, registry) = cache(per_entry * 2 * SHARDS + SHARDS);
         let same_shard: Vec<u64> = (0u64..)
             .filter(|&k| fold(k) % SHARDS == fold(0) % SHARDS)
             .take(4)
@@ -493,15 +481,14 @@ mod tests {
         assert!(cache.get(key(2)).is_none(), "LRU key evicted");
         assert!(cache.get(key(1)).is_some(), "recently-touched key kept");
         assert!(cache.get(key(3)).is_some(), "new key kept");
-        let (_, _, evictions, entries, _) = cache.stats();
-        assert_eq!(evictions, 1);
-        assert_eq!(entries, 2);
+        assert_eq!(counts(&registry).2, 1);
+        assert_eq!(cache.resident().0, 2);
     }
 
     #[test]
     fn eviction_hands_back_the_entry_for_the_spill_tier() {
         let per_entry = approx_bytes(&dist(0));
-        let cache = DistCache::new(per_entry * 2 * SHARDS + SHARDS);
+        let (cache, _) = cache(per_entry * 2 * SHARDS + SHARDS);
         let same_shard: Vec<u64> = (0u64..)
             .filter(|&k| fold(k) % SHARDS == fold(0) % SHARDS)
             .take(3)
@@ -552,7 +539,7 @@ mod tests {
 
     #[test]
     fn tiny_budget_never_evicts_the_entry_just_inserted() {
-        let cache = DistCache::new(1); // less than one entry
+        let (cache, _) = cache(1); // less than one entry
         cache.insert(7, dist(7));
         assert!(cache.get(7).is_some(), "sole entry survives");
         cache.insert(9, dist(9));
@@ -561,18 +548,18 @@ mod tests {
 
     #[test]
     fn reinserting_a_key_replaces_without_leaking_bytes() {
-        let cache = DistCache::new(1 << 20);
+        let (cache, _) = cache(1 << 20);
         cache.insert(5, dist(1));
-        let (_, _, _, _, bytes_once) = cache.stats();
+        let (_, bytes_once) = cache.resident();
         cache.insert(5, dist(2));
-        let (_, _, _, entries, bytes_twice) = cache.stats();
+        let (entries, bytes_twice) = cache.resident();
         assert_eq!(entries, 1);
         assert_eq!(bytes_once, bytes_twice);
     }
 
     #[test]
     fn followers_receive_the_leaders_result() {
-        let inflight = Arc::new(InFlight::new());
+        let inflight = Arc::new(InFlight::new(&Registry::new()));
         let Claim::Leader = inflight.claim(11) else {
             panic!("first claim leads");
         };
@@ -602,7 +589,7 @@ mod tests {
 
     #[test]
     fn leader_errors_propagate_to_followers() {
-        let inflight = Arc::new(InFlight::new());
+        let inflight = Arc::new(InFlight::new(&Registry::new()));
         assert!(matches!(inflight.claim(3), Claim::Leader));
         let follower = {
             let inflight = Arc::clone(&inflight);
@@ -623,7 +610,7 @@ mod tests {
 
     #[test]
     fn a_dropped_publish_guard_wakes_followers_with_panicked() {
-        let inflight = Arc::new(InFlight::new());
+        let inflight = Arc::new(InFlight::new(&Registry::new()));
         assert!(matches!(inflight.claim(17), Claim::Leader));
         let follower = {
             let inflight = Arc::clone(&inflight);
@@ -650,7 +637,7 @@ mod tests {
     #[test]
     fn wait_until_times_out_while_the_leader_is_still_computing() {
         use std::time::{Duration, Instant};
-        let inflight = Arc::new(InFlight::new());
+        let inflight = Arc::new(InFlight::new(&Registry::new()));
         assert!(matches!(inflight.claim(23), Claim::Leader));
         let follower @ Claim::Follower(_) = inflight.claim(23) else {
             panic!("second claim follows");

@@ -18,9 +18,9 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use hammer_core::HammerConfig;
-use hammer_dist::{BitString, Counts, Distribution};
+use hammer_dist::{Counts, Distribution};
 
-use crate::codec::{MetricsReply, Reply, Request, SampleJob, TraceDumpEntry};
+use crate::codec::{Reply, Request, SampleJob, TraceDumpEntry};
 use crate::protocol::{read_frame, write_frame, Frame, WireError};
 
 /// The floor for a deadline-derived socket timeout: a budget of a few
@@ -338,36 +338,6 @@ impl ServeClient {
         };
         match self.call(&request)? {
             Reply::Distribution(d) => Ok(d),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
-    /// Scores a distribution against a correct-outcome set.
-    ///
-    /// # Errors
-    ///
-    /// As for [`reconstruct`](ServeClient::reconstruct).
-    pub fn metrics(
-        &mut self,
-        dist: &Distribution,
-        correct: &[BitString],
-    ) -> Result<MetricsReply, WireError> {
-        // Outcome widths are implicit on the wire (the distribution's
-        // width governs the limb layout), so a mismatch must be caught
-        // here — encoding it would silently reinterpret the bits.
-        if let Some(bad) = correct.iter().find(|x| x.len() != dist.n_bits()) {
-            return Err(WireError::Malformed(format!(
-                "correct outcome width {} does not match distribution width {}",
-                bad.len(),
-                dist.n_bits()
-            )));
-        }
-        let request = Request::Metrics {
-            dist: dist.clone(),
-            correct: correct.to_vec(),
-        };
-        match self.call(&request)? {
-            Reply::Metrics(m) => Ok(m),
             other => Err(Self::unexpected(other)),
         }
     }

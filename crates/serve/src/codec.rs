@@ -13,7 +13,7 @@
 //! **byte-identical** (probabilities travel as IEEE-754 bit patterns).
 
 use hammer_core::{FilterRule, HammerConfig, NeighborhoodLimit, WeightScheme};
-use hammer_dist::{BitString, Counts, Distribution};
+use hammer_dist::{Counts, Distribution};
 use hammer_sim::{Circuit, DeviceModel, Gate};
 
 use crate::protocol::{opcode, WireError};
@@ -188,46 +188,6 @@ fn get_counts(cur: &mut Cur) -> Result<Counts, WireError> {
     };
     let counts = cur.u64_array(len)?;
     Ok(Counts::from_raw_parts(n_bits, keys, keys_hi, counts)?)
-}
-
-/// Appends a list of outcomes of width `n_bits`.
-fn put_bitstrings(out: &mut Vec<u8>, n_bits: usize, xs: &[BitString]) {
-    put_u32(out, xs.len() as u32);
-    for x in xs {
-        put_u64(out, x.limbs()[0]);
-    }
-    if wide(n_bits) {
-        for x in xs {
-            put_u64(out, x.limbs()[1]);
-        }
-    }
-}
-
-fn get_bitstrings(cur: &mut Cur, n_bits: usize) -> Result<Vec<BitString>, WireError> {
-    let len = cur.u32()? as usize;
-    let lo = cur.u64_array(len)?;
-    let hi = if wide(n_bits) {
-        cur.u64_array(len)?
-    } else {
-        vec![0u64; len]
-    };
-    let mask = if n_bits == 128 {
-        u128::MAX
-    } else {
-        (1u128 << n_bits) - 1
-    };
-    lo.into_iter()
-        .zip(hi)
-        .map(|(l, h)| {
-            let bits = u128::from(l) | (u128::from(h) << 64);
-            if bits & !mask != 0 {
-                return Err(WireError::Malformed(format!(
-                    "outcome has bits beyond the {n_bits}-bit register"
-                )));
-            }
-            Ok(BitString::from_u128(bits, n_bits))
-        })
-        .collect()
 }
 
 /// Appends the *algorithmic* [`HammerConfig`] knobs (neighborhood,
@@ -550,13 +510,6 @@ pub enum Request {
         /// The measured histogram.
         counts: Counts,
     },
-    /// Score a distribution against a correct-outcome set.
-    Metrics {
-        /// The distribution under test.
-        dist: Distribution,
-        /// The correct outcomes (same width).
-        correct: Vec<BitString>,
-    },
     /// Run the full simulate-then-reconstruct pipeline.
     SampleAndReconstruct(SampleJob),
     /// Drain the server's captured slow-request traces.
@@ -574,7 +527,6 @@ impl Request {
         match self {
             Self::Ping => opcode::PING,
             Self::Reconstruct { .. } => opcode::RECONSTRUCT,
-            Self::Metrics { .. } => opcode::METRICS,
             Self::SampleAndReconstruct(_) => opcode::SAMPLE_AND_RECONSTRUCT,
             Self::TraceDump => opcode::TRACE_DUMP,
             Self::MetricsSnapshot => opcode::METRICS_SNAPSHOT,
@@ -592,10 +544,6 @@ impl Request {
             Self::Reconstruct { config, counts } => {
                 put_config(&mut out, config);
                 put_counts(&mut out, counts);
-            }
-            Self::Metrics { dist, correct } => {
-                put_distribution(&mut out, dist);
-                put_bitstrings(&mut out, dist.n_bits(), correct);
             }
             Self::SampleAndReconstruct(job) => {
                 put_device(&mut out, job.device);
@@ -626,11 +574,6 @@ impl Request {
                 let counts = get_counts(&mut cur)?;
                 Self::Reconstruct { config, counts }
             }
-            opcode::METRICS => {
-                let dist = get_distribution(&mut cur)?;
-                let correct = get_bitstrings(&mut cur, dist.n_bits())?;
-                Self::Metrics { dist, correct }
-            }
             opcode::SAMPLE_AND_RECONSTRUCT => {
                 let device = get_device(&mut cur)?;
                 let trials = cur.u64()?;
@@ -650,19 +593,6 @@ impl Request {
         cur.finish()?;
         Ok(req)
     }
-}
-
-/// The figures of merit the `Metrics` opcode returns.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetricsReply {
-    /// Probability of a correct outcome.
-    pub pst: f64,
-    /// Probability of the strongest incorrect outcome.
-    pub ist: f64,
-    /// Expected Hamming distance to the nearest correct outcome.
-    pub ehd: f64,
-    /// The uniform-error EHD reference `≈ n/2` for the same width.
-    pub uniform_ehd: f64,
 }
 
 /// One decoded stage span of a captured request trace.
@@ -850,8 +780,6 @@ pub enum Reply {
     /// never sends it, and [`ServeClient`](crate::ServeClient) treats it
     /// as an unexpected reply.
     ApproxDistribution(Distribution),
-    /// Figures of merit.
-    Metrics(MetricsReply),
     /// Captured slow-request traces, oldest first.
     TraceDump(Vec<TraceDumpEntry>),
     /// A full observability snapshot.
@@ -876,7 +804,6 @@ impl Reply {
             Self::Pong => opcode::PONG,
             Self::Distribution(_) => opcode::DISTRIBUTION,
             Self::ApproxDistribution(_) => opcode::DISTRIBUTION_APPROX,
-            Self::Metrics(_) => opcode::METRICS_REPLY,
             Self::TraceDump(_) => opcode::TRACE_DUMP_REPLY,
             Self::MetricsSnapshot(_) => opcode::METRICS_SNAPSHOT_REPLY,
             Self::ShutdownAck => opcode::SHUTDOWN_ACK,
@@ -898,12 +825,6 @@ impl Reply {
             | Self::DeadlineExceeded
             | Self::ShuttingDown => {}
             Self::Distribution(d) | Self::ApproxDistribution(d) => put_distribution(&mut out, d),
-            Self::Metrics(m) => {
-                put_f64(&mut out, m.pst);
-                put_f64(&mut out, m.ist);
-                put_f64(&mut out, m.ehd);
-                put_f64(&mut out, m.uniform_ehd);
-            }
             Self::TraceDump(traces) => put_trace_dump(&mut out, traces),
             Self::MetricsSnapshot(snap) => put_obs_snapshot(&mut out, snap),
             Self::Error(msg) => {
@@ -929,12 +850,6 @@ impl Reply {
             opcode::SHUTTING_DOWN => Self::ShuttingDown,
             opcode::DISTRIBUTION => Self::Distribution(get_distribution(&mut cur)?),
             opcode::DISTRIBUTION_APPROX => Self::ApproxDistribution(get_distribution(&mut cur)?),
-            opcode::METRICS_REPLY => Self::Metrics(MetricsReply {
-                pst: cur.f64()?,
-                ist: cur.f64()?,
-                ehd: cur.f64()?,
-                uniform_ehd: cur.f64()?,
-            }),
             opcode::TRACE_DUMP_REPLY => Self::TraceDump(get_trace_dump(&mut cur)?),
             opcode::METRICS_SNAPSHOT_REPLY => Self::MetricsSnapshot(get_obs_snapshot(&mut cur)?),
             opcode::ERROR => {
@@ -954,6 +869,7 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hammer_dist::BitString;
 
     fn bs(s: &str) -> BitString {
         BitString::parse(s).unwrap()
@@ -1033,20 +949,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_error_round_trip() {
-        let d = Distribution::from_probs(3, [(bs("111"), 0.8), (bs("011"), 0.2)]).unwrap();
-        let req = Request::Metrics {
-            dist: d,
-            correct: vec![bs("111"), bs("000")],
-        };
-        assert_eq!(round_trip_request(&req), req);
-        let reply = Reply::Metrics(MetricsReply {
-            pst: 0.8,
-            ist: 0.2,
-            ehd: 0.4,
-            uniform_ehd: 1.5,
-        });
-        assert_eq!(round_trip_reply(&reply), reply);
+    fn error_round_trips() {
         let err = Reply::Error("device width 300 outside 1..=128".into());
         assert_eq!(round_trip_reply(&err), err);
     }
@@ -1262,16 +1165,53 @@ mod tests {
             Request::decode(opcode::SAMPLE_AND_RECONSTRUCT, &job_bytes),
             Err(WireError::Malformed(_))
         ));
-        // Unknown opcodes, including the retired `Stats` pair.
-        for op in [0x05, 0x7E] {
-            assert!(matches!(
-                Request::decode(op, &[]),
-                Err(WireError::UnknownOpcode(o)) if o == op
-            ));
+    }
+
+    /// Every defined request and reply opcode; the test below pins each
+    /// of the other 256 values as unknown.
+    const REQUESTS: [u8; 6] = [
+        opcode::PING,
+        opcode::RECONSTRUCT,
+        opcode::SAMPLE_AND_RECONSTRUCT,
+        opcode::SHUTDOWN,
+        opcode::TRACE_DUMP,
+        opcode::METRICS_SNAPSHOT,
+    ];
+    const REPLIES: [u8; 10] = [
+        opcode::PONG,
+        opcode::DISTRIBUTION,
+        opcode::DISTRIBUTION_APPROX,
+        opcode::SHUTDOWN_ACK,
+        opcode::TRACE_DUMP_REPLY,
+        opcode::METRICS_SNAPSHOT_REPLY,
+        opcode::BUSY,
+        opcode::DEADLINE_EXCEEDED,
+        opcode::SHUTTING_DOWN,
+        opcode::ERROR,
+    ];
+
+    #[test]
+    fn opcode_table_covers_all_256_values() {
+        for op in 0..=255u8 {
+            // An empty payload either decodes (payload-less messages)
+            // or fails on the payload; only an undefined opcode may
+            // report `UnknownOpcode`.
+            for (defined, decoded) in [
+                (REQUESTS.contains(&op), Request::decode(op, &[]).err()),
+                (REPLIES.contains(&op), Reply::decode(op, &[]).err()),
+            ] {
+                let unknown = matches!(decoded, Some(WireError::UnknownOpcode(o)) if o == op);
+                assert_eq!(unknown, !defined, "opcode 0x{op:02x}: {decoded:?}");
+            }
         }
-        assert!(matches!(
-            Reply::decode(0x85, &[0; 104]),
-            Err(WireError::UnknownOpcode(0x85))
-        ));
+        // The retired figures-of-merit and stats pairs stay unknown.
+        for op in [0x03, 0x05, 0x83, 0x85] {
+            assert!(
+                matches!(Request::decode(op, &[]), Err(WireError::UnknownOpcode(o)) if o == op)
+            );
+            assert!(
+                matches!(Reply::decode(op, &[0; 32]), Err(WireError::UnknownOpcode(o)) if o == op)
+            );
+        }
     }
 }

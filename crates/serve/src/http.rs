@@ -254,7 +254,11 @@ fn series_json(state: &Arc<ServerState>, query: &str) -> Result<String, String> 
     let points: usize = query_param(query, "points")
         .and_then(|v| v.parse().ok())
         .unwrap_or(120);
-    let group = ((window_secs.max(1) * 1_000) / ts.config().window_ms.max(1)).max(1) as usize;
+    // Saturating: the window comes off the query string, and an absurd
+    // one must clamp to "all history", not overflow.
+    let window_ms = window_secs.max(1).saturating_mul(1_000);
+    let group = (window_ms / ts.config().window_ms.max(1)).max(1);
+    let group = usize::try_from(group).unwrap_or(usize::MAX);
     let series = ts
         .query(name, group, points.clamp(1, 10_000))
         .ok_or_else(|| format!("unknown series `{name}`"))?;

@@ -8,9 +8,11 @@
 //!
 //! * [`protocol`] — length-prefixed binary framing (`b"HAMR"` magic,
 //!   version 3 only, opcode, request id, trace id, deadline, payload)
-//!   with opcodes for `Ping`, `Reconstruct`, `Metrics`,
-//!   `SampleAndReconstruct`, `TraceDump`, `MetricsSnapshot` and
-//!   `Shutdown`;
+//!   with opcodes for `Ping`, `Reconstruct`, `SampleAndReconstruct`,
+//!   `TraceDump`, `MetricsSnapshot` and `Shutdown`. The two compute
+//!   requests share one cache, coalescing and deadline discipline and
+//!   are both answered with a distribution; scoring that distribution
+//!   (PST, IST, EHD) is the caller's job, via [`hammer_dist::metrics`];
 //! * [`codec`] — std-only payload codecs that stream
 //!   [`hammer_dist::Counts`] / [`hammer_dist::Distribution`] directly
 //!   from their structure-of-arrays limb views and re-validate every
@@ -36,9 +38,11 @@
 //!   the same `--store-dir`;
 //! * [`ServeClient`] — the synchronous, reconnecting client;
 //! * **observability** (`hammer_obs`) — every server owns a metric
-//!   registry (counters, gauges, per-stage latency histograms) exposed
-//!   by the `MetricsSnapshot` opcode, the one way to read the serving
-//!   counters; compute requests carry a 64-bit trace id in the frame
+//!   registry (counters, gauges, per-stage latency histograms) that the
+//!   cache, in-flight map and store register their counters on. Its
+//!   snapshot is the one metrics surface: the `MetricsSnapshot` opcode,
+//!   [`ServerHandle::obs_snapshot`], `/metrics` and `repro top` all read
+//!   it. Compute requests carry a 64-bit trace id in the frame
 //!   header from client to reply, and slow or
 //!   deadline-exceeded requests park their per-stage span tree in a
 //!   ring drained by the `TraceDump` opcode. A roller thread folds a
@@ -97,7 +101,7 @@ mod server;
 pub mod store;
 
 pub use client::ServeClient;
-pub use codec::{DeviceSpec, MetricsReply, Reply, Request, SampleJob, TraceDumpEntry, TraceSpan};
+pub use codec::{DeviceSpec, Reply, Request, SampleJob, TraceDumpEntry, TraceSpan};
 pub use protocol::WireError;
-pub use server::{serve, ServeConfig, ServeObserver, ServerHandle};
-pub use store::{DistStore, StoreStats};
+pub use server::{serve, ServeConfig, ServerHandle};
+pub use store::DistStore;

@@ -52,14 +52,17 @@ pub const HEADER_LEN: usize = 31;
 /// id so middleboxes can sniff it without a decoder.
 pub const TRACE_ID_OFFSET: usize = 15;
 
-/// Request opcodes (client → server).
+/// The opcode table. Requests (client → server) use the low half and
+/// replies (server → client) set the high bit. `Reconstruct` and
+/// `SampleAndReconstruct` are the two compute requests; the server
+/// answers both with a distribution. Every other value decodes as
+/// [`WireError::UnknownOpcode`], the retired `0x03`/`0x83` (figures of
+/// merit) and `0x05`/`0x85` (stats) pairs included.
 pub mod opcode {
     /// Liveness probe.
     pub const PING: u8 = 0x01;
     /// Counts + config in, reconstructed distribution out.
     pub const RECONSTRUCT: u8 = 0x02;
-    /// Distribution + correct set in, figures of merit out.
-    pub const METRICS: u8 = 0x03;
     /// Circuit + device + trials + seed + config in, reconstructed
     /// distribution out (the full simulate-then-HAMMER pipeline).
     pub const SAMPLE_AND_RECONSTRUCT: u8 = 0x04;
@@ -74,8 +77,6 @@ pub mod opcode {
     pub const PONG: u8 = 0x81;
     /// A [`hammer_dist::Distribution`] payload.
     pub const DISTRIBUTION: u8 = 0x82;
-    /// A metrics payload (see [`crate::MetricsReply`]).
-    pub const METRICS_REPLY: u8 = 0x83;
     /// Shutdown acknowledged; the connection stays usable until closed.
     pub const SHUTDOWN_ACK: u8 = 0x86;
     /// Captured slow-request traces (see [`crate::TraceDumpEntry`]).

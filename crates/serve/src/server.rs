@@ -46,7 +46,7 @@ use std::time::Duration;
 
 use hammer_core::{CancelToken, Cancelled, Hammer, HammerConfig};
 use hammer_dist::fingerprint::Fnv1a;
-use hammer_dist::{metrics, Distribution};
+use hammer_dist::Distribution;
 use hammer_obs::{
     gen_trace_id, Counter, EventLog, Histogram, MetricsSnapshot, Registry, RollupConfig, SloSpec,
     SloStatus, SloTracker, TimeSeries, TraceCtx, TraceRing,
@@ -236,7 +236,7 @@ impl ServerState {
     /// refreshed first, then this server's registry is merged over the
     /// process-global one (pool queue waits, kernel and sim timings).
     pub(crate) fn obs_snapshot(&self) -> MetricsSnapshot {
-        let (_, _, _, entries, bytes) = self.cache.stats();
+        let (entries, bytes) = self.cache.resident();
         self.obs
             .gauge("serve.cache.entries")
             .set(i64::try_from(entries).unwrap_or(i64::MAX));
@@ -323,16 +323,6 @@ impl ServerHandle {
         self.state.obs_snapshot()
     }
 
-    /// A cloneable, non-owning view of the running server for digest /
-    /// monitoring threads: it can read metric snapshots but cannot shut
-    /// the server down or block its drain.
-    #[must_use]
-    pub fn observer(&self) -> ServeObserver {
-        ServeObserver {
-            state: Arc::clone(&self.state),
-        }
-    }
-
     /// Triggers shutdown from the hosting process (equivalent to a
     /// `Shutdown` frame).
     pub fn shutdown(&self) {
@@ -376,28 +366,6 @@ impl ServerHandle {
     }
 }
 
-/// A cloneable read-only view of a running server, handed to the
-/// `repro serve` digest thread (and anything else that wants periodic
-/// snapshots without owning the [`ServerHandle`]).
-#[derive(Clone)]
-pub struct ServeObserver {
-    state: Arc<ServerState>,
-}
-
-impl ServeObserver {
-    /// Current metric-registry snapshot (server + process-global).
-    #[must_use]
-    pub fn obs_snapshot(&self) -> MetricsSnapshot {
-        self.state.obs_snapshot()
-    }
-
-    /// Whether shutdown has begun (digest threads use this to stop).
-    #[must_use]
-    pub fn is_shut_down(&self) -> bool {
-        self.state.shutting_down.load(Ordering::SeqCst)
-    }
-}
-
 /// Flags shutdown and unblocks the acceptor with a wake-up connection.
 fn begin_shutdown(state: &ServerState, addr: SocketAddr) {
     if !state.shutting_down.swap(true, Ordering::SeqCst) {
@@ -424,7 +392,7 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
     let events = EventLog::global();
     let store = config.store_dir.as_ref().and_then(|dir| {
         let budget = (config.store_mb.max(1) as u64).saturating_mul(1024 * 1024);
-        match DistStore::open_registered(dir, budget, &obs) {
+        match DistStore::open(dir, budget, &obs) {
             Ok(store) => Some(store),
             Err(e) => {
                 events
@@ -437,9 +405,9 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
     });
     let state = Arc::new(ServerState {
         request_pool: WorkerPool::with_queue_limit(config.workers.max(1), config.queue_limit),
-        cache: DistCache::with_registry(config.cache_mb.saturating_mul(1024 * 1024), &obs),
+        cache: DistCache::new(config.cache_mb.saturating_mul(1024 * 1024), &obs),
         store,
-        inflight: InFlight::with_registry(&obs),
+        inflight: InFlight::new(&obs),
         counters: RuntimeCounters::registered(&obs),
         stages: StageHists::registered(&obs),
         traces: TraceRing::new(TRACE_RING_CAP),
@@ -695,10 +663,7 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>, addr: SocketAddr
         // Compute opcodes get a trace from the moment their frame is
         // complete: the client's id when it sent one, a fresh one for
         // bare clients — both end up on the reply header either way.
-        let is_compute = matches!(
-            op,
-            opcode::RECONSTRUCT | opcode::METRICS | opcode::SAMPLE_AND_RECONSTRUCT
-        );
+        let is_compute = matches!(op, opcode::RECONSTRUCT | opcode::SAMPLE_AND_RECONSTRUCT);
         let ctx = if is_compute && hammer_obs::timing_enabled() {
             Some(TraceCtx::new(if trace_id != 0 {
                 trace_id
@@ -744,9 +709,7 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>, addr: SocketAddr
                 begin_shutdown(state, addr);
                 break;
             }
-            compute @ (Request::Reconstruct { .. }
-            | Request::Metrics { .. }
-            | Request::SampleAndReconstruct(_)) => {
+            compute @ (Request::Reconstruct { .. } | Request::SampleAndReconstruct(_)) => {
                 // Count the job BEFORE re-checking the shutdown flag:
                 // `wait` trusts `active_jobs`, so the increment must be
                 // visible before a concurrent `wait` could observe
@@ -898,25 +861,6 @@ fn handle_compute(
             let job_cancel = cancel.clone();
             cached_compute(state, key, cancel, trace, move || {
                 run_sample_job(&job, &job_cancel)
-            })
-        }
-        Request::Metrics { dist, correct } => {
-            if correct.is_empty() {
-                return Reply::Error("empty correct-outcome set".into());
-            }
-            if let Some(bad) = correct.iter().find(|x| x.len() != dist.n_bits()) {
-                return Reply::Error(format!(
-                    "correct outcome width {} does not match distribution width {}",
-                    bad.len(),
-                    dist.n_bits()
-                ));
-            }
-            let _t = trace.map(|c| c.span("compute", Some(&state.stages.compute)));
-            Reply::Metrics(crate::codec::MetricsReply {
-                pst: metrics::pst(&dist, &correct),
-                ist: metrics::ist(&dist, &correct),
-                ehd: metrics::ehd(&dist, &correct),
-                uniform_ehd: metrics::uniform_ehd(dist.n_bits()),
             })
         }
         Request::Ping | Request::TraceDump | Request::MetricsSnapshot | Request::Shutdown => {

@@ -56,6 +56,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use hammer_dist::Distribution;
+use hammer_obs::{Counter, Registry};
 
 use crate::codec;
 
@@ -69,21 +70,6 @@ const RECORD_HEADER: usize = 12;
 /// cap, plus the key/reserved-byte prefix. A length field beyond this is
 /// corruption, not a huge record.
 const MAX_BODY: usize = 64 * 1024 * 1024 + 16;
-
-/// The store's counters, read in process; on the wire they are the
-/// `serve.store.*` series of a `MetricsSnapshot`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Records appended (cache evictions demoted to disk).
-    pub spills: u64,
-    /// Misses served from the store instead of recomputing.
-    pub loads: u64,
-    /// Records recovered into the directory at the last open.
-    pub recovered: u64,
-    /// Records dropped as corrupt — bad CRC, torn tail, undecodable
-    /// payload — across recovery and loads.
-    pub corrupt_dropped: u64,
-}
 
 /// Where one committed record lives.
 #[derive(Debug, Clone, Copy)]
@@ -118,19 +104,20 @@ struct StoreInner {
 /// the cache's *miss* path — contention is not a concern there).
 pub struct DistStore {
     inner: Mutex<StoreInner>,
-    spills: hammer_obs::Counter,
-    loads: hammer_obs::Counter,
-    recovered: hammer_obs::Counter,
-    corrupt_dropped: hammer_obs::Counter,
+    spills: Counter,
+    loads: Counter,
+    recovered: Counter,
+    corrupt_dropped: Counter,
 }
 
 impl DistStore {
     /// Opens (creating if needed) a store bounded by `budget_bytes`,
     /// running recovery over whatever the directory holds: torn tails
     /// are truncated, corrupt records skipped and counted, and the key
-    /// directory rebuilt from the surviving records. Counters are
-    /// detached; see [`DistStore::open_registered`] for the
-    /// metrics-visible variant.
+    /// directory rebuilt from the surviving records. The counters are
+    /// registered on `registry` as
+    /// `serve.store.{spills,loads,recovered,corrupt_dropped}` before
+    /// recovery runs, so recovery tallies are never lost.
     ///
     /// # Errors
     ///
@@ -138,35 +125,9 @@ impl DistStore {
     /// or a segment cannot be opened for append) — data damage is
     /// *recovered from*, never an error. Callers treat an error as
     /// "run without a store".
-    pub fn open(dir: &Path, budget_bytes: u64) -> std::io::Result<Self> {
-        Self::open_with_counters(dir, budget_bytes, None)
-    }
-
-    /// [`DistStore::open`], with the counters registered on `registry`
-    /// as `serve.store.{spills,loads,recovered,corrupt_dropped}`.
-    /// Registration happens before recovery runs so recovery tallies
-    /// are never lost.
-    ///
-    /// # Errors
-    ///
-    /// See [`DistStore::open`].
-    pub fn open_registered(
-        dir: &Path,
-        budget_bytes: u64,
-        registry: &hammer_obs::Registry,
-    ) -> std::io::Result<Self> {
-        Self::open_with_counters(dir, budget_bytes, Some(registry))
-    }
-
-    fn open_with_counters(
-        dir: &Path,
-        budget_bytes: u64,
-        registry: Option<&hammer_obs::Registry>,
-    ) -> std::io::Result<Self> {
+    pub fn open(dir: &Path, budget_bytes: u64, registry: &Registry) -> std::io::Result<Self> {
         fs::create_dir_all(dir)?;
         let budget = budget_bytes.max(1);
-        let counter =
-            |name: &str| registry.map_or_else(hammer_obs::Counter::detached, |r| r.counter(name));
         let store = Self {
             inner: Mutex::new(StoreInner {
                 dir: dir.to_path_buf(),
@@ -177,25 +138,14 @@ impl DistStore {
                 segments: BTreeMap::new(),
                 index: HashMap::new(),
             }),
-            spills: counter("serve.store.spills"),
-            loads: counter("serve.store.loads"),
-            recovered: counter("serve.store.recovered"),
-            corrupt_dropped: counter("serve.store.corrupt_dropped"),
+            spills: registry.counter("serve.store.spills"),
+            loads: registry.counter("serve.store.loads"),
+            recovered: registry.counter("serve.store.recovered"),
+            corrupt_dropped: registry.counter("serve.store.corrupt_dropped"),
         };
         let _ = fs::remove_file(dir.join("seg-tmp-bootstrap"));
         store.recover()?;
         Ok(store)
-    }
-
-    /// A counters snapshot.
-    #[must_use]
-    pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            spills: self.spills.get(),
-            loads: self.loads.get(),
-            recovered: self.recovered.get(),
-            corrupt_dropped: self.corrupt_dropped.get(),
-        }
     }
 
     /// Appends one committed record: serialized, CRC'd, written and
@@ -627,6 +577,19 @@ mod tests {
         Distribution::from_probs(8, pairs).expect("positive weights")
     }
 
+    /// Opens a store counting on a fresh registry, returned alongside it.
+    fn open(dir: &Path, budget: u64) -> (DistStore, Registry) {
+        let registry = Registry::new();
+        let store = DistStore::open(dir, budget, &registry).expect("store opens");
+        (store, registry)
+    }
+
+    /// A `serve.store.*` counter as the registry snapshot reports it.
+    fn count(registry: &Registry, name: &str) -> u64 {
+        let series = format!("serve.store.{name}");
+        registry.snapshot().counter(&series).unwrap_or(0)
+    }
+
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("hammer-store-unit-{tag}-{}", std::process::id()));
@@ -655,7 +618,7 @@ mod tests {
     #[test]
     fn spill_load_and_warm_restart() {
         let dir = tmp_dir("warm");
-        let store = DistStore::open(&dir, 1 << 20).expect("open");
+        let (store, _) = open(&dir, 1 << 20);
         for i in 0..10u64 {
             store.spill(i, &dist(i, 4)).expect("spill");
         }
@@ -663,12 +626,12 @@ mod tests {
         assert!(store.load(99).is_none());
         drop(store);
         // Restart over the same directory: everything committed is back.
-        let warm = DistStore::open(&dir, 1 << 20).expect("reopen");
-        assert_eq!(warm.stats().recovered, 10);
+        let (warm, warm_obs) = open(&dir, 1 << 20);
+        assert_eq!(count(&warm_obs, "recovered"), 10);
         for i in 0..10u64 {
             assert_eq!(warm.load(i).expect("recovered"), dist(i, 4));
         }
-        assert_eq!(warm.stats().corrupt_dropped, 0);
+        assert_eq!(count(&warm_obs, "corrupt_dropped"), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -699,34 +662,34 @@ mod tests {
 
         // Recovery skips it and keeps its neighbor.
         let dir = tmp_dir("reserved");
-        let store = DistStore::open(&dir, 1 << 20).expect("open");
+        let (store, _) = open(&dir, 1 << 20);
         store.spill(1, &dist(1, 4)).expect("spill");
         store.spill(2, &dist(2, 4)).expect("spill");
         drop(store);
         set_reserved_byte_on_disk(&dir, encode_record(1, &dist(1, 4)).len());
-        let warm = DistStore::open(&dir, 1 << 20).expect("recover");
-        assert_eq!(warm.stats().recovered, 1);
-        assert_eq!(warm.stats().corrupt_dropped, 1);
+        let (warm, warm_obs) = open(&dir, 1 << 20);
+        assert_eq!(count(&warm_obs, "recovered"), 1);
+        assert_eq!(count(&warm_obs, "corrupt_dropped"), 1);
         assert!(warm.load(2).is_none());
         assert_eq!(warm.load(1).expect("neighbor survives"), dist(1, 4));
 
         // A record changed after it was indexed is dropped at load.
         set_reserved_byte_on_disk(&dir, 0);
         assert!(warm.load(1).is_none());
-        assert_eq!(warm.stats().corrupt_dropped, 2);
+        assert_eq!(count(&warm_obs, "corrupt_dropped"), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn supersede_keeps_the_latest_record() {
         let dir = tmp_dir("supersede");
-        let store = DistStore::open(&dir, 1 << 20).expect("open");
+        let (store, _) = open(&dir, 1 << 20);
         store.spill(1, &dist(1, 4)).expect("spill");
         store.spill(1, &dist(2, 4)).expect("spill");
         assert_eq!(store.load(1).expect("hit"), dist(2, 4));
         drop(store);
-        let warm = DistStore::open(&dir, 1 << 20).expect("reopen");
-        assert_eq!(warm.stats().recovered, 1);
+        let (warm, warm_obs) = open(&dir, 1 << 20);
+        assert_eq!(count(&warm_obs, "recovered"), 1);
         assert_eq!(warm.load(1).expect("recovered"), dist(2, 4));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -735,7 +698,7 @@ mod tests {
     fn budget_rotation_and_compaction_bound_the_footprint() {
         let dir = tmp_dir("budget");
         let budget = 64 * 1024u64;
-        let store = DistStore::open(&dir, budget).expect("open");
+        let (store, _) = open(&dir, budget);
         // Far more data than the budget: ~200 records × ~1.3 KB.
         for i in 0..200u64 {
             store.spill(i, &dist(i, 50)).expect("spill");
@@ -762,7 +725,7 @@ mod tests {
     fn compaction_drops_dead_records_and_keeps_live_ones() {
         let dir = tmp_dir("compact");
         let budget = 48 * 1024u64;
-        let store = DistStore::open(&dir, budget).expect("open");
+        let (store, _) = open(&dir, budget);
         // Overwrite one hot key many times (dead records pile up) while
         // a few cold keys stay live.
         for i in 0..8u64 {
@@ -775,7 +738,7 @@ mod tests {
         // A store dominated by one key must keep its footprint near one
         // record, not 120.
         drop(store);
-        let warm = DistStore::open(&dir, budget).expect("reopen");
+        let (warm, _) = open(&dir, budget);
         assert_eq!(warm.load(7).expect("hot key recovered"), dist(119, 40));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -783,7 +746,7 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_and_earlier_records_survive() {
         let dir = tmp_dir("torn");
-        let store = DistStore::open(&dir, 1 << 20).expect("open");
+        let (store, _) = open(&dir, 1 << 20);
         for i in 0..5u64 {
             store.spill(i, &dist(i, 4)).expect("spill");
         }
@@ -796,9 +759,9 @@ mod tests {
         f.write_all(&torn[..torn.len() / 2]).expect("half write");
         drop(f);
         let len_with_tear = fs::metadata(&path).expect("meta").len();
-        let warm = DistStore::open(&dir, 1 << 20).expect("recover");
-        assert_eq!(warm.stats().recovered, 5);
-        assert_eq!(warm.stats().corrupt_dropped, 1);
+        let (warm, warm_obs) = open(&dir, 1 << 20);
+        assert_eq!(count(&warm_obs, "recovered"), 5);
+        assert_eq!(count(&warm_obs, "corrupt_dropped"), 1);
         for i in 0..5u64 {
             assert_eq!(warm.load(i).expect("survivor"), dist(i, 4));
         }
@@ -809,16 +772,16 @@ mod tests {
         );
         // Recovery is idempotent: a second open finds a clean store.
         drop(warm);
-        let again = DistStore::open(&dir, 1 << 20).expect("recover twice");
-        assert_eq!(again.stats().recovered, 5);
-        assert_eq!(again.stats().corrupt_dropped, 0);
+        let (_again, again_obs) = open(&dir, 1 << 20);
+        assert_eq!(count(&again_obs, "recovered"), 5);
+        assert_eq!(count(&again_obs, "corrupt_dropped"), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn mid_file_corruption_skips_one_record_and_keeps_sync() {
         let dir = tmp_dir("bitflip");
-        let store = DistStore::open(&dir, 1 << 20).expect("open");
+        let (store, _) = open(&dir, 1 << 20);
         for i in 0..3u64 {
             store.spill(i, &dist(i, 4)).expect("spill");
         }
@@ -830,9 +793,9 @@ mod tests {
         let rec_len = encode_record(0, &dist(0, 4)).len();
         bytes[rec_len + RECORD_HEADER + 12] ^= 0x40;
         fs::write(&path, &bytes).expect("write corrupted");
-        let warm = DistStore::open(&dir, 1 << 20).expect("recover");
-        assert_eq!(warm.stats().recovered, 2, "records 0 and 2 survive");
-        assert_eq!(warm.stats().corrupt_dropped, 1);
+        let (warm, warm_obs) = open(&dir, 1 << 20);
+        assert_eq!(count(&warm_obs, "recovered"), 2, "records 0 and 2 survive");
+        assert_eq!(count(&warm_obs, "corrupt_dropped"), 1);
         assert_eq!(warm.load(0).expect("first"), dist(0, 4));
         assert!(warm.load(1).is_none(), "corrupted record dropped");
         assert_eq!(warm.load(2).expect("third"), dist(2, 4));
@@ -842,9 +805,9 @@ mod tests {
     #[test]
     fn empty_and_missing_directories_open_cold() {
         let dir = tmp_dir("cold");
-        let store = DistStore::open(&dir, 1 << 20).expect("open missing dir");
+        let (store, store_obs) = open(&dir, 1 << 20);
         assert!(store.is_empty());
-        assert_eq!(store.stats().recovered, 0);
+        assert_eq!(count(&store_obs, "recovered"), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -7,7 +7,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use hammer_core::{AnnTuning, Hammer, HammerConfig, KernelTuning, NeighborhoodLimit};
-use hammer_dist::{BitString, Counts, Distribution};
+use hammer_dist::{metrics, BitString, Counts, Distribution};
 use hammer_obs::MetricsSnapshot;
 use hammer_serve::{serve, DeviceSpec, Reply, SampleJob, ServeClient, ServeConfig, WireError};
 use hammer_sim::{AutoEngine, Circuit};
@@ -93,10 +93,9 @@ fn concurrent_clients_get_byte_identical_replies_and_cache_hits() {
         Hammer::with_config(HammerConfig::paper()).reconstruct_counts(&halo_counts(0));
     let job = ghz_job(6, 2000, 0xAB);
     let expected_job = direct_sample_and_reconstruct(&job);
-    let noisy = halo_counts(0).to_distribution();
 
-    // ≥ 2 concurrent clients, each driving all three compute opcodes
-    // twice (the second pass hits the cache).
+    // ≥ 2 concurrent clients, each driving both compute opcodes twice
+    // (the second pass hits the cache).
     let barrier = Arc::new(Barrier::new(3));
     let workers: Vec<_> = (0..3u64)
         .map(|_| {
@@ -105,7 +104,6 @@ fn concurrent_clients_get_byte_identical_replies_and_cache_hits() {
             let expected_reconstruct = expected_reconstruct.clone();
             let expected_job = expected_job.clone();
             let job = job.clone();
-            let noisy = noisy.clone();
             std::thread::spawn(move || {
                 let mut client = ServeClient::connect(addr).expect("connect");
                 client.ping().expect("ping");
@@ -116,14 +114,19 @@ fn concurrent_clients_get_byte_identical_replies_and_cache_hits() {
                         .expect("reconstruct");
                     assert_eq!(wire_bytes(&got), wire_bytes(&expected_reconstruct));
                     assert_eq!(got.most_probable().unwrap().0, bs("11111"));
+                    // The figures of merit are scored on the served
+                    // reply: reconstruction lifts PST over the input's,
+                    // and the correct answer, out-gunned in the input
+                    // (IST < 1), now beats every error (IST > 1).
+                    let correct = [bs("11111")];
+                    let noisy = halo_counts(0).to_distribution();
+                    assert!(metrics::pst(&got, &correct) > metrics::pst(&noisy, &correct));
+                    assert!(metrics::ist(&got, &correct) > 1.0);
+                    assert!(metrics::ist(&noisy, &correct) < 1.0);
+                    assert!(metrics::ehd(&got, &correct) < metrics::uniform_ehd(5));
 
                     let got = client.sample_and_reconstruct(&job).expect("sample job");
                     assert_eq!(wire_bytes(&got), wire_bytes(&expected_job));
-
-                    let m = client.metrics(&noisy, &[bs("11111")]).expect("metrics");
-                    let pst = hammer_dist::metrics::pst(&noisy, &[bs("11111")]);
-                    assert!((m.pst - pst).abs() < 1e-15);
-                    assert!((m.uniform_ehd - hammer_dist::metrics::uniform_ehd(5)).abs() < 1e-15);
                 }
             })
         })
@@ -133,8 +136,8 @@ fn concurrent_clients_get_byte_identical_replies_and_cache_hits() {
     }
 
     let snap = server.obs_snapshot();
-    // 3 clients × 2 rounds × 3 compute opcodes.
-    assert_eq!(count(&snap, "serve.requests"), 18);
+    // 3 clients × 2 rounds × 2 compute opcodes.
+    assert_eq!(count(&snap, "serve.requests"), 12);
     // Two distinct cacheable keys; every later identical request hit
     // the cache or coalesced onto the in-flight leader.
     let hits = count(&snap, "serve.cache.hits");
@@ -147,7 +150,7 @@ fn concurrent_clients_get_byte_identical_replies_and_cache_hits() {
     let mut client = ServeClient::connect(&addr).expect("connect for shutdown");
     client.shutdown().expect("shutdown ack");
     let final_snap = server.wait();
-    assert_eq!(count(&final_snap, "serve.requests"), 18);
+    assert_eq!(count(&final_snap, "serve.requests"), 12);
     assert!(
         std::net::TcpStream::connect(&addr).is_err(),
         "listener must be closed after graceful shutdown"
@@ -263,10 +266,9 @@ fn wide_registers_round_trip_through_the_service() {
     assert_eq!(wire_bytes(&got), wire_bytes(&direct));
     assert_eq!(got.most_probable().unwrap().0, correct);
 
-    let m = client
-        .metrics(&counts.to_distribution(), &[correct])
-        .expect("wide metrics");
-    assert!(m.pst > 0.0 && m.ehd > 0.0);
+    let noisy = counts.to_distribution();
+    assert!(metrics::pst(&got, &[correct]) > metrics::pst(&noisy, &[correct]));
+    assert!(metrics::ehd(&got, &[correct]) > 0.0);
 
     server.shutdown();
     let _ = server.wait();
@@ -398,12 +400,10 @@ fn server_side_failures_are_error_replies_not_panics() {
         client.sample_and_reconstruct(&job),
         Err(WireError::Remote(_))
     ));
-    // Metrics width mismatch is caught client-side (widths are
-    // implicit in the wire layout; sending would reinterpret bits).
-    let noisy = halo_counts(0).to_distribution();
+    // An empty histogram has nothing to reconstruct.
     assert!(matches!(
-        client.metrics(&noisy, &[bs("111")]),
-        Err(WireError::Malformed(_))
+        client.reconstruct(&Counts::new(5).unwrap(), &HammerConfig::paper()),
+        Err(WireError::Remote(_))
     ));
     // The connection (and server) survive all of it.
     client.ping().expect("still alive");
@@ -495,8 +495,9 @@ fn read_reply(stream: &mut std::net::TcpStream) -> (u64, u8, Vec<u8>) {
 
 /// Only protocol v3 is spoken. A v2 peer gets an id-0 `Error` naming
 /// its version and is disconnected, while a v3 client on another
-/// connection keeps being served; the retired `Stats` opcode is an
-/// ordinary unknown opcode on a connection that stays usable.
+/// connection keeps being served; the retired figures-of-merit and
+/// `Stats` opcodes are ordinary unknown opcodes on a connection that
+/// stays usable.
 #[test]
 fn foreign_versions_and_retired_opcodes_get_named_errors() {
     use std::io::{Read, Write};
@@ -537,15 +538,18 @@ fn foreign_versions_and_retired_opcodes_get_named_errors() {
         .expect("v3 compute");
     assert!((d.total_mass() - 1.0).abs() < 1e-9);
 
-    // Opcode 0x05 (the old `Stats`) is unknown; the connection survives.
+    // Opcodes 0x03 (the old `Metrics`) and 0x05 (the old `Stats`) are
+    // unknown; the connection survives both.
     let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
-    write_frame(&mut raw, 5, 0x05, 0, 0, &[]).expect("frame written");
-    let (id, op, payload) = read_reply(&mut raw);
-    assert_eq!(id, 5);
-    assert_eq!(
-        Reply::decode(op, &payload).expect("error reply decodes"),
-        Reply::Error("unknown opcode 0x05".into())
-    );
+    for retired in [0x03u8, 0x05] {
+        write_frame(&mut raw, u64::from(retired), retired, 0, 0, &[]).expect("frame written");
+        let (id, op, payload) = read_reply(&mut raw);
+        assert_eq!(id, u64::from(retired));
+        assert_eq!(
+            Reply::decode(op, &payload).expect("error reply decodes"),
+            Reply::Error(format!("unknown opcode 0x{retired:02x}"))
+        );
+    }
     write_frame(&mut raw, 6, opcode::PING, 0, 0, &[]).expect("frame written");
     assert_eq!(read_reply(&mut raw).1, opcode::PONG);
 

@@ -93,13 +93,12 @@ fn metrics_scrape_agrees_with_concurrent_snapshot() {
     }
     // The client is gone; once the per-server series stop moving, a
     // scrape and a snapshot bracket the same instant.
-    let observer = server.observer();
     let mut agreed = false;
     for _ in 0..50 {
-        let before = observer.obs_snapshot();
+        let before = server.obs_snapshot();
         let (status, text) = http_get(metrics, "/metrics");
         assert_eq!(status, 200);
-        let after = observer.obs_snapshot();
+        let after = server.obs_snapshot();
         let serve_only = |snap: &hammer_obs::MetricsSnapshot| -> Vec<(String, String)> {
             snap.series
                 .iter()
@@ -207,6 +206,46 @@ fn series_events_and_healthz_endpoints_respond() {
     assert!(TcpStream::connect(metrics).is_err());
 }
 
+/// A `/series` window that overflows when turned into milliseconds is
+/// clamped to all history: the query gets an answer, the listener keeps
+/// serving, and shutdown joins its thread cleanly.
+#[test]
+fn hostile_series_window_is_answered_and_the_listener_survives() {
+    let server = start(Vec::new(), 100);
+    let metrics = server.metrics_addr().expect("exposition listener up");
+    let mut client = ServeClient::connect(server.local_addr().to_string()).unwrap();
+    client
+        .reconstruct(&job_counts(2000), &HammerConfig::paper())
+        .expect("reconstruct");
+    // The series must exist so the query reaches the rollup rings.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while http_get(metrics, "/series?name=serve.requests&window=1").0 != 200 {
+        assert!(Instant::now() < deadline, "no rollup window closed in 10 s");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    let hostile = format!("/series?name=serve.requests&window={}", u64::MAX);
+    let (status, body) = http_get(metrics, &hostile);
+    assert_eq!(status, 200, "{body}");
+    let point_window_ms: u64 = body
+        .split("\"point_window_ms\":")
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .and_then(|v| v.parse().ok())
+        .expect("point_window_ms field");
+    assert!(point_window_ms >= u64::MAX / 2, "{body}");
+    assert!(
+        body.contains("\"delta\":"),
+        "one point spans all history: {body}"
+    );
+
+    let (status, body) = http_get(metrics, "/healthz");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+
+    client.shutdown().unwrap();
+    let _ = server.wait();
+}
+
 #[test]
 fn violated_latency_slo_fires_within_two_windows() {
     // 100 ms windows; a 99%-of-requests-under-1ms objective over 60 s.
@@ -246,7 +285,7 @@ fn violated_latency_slo_fires_within_two_windows() {
         "no firing event in {body}"
     );
     // ...and as a positive burn-rate gauge (milli-burn units).
-    let snap = server.observer().obs_snapshot();
+    let snap = server.obs_snapshot();
     assert!(snap.gauge("serve.slo.burn_rate").unwrap_or(0) > 0);
     assert!(snap.gauge("serve.slo.fast_p99.burn_rate").unwrap_or(0) > 0);
 

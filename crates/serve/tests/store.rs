@@ -9,6 +9,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hammer_dist::{BitString, Distribution};
+use hammer_obs::Registry;
 use hammer_serve::store::{self, DistStore};
 use proptest::prelude::*;
 
@@ -24,6 +25,19 @@ fn scratch_dir() -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Opens a store counting on a fresh registry, returned alongside it.
+fn open(dir: &Path) -> (DistStore, Registry) {
+    let registry = Registry::new();
+    let store = DistStore::open(dir, 1 << 30, &registry).expect("a store always opens");
+    (store, registry)
+}
+
+/// A `serve.store.*` counter as the registry snapshot reports it.
+fn count(registry: &Registry, name: &str) -> u64 {
+    let series = format!("serve.store.{name}");
+    registry.snapshot().counter(&series).unwrap_or(0)
 }
 
 /// Strategy: a sparse distribution over `1..=128`-bit outcomes. Keys
@@ -70,7 +84,7 @@ fn populated_store() -> (PathBuf, Vec<(u64, Distribution)>) {
             )
         })
         .collect();
-    let store = DistStore::open(&dir, 1 << 30).expect("open fresh store");
+    let (store, _) = open(&dir);
     for (key, d) in &entries {
         store.spill(*key, d).expect("spill");
     }
@@ -95,8 +109,8 @@ fn segment_file(dir: &Path) -> PathBuf {
 /// is byte-for-byte the original distribution, and the counters agree
 /// with what was served.
 fn assert_never_wrong(dir: &Path, entries: &[(u64, Distribution)]) -> Result<(), String> {
-    let store = DistStore::open(dir, 1 << 30).expect("damaged store must still open");
-    let recovered = store.stats().recovered;
+    let (store, registry) = open(dir);
+    let recovered = count(&registry, "recovered");
     prop_assert!(
         recovered <= entries.len() as u64,
         "recovered {recovered} records from {} spills",
@@ -112,7 +126,7 @@ fn assert_never_wrong(dir: &Path, entries: &[(u64, Distribution)]) -> Result<(),
     // Loads may demote directory entries (read-time verification), but
     // never invent them.
     prop_assert!(served <= recovered);
-    prop_assert_eq!(store.stats().loads, served);
+    prop_assert_eq!(count(&registry, "loads"), served);
     Ok(())
 }
 
@@ -153,11 +167,11 @@ proptest! {
         // Recovery is idempotent: the first open truncated the torn
         // tail, so a second open over the same directory sees a clean
         // log — nothing further to drop, same directory size.
-        let reopened = DistStore::open(&dir, 1 << 30).expect("reopen after recovery");
+        let (_reopened, registry) = open(&dir);
         let record_bytes = store::encode_record(entries[0].0, &entries[0].1).len();
         let whole_records = cut / record_bytes; // identical record sizes
-        prop_assert_eq!(reopened.stats().recovered, whole_records as u64);
-        prop_assert_eq!(reopened.stats().corrupt_dropped, 0);
+        prop_assert_eq!(count(&registry, "recovered"), whole_records as u64);
+        prop_assert_eq!(count(&registry, "corrupt_dropped"), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -166,8 +180,8 @@ proptest! {
 fn a_missing_segment_degrades_to_cold_not_refused() {
     let (dir, entries) = populated_store();
     std::fs::remove_file(segment_file(&dir)).expect("delete segment");
-    let store = DistStore::open(&dir, 1 << 30).expect("empty store opens");
-    assert_eq!(store.stats().recovered, 0);
+    let (store, registry) = open(&dir);
+    assert_eq!(count(&registry, "recovered"), 0);
     for (key, _) in &entries {
         assert_eq!(store.load(*key), None);
     }
@@ -180,7 +194,7 @@ fn the_store_directory_can_be_a_plain_garbage_file_graveyard() {
     let dir = scratch_dir();
     std::fs::create_dir_all(&dir).expect("create dir");
     std::fs::write(dir.join("notes.txt"), b"not a segment").expect("write stray file");
-    let store = DistStore::open(&dir, 1 << 30).expect("open alongside stray files");
+    let (store, _) = open(&dir);
     assert!(store.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -97,13 +97,6 @@ fn valid_frames() -> Vec<(&'static str, Vec<u8>)> {
                 config: HammerConfig::paper(),
             }),
         ),
-        (
-            "metrics",
-            Request::Metrics {
-                dist: dist.clone(),
-                correct: vec![bs("111")],
-            },
-        ),
     ];
     let replies = [
         ("distribution", Reply::Distribution(dist)),
