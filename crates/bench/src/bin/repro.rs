@@ -1,6 +1,6 @@
 //! Regenerates the paper's tables and figures.
 //!
-//! Usage (as `--help` prints it):
+//! Usage (as `--help` prints it from the command table):
 //!
 //! ```text
 //! repro <experiment-id>... | all [--quick] [--jobs N]
@@ -11,51 +11,202 @@
 //! repro bench-obs [--quick] [--out PATH]
 //! repro serve [--addr A] [--workers N] [--cache-mb MB]
 //!             [--store-dir D] [--store-mb MB] [--store-fault SPEC]
-//!             [--metrics-addr A] [--rollup-ms N] [--slo SPEC]...
+//!             [--metrics-addr A] [--rollup-ms N] [--slo SPEC]
 //! repro top [--addr A] [--once] [--interval-ms N] [--frames N]
 //! repro serve-smoke [--addr A] [--shutdown]
-//! repro chaos-smoke [--quick]
 //! repro persist-smoke [--quick]
 //! repro --list
 //! ```
 //!
-//! Each `bench-*` subcommand prints a table and writes its JSON
-//! artifact to `PATH`, by default `BENCH_<name>.json`.
+//! Every subcommand refuses a `--flag` outside its own list, and every
+//! one but the experiment ids refuses an operand, with exit 1 and its
+//! usage line: a typo fails loudly instead of running with a default.
 //!
-//! `serve` and `top` refuse any `--flag` outside their own list, so a
-//! typo fails loudly instead of running with a default. `repro top` is
+//! Each `bench-*` subcommand prints a table and writes its JSON
+//! artifact to `PATH`, by default `BENCH_<name>.json`. `repro top` is
 //! the live view of a running server's counters.
 //!
 //! `repro all` runs independent experiment instances concurrently:
 //! `--jobs N` sets the worker count, by default 1. Reports are printed
 //! in experiment order regardless of completion order.
 
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use hammer_bench::report::Artifact;
 use hammer_bench::{experiments, kernel_bench, obs_bench, serve_bench, sim_bench, stab_bench};
 
-/// A bench subcommand's measurement: `--quick` in, artifact out.
-type BenchRun = fn(bool) -> Artifact;
+/// One `repro` subcommand.
+struct Command {
+    /// The first argument, which selects the command. The experiment
+    /// ids have no name of their own: they take every argument list
+    /// whose first word names no other command.
+    name: &'static str,
+    /// The flags it takes, each `--flag` or `--flag VALUE`, in usage
+    /// order.
+    flags: &'static [&'static str],
+    /// Whether it takes operands (only the experiment ids do).
+    operands: bool,
+    /// Runs the command on its checked arguments.
+    run: fn(&Args) -> ExitCode,
+}
 
-/// The JSON-artifact bench subcommands, each `repro NAME [--quick]
-/// [--out PATH]`.
-const BENCHES: [(&str, BenchRun); 5] = [
-    ("bench-kernel", kernel_bench::run),
-    ("bench-sim", sim_bench::run),
-    ("bench-stab", stab_bench::run),
-    ("bench-serve", serve_bench::run),
-    ("bench-obs", obs_bench::run),
+/// The flags every `bench-*` subcommand takes.
+const BENCH_FLAGS: &[&str] = &["--quick", "--out PATH"];
+
+/// Every `repro` subcommand; the first entry is the experiment ids.
+const COMMANDS: [Command; 11] = [
+    Command {
+        name: "<experiment-id>... | all",
+        flags: &["--quick", "--jobs N"],
+        operands: true,
+        run: run_ids,
+    },
+    command("bench-kernel", BENCH_FLAGS, |a| {
+        run_bench(kernel_bench::run, a)
+    }),
+    command("bench-sim", BENCH_FLAGS, |a| run_bench(sim_bench::run, a)),
+    command("bench-stab", BENCH_FLAGS, |a| run_bench(stab_bench::run, a)),
+    command("bench-serve", BENCH_FLAGS, |a| {
+        run_bench(serve_bench::run, a)
+    }),
+    command("bench-obs", BENCH_FLAGS, |a| run_bench(obs_bench::run, a)),
+    command(
+        "serve",
+        &[
+            "--addr A",
+            "--workers N",
+            "--cache-mb MB",
+            "--store-dir D",
+            "--store-mb MB",
+            "--store-fault SPEC",
+            "--metrics-addr A",
+            "--rollup-ms N",
+            "--slo SPEC",
+        ],
+        run_serve,
+    ),
+    command(
+        "top",
+        &["--addr A", "--once", "--interval-ms N", "--frames N"],
+        run_top,
+    ),
+    command("serve-smoke", &["--addr A", "--shutdown"], run_serve_smoke),
+    command("persist-smoke", &["--quick"], run_persist_smoke),
+    command("--list", &[], run_list),
 ];
 
-/// Runs one bench subcommand, prints its table and writes its artifact
-/// to `out_path`, by default `<artifact name>.json`.
-fn run_bench_artifact(run: BenchRun, quick: bool, out_path: Option<&str>) -> ExitCode {
-    let artifact = run(quick);
+/// A command that takes no operands.
+const fn command(
+    name: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Args) -> ExitCode,
+) -> Command {
+    Command {
+        name,
+        flags,
+        operands: false,
+        run,
+    }
+}
+
+impl Command {
+    /// `repro NAME [FLAG]...`, as `--help` and every refusal print it.
+    fn usage(&self) -> String {
+        let flags: String = self.flags.iter().map(|f| format!(" [{f}]")).collect();
+        format!("repro {}{flags}", self.name)
+    }
+
+    /// Checks `args` (the words after the name) against the command's
+    /// flags: an unknown flag, a flag missing its value, or an operand
+    /// the command does not take is an error ending in the usage line.
+    fn parse<'a>(&self, args: &'a [String]) -> Result<Args<'a>, String> {
+        let refuse = |what: String| Err(format!("{what}\nusage: {}", self.usage()));
+        let mut parsed = Args::default();
+        let mut words = args.iter();
+        while let Some(word) = words.next() {
+            if !word.starts_with("--") {
+                if !self.operands {
+                    return refuse(format!("unexpected argument {word}"));
+                }
+                parsed.operands.push(word);
+                continue;
+            }
+            let Some(spec) = self
+                .flags
+                .iter()
+                .find(|f| f.split(' ').next() == Some(word))
+            else {
+                return refuse(format!("unknown flag {word}"));
+            };
+            let value = if spec.contains(' ') {
+                match words.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.as_str()),
+                    _ => return refuse(format!("{word} requires a value argument")),
+                }
+            } else {
+                None
+            };
+            parsed.flags.push((word, value));
+        }
+        Ok(parsed)
+    }
+}
+
+/// A command's arguments once [`Command::parse`] has checked them.
+#[derive(Debug, Default)]
+struct Args<'a> {
+    /// Each flag given, in order, with its value (`None` for a switch).
+    flags: Vec<(&'a str, Option<&'a str>)>,
+    /// The words that are not flags or flag values.
+    operands: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Whether `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|&(f, _)| f == flag)
+    }
+
+    /// Every value given to `flag`, in order (`--slo` repeats).
+    fn values<'s>(&'s self, flag: &'s str) -> impl Iterator<Item = &'a str> + 's {
+        self.flags
+            .iter()
+            .filter(move |&&(f, _)| f == flag)
+            .filter_map(|&(_, v)| v)
+    }
+
+    /// The first value given to `flag`.
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.values(flag).next()
+    }
+
+    /// The first value given to `flag`, parsed, with a readable failure
+    /// naming `what` the flag requires.
+    fn parsed<T: FromStr>(&self, flag: &str, what: &str) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("{flag} requires {what}, got {v}"))
+            })
+            .transpose()
+    }
+}
+
+/// The `what` of every count-valued flag.
+const COUNT: &str = "a non-negative integer";
+
+/// Runs one bench measurement, prints its table and writes its artifact
+/// to `--out`, by default `<artifact name>.json`.
+fn run_bench(run: fn(bool) -> Artifact, args: &Args) -> ExitCode {
+    let artifact = run(args.has("--quick"));
     println!("{}", artifact.render());
-    let out_path = out_path.map_or_else(|| format!("{}.json", artifact.name()), String::from);
+    let out_path = args
+        .value("--out")
+        .map_or_else(|| format!("{}.json", artifact.name()), String::from);
     if let Err(e) = std::fs::write(&out_path, artifact.to_json()) {
         eprintln!("failed to write {out_path}: {e}");
         return ExitCode::FAILURE;
@@ -84,44 +235,53 @@ fn shutdown_line(snap: &hammer_obs::MetricsSnapshot) -> String {
     )
 }
 
-/// `repro serve`'s usage line.
-const SERVE_USAGE: &str = "repro serve [--addr A] [--workers N] [--cache-mb MB] \
-[--store-dir D] [--store-mb MB] [--store-fault SPEC] \
-[--metrics-addr A] [--rollup-ms N] [--slo SPEC]...";
-/// The flags `repro serve` takes.
-const SERVE_FLAGS: [&str; 9] = [
-    "--addr",
-    "--workers",
-    "--cache-mb",
-    "--store-dir",
-    "--store-mb",
-    "--store-fault",
-    "--metrics-addr",
-    "--rollup-ms",
-    "--slo",
-];
-/// `repro top`'s usage line.
-const TOP_USAGE: &str = "repro top [--addr A] [--once] [--interval-ms N] [--frames N]";
-/// The flags `repro top` takes.
-const TOP_FLAGS: [&str; 4] = ["--addr", "--once", "--interval-ms", "--frames"];
-
-/// Rejects the first `--flag` in `args` that is not in `known`, with a
-/// message that ends in the subcommand's usage line.
-fn check_flags(args: &[String], known: &[&str], usage: &str) -> Result<(), String> {
-    match args
-        .iter()
-        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
-    {
-        None => Ok(()),
-        Some(flag) => Err(format!("unknown flag {flag}\nusage: {usage}")),
+/// The [`hammer_serve::ServeConfig`] `repro serve`'s flags describe.
+fn serve_config(args: &Args) -> Result<hammer_serve::ServeConfig, String> {
+    let mut config = hammer_serve::ServeConfig::default();
+    if let Some(addr) = args.value("--addr") {
+        config.addr = addr.to_owned();
     }
+    if let Some(n) = args.parsed("--workers", COUNT)? {
+        config.workers = n;
+    }
+    if let Some(n) = args.parsed("--cache-mb", COUNT)? {
+        config.cache_mb = n;
+    }
+    if let Some(n) = args.parsed("--store-mb", COUNT)? {
+        config.store_mb = n;
+    }
+    if let Some(ms) = args.parsed("--rollup-ms", COUNT)? {
+        config.rollup_window_ms = ms;
+    }
+    config.store_dir = args.value("--store-dir").map(std::path::PathBuf::from);
+    config.metrics_addr = args.value("--metrics-addr").map(String::from);
+    for spec in args.values("--slo") {
+        let slo = hammer_obs::SloSpec::parse(spec).map_err(|e| format!("--slo {spec}: {e}"))?;
+        config.slos.push(slo);
+    }
+    Ok(config)
 }
 
-/// `repro serve [--addr A] [--workers N] [--cache-mb MB]
-/// [--store-dir D] [--store-mb MB] [--store-fault KIND:N]
-/// [--metrics-addr A] [--rollup-ms N] [--slo SPEC]...`: run the
-/// serving subsystem in the foreground until a client sends
-/// `Shutdown`, then print the serving counters.
+/// Arms the crash-injection point a `--store-fault KIND:N` spec names.
+fn arm_store_fault(spec: &str) -> Result<(), String> {
+    let parsed = spec
+        .split_once(':')
+        .and_then(|(kind, n)| n.parse::<u64>().ok().map(|n| (kind, n)));
+    match parsed {
+        Some(("append", n)) => hammer_serve::fault::arm_abort_on_nth_store_append(n),
+        Some(("fsync", n)) => hammer_serve::fault::arm_abort_on_nth_store_fsync(n),
+        Some(("recovery", n)) => hammer_serve::fault::arm_abort_on_nth_recovery_truncate(n),
+        _ => {
+            return Err(format!(
+                "--store-fault requires append:N, fsync:N or recovery:N, got {spec}"
+            ))
+        }
+    }
+    Ok(())
+}
+
+/// `repro serve`: run the serving subsystem in the foreground until a
+/// client sends `Shutdown`, then print the serving counters.
 ///
 /// `--metrics-addr` binds the HTTP exposition listener (`/metrics`,
 /// `/series`, `/events`, `/slo`, `/healthz`) on a second port;
@@ -135,108 +295,17 @@ fn check_flags(args: &[String], known: &[&str], usage: &str) -> Result<(), Strin
 /// (leaving a torn record), `fsync:N` aborts after the Nth record is
 /// written but before its fsync commit point, and `recovery:N` aborts
 /// during the Nth torn-tail truncation of startup recovery.
-fn run_serve(args: &[String]) -> ExitCode {
-    /// `--flag N` as a usize, with a readable failure.
-    fn usize_flag(args: &[String], flag: &str) -> Result<Option<usize>, String> {
-        match flag_value(args, flag)? {
-            None => Ok(None),
-            Some(v) => v
-                .parse::<usize>()
-                .map(Some)
-                .map_err(|_| format!("{flag} requires a non-negative integer, got {v}")),
-        }
-    }
-    if let Err(e) = check_flags(args, &SERVE_FLAGS, SERVE_USAGE) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let mut config = hammer_serve::ServeConfig::default();
-    let parsed = usize_flag(args, "--workers")
-        .map(|v| {
-            if let Some(n) = v {
-                config.workers = n;
-            }
-        })
-        .and_then(|()| usize_flag(args, "--cache-mb"))
-        .map(|v| {
-            if let Some(n) = v {
-                config.cache_mb = n;
-            }
-        })
-        .and_then(|()| usize_flag(args, "--store-mb"))
-        .map(|v| {
-            if let Some(n) = v {
-                config.store_mb = n;
-            }
-        })
-        .and_then(|()| flag_value(args, "--store-dir"))
-        .map(|v| {
-            if let Some(dir) = v {
-                config.store_dir = Some(std::path::PathBuf::from(dir));
-            }
-        })
-        .and_then(|()| flag_value(args, "--metrics-addr"))
-        .map(|v| {
-            if let Some(addr) = v {
-                config.metrics_addr = Some(addr.to_owned());
-            }
-        })
-        .and_then(|()| usize_flag(args, "--rollup-ms"))
-        .map(|v| {
-            if let Some(ms) = v {
-                config.rollup_window_ms = ms as u64;
-            }
-        })
-        .and_then(|()| flag_value(args, "--addr").map(|v| v.map(String::from)));
-    match parsed {
-        Ok(Some(addr)) => config.addr = addr,
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    // `--slo SPEC` is repeatable: collect every occurrence.
-    for (i, arg) in args.iter().enumerate() {
-        if arg == "--slo" {
-            let Some(spec) = args.get(i + 1).filter(|v| !v.starts_with("--")) else {
-                eprintln!("--slo requires a value argument");
-                return ExitCode::FAILURE;
-            };
-            match hammer_obs::SloSpec::parse(spec) {
-                Ok(slo) => config.slos.push(slo),
-                Err(e) => {
-                    eprintln!("--slo {spec}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
+fn run_serve(args: &Args) -> ExitCode {
     // Fault points must be armed before `serve` opens the store: the
     // recovery fault fires during that open.
-    match flag_value(args, "--store-fault") {
-        Ok(None) => {}
-        Ok(Some(spec)) => {
-            let parsed = spec
-                .split_once(':')
-                .and_then(|(kind, n)| n.parse::<u64>().ok().map(|n| (kind, n)));
-            match parsed {
-                Some(("append", n)) => hammer_serve::fault::arm_abort_on_nth_store_append(n),
-                Some(("fsync", n)) => hammer_serve::fault::arm_abort_on_nth_store_fsync(n),
-                Some(("recovery", n)) => {
-                    hammer_serve::fault::arm_abort_on_nth_recovery_truncate(n);
-                }
-                _ => {
-                    eprintln!("--store-fault requires append:N, fsync:N or recovery:N, got {spec}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+    let armed = args.value("--store-fault").map_or(Ok(()), arm_store_fault);
+    let config = match armed.and_then(|()| serve_config(args)) {
+        Ok(config) => config,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
-    }
+    };
     let server = match hammer_serve::serve(&config) {
         Ok(server) => server,
         Err(e) => {
@@ -265,71 +334,43 @@ fn run_serve(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro top [--addr A] [--once] [--interval-ms N] [--frames N]`:
-/// live terminal dashboard over a running server's serving port
-/// (`--addr`), polling `MetricsSnapshot` over the binary protocol and
-/// keeping the rollup history on the client. `--once` prints a single
-/// lifetime frame and exits.
-fn run_top(args: &[String]) -> ExitCode {
-    if let Err(e) = check_flags(args, &TOP_FLAGS, TOP_USAGE) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let mut config = hammer_bench::top::TopConfig {
-        once: args.iter().any(|a| a == "--once"),
-        ..hammer_bench::top::TopConfig::default()
+/// `repro top`: live terminal dashboard over a running server's serving
+/// port (`--addr`), polling `MetricsSnapshot` over the binary protocol
+/// and keeping the rollup history on the client. `--once` prints a
+/// single lifetime frame and exits.
+fn run_top(args: &Args) -> ExitCode {
+    let top = || -> Result<(), String> {
+        let mut config = hammer_bench::top::TopConfig {
+            once: args.has("--once"),
+            ..hammer_bench::top::TopConfig::default()
+        };
+        if let Some(addr) = args.value("--addr") {
+            config.addr = addr.to_owned();
+        }
+        if let Some(ms) = args.parsed("--interval-ms", COUNT)? {
+            config.interval_ms = ms;
+        }
+        config.max_frames = args.parsed("--frames", COUNT)?;
+        hammer_bench::top::run(&config, &mut std::io::stdout()).map_err(|e| format!("top: {e}"))
     };
-    let parsed = flag_value(args, "--addr")
-        .map(|v| {
-            if let Some(addr) = v {
-                config.addr = addr.to_owned();
-            }
-        })
-        .and_then(|()| flag_value(args, "--interval-ms"))
-        .and_then(|v| match v {
-            None => Ok(()),
-            Some(v) => v
-                .parse::<u64>()
-                .map(|ms| config.interval_ms = ms)
-                .map_err(|_| format!("--interval-ms requires an integer, got {v}")),
-        })
-        .and_then(|()| flag_value(args, "--frames"))
-        .and_then(|v| match v {
-            None => Ok(()),
-            Some(v) => v
-                .parse::<u64>()
-                .map(|n| config.max_frames = Some(n))
-                .map_err(|_| format!("--frames requires an integer, got {v}")),
-        });
-    if let Err(e) = parsed {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    let mut stdout = std::io::stdout();
-    match hammer_bench::top::run(&config, &mut stdout) {
+    match top() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("top: {e}");
+            eprintln!("{e}");
             ExitCode::FAILURE
         }
     }
 }
 
-/// `repro serve-smoke [--addr A] [--shutdown]`: one client round trip —
-/// Ping, a small Reconstruct (checked against the direct library
-/// call), a MetricsSnapshot that must have counted it, and optionally
+/// `repro serve-smoke`: one client round trip — Ping, a small
+/// Reconstruct (checked against the direct library call), a
+/// MetricsSnapshot that must have counted it, and with `--shutdown`
 /// Shutdown. The CI workflow runs this against a backgrounded
 /// `repro serve`.
-fn run_serve_smoke(args: &[String]) -> ExitCode {
+fn run_serve_smoke(args: &Args) -> ExitCode {
     use hammer_dist::BitString;
-    let addr = match flag_value(args, "--addr") {
-        Ok(addr) => addr.unwrap_or("127.0.0.1:7878").to_string(),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut client = match hammer_serve::ServeClient::connect(&addr) {
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7878");
+    let mut client = match hammer_serve::ServeClient::connect(addr) {
         Ok(client) => client,
         Err(e) => {
             eprintln!("serve-smoke: cannot connect to {addr}: {e}");
@@ -377,7 +418,7 @@ fn run_serve_smoke(args: &[String]) -> ExitCode {
         "[serve-smoke] ok: ping + reconstruct round-tripped; server counters: {requests} \
          requests, {hits} hits, {misses} misses",
     );
-    if args.iter().any(|a| a == "--shutdown") {
+    if args.has("--shutdown") {
         if let Err(e) = client.shutdown() {
             return fail("shutdown", e);
         }
@@ -386,142 +427,7 @@ fn run_serve_smoke(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro chaos-smoke [--quick]`: an in-process robustness drill. Boots
-/// a server on an ephemeral port, drives reconstructions through a
-/// [`hammer_serve::chaos::ChaosProxy`] under each fault class, checks
-/// that every completed reply is byte-identical to the direct library
-/// call, exercises the deadline path against an artificially slowed
-/// compute, and verifies shutdown stays bounded. `--quick` runs one
-/// pass over the fault matrix instead of three.
-fn run_chaos_smoke(args: &[String]) -> ExitCode {
-    use hammer_serve::chaos::{ChaosProxy, Fault};
-    use hammer_serve::WireError;
-    use std::time::{Duration, Instant};
-
-    let quick = args.iter().any(|a| a == "--quick");
-    let rounds = if quick { 1 } else { 3 };
-
-    let server = match hammer_serve::serve(&hammer_serve::ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        cache_mb: 16,
-        io_timeout: Some(Duration::from_millis(400)),
-        ..hammer_serve::ServeConfig::default()
-    }) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("chaos-smoke: cannot start server: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut counts = hammer_dist::Counts::new(6).expect("valid width");
-    let bs = |s: &str| hammer_dist::BitString::parse(s).expect("valid literal");
-    counts.record_n(bs("111111"), 400);
-    counts.record_n(bs("001000"), 220);
-    for s in ["111110", "111101", "111011", "110111", "101111", "011111"] {
-        counts.record_n(bs(s), 70);
-    }
-    let config = hammer_core::HammerConfig::paper();
-    let direct = hammer_core::Hammer::with_config(config).reconstruct_counts(&counts);
-
-    // Fault matrix: completed replies must be byte-identical; failures
-    // must be typed errors, promptly. Never a hang, never a wrong answer.
-    let faults = [
-        Fault::None,
-        Fault::DelayMs(5),
-        Fault::CorruptRequestByte(2),
-        Fault::DropRequestAfter(8),
-        Fault::TruncateReplyAfter(10),
-        Fault::HalfCloseRequestAfter(6),
-    ];
-    let (mut completed, mut refused) = (0usize, 0usize);
-    for round in 0..rounds {
-        for fault in faults {
-            let proxy = match ChaosProxy::spawn(server.local_addr(), vec![fault]) {
-                Ok(proxy) => proxy,
-                Err(e) => {
-                    eprintln!("chaos-smoke: proxy spawn failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let started = Instant::now();
-            let result = hammer_serve::ServeClient::connect(proxy.local_addr().to_string())
-                .map(|c| {
-                    c.with_io_timeout(Some(Duration::from_millis(700)))
-                        .with_busy_retries(0, Duration::ZERO)
-                })
-                .ok()
-                .map(|mut client| client.reconstruct(&counts, &config));
-            match result {
-                Some(Ok(got)) if got == direct => completed += 1,
-                Some(Ok(_)) => {
-                    eprintln!("chaos-smoke: CORRUPTED reply under {fault:?} (round {round})");
-                    return ExitCode::FAILURE;
-                }
-                Some(Err(_)) | None => refused += 1,
-            }
-            if started.elapsed() > Duration::from_secs(5) {
-                eprintln!(
-                    "chaos-smoke: fault {fault:?} stalled for {:?}",
-                    started.elapsed()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    eprintln!(
-        "[chaos-smoke] fault matrix: {completed} byte-identical completions, \
-         {refused} typed refusals, 0 corruptions, 0 hangs"
-    );
-
-    // Deadline drill: a 120 ms budget against a compute slowed to 1.2 s
-    // must come back DeadlineExceeded fast. Fresh counts — the fault
-    // matrix already cached `counts`, and cache hits skip the compute.
-    let mut fresh = counts.clone();
-    fresh.record_n(bs("010101"), 33);
-    hammer_serve::fault::set_slow_compute_ms(1200);
-    let deadline_ok = (|| {
-        let mut client = hammer_serve::ServeClient::connect(server.local_addr().to_string())
-            .ok()?
-            .with_deadline(Some(Duration::from_millis(120)));
-        let started = Instant::now();
-        let outcome = client.reconstruct(&fresh, &config);
-        let elapsed = started.elapsed();
-        matches!(outcome, Err(WireError::DeadlineExceeded))
-            .then_some(elapsed < Duration::from_millis(800))?
-            .then_some(())
-    })();
-    hammer_serve::fault::reset();
-    if deadline_ok.is_none() {
-        eprintln!("chaos-smoke: deadline drill failed (no prompt DeadlineExceeded)");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("[chaos-smoke] deadline drill: slow compute cut short with DeadlineExceeded");
-
-    // Bounded shutdown: the drain must finish within a watchdog budget.
-    server.shutdown();
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = done_tx.send(server.wait());
-    });
-    match done_rx.recv_timeout(Duration::from_secs(10)) {
-        Ok(snap) => {
-            eprintln!(
-                "[chaos-smoke] ok: bounded shutdown after {} requests ({} busy rejections)",
-                count(&snap, "serve.requests"),
-                count(&snap, "serve.busy_rejections"),
-            );
-            ExitCode::SUCCESS
-        }
-        Err(_) => {
-            eprintln!("chaos-smoke: shutdown exceeded the 10 s watchdog");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `repro persist-smoke [--quick]`: the crash drill for the persistent
+/// `repro persist-smoke`: the crash drill for the persistent
 /// distribution store, run against real `repro serve` subprocesses over
 /// a shared store directory:
 ///
@@ -542,7 +448,7 @@ fn run_chaos_smoke(args: &[String]) -> ExitCode {
 ///    healthy store.
 ///
 /// `--quick` shrinks the kill -9 hot set.
-fn run_persist_smoke(args: &[String]) -> ExitCode {
+fn run_persist_smoke(args: &Args) -> ExitCode {
     /// Deterministic, sizable request content: 1750 distinct 16-bit
     /// outcomes reconstruct to a ~70 KB cache entry — larger than the
     /// 1 MiB cache's 64 KiB shard budget, so every same-shard collision
@@ -679,7 +585,7 @@ fn run_persist_smoke(args: &[String]) -> ExitCode {
         Ok(snap)
     }
 
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = args.has("--quick");
     let hot_set: u64 = if quick { 24 } else { 40 };
     let root = std::env::temp_dir().join(format!("hammer-persist-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
@@ -834,17 +740,6 @@ fn run_persist_smoke(args: &[String]) -> ExitCode {
     }
 }
 
-/// Parses the value following a `--flag` argument.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) if !v.starts_with("--") => Ok(Some(v.as_str())),
-            _ => Err(format!("{flag} requires a value argument")),
-        },
-    }
-}
-
 /// Runs `ids` across `jobs` workers (work-stealing over an atomic
 /// cursor), printing each report in id order as soon as it and all its
 /// predecessors are done.
@@ -899,101 +794,61 @@ fn run_experiments(ids: &[&str], quick: bool, jobs: usize) -> bool {
     any_failed.load(Ordering::Relaxed) > 0
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: repro <experiment-id>... | all [--quick] [--jobs N]");
-        for (name, _) in BENCHES {
-            eprintln!("       repro {name} [--quick] [--out PATH]");
-        }
-        eprintln!("       {SERVE_USAGE}");
-        eprintln!("       {TOP_USAGE}");
-        eprintln!("       repro serve-smoke [--addr A] [--shutdown]");
-        eprintln!("       repro chaos-smoke [--quick]");
-        eprintln!("       repro persist-smoke [--quick]");
-        eprintln!("       repro --list");
-        return ExitCode::FAILURE;
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return run_serve(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("top") {
-        return run_top(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve-smoke") {
-        return run_serve_smoke(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("chaos-smoke") {
-        return run_chaos_smoke(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("persist-smoke") {
-        return run_persist_smoke(&args[1..]);
-    }
-    if args.iter().any(|a| a == "--list") {
-        for id in experiments::ALL_IDS {
-            println!("{id}");
-        }
-        return ExitCode::SUCCESS;
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    if let Some(&(bench, run)) = BENCHES
-        .iter()
-        .find(|(name, _)| args.iter().any(|a| a == name))
-    {
-        let out_value = match flag_value(&args, "--out") {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        // Refuse to silently drop experiment ids passed alongside the
-        // subcommand (the out path itself is not an id).
-        let stray: Vec<&str> = args
-            .iter()
-            .filter(|a| {
-                !a.starts_with("--") && a.as_str() != bench && Some(a.as_str()) != out_value
-            })
-            .map(String::as_str)
-            .collect();
-        if !stray.is_empty() {
-            eprintln!(
-                "{bench} cannot be combined with experiment ids (got: {})",
-                stray.join(", ")
-            );
-            return ExitCode::FAILURE;
-        }
-        return run_bench_artifact(run, quick, out_value);
-    }
-    let jobs = match flag_value(&args, "--jobs") {
-        // Each experiment's engines already split their trial budget
-        // across every core, so experiments run one at a time.
-        Ok(None) => 1,
-        Ok(Some(v)) => match v.parse::<usize>() {
-            Ok(j) if j >= 1 => j,
-            _ => {
-                eprintln!("--jobs requires a positive integer, got {v}");
-                return ExitCode::FAILURE;
-            }
-        },
+/// `repro <experiment-id>... | all`: runs the named experiments (every
+/// one for `all`) and prints their reports in order.
+fn run_ids(args: &Args) -> ExitCode {
+    // Each experiment's engines already split their trial budget
+    // across every core, so experiments run one at a time by default.
+    let jobs = match args.parsed::<NonZeroUsize>("--jobs", "a positive integer") {
+        Ok(jobs) => jobs.map_or(1, NonZeroUsize::get),
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    let jobs_value = flag_value(&args, "--jobs").expect("validated above");
-    let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
+    let ids: Vec<&str> = if args.operands.contains(&"all") {
         experiments::ALL_IDS.to_vec()
     } else {
-        args.iter()
-            .filter(|a| !a.starts_with("--") && Some(a.as_str()) != jobs_value)
-            .map(String::as_str)
-            .collect()
+        args.operands.clone()
     };
-    if run_experiments(&ids, quick, jobs) {
+    if ids.is_empty() {
+        eprintln!("no experiment id given\nusage: {}", COMMANDS[0].usage());
+        return ExitCode::FAILURE;
+    }
+    if run_experiments(&ids, args.has("--quick"), jobs) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+/// `repro --list`: prints every experiment id.
+fn run_list(_: &Args) -> ExitCode {
+    for id in experiments::ALL_IDS {
+        println!("{id}");
+    }
+    ExitCode::SUCCESS
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
+        for (i, command) in COMMANDS.iter().enumerate() {
+            let lead = if i == 0 { "usage:" } else { "      " };
+            eprintln!("{lead} {}", command.usage());
+        }
+        return ExitCode::FAILURE;
+    }
+    let (command, rest) = match COMMANDS.iter().find(|c| c.name == args[0]) {
+        Some(command) => (command, &args[1..]),
+        None => (&COMMANDS[0], &args[..]),
+    };
+    match command.parse(rest) {
+        Ok(parsed) => (command.run)(&parsed),
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -1003,6 +858,13 @@ mod tests {
 
     fn args(xs: &[&str]) -> Vec<String> {
         xs.iter().map(|&x| x.to_owned()).collect()
+    }
+
+    fn command(name: &str) -> &'static Command {
+        COMMANDS
+            .iter()
+            .find(|c| c.name == name)
+            .expect("a table entry")
     }
 
     #[test]
@@ -1017,23 +879,66 @@ mod tests {
             "--slo",
             "avail:a:serve.replies.failed:serve.replies.total:99%:60s",
         ]);
-        assert_eq!(check_flags(&serve, &SERVE_FLAGS, SERVE_USAGE), Ok(()));
+        let parsed = command("serve").parse(&serve).expect("serve flags pass");
+        assert_eq!(parsed.value("--addr"), Some("127.0.0.1:0"));
+        assert_eq!(parsed.values("--slo").count(), 2);
+        let config = serve_config(&parsed).expect("a valid config");
+        assert_eq!(config.slos.len(), 2);
         let top = args(&["--once", "--addr", "127.0.0.1:7878", "--frames", "2"]);
-        assert_eq!(check_flags(&top, &TOP_FLAGS, TOP_USAGE), Ok(()));
-        assert_eq!(check_flags(&[], &TOP_FLAGS, TOP_USAGE), Ok(()));
+        let parsed = command("top").parse(&top).expect("top flags pass");
+        assert!(parsed.has("--once"));
+        assert_eq!(parsed.parsed::<u64>("--frames", COUNT), Ok(Some(2)));
+        assert!(command("top").parse(&[]).is_ok());
+        let ids = args(&["fig3a", "--jobs", "2", "fig6", "--quick"]);
+        let parsed = COMMANDS[0].parse(&ids).expect("experiment flags pass");
+        assert_eq!(parsed.operands, ["fig3a", "fig6"]);
+        assert_eq!(
+            parsed.parsed::<NonZeroUsize>("--jobs", "a positive integer"),
+            Ok(NonZeroUsize::new(2))
+        );
     }
 
     #[test]
     fn unknown_flags_are_refused_with_the_usage_line() {
-        for (bad, known, usage) in [
-            ("--worker", &SERVE_FLAGS[..], SERVE_USAGE),
-            ("--once", &SERVE_FLAGS[..], SERVE_USAGE),
-            ("--interval", &TOP_FLAGS[..], TOP_USAGE),
-            ("--workers", &TOP_FLAGS[..], TOP_USAGE),
-        ] {
-            let err = check_flags(&args(&["--addr", "x", bad, "4"]), known, usage)
+        for command in &COMMANDS {
+            let usage = command.usage();
+            let err = command
+                .parse(&args(&["--quik"]))
                 .expect_err("an unknown flag is refused");
-            assert_eq!(err, format!("unknown flag {bad}\nusage: {usage}"));
+            assert_eq!(err, format!("unknown flag --quik\nusage: {usage}"));
+            if let Some(flag) = command.flags.iter().find(|f| f.contains(' ')) {
+                let flag = flag.split(' ').next().expect("a flag name");
+                let err = command
+                    .parse(&args(&[flag]))
+                    .expect_err("a missing value is refused");
+                assert_eq!(
+                    err,
+                    format!("{flag} requires a value argument\nusage: {usage}")
+                );
+            }
+            if !command.operands {
+                let err = command
+                    .parse(&args(&["fig3a"]))
+                    .expect_err("a stray operand is refused");
+                assert_eq!(err, format!("unexpected argument fig3a\nusage: {usage}"));
+            }
+        }
+    }
+
+    #[test]
+    fn the_module_doc_lists_every_usage_line() {
+        let source = include_str!("repro.rs");
+        let block: Vec<&str> = source
+            .lines()
+            .skip_while(|l| *l != "//! ```text")
+            .skip(1)
+            .take_while(|l| *l != "//! ```")
+            .flat_map(|l| l.trim_start_matches("//!").split_whitespace())
+            .collect();
+        let block = block.join(" ");
+        for command in &COMMANDS {
+            let usage = command.usage();
+            assert!(block.contains(&usage), "the module doc lacks `{usage}`");
         }
     }
 }

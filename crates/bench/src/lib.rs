@@ -10,8 +10,9 @@
 //! ```
 //!
 //! The `repro bench-*` subcommands measure the Hamming kernel, the
-//! simulators, the serving tier and the observability overhead, and
-//! write `BENCH_*.json` artifacts through [`report::Artifact`].
+//! simulators, the spill store's warm restart and the observability
+//! overhead, and write `BENCH_*.json` artifacts through
+//! [`report::Artifact`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -29,14 +29,13 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use hammer_core::{Hammer, HammerConfig};
-use hammer_dist::{BitString, Counts};
+use hammer_dist::Counts;
 use hammer_serve::{serve, ServeClient, ServeConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::report::{Artifact, Cell};
+use crate::serve_bench::large_counts;
 
-/// Client threads for the serve scenario (matches `bench-serve`).
+/// Client threads for the serve scenario.
 const CLIENTS: usize = 4;
 
 /// Measured overhead of one scenario: obs-off vs obs-on throughput.
@@ -90,19 +89,6 @@ impl Drop for TimingGuard {
     }
 }
 
-/// A synthetic 16-bit histogram with `unique` distinct outcomes,
-/// deterministic in `salt` (same shape as `bench-serve`'s).
-fn dense_counts(unique: usize, salt: u64) -> Counts {
-    let mut rng = StdRng::seed_from_u64(0xC0FFEE);
-    let mut counts = Counts::new(16).expect("valid width");
-    for _ in 0..unique {
-        let key = rng.gen::<u64>() & 0xFFFF;
-        counts.record_n(BitString::new(key, 16), 1 + rng.gen::<u64>() % 100);
-    }
-    counts.record_n(BitString::new(salt & 0xFFFF, 16), 1 + salt);
-    counts
-}
-
 /// One timed round of direct library reconstructions, as ops/s.
 fn direct_round(hammer: &Hammer, counts: &Counts, calls: u64) -> f64 {
     let start = Instant::now();
@@ -130,7 +116,7 @@ fn alternate_rounds(rounds: usize, mut round: impl FnMut(bool) -> f64) -> (f64, 
 fn run_direct(quick: bool) -> ObsBenchRow {
     let (rounds, calls) = if quick { (7, 24) } else { (12, 64) };
     let hammer = Hammer::with_config(HammerConfig::paper());
-    let counts = dense_counts(768, 0);
+    let counts = large_counts(768, 0);
     // Warm up both paths (page in the kernel, register the global
     // histograms) before any timed round.
     hammer_obs::set_timing_enabled(true);
@@ -162,7 +148,7 @@ fn run_rollup(quick: bool) -> ObsBenchRow {
 
     let (rounds, calls) = if quick { (7, 24) } else { (12, 64) };
     let hammer = Hammer::with_config(HammerConfig::paper());
-    let counts = dense_counts(768, 0);
+    let counts = large_counts(768, 0);
     hammer_obs::set_timing_enabled(true);
     black_box(hammer.reconstruct_counts(&counts));
 
@@ -241,7 +227,7 @@ fn run_serve(quick: bool) -> ObsBenchRow {
     })
     .expect("bind an ephemeral port");
     let addr = server.local_addr().to_string();
-    let counts = dense_counts(4096, 0);
+    let counts = large_counts(4096, 0);
 
     // Populate the cache (and warm the connection path) once, outside
     // any timed round.

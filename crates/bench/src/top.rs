@@ -135,16 +135,16 @@ fn frame(addr: &str, ts: &TimeSeries) -> String {
     ) {
         f.push_str(&format!("queue {depth:>9}  conns {conns}\n"));
     }
-    let (hits, _) = ts.counter_delta("serve.cache.hits", span);
-    let (misses, _) = ts.counter_delta("serve.cache.misses", span);
+    let hits = ts.counter_delta("serve.cache.hits", span);
+    let misses = ts.counter_delta("serve.cache.misses", span);
     if hits + misses > 0 {
         f.push_str(&format!(
             "cache {:>8.1}%  hit rate ({hits} hits / {misses} misses)\n",
             100.0 * hits as f64 / (hits + misses) as f64
         ));
     }
-    let (spills, _) = ts.counter_delta("serve.store.spills", span);
-    let (loads, _) = ts.counter_delta("serve.store.loads", span);
+    let spills = ts.counter_delta("serve.store.spills", span);
+    let loads = ts.counter_delta("serve.store.loads", span);
     if spills + loads > 0 {
         f.push_str(&format!("store {spills:>9}  spills / {loads} loads\n"));
     }

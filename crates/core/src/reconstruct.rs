@@ -322,13 +322,6 @@ impl Hammer {
         kernel::uncancelled(self.run(dist, false, None)).output
     }
 
-    /// Reconstruction with a caller-supplied weight vector (used by the
-    /// weight-scheme ablations).
-    #[must_use]
-    pub fn reconstruct_with_weights(&self, dist: &Distribution, weights: &[f64]) -> Distribution {
-        kernel::uncancelled(self.rescore(&self.kernel(dist), dist, weights, None))
-    }
-
     /// The likelihood update + renormalization tail of Algorithm 1:
     /// `L(x) = P(x) · S(x)`, renormalized by `Distribution`'s
     /// constructor.

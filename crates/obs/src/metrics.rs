@@ -17,17 +17,6 @@ fn bucket_of(ns: u64) -> usize {
     (63 - (ns | 1).leading_zeros()) as usize
 }
 
-/// Inclusive `(lo, hi)` nanosecond bounds of bucket `i`.
-fn bucket_bounds(i: usize) -> (u64, u64) {
-    let lo = if i == 0 { 0 } else { 1u64 << i };
-    let hi = if i >= 63 {
-        u64::MAX
-    } else {
-        (1u64 << (i + 1)) - 1
-    };
-    (lo, hi)
-}
-
 /// A monotonically increasing event counter.
 ///
 /// Handles are cheap `Arc` clones sharing one atomic cell; a counter
@@ -173,6 +162,20 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Inclusive `(lo, hi)` nanosecond bounds of bucket `i`: `[2^i,
+    /// 2^(i+1) - 1]`, except that bucket 0 starts at 0 and bucket 63
+    /// ends at `u64::MAX`.
+    #[must_use]
+    pub fn bucket_bounds(i: usize) -> (u64, u64) {
+        let lo = if i == 0 { 0 } else { 1u64 << i };
+        let hi = if i >= 63 {
+            u64::MAX
+        } else {
+            (1u64 << (i + 1)) - 1
+        };
+        (lo, hi)
+    }
+
     /// An all-zero snapshot (useful when decoding wire payloads).
     pub fn empty() -> Self {
         Self {
@@ -204,7 +207,7 @@ impl HistogramSnapshot {
                 continue;
             }
             if cum + c > target {
-                let (lo, hi) = bucket_bounds(i);
+                let (lo, hi) = Self::bucket_bounds(i);
                 let pos = (target - cum) as f64 + 0.5;
                 let width = (hi - lo) as f64;
                 let est = lo as f64 + width * (pos / c as f64);
@@ -213,7 +216,7 @@ impl HistogramSnapshot {
             cum += c;
         }
         // Unreachable with a consistent snapshot; be conservative.
-        bucket_bounds(HIST_BUCKETS - 1).1
+        Self::bucket_bounds(HIST_BUCKETS - 1).1
     }
 
     /// Upper bound on the largest recorded value: the inclusive top of
@@ -221,7 +224,7 @@ impl HistogramSnapshot {
     pub fn max_ns(&self) -> u64 {
         for i in (0..HIST_BUCKETS).rev() {
             if self.buckets[i] != 0 {
-                return bucket_bounds(i).1;
+                return Self::bucket_bounds(i).1;
             }
         }
         0
@@ -442,7 +445,7 @@ mod tests {
         assert_eq!(bucket_of(4), 2);
         assert_eq!(bucket_of(u64::MAX), 63);
         for i in 0..HIST_BUCKETS {
-            let (lo, hi) = bucket_bounds(i);
+            let (lo, hi) = HistogramSnapshot::bucket_bounds(i);
             assert!(lo <= hi);
             if i > 0 {
                 assert_eq!(bucket_of(lo), i);

@@ -415,21 +415,65 @@ impl TimeSeries {
         })
     }
 
+    /// Fine windows of history the rings can answer for: every window
+    /// rolled so far, up to the coarse ring's span.
+    #[must_use]
+    pub fn reach(&self) -> usize {
+        let rolled = usize::try_from(self.windows_rolled()).unwrap_or(usize::MAX);
+        let coarse_span = self
+            .config
+            .coarse_capacity
+            .saturating_mul(self.config.coarse_factor);
+        rolled.min(self.config.fine_capacity.max(coarse_span))
+    }
+
+    /// The windows of `name` that together cover its last `group` fine
+    /// windows (clamped to ≥ 1). The fine ring answers while it reaches
+    /// that far. Past its reach the open coarse window and then enough
+    /// closed coarse windows answer, rounded up to whole coarse windows;
+    /// until a coarse window closes, the fine ring answers with all it
+    /// holds, as in [`query`](Self::query).
+    fn span<'a>(
+        &self,
+        inner: &'a TsInner,
+        name: &str,
+        group: usize,
+    ) -> impl Iterator<Item = &'a WindowValue> + 'a {
+        let group = group.max(1);
+        let factor = self.config.coarse_factor;
+        // Fine windows rolled since the last coarse boundary: the span
+        // of every series' open (partial) coarse window.
+        let open = (inner.rolled % factor as u64) as usize;
+        inner.series.get(name).into_iter().flat_map(move |rings| {
+            let coarse = group > rings.fine.len() && !rings.coarse.is_empty();
+            let (fine, closed) = if coarse {
+                (0, group.saturating_sub(open).div_ceil(factor))
+            } else {
+                (group, 0)
+            };
+            rings
+                .fine
+                .iter()
+                .rev()
+                .take(fine)
+                .chain(rings.partial.iter().filter(move |_| coarse))
+                .chain(rings.coarse.iter().rev().take(closed))
+        })
+    }
+
     /// Merges the last `group` fine windows of a histogram series into
     /// one [`HistogramSnapshot`] — the windowed-quantile primitive the
-    /// SLO tracker evaluates burn rates on. Returns an empty snapshot
-    /// for unknown or non-histogram series.
+    /// SLO tracker evaluates burn rates on. Spans past the fine ring's
+    /// reach read the coarse ring (see [`reach`](Self::reach)). Returns
+    /// an empty snapshot for unknown or non-histogram series.
     #[must_use]
     pub fn merged_histogram(&self, name: &str, group: usize) -> HistogramSnapshot {
         let inner = self.inner.lock().unwrap();
         let mut out = HistogramSnapshot::empty();
-        if let Some(rings) = inner.series.get(name) {
-            let skip = rings.fine.len().saturating_sub(group.max(1));
-            for w in rings.fine.iter().skip(skip) {
-                if let WindowValue::Histogram(Some(b)) = w {
-                    for (o, d) in out.buckets.iter_mut().zip(b.iter()) {
-                        *o = o.saturating_add(*d);
-                    }
+        for w in self.span(&inner, name, group) {
+            if let WindowValue::Histogram(Some(b)) = w {
+                for (o, d) in out.buckets.iter_mut().zip(b.iter()) {
+                    *o = o.saturating_add(*d);
                 }
             }
         }
@@ -437,23 +481,18 @@ impl TimeSeries {
     }
 
     /// Sums the last `group` fine windows of a counter series — the
-    /// windowed-rate primitive. Returns 0 for unknown or non-counter
-    /// series, along with how many windows actually existed.
+    /// windowed-rate primitive. Spans past the fine ring's reach read
+    /// the coarse ring, as in [`merged_histogram`](Self::merged_histogram).
+    /// Returns 0 for unknown or non-counter series.
     #[must_use]
-    pub fn counter_delta(&self, name: &str, group: usize) -> (u64, usize) {
+    pub fn counter_delta(&self, name: &str, group: usize) -> u64 {
         let inner = self.inner.lock().unwrap();
-        let mut sum = 0u64;
-        let mut seen = 0usize;
-        if let Some(rings) = inner.series.get(name) {
-            let skip = rings.fine.len().saturating_sub(group.max(1));
-            for w in rings.fine.iter().skip(skip) {
-                if let WindowValue::Counter(d) = w {
-                    sum = sum.saturating_add(*d);
-                    seen += 1;
-                }
-            }
-        }
-        (sum, seen)
+        self.span(&inner, name, group)
+            .map(|w| match w {
+                WindowValue::Counter(d) => *d,
+                _ => 0,
+            })
+            .fold(0, u64::saturating_add)
     }
 }
 
@@ -706,6 +745,29 @@ mod tests {
     }
 
     #[test]
+    fn window_sums_read_the_coarse_ring_past_the_fine_ring() {
+        let reg = Registry::new();
+        let c = reg.counter("c");
+        let ts = TimeSeries::new(quick_config());
+        for i in 0..20u64 {
+            c.add(i);
+            ts.roll_at(&reg.snapshot(), i * 100);
+        }
+        // 8 fine windows hold 12..=19; three closed coarse windows of 4
+        // hold 8..=19.
+        assert_eq!(ts.counter_delta("c", 8), (12..20).sum::<u64>());
+        assert_eq!(ts.counter_delta("c", 12), (8..20).sum::<u64>());
+        // Two more rolls open a partial coarse window; the span rounds
+        // up to whole coarse windows behind it.
+        for i in 20..22u64 {
+            c.add(i);
+            ts.roll_at(&reg.snapshot(), i * 100);
+        }
+        assert_eq!(ts.counter_delta("c", 12), (8..22).sum::<u64>());
+        assert_eq!(ts.reach(), 16, "4 coarse windows of 4");
+    }
+
+    #[test]
     fn late_registered_series_stay_back_aligned() {
         let reg = Registry::new();
         let a = reg.counter("a");
@@ -734,9 +796,9 @@ mod tests {
         ts.roll_at(&reg.snapshot(), 100);
         c.add(4);
         ts.roll_at(&reg.snapshot(), 200);
-        assert_eq!(ts.counter_delta("c", 2), (7, 2));
-        assert_eq!(ts.counter_delta("c", 1), (4, 1));
-        assert_eq!(ts.counter_delta("nope", 5), (0, 0));
+        assert_eq!(ts.counter_delta("c", 2), 7);
+        assert_eq!(ts.counter_delta("c", 1), 4);
+        assert_eq!(ts.counter_delta("nope", 5), 0);
         assert!(ts.query("nope", 1, 1).is_none());
         assert_eq!(ts.names(), ["c"]);
     }

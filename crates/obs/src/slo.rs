@@ -12,13 +12,15 @@
 //! window gives sub-minute detection, the slow window keeps a brief
 //! blip from paging.
 //!
-//! Windows shorter than the history rolled so far are evaluated over
+//! Windows longer than the history rolled so far are evaluated over
 //! whatever windows exist, so a hard 100% violation fires within two
 //! rollup windows of appearing — the property the serving tier's
-//! chaos drill asserts.
+//! chaos drill asserts. Windows longer than the fine ring are read
+//! from the coarse ring, so a 4 h objective's 40 min slow window sees
+//! all 40 minutes, not the fine ring's last 15.
 
 use crate::events::EventLog;
-use crate::metrics::Registry;
+use crate::metrics::{HistogramSnapshot, Registry};
 use crate::rollup::TimeSeries;
 
 /// Burn-rate threshold for the fast/slow pair — the classic
@@ -199,16 +201,17 @@ impl SloTracker {
     /// Called by the roller after each [`TimeSeries::roll`].
     pub fn evaluate(&mut self, ts: &TimeSeries, log: &EventLog) -> Vec<SloStatus> {
         let window_ms = ts.config().window_ms.max(1);
-        let rolled = ts.windows_rolled() as usize;
+        let reach = ts.reach().max(1);
         let mut max_burn = 0.0f64;
         let mut out = Vec::with_capacity(self.slos.len());
         for slo in &mut self.slos {
             // Nominal fast/slow spans in rollup windows, clamped to the
-            // history that exists so a fresh violation is measurable
-            // immediately (an empty window contributes nothing anyway).
+            // history the rings hold so a fresh violation is measurable
+            // immediately (an empty window contributes nothing anyway)
+            // and the reported spans are the ones evaluated.
             let slo_windows = ((slo.spec.window_secs * 1_000).div_ceil(window_ms) as usize).max(1);
-            let fast = (slo_windows / 60).clamp(1, rolled.max(1));
-            let slow = (slo_windows / 6).clamp(1, rolled.max(1));
+            let fast = (slo_windows / 60).clamp(1, reach);
+            let slow = (slo_windows / 6).clamp(1, reach);
             let fast_frac = bad_fraction(&slo.spec.objective, ts, fast);
             let slow_frac = bad_fraction(&slo.spec.objective, ts, slow);
             let budget = (1.0 - slo.spec.target).max(1e-9);
@@ -248,7 +251,8 @@ impl SloTracker {
 }
 
 /// Bad-event fraction of an objective over the last `group` fine
-/// windows (0.0 when nothing was observed).
+/// windows, read from the coarse ring past the fine ring's reach (0.0
+/// when nothing was observed).
 fn bad_fraction(objective: &Objective, ts: &TimeSeries, group: usize) -> f64 {
     match objective {
         Objective::Latency {
@@ -264,8 +268,8 @@ fn bad_fraction(objective: &Objective, ts: &TimeSeries, group: usize) -> f64 {
             1.0 - good as f64 / total as f64
         }
         Objective::Availability { bad, total } => {
-            let (bad, _) = ts.counter_delta(bad, group);
-            let (total, _) = ts.counter_delta(total, group);
+            let bad = ts.counter_delta(bad, group);
+            let total = ts.counter_delta(total, group);
             if total == 0 {
                 return 0.0;
             }
@@ -276,18 +280,13 @@ fn bad_fraction(objective: &Objective, ts: &TimeSeries, group: usize) -> f64 {
 
 /// Estimated observations strictly below `threshold_ns`, interpolating
 /// within the bucket the threshold lands in.
-fn count_below(hist: &crate::metrics::HistogramSnapshot, threshold_ns: u64) -> u64 {
+fn count_below(hist: &HistogramSnapshot, threshold_ns: u64) -> u64 {
     let mut below = 0f64;
     for (i, &c) in hist.buckets.iter().enumerate() {
         if c == 0 {
             continue;
         }
-        let lo = if i == 0 { 0 } else { 1u64 << i };
-        let hi = if i >= 63 {
-            u64::MAX
-        } else {
-            (1u64 << (i + 1)) - 1
-        };
+        let (lo, hi) = HistogramSnapshot::bucket_bounds(i);
         if threshold_ns > hi {
             below += c as f64;
         } else if threshold_ns > lo {
@@ -443,6 +442,44 @@ mod tests {
             assert!(!status[0].firing, "{status:?}");
         }
         assert!(log.tail(10, Level::Warn).is_empty());
+    }
+
+    #[test]
+    fn long_windows_read_the_coarse_ring_past_the_fine_ring() {
+        // At the default 1 s windows the fine ring holds 900 windows;
+        // a 4 h objective's slow window is 2,400 and its fast one 240.
+        let status = |recent_bad: u64| {
+            let reg = Registry::new();
+            let h = reg.histogram("lat");
+            let ts = TimeSeries::new(RollupConfig::default());
+            let spec = SloSpec::parse("latency:long:lat:1ms:99%:4h").unwrap();
+            let mut tracker = SloTracker::new(vec![spec], &reg);
+            for i in 0..3_000u64 {
+                // 2,000 windows all over the threshold, 760 all under,
+                // then the last 240 with `recent_bad` of 10 over.
+                let bad = match i {
+                    0..2_000 => 10,
+                    2_000..2_760 => 0,
+                    _ => recent_bad,
+                };
+                for k in 0..10 {
+                    h.record(if k < bad { 10_000_000 } else { 1_000 });
+                }
+                ts.roll_at(&reg.snapshot(), 1_000 * (i + 1));
+            }
+            tracker.evaluate(&ts, &quiet_log()).remove(0)
+        };
+        let healed = status(0);
+        assert_eq!((healed.fast_windows, healed.slow_windows), (240, 2_400));
+        // 1,400 of the slow window's 2,400 windows were all bad.
+        let expected = 1_400.0 / 2_400.0;
+        assert!((healed.bad_fraction - expected).abs() < 1e-3, "{healed:?}");
+        assert!(!healed.firing, "the fast window is clean: {healed:?}");
+        // 20% bad in the fast window burns at 20; the slow window,
+        // read whole, burns at 60: both over 14.4.
+        let burning = status(2);
+        assert!(burning.firing, "{burning:?}");
+        assert!(burning.slow_burn > 50.0, "{burning:?}");
     }
 
     #[test]

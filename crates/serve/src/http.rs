@@ -201,12 +201,7 @@ fn push_histogram(out: &mut String, name: &str, h: &HistogramSnapshot) {
     let highest = h.buckets.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
     for (i, &c) in h.buckets.iter().enumerate().take(highest) {
         cum += c;
-        let lo = if i == 0 { 0u64 } else { 1u64 << i };
-        let hi = if i >= 63 {
-            u64::MAX
-        } else {
-            (1u64 << (i + 1)) - 1
-        };
+        let (lo, hi) = HistogramSnapshot::bucket_bounds(i);
         sum += c as f64 * ((lo as f64 + hi as f64) / 2.0);
         out.push_str(&format!("{name}_bucket{{le=\"{hi}\"}} {cum}\n"));
     }
