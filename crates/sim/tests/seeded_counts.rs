@@ -14,8 +14,8 @@
 
 use hammer_dist::Counts;
 use hammer_sim::{
-    Circuit, CouplingMap, DeviceModel, NoiseModel, PropagationEngine, ReadoutError,
-    StabilizerEngine, TrajectoryEngine,
+    AutoEngine, Circuit, CouplingMap, DeviceModel, Gate, NoiseModel, PropagationEngine,
+    ReadoutError, StabilizerEngine, TrajectoryEngine,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -111,6 +111,19 @@ fn ghz_clifford_tail(n: usize) -> Circuit {
         c.cx(q, q + 1);
     }
     c.s(0).z(1).cz(2, n - 1).s(n - 1);
+    c
+}
+
+/// A Clifford GHZ whose diagonal tail holds every non-Clifford kind:
+/// T, Tdg, an arbitrary-angle Rz and a ZZ.
+fn ghz_non_clifford_tail(n: usize) -> Circuit {
+    let mut c = Circuit::new(n);
+    c.h(0);
+    for q in 0..n - 1 {
+        c.cx(q, q + 1);
+    }
+    c.t(0).push(Gate::Tdg(1));
+    c.rz(2, 0.7).zz(3, n - 1, 0.4);
     c
 }
 
@@ -263,6 +276,43 @@ fn stabilizer_counts_are_pinned() {
     for (name, device, circuit, trials, want) in &cases {
         for threads in [1usize, 2] {
             let counts = StabilizerEngine::new(device)
+                .with_threads(threads)
+                .sample(circuit, *trials, &mut seeded())
+                .unwrap();
+            assert_golden(
+                &format!("{name} threads={threads}"),
+                &counts,
+                *trials,
+                *want,
+            );
+        }
+    }
+}
+
+/// `AutoEngine` on circuits that are Clifford up to a non-Clifford
+/// diagonal tail, pinned to the trajectory engine's goldens: whichever
+/// engine the router picks, the histogram is the dense engine's.
+#[test]
+fn auto_counts_are_pinned_at_one_and_two_threads() {
+    let cases: [(&str, DeviceModel, Circuit, u64, u64); 2] = [
+        (
+            "ghz16+t",
+            DeviceModel::ibm_paris(16),
+            ghz16_t(),
+            400,
+            0xffc5_11e5_4792_3775,
+        ),
+        (
+            "ghz8+non-clifford-tail",
+            idle_device(8),
+            ghz_non_clifford_tail(8),
+            2000,
+            0xa729_0241_bec6_b68e,
+        ),
+    ];
+    for (name, device, circuit, trials, want) in &cases {
+        for threads in [1usize, 2] {
+            let counts = AutoEngine::new(device)
                 .with_threads(threads)
                 .sample(circuit, *trials, &mut seeded())
                 .unwrap();
