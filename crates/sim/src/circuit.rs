@@ -92,7 +92,9 @@ impl Circuit {
     /// circuits — BV, GHZ, the Clifford skeletons of §7 — admit exact
     /// Aaronson–Gottesman tableau simulation at `O(n²)` per gate, which
     /// is how the stabilizer engine lifts the dense
-    /// [`crate::MAX_DENSE_QUBITS`] cap. The empty circuit is Clifford.
+    /// [`crate::MAX_DENSE_QUBITS`] cap. The engine itself asks for
+    /// less: only the gates before the diagonal measurement tail must
+    /// be Clifford. The empty circuit is Clifford.
     #[must_use]
     pub fn is_clifford(&self) -> bool {
         self.gates.iter().all(Gate::is_clifford)

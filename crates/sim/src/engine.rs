@@ -1,5 +1,6 @@
 //! The common interface of the noise engines, plus the automatic
-//! dense/stabilizer dispatcher.
+//! dense/stabilizer dispatcher, which sends every circuit that is
+//! Clifford up to the measurement cut to the tableau.
 
 use hammer_dist::{Counts, Distribution};
 use rand::{Rng, RngCore};
@@ -7,7 +8,7 @@ use rand::{Rng, RngCore};
 use crate::circuit::Circuit;
 use crate::device::DeviceModel;
 use crate::error::SimError;
-use crate::stabilizer::StabilizerEngine;
+use crate::stabilizer::{non_clifford_before_cut, StabilizerEngine};
 use crate::trajectory::{default_threads, TrajectoryEngine};
 
 /// A noisy executor: something that runs a circuit for a number of trials
@@ -20,10 +21,13 @@ use crate::trajectory::{default_threads, TrajectoryEngine};
 ///   stochastic Pauli injection (gold standard, dense: capped at
 ///   [`crate::MAX_DENSE_QUBITS`] qubits);
 /// * [`crate::StabilizerEngine`] — exact tableau Monte-Carlo for
-///   Clifford circuits at any workspace width (64–128-qubit BV/GHZ
-///   sweeps), seed-compatible with the trajectory engine;
-/// * [`crate::AutoEngine`] — routes each circuit to one of the above by
-///   [`Circuit::is_clifford`];
+///   circuits that are Clifford up to the measurement cut (any
+///   non-Clifford gate sits in the diagonal measurement tail), at any
+///   workspace width (64–128-qubit BV/GHZ sweeps), seed-compatible with
+///   the trajectory engine;
+/// * [`crate::AutoEngine`] — routes each circuit to one of the above:
+///   the tableau when it is Clifford up to the measurement cut, the
+///   dense engine otherwise;
 /// * [`crate::PropagationEngine`] — approximate Clifford-skeleton
 ///   Pauli-fault propagation over an ideal sample: O(gates) per trial
 ///   with no state evolution, but capped at
@@ -64,13 +68,15 @@ pub trait NoiseEngine {
     }
 }
 
-/// The automatic dense/stabilizer dispatcher: Clifford-only circuits
-/// (BV, GHZ, Clifford skeletons) run on the tableau path at any
-/// workspace width; everything else runs on the dense simkernel, which
-/// remains the correctness oracle.
+/// The automatic dense/stabilizer dispatcher: circuits that are
+/// Clifford up to the measurement cut (BV, GHZ, Clifford skeletons, and
+/// those with T, Rz or ZZ gates only in the diagonal measurement tail)
+/// run on the tableau path at any workspace width; everything else runs
+/// on the dense simkernel, which remains the correctness oracle.
 ///
 /// Dispatch is seamless because the two engines are seed-compatible:
-/// for a Clifford circuit at dense-simulable width, routing either way
+/// for a circuit that is Clifford up to the measurement cut, at
+/// dense-simulable width, routing either way
 /// yields the *identical* histogram under the same seed (pinned by the
 /// `stabilizer_oracle` suite), so the router never changes results —
 /// it only changes which widths are reachable.
@@ -96,9 +102,15 @@ pub trait NoiseEngine {
 /// let counts = engine.sample(&ghz, 1024, &mut rng)?;
 /// assert_eq!(counts.total(), 1024);
 ///
-/// // A T gate forces the dense path (and its width cap).
+/// // A T gate in the diagonal measurement tail keeps the tableau path…
+/// let mut tail = Circuit::new(4);
+/// tail.h(0).t(0);
+/// assert_eq!(engine.route(&tail), "stabilizer");
+///
+/// // …but a T before the measurement cut forces the dense path (and
+/// // its width cap).
 /// let mut t = Circuit::new(4);
-/// t.h(0).t(0);
+/// t.h(0).t(0).h(0);
 /// assert_eq!(engine.route(&t), "trajectory");
 /// # Ok(())
 /// # }
@@ -147,10 +159,12 @@ impl<'a> AutoEngine<'a> {
     }
 
     /// Which engine a circuit would dispatch to: `"stabilizer"` for
-    /// Clifford-only circuits, `"trajectory"` otherwise.
+    /// circuits that are Clifford up to the measurement cut (every gate
+    /// before the diagonal measurement tail is Clifford),
+    /// `"trajectory"` otherwise.
     #[must_use]
     pub fn route(&self, circuit: &Circuit) -> &'static str {
-        if circuit.is_clifford() {
+        if non_clifford_before_cut(circuit).is_none() {
             "stabilizer"
         } else {
             "trajectory"
@@ -162,8 +176,9 @@ impl<'a> AutoEngine<'a> {
     /// # Errors
     ///
     /// See [`NoiseEngine::sample_counts`]; `NotClifford` can never
-    /// surface (those circuits dispatch densely), but non-Clifford
-    /// circuits past [`crate::MAX_DENSE_QUBITS`] still fail with
+    /// surface (those circuits dispatch densely), but circuits with a
+    /// non-Clifford gate before the measurement cut still fail past
+    /// [`crate::MAX_DENSE_QUBITS`] with
     /// [`SimError::TooManyQubitsForDense`].
     pub fn sample<R: Rng + ?Sized>(
         &self,
@@ -200,7 +215,7 @@ impl<'a> AutoEngine<'a> {
         cancel: Option<&hammer_pool::CancelToken>,
     ) -> Result<Counts, SimError> {
         let _t = sample_hist().start();
-        if circuit.is_clifford() {
+        if non_clifford_before_cut(circuit).is_none() {
             StabilizerEngine::new(self.device)
                 .with_threads(self.threads)
                 .sample_inner(circuit, trials, rng, cancel)
@@ -244,5 +259,31 @@ mod tests {
     fn zero_threads_rejected() {
         let device = DeviceModel::noiseless(2);
         let _ = AutoEngine::new(&device).with_threads(0);
+    }
+
+    #[test]
+    fn clifford_to_the_cut_runs_past_the_dense_cap() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let device = DeviceModel::google_sycamore(40);
+        let engine = AutoEngine::new(&device);
+        // GHZ-40 plus a T: the T is the diagonal tail.
+        let mut ghz = Circuit::new(40);
+        ghz.h(0);
+        for q in 0..39 {
+            ghz.cx(q, q + 1);
+        }
+        ghz.t(39);
+        assert_eq!(engine.route(&ghz), "stabilizer");
+        let counts = engine.sample(&ghz, 256, &mut rng).unwrap();
+        assert_eq!(counts.total(), 256);
+        // A T before an H is not in the tail: dense, and too wide.
+        let mut early = Circuit::new(30);
+        early.t(0).h(0);
+        assert_eq!(engine.route(&early), "trajectory");
+        assert_eq!(
+            engine.sample(&early, 16, &mut rng),
+            Err(SimError::TooManyQubitsForDense(30))
+        );
     }
 }

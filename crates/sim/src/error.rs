@@ -18,8 +18,10 @@ pub enum SimError {
     Unroutable,
     /// Dense simulation was requested beyond the supported width.
     TooManyQubitsForDense(usize),
-    /// The stabilizer (tableau) engine was handed a circuit containing a
-    /// non-Clifford gate; the payload names the first offending gate.
+    /// The stabilizer (tableau) engine was handed a circuit that is not
+    /// Clifford up to the measurement cut: a non-Clifford gate comes
+    /// before the diagonal measurement tail. The payload names the first
+    /// such gate.
     NotClifford(String),
     /// A cancellable sampling call was stopped by its
     /// [`CancelToken`](hammer_pool::CancelToken) before completion.
@@ -41,7 +43,7 @@ impl fmt::Display for SimError {
             Self::NotClifford(gate) => {
                 write!(
                     f,
-                    "stabilizer simulation requires a Clifford-only circuit; found {gate}"
+                    "stabilizer simulation requires a circuit that is Clifford up to the measurement cut; found {gate}"
                 )
             }
             Self::Cancelled => write!(f, "sampling cancelled before completion"),

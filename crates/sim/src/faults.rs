@@ -61,7 +61,8 @@ pub(crate) fn first_site(faults: &[TrialFault], gate_count: usize) -> usize {
 /// faults can strike and how likely they are. Every engine samples its
 /// faults here, so engines that share per-trial RNG streams draw
 /// **identical** fault configurations, the foundation of the dense and
-/// stabilizer engines' exact-counts agreement on Clifford circuits.
+/// stabilizer engines' exact-counts agreement on circuits that are
+/// Clifford up to the measurement cut.
 pub(crate) struct FaultPlan {
     /// Fault probability per gate location.
     gate_ps: Vec<f64>,

@@ -18,10 +18,11 @@
 //!   thread-parallel trial batches under deterministic per-trial RNG
 //!   streams. Each engine has one performance setting, `with_threads`.
 //! * [`stabilizer`] / [`StabilizerEngine`] — the Aaronson–Gottesman
-//!   tableau subsystem: exact noisy sampling of Clifford circuits (BV,
-//!   GHZ) at 64–128 qubits, seed-compatible with the trajectory
-//!   engine; [`AutoEngine`] dispatches per circuit via
-//!   [`Circuit::is_clifford`].
+//!   tableau subsystem: exact noisy sampling of circuits that are
+//!   Clifford up to the measurement cut (BV, GHZ, and those with T, Rz
+//!   or ZZ gates only in the diagonal measurement tail) at 64–128
+//!   qubits, seed-compatible with the trajectory engine; [`AutoEngine`]
+//!   sends such circuits there and the rest to the dense engine.
 //! * [`PropagationEngine`] — Clifford-skeleton Pauli propagation: an
 //!   approximate engine, O(gates) per trial over an ideal sample and
 //!   capped at the dense width; validated against the trajectory

@@ -1,5 +1,13 @@
 //! The stabilizer Monte-Carlo noise engine: exact noisy sampling of
-//! Clifford circuits at any width the workspace can express.
+//! circuits that are Clifford up to the measurement cut, at any width
+//! the workspace can express.
+//!
+//! "Clifford up to the measurement cut" means every gate before the
+//! diagonal measurement tail ([`faults::meas_cut`]) is Clifford. The
+//! tail may hold any diagonal gate (T, Tdg, arbitrary-angle Rz, ZZ):
+//! diagonal gates commute with Z-basis measurement, so the measured
+//! distribution is the pre-tail stabilizer state's, and tail faults act
+//! as plain bit flips, exactly as on the dense engine.
 //!
 //! [`StabilizerEngine`] is [`crate::TrajectoryEngine`]'s wide-register
 //! twin. It reuses the trajectory layer's machinery wholesale — the
@@ -10,8 +18,8 @@
 //! computed **once** per call plus one O(gate-count) Pauli-frame walk
 //! per faulty trial.
 //!
-//! Per trial the engines are bit-for-bit interchangeable on Clifford
-//! circuits:
+//! Per trial the engines are bit-for-bit interchangeable on circuits
+//! that are Clifford up to the measurement cut:
 //!
 //! * fault sampling consumes the identical RNG prefix (shared code);
 //! * the single outcome draw resolves through the ideal state's
@@ -29,7 +37,8 @@
 //!
 //! The `stabilizer_oracle` test suite pins `StabilizerEngine` counts to
 //! `TrajectoryEngine::sample` **exactly** (same seed, any thread
-//! count) on Clifford circuits at dense-simulable widths; past the
+//! count) on circuits that are Clifford up to the measurement cut, at
+//! dense-simulable widths; past the
 //! dense cap the tableau path is the only game in town, and the per-gate
 //! cost is `O(n)` bit operations instead of `O(2^n)` amplitude passes.
 
@@ -41,6 +50,7 @@ use crate::device::DeviceModel;
 use crate::engine::NoiseEngine;
 use crate::error::SimError;
 use crate::faults::{self, first_site, flip_mask, inject, FaultPlan, TrialFault};
+use crate::gates::Gate;
 use crate::noise::NoiseModel;
 use crate::propagation::PauliMask;
 use crate::trajectory::{
@@ -50,7 +60,10 @@ use hammer_pool::{CancelToken, Cancelled};
 
 use super::tableau::{OutputSupport, Tableau};
 
-/// The wide-register exact Monte-Carlo engine for Clifford circuits.
+/// The wide-register exact Monte-Carlo engine for circuits that are
+/// Clifford up to the measurement cut: every gate before the diagonal
+/// measurement tail is Clifford, and the tail may hold any diagonal
+/// gate (T, Tdg, arbitrary-angle Rz, ZZ).
 ///
 /// # Example
 ///
@@ -119,7 +132,7 @@ impl<'a> StabilizerEngine<'a> {
 
     fn validate(&self, circuit: &Circuit, trials: u64) -> Result<(), SimError> {
         validate_run(self.device, circuit, trials)?;
-        if let Some(bad) = circuit.gates().iter().find(|g| !g.is_clifford()) {
+        if let Some(bad) = non_clifford_before_cut(circuit) {
             return Err(SimError::NotClifford(bad.to_string()));
         }
         Ok(())
@@ -136,9 +149,10 @@ impl<'a> StabilizerEngine<'a> {
     ///
     /// * [`SimError::ZeroTrials`] / [`SimError::CircuitTooWide`] as for
     ///   the dense engine;
-    /// * [`SimError::NotClifford`] when any gate falls outside the
-    ///   tableau's reach — route those circuits to the dense engine
-    ///   (or let [`crate::AutoEngine`] dispatch for you).
+    /// * [`SimError::NotClifford`] when the circuit is not Clifford up
+    ///   to the measurement cut (a non-Clifford gate comes before the
+    ///   diagonal tail) — route those circuits to the dense engine (or
+    ///   let [`crate::AutoEngine`] dispatch for you).
     pub fn sample<R: Rng + ?Sized>(
         &self,
         circuit: &Circuit,
@@ -191,6 +205,19 @@ impl<'a> StabilizerEngine<'a> {
     }
 }
 
+/// The first gate before the measurement cut ([`faults::meas_cut`])
+/// that is not Clifford, if any. `None` means the circuit is Clifford up
+/// to the measurement cut: its pre-measurement state is a stabilizer
+/// state, and the non-Clifford gates it may hold sit in the diagonal
+/// tail, where they never change a measured bit. This is the whole
+/// admission rule of [`StabilizerEngine`] and the routing rule of
+/// [`crate::AutoEngine`].
+pub(crate) fn non_clifford_before_cut(circuit: &Circuit) -> Option<&Gate> {
+    circuit.gates()[..faults::meas_cut(circuit)]
+        .iter()
+        .find(|g| !g.is_clifford())
+}
+
 /// Everything a trial worker needs, computed once per `sample` call
 /// and borrowed by every trial block.
 struct StabContext<'c> {
@@ -199,8 +226,9 @@ struct StabContext<'c> {
     /// Where faults strike and how likely (shared with the trajectory
     /// engine — identical RNG consumption per trial).
     faults: FaultPlan,
-    /// The ideal output support, extracted from the final tableau once;
-    /// every trial samples through it.
+    /// The ideal output support, extracted once from the tableau of the
+    /// gates before the measurement cut (the diagonal tail changes no
+    /// measured bit); every trial samples through it.
     support: OutputSupport,
     /// The measurement cut ([`faults::meas_cut`]) the dense engine also
     /// uses: faults at or past it act as outcome bit flips, not frame
@@ -210,10 +238,15 @@ struct StabContext<'c> {
 
 impl<'c> StabContext<'c> {
     fn new(circuit: &'c Circuit, noise: &'c NoiseModel) -> Self {
+        let meas_cut = faults::meas_cut(circuit);
+        let mut tableau = Tableau::new(circuit.num_qubits());
+        for &g in &circuit.gates()[..meas_cut] {
+            tableau.apply_gate(g);
+        }
         Self {
             faults: FaultPlan::new(circuit, noise),
-            support: Tableau::from_circuit(circuit).output_support(),
-            meas_cut: faults::meas_cut(circuit),
+            support: tableau.output_support(),
+            meas_cut,
             circuit,
             noise,
         }
@@ -315,8 +348,9 @@ mod tests {
     fn non_clifford_circuit_rejected() {
         let device = DeviceModel::noiseless(2);
         let engine = StabilizerEngine::new(&device);
+        // The H after the T puts it before the measurement cut.
         let mut c = Circuit::new(2);
-        c.h(0).t(1);
+        c.h(0).t(1).h(1);
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(
             engine.sample(&c, 16, &mut rng),

@@ -1,6 +1,7 @@
 //! The stabilizer simulation subsystem: Aaronson–Gottesman tableaus
 //! plus Pauli-fault trajectories, lifting the dense
-//! [`crate::MAX_DENSE_QUBITS`]-qubit cap for Clifford circuits.
+//! [`crate::MAX_DENSE_QUBITS`]-qubit cap for circuits that are Clifford
+//! up to the measurement cut.
 //!
 //! HAMMER's headline benchmarks (BV, GHZ) are Clifford-only, and
 //! Pauli-channel noise is Clifford too — so the exact noisy-counts
@@ -24,12 +25,13 @@
 //!   thread count, and identical counts to the dense engine wherever
 //!   both can run.
 //!
-//! [`crate::AutoEngine`] routes Clifford circuits here automatically
-//! and everything else to the dense simkernel, which remains the
+//! [`crate::AutoEngine`] routes circuits that are Clifford up to the
+//! measurement cut here automatically and everything else to the dense simkernel, which remains the
 //! correctness oracle (`tests/stabilizer_oracle.rs`).
 
 mod engine;
 mod tableau;
 
+pub(crate) use engine::non_clifford_before_cut;
 pub use engine::StabilizerEngine;
 pub use tableau::{Measurement, OutputSupport, Tableau};

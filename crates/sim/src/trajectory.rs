@@ -38,7 +38,8 @@
 //! streams, sample the same fault configurations through the shared
 //! [`FaultPlan`], and map the same uniform draw onto the same ranked
 //! support element — which is why a fixed seed yields *identical*
-//! counts from either engine on Clifford circuits (the
+//! counts from either engine on circuits that are Clifford up to the
+//! measurement cut (the
 //! `stabilizer_oracle` suite pins this exactly). RNG-stream note: the
 //! outcome draw changed from the PR 3 alias sampler (two draws) to the
 //! CDF sampler (one draw), so concrete histograms for a given seed

@@ -3,7 +3,9 @@
 //!
 //! Three layers of agreement, strongest first:
 //!
-//! 1. **Exact counts**: on Clifford circuits at dense-simulable widths,
+//! 1. **Exact counts**: on circuits that are Clifford up to the
+//!    measurement cut (non-Clifford gates, if any, only in the diagonal
+//!    measurement tail) at dense-simulable widths,
 //!    `StabilizerEngine::sample` must reproduce
 //!    `TrajectoryEngine::sample` **bit-for-bit** under a fixed seed —
 //!    same per-trial RNG streams, same fault configurations, same
@@ -91,6 +93,39 @@ fn random_clifford(n: usize, gates: usize, seed: u64) -> Circuit {
     c
 }
 
+/// Appends a random diagonal tail of `gates` gates after one T: every
+/// non-Clifford diagonal kind (T, Tdg, arbitrary-angle Rz, ZZ) mixed
+/// with the Clifford diagonals (S, CZ). The circuit stays Clifford up to
+/// the measurement cut as long as its body is Clifford.
+fn with_diagonal_tail(mut c: Circuit, gates: usize, seed: u64) -> Circuit {
+    use rand::Rng;
+    let n = c.num_qubits();
+    let mut rng = StdRng::seed_from_u64(seed);
+    c.t(rng.gen_range(0..n));
+    for _ in 0..gates {
+        let q = rng.gen_range(0..n);
+        match rng.gen_range(0..6u8) {
+            0 => c.t(q),
+            1 => c.push(Gate::Tdg(q)),
+            2 => c.rz(q, rng.gen_range(-3.0..3.0)),
+            3 => c.s(q),
+            _ if n < 2 => c.t(q),
+            op => {
+                let mut b = rng.gen_range(0..n - 1);
+                if b >= q {
+                    b += 1;
+                }
+                if op == 4 {
+                    c.zz(q, b, rng.gen_range(-3.0..3.0))
+                } else {
+                    c.cz(q, b)
+                }
+            }
+        };
+    }
+    c
+}
+
 /// The devices the exact-equality sweep runs on: noiseless, a noisy
 /// preset with biased readout and per-qubit variation, and an
 /// idle-noise-dominated model.
@@ -165,6 +200,24 @@ fn engines_agree_exactly_on_random_cliffords() {
         let circuit = random_clifford(n, gates, 0x5EED + i as u64);
         for device in devices(n) {
             assert_engines_agree(&circuit, &device, 300, 0xC11F ^ i as u64);
+        }
+    }
+}
+
+#[test]
+fn engines_agree_exactly_with_a_non_clifford_diagonal_tail() {
+    for n in 1..=12 {
+        let bodies = [
+            ghz(n),
+            bv_like(n.max(2)),
+            random_clifford(n, 5 * n + 4, 0x7A11 + n as u64),
+        ];
+        for (i, body) in bodies.into_iter().enumerate() {
+            let circuit = with_diagonal_tail(body, n + 4, 0xD1A6 ^ (n * 3 + i) as u64);
+            assert!(!circuit.is_clifford(), "the tail must hold a T");
+            for device in devices(circuit.num_qubits()) {
+                assert_engines_agree(&circuit, &device, 300, 0x7A1 ^ (n * 3 + i) as u64);
+            }
         }
     }
 }
