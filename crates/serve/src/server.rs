@@ -7,11 +7,16 @@
 //!
 //! ```text
 //! acceptor ──► per-connection reader ──► request pool (WorkerPool,
-//!                   │    ▲                bounded EDF queue) ──┐
-//!                   │    └── Busy reply when full              │ compute
-//!                   ▼                                          ▼
+//!               │   │    ▲   (miss)       bounded EDF queue) ──┐
+//!     cache hit │   │    └── Busy reply when full              │ compute
+//!               ▼   ▼                                          ▼
 //!              per-connection writer ◄──── mpsc ◄──── reply (id, frame)
 //! ```
+//!
+//! The reader decodes each compute request, hashes its cache key and
+//! probes the distribution cache itself: a hit goes straight to the
+//! writer, so hot requests never wait behind cold work for a worker.
+//! Only misses are queued.
 //!
 //! The request pool is the only persistent pool: it admits requests
 //! (bounded queue, `Busy` backpressure, earliest deadline first) and
@@ -27,7 +32,7 @@
 //! per-stage latency histograms are exact per instance, so tests can
 //! boot several servers in one process and assert on each. Compute
 //! requests carry a [`TraceCtx`] from frame arrival to the socket
-//! write: each stage (decode, queue wait, cache probe, store load,
+//! write: each stage (decode, cache probe, queue wait, store load,
 //! compute, encode, write) opens a span that lands both in the
 //! request's own span list and in the matching stage histogram. Slow
 //! requests (and every `DeadlineExceeded`) park their span tree in a
@@ -44,7 +49,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use hammer_core::{CancelToken, Cancelled, Hammer, HammerConfig};
+use hammer_core::{CancelToken, Cancelled, Hammer};
 use hammer_dist::fingerprint::Fnv1a;
 use hammer_dist::Distribution;
 use hammer_obs::{
@@ -535,8 +540,9 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
 /// trace context the writer finalizes after the socket write.
 type Outbound = (u64, Reply, Option<(u8, TraceCtx)>);
 
-/// The per-connection reader: parses frames, answers cheap opcodes
-/// inline, and queues compute opcodes onto the bounded request pool.
+/// The per-connection reader: parses frames, answers cheap opcodes and
+/// cache hits inline, and queues the compute requests that missed onto
+/// the bounded request pool.
 /// Replies flow through an mpsc channel to a dedicated writer thread,
 /// so slow computations never block the read side and out-of-order
 /// completion is fine (the request id disambiguates).
@@ -710,6 +716,28 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>, addr: SocketAddr
                 break;
             }
             compute @ (Request::Reconstruct { .. } | Request::SampleAndReconstruct(_)) => {
+                let compute = exact(compute);
+                let key = cache_key(&compute);
+                // Hot hits are answered right here: no queue, no
+                // worker, no `active_jobs` (the pending reply alone
+                // keeps `wait` honest). Misses queue, and the leader's
+                // re-probe at `claim` catches entries that land while
+                // they wait.
+                let probed = {
+                    let _t = ctx
+                        .as_ref()
+                        .map(|c| c.span("cache_probe", Some(&state.stages.cache_probe)));
+                    state.cache.get(key)
+                };
+                if let Some(hit) = probed {
+                    state.counters.requests.inc();
+                    reply_tx((
+                        id,
+                        Reply::Distribution((*hit).clone()),
+                        ctx.map(|c| (op, c)),
+                    ));
+                    continue;
+                }
                 // Count the job BEFORE re-checking the shutdown flag:
                 // `wait` trusts `active_jobs`, so the increment must be
                 // visible before a concurrent `wait` could observe
@@ -750,7 +778,7 @@ fn connection_loop(stream: TcpStream, state: &Arc<ServerState>, addr: SocketAddr
                                 job_state.counters.deadline_sheds.inc();
                                 Reply::DeadlineExceeded
                             } else {
-                                handle_compute(&job_state, compute, &cancel, trace.as_ref())
+                                handle_compute(&job_state, compute, key, &cancel, trace.as_ref())
                             };
                             job_tx((id, reply, trace.map(|c| (op, c))));
                             job_state
@@ -830,35 +858,29 @@ fn read_half_timeouts(stream: &TcpStream, timeout: Option<Duration>) -> std::io:
     stream.set_write_timeout(timeout)
 }
 
-/// Executes one compute request on a pool worker.
+/// Executes one compute request that missed the reader's cache probe,
+/// on a pool worker; `key` is its [`cache_key`].
 fn handle_compute(
     state: &Arc<ServerState>,
     request: Request,
+    key: u64,
     cancel: &CancelToken,
     trace: Option<&TraceCtx>,
 ) -> Reply {
     state.counters.requests.inc();
+    let job_cancel = cancel.clone();
     match request {
         Request::Reconstruct { config, counts } => {
             if counts.is_empty() {
                 return Reply::Error("empty histogram has no distribution".into());
             }
-            let config = exact(config);
-            let mut key = Fnv1a::new();
-            key.write_bytes(b"reconstruct/v1");
-            key.write_u64(counts.fingerprint());
-            key.write_u64(config.fingerprint());
-            let job_cancel = cancel.clone();
-            cached_compute(state, key.finish(), cancel, trace, move || {
+            cached_compute(state, key, cancel, trace, move || {
                 Hammer::with_config(config)
                     .try_reconstruct_counts(&counts, &job_cancel)
                     .map_err(|Cancelled| ComputeError::Cancelled)
             })
         }
-        Request::SampleAndReconstruct(mut job) => {
-            job.config = exact(job.config);
-            let key = job.fingerprint();
-            let job_cancel = cancel.clone();
+        Request::SampleAndReconstruct(job) => {
             cached_compute(state, key, cancel, trace, move || {
                 run_sample_job(&job, &job_cancel)
             })
@@ -869,16 +891,38 @@ fn handle_compute(
     }
 }
 
-/// The configuration a served reconstruction runs under: the wire
-/// config with the approximate scoring path switched off, so every
-/// reply is the exact reconstruction. Applied before the cache key is
-/// hashed, so the key names what actually ran.
-fn exact(mut config: HammerConfig) -> HammerConfig {
-    config.kernel.ann.enabled = false;
-    config
+/// A compute request as it is served: its config with the approximate
+/// scoring path switched off, so every reply is the exact
+/// reconstruction. Applied before [`cache_key`] hashes the request, so
+/// the key names what actually ran.
+fn exact(mut request: Request) -> Request {
+    if let Request::Reconstruct { config, .. }
+    | Request::SampleAndReconstruct(SampleJob { config, .. }) = &mut request
+    {
+        config.kernel.ann.enabled = false;
+    }
+    request
 }
 
-/// The cache + coalescing discipline around one computation.
+/// The distribution-cache (and spill-store) key of a compute request.
+fn cache_key(request: &Request) -> u64 {
+    match request {
+        Request::Reconstruct { config, counts } => {
+            let mut key = Fnv1a::new();
+            key.write_bytes(b"reconstruct/v1");
+            key.write_u64(counts.fingerprint());
+            key.write_u64(config.fingerprint());
+            key.finish()
+        }
+        Request::SampleAndReconstruct(job) => job.fingerprint(),
+        Request::Ping | Request::TraceDump | Request::MetricsSnapshot | Request::Shutdown => {
+            unreachable!("cheap opcodes have no cached answer")
+        }
+    }
+}
+
+/// The coalescing discipline around one computation whose key missed
+/// the reader's cache probe.
 ///
 /// The leader computes under a publish-on-drop guard, so **every** exit
 /// — success, failure, cancellation, panic — wakes the followers.
@@ -887,14 +931,15 @@ fn exact(mut config: HammerConfig) -> HammerConfig {
 /// panicked) they re-claim the key and compute for themselves rather
 /// than inherit a failure their budget did not earn.
 ///
-/// A leader that misses the cache probes the persistent store before
-/// computing: a disk hit promotes back into the cache and skips the
-/// computation entirely (`store_loads`, not `cache_misses`).
+/// A leader first re-probes the cache (the entry may have landed while
+/// the job was queued), then the persistent store: a disk hit promotes
+/// back into the cache and skips the computation entirely
+/// (`store_loads`, not `cache_misses`).
 ///
-/// Trace spans: the first cache probe is `cache_probe`, a follower's
-/// wait is `coalesce_wait`, the leader's store probe is `store_load`
-/// (only when a store is configured) and the computation itself is
-/// `compute`.
+/// Trace spans: a follower's wait is `coalesce_wait`, the leader's
+/// store probe is `store_load` (only when a store is configured) and
+/// the computation itself is `compute`; the reader already recorded
+/// `cache_probe`.
 fn cached_compute<F>(
     state: &Arc<ServerState>,
     key: u64,
@@ -905,13 +950,6 @@ fn cached_compute<F>(
 where
     F: FnOnce() -> Result<Distribution, ComputeError>,
 {
-    let probed = {
-        let _t = trace.map(|c| c.span("cache_probe", Some(&state.stages.cache_probe)));
-        state.cache.get(key)
-    };
-    if let Some(hit) = probed {
-        return Reply::Distribution((*hit).clone());
-    }
     let mut compute = Some(compute);
     // Bounded re-lead: a follower whose leader was cancelled or
     // panicked retries leadership a few times, but a pathological run
@@ -920,11 +958,11 @@ where
         match state.inflight.claim(key) {
             Claim::Leader => {
                 let guard = state.inflight.publish_guard(key);
-                // A racing leader may have completed between our cache
-                // probe and our claim; serve its entry rather than
-                // recompute. (`get` counted our probe as the miss; this
-                // probe would count a hit, which is accurate — the
-                // entry IS there.)
+                // The entry may have landed while this job sat in the
+                // queue (a racing leader completed between the reader's
+                // probe and our claim); serve it rather than recompute.
+                // `get` counts the hit, which is accurate: the entry IS
+                // there.
                 let result: ComputeResult = if let Some(hit) = state.cache.get(key) {
                     Ok(hit)
                 } else if cancel.is_cancelled() {

@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hammer_core::{AnnTuning, Hammer, HammerConfig, KernelTuning, NeighborhoodLimit};
 use hammer_dist::{metrics, BitString, Counts, Distribution};
@@ -327,6 +327,71 @@ fn large_local_reconstructs_are_answered_exactly() {
         wire_bytes(&served) == wire_bytes(&exact),
         "served reply differs from the exact reconstruction"
     );
+
+    server.shutdown();
+    let _ = server.wait();
+}
+
+/// A reconstruction large enough to pin the single worker for a few
+/// hundred milliseconds: 40K distinct outcomes at 20 bits.
+fn large_counts() -> Counts {
+    let mut counts = Counts::new(20).unwrap();
+    for i in 0..40_000u64 {
+        counts.record_n(
+            BitString::from_u128(u128::from(i.wrapping_mul(2655) % (1 << 20)), 20),
+            1 + i % 13,
+        );
+    }
+    counts
+}
+
+/// Cache hits are answered on the connection's reader, so a warm input
+/// never queues behind cold work: with the lone worker pinned by a long
+/// reconstruct, a 5 ms-deadline request for a warm input still gets the
+/// cached reply instead of `DeadlineExceeded`.
+#[test]
+fn warm_hits_are_answered_while_the_lone_worker_is_pinned() {
+    let server = start(64, 1, 256);
+    let addr = server.local_addr().to_string();
+    let config = HammerConfig::paper();
+    let expected = Hammer::with_config(config).reconstruct_counts(&halo_counts(7));
+    let mut client = ServeClient::connect(&addr)
+        .expect("connect")
+        .with_busy_retries(0, Duration::ZERO);
+    let warmed = client
+        .reconstruct(&halo_counts(7), &config)
+        .expect("warm-up");
+    assert_eq!(wire_bytes(&warmed), wire_bytes(&expected));
+
+    let blocker_addr = addr.clone();
+    let blocker = std::thread::spawn(move || {
+        let mut c = ServeClient::connect(blocker_addr).expect("blocker connects");
+        c.reconstruct(&large_counts(), &HammerConfig::paper())
+            .expect("the undeadlined blocker completes")
+    });
+    // `serve.requests` counts a queued job once a worker starts it, so
+    // at 2 (the warm-up and the blocker) the lone worker is pinned.
+    let pinned_by = Instant::now() + Duration::from_secs(30);
+    while count(&server.obs_snapshot(), "serve.requests") != 2 {
+        assert!(
+            Instant::now() < pinned_by,
+            "the blocker never reached the worker"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut client = client.with_deadline(Some(Duration::from_millis(5)));
+    let hot = client
+        .reconstruct(&halo_counts(7), &config)
+        .expect("a warm input is answered from the cache");
+    assert_eq!(wire_bytes(&hot), wire_bytes(&expected));
+
+    let _ = blocker.join().expect("blocker thread");
+    let snap = server.obs_snapshot();
+    assert_eq!(count(&snap, "serve.requests"), 3);
+    assert_eq!(count(&snap, "serve.cache.hits"), 1, "{snap:?}");
+    assert_eq!(count(&snap, "serve.cache.misses"), 2, "{snap:?}");
+    assert_eq!(count(&snap, "serve.deadline_sheds"), 0, "{snap:?}");
 
     server.shutdown();
     let _ = server.wait();
