@@ -340,25 +340,4 @@ mod tests {
         };
         assert!((row.overhead_pct() - 1.0).abs() < 1e-9);
     }
-
-    #[test]
-    fn quick_sweep_runs_end_to_end() {
-        let artifact = run(true);
-        assert_eq!(artifact.row_count(), 3);
-        for row in 0..3 {
-            for key in ["off_ops_per_sec", "on_ops_per_sec"] {
-                let ops = artifact.cell(row, key).and_then(Cell::as_f64);
-                assert!(ops.expect("numeric cell") > 0.0);
-            }
-        }
-        assert!(
-            hammer_obs::timing_enabled(),
-            "the sweep must leave timing enabled"
-        );
-        let json = artifact.to_json();
-        assert!(json.contains("\"artifact\": \"BENCH_obs\""));
-        assert!(json.contains("\"overhead_pct\""));
-        crate::report::assert_same_schema(&json, include_str!("../../../BENCH_obs.json"));
-        assert!(artifact.render().contains("overhead"));
-    }
 }

@@ -360,9 +360,13 @@ impl Artifact {
 /// Asserts that an emitted artifact has the checked-in file's schema:
 /// the same top-level key set, and the same first-row keys in the same
 /// order. Scans `"key":` tokens in the layout [`Artifact::to_json`]
-/// writes (two-space top-level lines, one row per line).
-#[cfg(test)]
-pub(crate) fn assert_same_schema(emitted: &str, checked_in: &str) {
+/// writes (two-space top-level lines, one row per line). Called by the
+/// emitters' tests, in this crate and in `tests/`.
+///
+/// # Panics
+///
+/// Panics when the schemas differ or the checked-in file has no rows.
+pub fn assert_same_schema(emitted: &str, checked_in: &str) {
     fn keys(line: &str) -> Vec<&str> {
         let parts: Vec<&str> = line.split('"').collect();
         (1..parts.len())
