@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::datasets::{ibm_bv_suite, BvInstance};
-use crate::pipeline::{run_bv, Engine};
+use crate::pipeline::run_bv;
 use crate::report::{fnum, section, Table};
 
 /// The shared workload: every suite instance's baseline distribution,
@@ -26,8 +26,7 @@ fn workload(quick: bool) -> Vec<(BvInstance, Distribution)> {
         .map(|inst| {
             let device = inst.backend.device(inst.bench.num_qubits());
             let mut rng = StdRng::seed_from_u64(0xAB1A ^ inst.bench.key().as_u64().rotate_left(17));
-            let dist = run_bv(&inst.bench, &device, Engine::Propagation, trials, &mut rng)
-                .expect("BV pipeline");
+            let dist = run_bv(&inst.bench, &device, trials, &mut rng).expect("BV pipeline");
             (inst, dist)
         })
         .collect()

@@ -6,12 +6,12 @@ use std::fmt::Write as _;
 
 use hammer_core::Hammer;
 use hammer_dist::{metrics, stats, BitString, HammingSpectrum};
-use hammer_sim::{DeviceModel, NoiseEngine, TrajectoryEngine};
+use hammer_sim::{AutoEngine, DeviceModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::datasets::{ibm_bv_suite, IbmBackend};
-use crate::pipeline::{run_bv, run_bv_edm, Engine};
+use crate::pipeline::{run_bv, run_bv_edm};
 use crate::report::{fnum, section, Table};
 
 /// §3.1: the GHZ-10 observation that motivated the paper — correct
@@ -31,9 +31,10 @@ pub fn sec3_ghz(quick: bool) -> String {
     let device = DeviceModel::ibm_manhattan(n);
     let trials = if quick { 4096 } else { 16384 };
     let mut rng = StdRng::seed_from_u64(0x53C3);
-    let dist = TrajectoryEngine::new(&device)
-        .noisy_distribution(&circuit, trials, &mut rng)
-        .expect("GHZ pipeline");
+    let dist = AutoEngine::new(&device)
+        .sample(&circuit, trials, &mut rng)
+        .expect("GHZ pipeline")
+        .to_distribution();
 
     let correct_mass = metrics::pst(&dist, &correct);
     let _ = writeln!(
@@ -111,18 +112,10 @@ pub fn ext_edm(quick: bool) -> String {
         let seed = 0xED13 ^ inst.bench.key().as_u64().rotate_left(9);
 
         let mut rng = StdRng::seed_from_u64(seed);
-        let baseline = run_bv(&inst.bench, &device, Engine::Propagation, trials, &mut rng)
-            .expect("BV pipeline");
+        let baseline = run_bv(&inst.bench, &device, trials, &mut rng).expect("BV pipeline");
         let mut rng = StdRng::seed_from_u64(seed);
-        let edm = run_bv_edm(
-            &inst.bench,
-            &device,
-            Engine::Propagation,
-            trials,
-            mappings,
-            &mut rng,
-        )
-        .expect("EDM pipeline");
+        let edm =
+            run_bv_edm(&inst.bench, &device, trials, mappings, &mut rng).expect("EDM pipeline");
 
         let base_pst = metrics::pst(&baseline, &key).max(1e-12);
         gains[0].push(metrics::pst(&edm, &key) / base_pst);
@@ -265,8 +258,7 @@ pub fn ext_idle(quick: bool) -> String {
     for &idle in &[0.0, 0.001, 0.003, 0.01] {
         let device = base.with_noise(base.noise().clone().with_idle_rate(idle));
         let mut rng = StdRng::seed_from_u64(0x1D7E);
-        let baseline =
-            run_bv(&bench, &device, Engine::Propagation, trials, &mut rng).expect("BV pipeline");
+        let baseline = run_bv(&bench, &device, trials, &mut rng).expect("BV pipeline");
         let recovered = hammer.reconstruct(&baseline);
         let keys = [key];
         table.row_owned(vec![
@@ -294,12 +286,10 @@ pub fn ext_idle(quick: bool) -> String {
 
 /// Extension: the wide-register sweep the paper's narrative targets but
 /// the dense layer could never reach — noisy BV and GHZ at 64–128
-/// qubits, sampled exactly on the stabilizer (tableau) engine and
-/// post-processed with HAMMER.
+/// qubits, sampled exactly (BV and GHZ are Clifford, so [`AutoEngine`]
+/// routes them to the stabilizer tableau) and post-processed with HAMMER.
 #[must_use]
 pub fn ext_wide(quick: bool) -> String {
-    use hammer_sim::StabilizerEngine;
-
     let mut out = section(
         "ext-wide",
         "Wide circuits on the stabilizer path (64-128 qubits)",
@@ -326,7 +316,7 @@ pub fn ext_wide(quick: bool) -> String {
         let circuit = bench.circuit();
         let device = DeviceModel::google_sycamore(circuit.num_qubits());
         let mut rng = StdRng::seed_from_u64(0x71DE ^ w as u64);
-        let counts = StabilizerEngine::new(&device)
+        let counts = AutoEngine::new(&device)
             .sample(&circuit, trials, &mut rng)
             .expect("wide BV is Clifford");
         let noisy = bench.data_counts(&counts).to_distribution();
@@ -351,9 +341,10 @@ pub fn ext_wide(quick: bool) -> String {
         let correct = hammer_circuits::ghz_correct_outcomes(w);
         let device = DeviceModel::google_sycamore(w);
         let mut rng = StdRng::seed_from_u64(0x61DE ^ w as u64);
-        let noisy = StabilizerEngine::new(&device)
-            .noisy_distribution(&circuit, trials, &mut rng)
-            .expect("wide GHZ is Clifford");
+        let noisy = AutoEngine::new(&device)
+            .sample(&circuit, trials, &mut rng)
+            .expect("wide GHZ is Clifford")
+            .to_distribution();
         let recovered = hammer.reconstruct(&noisy);
         table.row_owned(vec![
             format!("ghz-{w}"),

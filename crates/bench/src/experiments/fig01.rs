@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 use crate::angles;
 use crate::datasets::{GraphFamily, IbmBackend, QaoaInstance};
-use crate::pipeline::{run_bv, Engine};
+use crate::pipeline::run_bv;
 use crate::report::{bar, fnum, section, Table};
 
 /// Fig. 1(a): output histogram of a 4-qubit BV circuit.
@@ -30,8 +30,7 @@ pub fn fig1a(quick: bool) -> String {
     let device = DeviceModel::ibm_manhattan(bench.num_qubits());
     let trials = if quick { 2048 } else { 8192 };
     let mut rng = StdRng::seed_from_u64(0x01610A);
-    let dist =
-        run_bv(&bench, &device, Engine::Trajectory, trials, &mut rng).expect("BV-4 pipeline");
+    let dist = run_bv(&bench, &device, trials, &mut rng).expect("BV-4 pipeline");
 
     let mut table = Table::new(&["outcome", "hd(key)", "probability", "histogram"]);
     let mut rows: Vec<(BitString, f64)> = dist.iter().collect();

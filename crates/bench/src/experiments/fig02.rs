@@ -12,7 +12,7 @@ use rand::SeedableRng;
 
 use crate::angles;
 use crate::datasets::{GraphFamily, IbmBackend, QaoaInstance};
-use crate::pipeline::{run_bv, Engine};
+use crate::pipeline::run_bv;
 use crate::report::{bar, fnum, section, Table};
 
 /// Fig. 2(b): ideal vs noisy output of the BV-3 circuit with key `111`.
@@ -29,8 +29,7 @@ pub fn fig2b(quick: bool) -> String {
     let device = DeviceModel::ibm_manhattan(bench.num_qubits());
     let trials = if quick { 2048 } else { 8192 };
     let mut rng = StdRng::seed_from_u64(0x01620B);
-    let noisy =
-        run_bv(&bench, &device, Engine::Trajectory, trials, &mut rng).expect("BV-3 pipeline");
+    let noisy = run_bv(&bench, &device, trials, &mut rng).expect("BV-3 pipeline");
 
     let mut table = Table::new(&["outcome", "ideal", "noisy", "histogram"]);
     for bits in 0..8u64 {

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 use crate::angles;
 use crate::datasets::{GraphFamily, IbmBackend, QaoaInstance};
-use crate::pipeline::{run_bv, Engine};
+use crate::pipeline::run_bv;
 use crate::report::{fnum, section, Table};
 
 /// Renders a spectrum as the per-bin table the figure plots.
@@ -89,8 +89,7 @@ pub fn fig3b(quick: bool) -> String {
     let device = DeviceModel::ibm_manhattan(bench.num_qubits());
     let trials = if quick { 4096 } else { 16384 };
     let mut rng = StdRng::seed_from_u64(0x01630B);
-    let dist =
-        run_bv(&bench, &device, Engine::Propagation, trials, &mut rng).expect("BV-8 pipeline");
+    let dist = run_bv(&bench, &device, trials, &mut rng).expect("BV-8 pipeline");
 
     let spectrum = HammingSpectrum::new(&dist, &[key]);
     let _ = write!(out, "{}", spectrum_table(&spectrum));

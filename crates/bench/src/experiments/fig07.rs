@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::datasets::IbmBackend;
-use crate::pipeline::{run_bv, Engine};
+use crate::pipeline::run_bv;
 use crate::report::{fnum, section, Table};
 
 /// Fig. 7(a–e): probabilities, CHS, weights, per-bin scores and
@@ -29,8 +29,7 @@ pub fn fig7(quick: bool) -> String {
     let device = IbmBackend::Manhattan.device(bench.num_qubits());
     let trials = if quick { 8192 } else { 32768 };
     let mut rng = StdRng::seed_from_u64(0x016700);
-    let dist =
-        run_bv(&bench, &device, Engine::Propagation, trials, &mut rng).expect("BV-10 pipeline");
+    let dist = run_bv(&bench, &device, trials, &mut rng).expect("BV-10 pipeline");
 
     let hammer = Hammer::new();
     let trace = hammer.trace(&dist);

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::datasets::{ibm_bv_suite, IbmBackend};
-use crate::pipeline::{run_bv, Engine};
+use crate::pipeline::run_bv;
 use crate::report::{fnum, section, Table};
 
 /// Fig. 8(a): one BV-10 circuit (key `1010101010`) before/after HAMMER.
@@ -26,8 +26,7 @@ pub fn fig8a(quick: bool) -> String {
     let device = IbmBackend::Paris.device(bench.num_qubits());
     let trials = if quick { 8192 } else { 32768 };
     let mut rng = StdRng::seed_from_u64(0x01680A);
-    let baseline =
-        run_bv(&bench, &device, Engine::Propagation, trials, &mut rng).expect("BV pipeline");
+    let baseline = run_bv(&bench, &device, trials, &mut rng).expect("BV pipeline");
     let hammered = Hammer::new().reconstruct(&baseline);
 
     let mut table = Table::new(&["distribution", "P(key)", "P(top incorrect)", "PST", "IST"]);
@@ -107,8 +106,7 @@ fn fig8b_gains(quick: bool) -> Fig8bGains {
             let device = backend.device(inst.bench.num_qubits());
             let mut rng =
                 StdRng::seed_from_u64(0x01680B ^ (inst.bench.key().as_u64() << 8) ^ backend as u64);
-            let baseline = run_bv(&inst.bench, &device, Engine::Propagation, trials, &mut rng)
-                .expect("BV pipeline");
+            let baseline = run_bv(&inst.bench, &device, trials, &mut rng).expect("BV pipeline");
             let after = hammer.reconstruct(&baseline);
             let key = [inst.bench.key()];
             let pst_gain = metrics::pst(&after, &key) / metrics::pst(&baseline, &key).max(1e-12);

@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 
 use hammer_circuits::RandomIdentityBuilder;
 use hammer_dist::{metrics, stats};
-use hammer_sim::{entanglement_entropy, NoiseEngine, PropagationEngine, StateVector};
+use hammer_sim::{entanglement_entropy, PropagationEngine, StateVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,10 +52,10 @@ fn run_class(
             base.noise().p2() * drift,
             hammer_sim::ReadoutError::new((0.018 * drift).min(0.5), (0.042 * drift).min(0.5)),
         ));
-        let engine = PropagationEngine::new(&device);
-        let dist = engine
-            .noisy_distribution(bench.circuit(), trials, &mut rng)
-            .expect("random-identity pipeline");
+        let dist = PropagationEngine::new(&device)
+            .sample(bench.circuit(), trials, &mut rng)
+            .expect("random-identity pipeline")
+            .to_distribution();
         let correct = [bench.correct_outcome()];
         samples.push(Sample {
             entropy,

@@ -13,7 +13,7 @@ use rand::SeedableRng;
 
 use crate::angles;
 use crate::datasets::{GraphFamily, IbmBackend, QaoaInstance};
-use crate::pipeline::{run_bv, Engine};
+use crate::pipeline::run_bv;
 use crate::report::{fnum, section, Table};
 
 fn qaoa_ehd(family: GraphFamily, n: usize, p: usize, device: DeviceModel, trials: u64) -> f64 {
@@ -29,7 +29,7 @@ fn bv_ehd(n: usize, trials: u64) -> f64 {
     let bench = BernsteinVazirani::new(BitString::ones(n));
     let device = IbmBackend::Paris.device(bench.num_qubits());
     let mut rng = StdRng::seed_from_u64(0x016CB ^ n as u64);
-    let dist = run_bv(&bench, &device, Engine::Propagation, trials, &mut rng).expect("BV pipeline");
+    let dist = run_bv(&bench, &device, trials, &mut rng).expect("BV pipeline");
     metrics::ehd(&dist, &[bench.key()])
 }
 

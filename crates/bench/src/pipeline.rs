@@ -1,64 +1,26 @@
 //! Shared execution pipelines: run a benchmark circuit on a simulated
 //! device exactly the way the paper ran it on hardware (transpile →
-//! execute trials → project to the logical register).
+//! execute trials → project to the logical register). Every pipeline
+//! samples on [`AutoEngine`], the exact sampler: BV is Clifford, so it
+//! runs on the tableau at any width.
 
 use hammer_circuits::BernsteinVazirani;
 use hammer_dist::Distribution;
-use hammer_sim::{
-    transpile, Circuit, DeviceModel, NoiseEngine, PropagationEngine, SimError, TrajectoryEngine,
-};
+use hammer_sim::{transpile, AutoEngine, Circuit, DeviceModel, SimError};
 use rand::RngCore;
-
-/// Which noise engine executes a pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Approximate Clifford-propagation engine: O(gates) per trial, no
-    /// state evolution, capped at the dense width like `Trajectory`.
-    #[default]
-    Propagation,
-    /// Exact Monte-Carlo trajectories (≤ ~14 qubits).
-    Trajectory,
-}
-
-impl Engine {
-    /// Samples `circuit` on `device` for `trials` trials.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from the engine.
-    pub fn sample(
-        self,
-        device: &DeviceModel,
-        circuit: &Circuit,
-        trials: u64,
-        rng: &mut dyn RngCore,
-    ) -> Result<Distribution, SimError> {
-        match self {
-            Self::Propagation => {
-                PropagationEngine::new(device).noisy_distribution(circuit, trials, rng)
-            }
-            Self::Trajectory => {
-                TrajectoryEngine::new(device).noisy_distribution(circuit, trials, rng)
-            }
-        }
-    }
-}
 
 /// Runs a circuit on a device with SWAP routing and returns the
 /// *logical* output distribution.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from routing or execution.
-pub fn run_routed(
+fn run_routed(
     circuit: &Circuit,
     device: &DeviceModel,
-    engine: Engine,
     trials: u64,
     rng: &mut dyn RngCore,
 ) -> Result<Distribution, SimError> {
     let routed = transpile(circuit, device.coupling())?;
-    let physical = engine.sample(device, routed.circuit(), trials, rng)?;
+    let physical = AutoEngine::new(device)
+        .sample(routed.circuit(), trials, rng)?
+        .to_distribution();
     Ok(routed.logical_distribution(&physical))
 }
 
@@ -72,11 +34,10 @@ pub fn run_routed(
 pub fn run_bv(
     bench: &BernsteinVazirani,
     device: &DeviceModel,
-    engine: Engine,
     trials: u64,
     rng: &mut dyn RngCore,
 ) -> Result<Distribution, SimError> {
-    let logical = run_routed(&bench.circuit(), device, engine, trials, rng)?;
+    let logical = run_routed(&bench.circuit(), device, trials, rng)?;
     Ok(logical.marginal(&bench.data_qubits()))
 }
 
@@ -97,7 +58,6 @@ pub fn run_bv(
 pub fn run_bv_edm(
     bench: &BernsteinVazirani,
     device: &DeviceModel,
-    engine: Engine,
     trials: u64,
     k: usize,
     rng: &mut dyn RngCore,
@@ -118,7 +78,9 @@ pub fn run_bv_edm(
         let layout: Vec<usize> = (0..n_logical).map(|q| (q + m) % n_physical).collect();
         let routed =
             hammer_sim::transpile_with_layout(&bench.circuit(), device.coupling(), &layout)?;
-        let physical = engine.sample(device, routed.circuit(), per_mapping, rng)?;
+        let physical = AutoEngine::new(device)
+            .sample(routed.circuit(), per_mapping, rng)?
+            .to_distribution();
         let logical = routed
             .logical_distribution(&physical)
             .marginal(&bench.data_qubits());
@@ -141,7 +103,7 @@ mod tests {
         let bench = BernsteinVazirani::new(key);
         let device = DeviceModel::ibm_casablanca(bench.num_qubits());
         let mut rng = StdRng::seed_from_u64(3);
-        let dist = run_bv(&bench, &device, Engine::Propagation, 4096, &mut rng).unwrap();
+        let dist = run_bv(&bench, &device, 4096, &mut rng).unwrap();
         assert_eq!(dist.n_bits(), 5);
         let pst = metrics::pst(&dist, &[key]);
         assert!(pst > 0.3, "pst = {pst}");
@@ -150,29 +112,12 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_agree_on_shape() {
-        let key = BitString::parse("1011").unwrap();
-        let bench = BernsteinVazirani::new(key);
-        let device = DeviceModel::ibm_paris(bench.num_qubits());
-        let mut rng = StdRng::seed_from_u64(5);
-        let prop = run_bv(&bench, &device, Engine::Propagation, 4096, &mut rng).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let traj = run_bv(&bench, &device, Engine::Trajectory, 4096, &mut rng).unwrap();
-        let p1 = metrics::pst(&prop, &[key]);
-        let p2 = metrics::pst(&traj, &[key]);
-        assert!(
-            (p1 - p2).abs() < 0.12,
-            "propagation {p1} vs trajectory {p2}"
-        );
-    }
-
-    #[test]
     fn edm_merges_mappings_and_preserves_width() {
         let key = BitString::parse("1101").unwrap();
         let bench = BernsteinVazirani::new(key);
         let device = DeviceModel::ibm_paris(bench.num_qubits() + 2);
         let mut rng = StdRng::seed_from_u64(23);
-        let dist = run_bv_edm(&bench, &device, Engine::Propagation, 4096, 4, &mut rng).unwrap();
+        let dist = run_bv_edm(&bench, &device, 4096, 4, &mut rng).unwrap();
         assert_eq!(dist.n_bits(), 4);
         assert!((dist.total_mass() - 1.0).abs() < 1e-9);
         assert!(metrics::pst(&dist, &[key]) > 0.1);
@@ -184,7 +129,20 @@ mod tests {
         let bench = BernsteinVazirani::new(key);
         let device = DeviceModel::noiseless(bench.num_qubits());
         let mut rng = StdRng::seed_from_u64(7);
-        let dist = run_bv(&bench, &device, Engine::Trajectory, 512, &mut rng).unwrap();
+        let dist = run_bv(&bench, &device, 512, &mut rng).unwrap();
+        assert!((dist.prob(key) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bv_runs_past_the_dense_cap() {
+        // 31 qubits with the ancilla: beyond MAX_DENSE_QUBITS, so only
+        // the tableau route can sample it.
+        let key = BitString::parse("101100111000111100001111100000").unwrap();
+        let bench = BernsteinVazirani::new(key);
+        let device = DeviceModel::noiseless(bench.num_qubits());
+        let mut rng = StdRng::seed_from_u64(30);
+        let dist = run_bv(&bench, &device, 256, &mut rng).unwrap();
+        assert_eq!(dist.n_bits(), 30);
         assert!((dist.prob(key) - 1.0).abs() < 1e-9);
     }
 }

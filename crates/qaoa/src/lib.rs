@@ -3,6 +3,13 @@
 //! optimizer, and an end-to-end runner with pluggable post-processing
 //! (baseline / readout mitigation / HAMMER).
 //!
+//! The runner always SWAP-routes onto the device's coupling map and
+//! samples on [`hammer_sim::PropagationEngine`], the simulator's one
+//! approximate engine: QAOA circuits are not Clifford, so no tableau
+//! route exists, and the paper's 20-qubit sweeps over thousands of
+//! trials are past what per-trial dense evolution affords. There is no
+//! engine or routing option.
+//!
 //! # Example: HAMMER inside the variational loop
 //!
 //! ```
@@ -39,4 +46,4 @@ mod runner;
 pub use landscape::Landscape;
 pub use optimizer::{NelderMead, OptimizationResult};
 pub use params::QaoaParams;
-pub use runner::{EngineKind, PostProcess, QaoaOutcome, QaoaRunner};
+pub use runner::{PostProcess, QaoaOutcome, QaoaRunner};

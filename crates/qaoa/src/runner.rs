@@ -1,29 +1,18 @@
 //! The end-to-end QAOA experiment runner: build circuit → route onto the
-//! device → execute noisily → (optionally) post-process → score.
+//! device → execute noisily on [`PropagationEngine`] → (optionally)
+//! post-process → score.
 
 use hammer_circuits::qaoa_maxcut;
 use hammer_core::{Hammer, HammerConfig};
 use hammer_dist::{BitString, Distribution};
 use hammer_graphs::MaxCut;
 use hammer_sim::{
-    simulate_ideal, transpile, DeviceModel, NoiseEngine, PropagationEngine, ReadoutMitigator,
-    SimError, TrajectoryEngine,
+    simulate_ideal, transpile, DeviceModel, PropagationEngine, ReadoutMitigator, SimError,
 };
 use rand::RngCore;
 
 use crate::expectation;
 use crate::params::QaoaParams;
-
-/// Which noise engine executes the circuits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// Scalable Clifford-propagation engine (default; handles the
-    /// paper's 20-qubit sweeps).
-    #[default]
-    Propagation,
-    /// Exact Monte-Carlo trajectories (slower; ≤ ~14 qubits).
-    Trajectory,
-}
 
 /// The post-processing applied to the measured distribution.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -81,8 +70,6 @@ pub struct QaoaRunner {
     problem: MaxCut,
     device: DeviceModel,
     trials: u64,
-    engine: EngineKind,
-    route: bool,
     c_min: f64,
     optimal: Vec<BitString>,
 }
@@ -107,8 +94,6 @@ impl QaoaRunner {
             problem,
             device,
             trials: 8192,
-            engine: EngineKind::default(),
-            route: true,
             c_min: optimum.c_min,
             optimal: optimum.optimal,
         }
@@ -119,21 +104,6 @@ impl QaoaRunner {
     #[must_use]
     pub fn trials(mut self, trials: u64) -> Self {
         self.trials = trials;
-        self
-    }
-
-    /// Selects the noise engine.
-    #[must_use]
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Enables/disables SWAP routing onto the device topology (enabled
-    /// by default; disable only for all-to-all devices).
-    #[must_use]
-    pub fn routing(mut self, route: bool) -> Self {
-        self.route = route;
         self
     }
 
@@ -220,29 +190,14 @@ impl QaoaRunner {
         rng: &mut dyn RngCore,
     ) -> Result<Vec<QaoaOutcome>, SimError> {
         let circuit = qaoa_maxcut(self.problem.graph(), params.layers());
-        let sample =
-            |c: &hammer_sim::Circuit, rng: &mut dyn RngCore| -> Result<Distribution, SimError> {
-                match self.engine {
-                    EngineKind::Propagation => {
-                        PropagationEngine::new(&self.device).noisy_distribution(c, self.trials, rng)
-                    }
-                    EngineKind::Trajectory => {
-                        TrajectoryEngine::new(&self.device).noisy_distribution(c, self.trials, rng)
-                    }
-                }
-            };
 
         // Execute on the physical register once; mitigation also runs at
         // physical width, before projection to logical outcomes.
-        type Projector = Box<dyn Fn(&Distribution) -> Distribution>;
-        let (physical, to_logical): (Distribution, Projector) = if self.route {
-            let routed = transpile(&circuit, self.device.coupling())?;
-            let dist = sample(routed.circuit(), rng)?;
-            (dist, Box::new(move |d| routed.logical_distribution(d)))
-        } else {
-            let dist = sample(&circuit, rng)?;
-            (dist, Box::new(|d| d.clone()))
-        };
+        let routed = transpile(&circuit, self.device.coupling())?;
+        let physical = PropagationEngine::new(&self.device)
+            .sample(routed.circuit(), self.trials, rng)?
+            .to_distribution();
+        let to_logical = |d: &Distribution| routed.logical_distribution(d);
 
         // Lazily computed shared intermediates.
         let mut mitigated: Option<Distribution> = None;
@@ -351,15 +306,6 @@ mod tests {
             )
             .unwrap();
         assert!((out.distribution.total_mass() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn trajectory_engine_agrees_qualitatively() {
-        let r = runner().engine(EngineKind::Trajectory).trials(1024);
-        let mut rng = StdRng::seed_from_u64(11);
-        let out = r.run(&good_params(), &mut rng).unwrap();
-        // Same ballpark as the propagation engine: positive but degraded.
-        assert!(out.cost_ratio > -0.5 && out.cost_ratio < 1.0);
     }
 
     #[test]

@@ -1,72 +1,14 @@
-//! The common interface of the noise engines, plus the automatic
-//! dense/stabilizer dispatcher, which sends every circuit that is
-//! Clifford up to the measurement cut to the tableau.
+//! The automatic dense/stabilizer dispatcher, which sends every
+//! circuit that is Clifford up to the measurement cut to the tableau.
 
-use hammer_dist::{Counts, Distribution};
-use rand::{Rng, RngCore};
+use hammer_dist::Counts;
+use rand::Rng;
 
 use crate::circuit::Circuit;
 use crate::device::DeviceModel;
 use crate::error::SimError;
 use crate::stabilizer::{non_clifford_before_cut, StabilizerEngine};
 use crate::trajectory::{default_threads, TrajectoryEngine};
-
-/// A noisy executor: something that runs a circuit for a number of trials
-/// on a simulated device and returns the measured histogram — the role a
-/// real IBM/Google backend plays in the paper.
-///
-/// The implementations:
-///
-/// * [`crate::TrajectoryEngine`] — exact state-vector Monte-Carlo with
-///   stochastic Pauli injection (gold standard, dense: capped at
-///   [`crate::MAX_DENSE_QUBITS`] qubits);
-/// * [`crate::StabilizerEngine`] — exact tableau Monte-Carlo for
-///   circuits that are Clifford up to the measurement cut (any
-///   non-Clifford gate sits in the diagonal measurement tail), at any
-///   workspace width (64–128-qubit BV/GHZ sweeps), seed-compatible with
-///   the trajectory engine;
-/// * [`crate::AutoEngine`] — routes each circuit to one of the above:
-///   the tableau when it is Clifford up to the measurement cut, the
-///   dense engine otherwise;
-/// * [`crate::PropagationEngine`] — approximate Clifford-skeleton
-///   Pauli-fault propagation over an ideal sample: O(gates) per trial
-///   with no state evolution, but capped at
-///   [`crate::MAX_DENSE_QUBITS`] qubits like the trajectory engine,
-///   because the ideal sample comes from a dense state vector
-///   (cross-validated against the trajectory engine).
-pub trait NoiseEngine {
-    /// Short engine identifier for reports.
-    fn engine_name(&self) -> &'static str;
-
-    /// Executes `circuit` for `trials` trials and tallies the outcomes.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::ZeroTrials`] if `trials == 0`;
-    /// * [`SimError::CircuitTooWide`] if the circuit exceeds the device;
-    /// * [`SimError::TooManyQubitsForDense`] if the width exceeds dense
-    ///   simulation limits.
-    fn sample_counts(
-        &self,
-        circuit: &Circuit,
-        trials: u64,
-        rng: &mut dyn RngCore,
-    ) -> Result<Counts, SimError>;
-
-    /// Convenience: sample and normalize into a [`Distribution`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`NoiseEngine::sample_counts`].
-    fn noisy_distribution(
-        &self,
-        circuit: &Circuit,
-        trials: u64,
-        rng: &mut dyn RngCore,
-    ) -> Result<Distribution, SimError> {
-        Ok(self.sample_counts(circuit, trials, rng)?.to_distribution())
-    }
-}
 
 /// The automatic dense/stabilizer dispatcher: circuits that are
 /// Clifford up to the measurement cut (BV, GHZ, Clifford skeletons, and
@@ -84,7 +26,7 @@ pub trait NoiseEngine {
 /// # Example
 ///
 /// ```
-/// use hammer_sim::{AutoEngine, Circuit, DeviceModel, NoiseEngine};
+/// use hammer_sim::{AutoEngine, Circuit, DeviceModel};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -175,7 +117,7 @@ impl<'a> AutoEngine<'a> {
     ///
     /// # Errors
     ///
-    /// See [`NoiseEngine::sample_counts`]; `NotClifford` can never
+    /// Same as [`TrajectoryEngine::sample`]; `NotClifford` can never
     /// surface (those circuits dispatch densely), but circuits with a
     /// non-Clifford gate before the measurement cut still fail past
     /// [`crate::MAX_DENSE_QUBITS`] with
@@ -233,21 +175,6 @@ impl<'a> AutoEngine<'a> {
 fn sample_hist() -> &'static hammer_obs::Histogram {
     static H: std::sync::OnceLock<hammer_obs::Histogram> = std::sync::OnceLock::new();
     H.get_or_init(|| hammer_obs::Registry::global().histogram("sim.sample_ns"))
-}
-
-impl NoiseEngine for AutoEngine<'_> {
-    fn engine_name(&self) -> &'static str {
-        "auto"
-    }
-
-    fn sample_counts(
-        &self,
-        circuit: &Circuit,
-        trials: u64,
-        rng: &mut dyn RngCore,
-    ) -> Result<Counts, SimError> {
-        self.sample(circuit, trials, rng)
-    }
 }
 
 #[cfg(test)]

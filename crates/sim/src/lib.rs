@@ -13,20 +13,8 @@
 //!   asymmetric readout error, with presets mirroring the paper's
 //!   machines (`ibm_paris`, `ibm_manhattan`, `ibm_casablanca`,
 //!   `google_sycamore`).
-//! * [`TrajectoryEngine`] — exact Monte-Carlo fault injection (gold
-//!   standard), with prefix-checkpointed faulty trials and
-//!   thread-parallel trial batches under deterministic per-trial RNG
-//!   streams. Each engine has one performance setting, `with_threads`.
-//! * [`stabilizer`] / [`StabilizerEngine`] — the Aaronson–Gottesman
-//!   tableau subsystem: exact noisy sampling of circuits that are
-//!   Clifford up to the measurement cut (BV, GHZ, and those with T, Rz
-//!   or ZZ gates only in the diagonal measurement tail) at 64–128
-//!   qubits, seed-compatible with the trajectory engine; [`AutoEngine`]
-//!   sends such circuits there and the rest to the dense engine.
-//! * [`PropagationEngine`] — Clifford-skeleton Pauli propagation: an
-//!   approximate engine, O(gates) per trial over an ideal sample and
-//!   capped at the dense width; validated against the trajectory
-//!   engine. All three engines inject faults through one shared walk.
+//! * [`stabilizer`] — the Aaronson–Gottesman tableau subsystem.
+//! * The noise engines, below.
 //! * [`transpile`] / [`CouplingMap`] — SWAP routing onto heavy-hex,
 //!   grid, linear, ring or full connectivity.
 //! * [`entanglement_entropy`] — the §7 entanglement measure (dense
@@ -34,10 +22,44 @@
 //! * [`ReadoutMitigator`] — the tensored readout correction the Google
 //!   baseline applies.
 //!
+//! # Noise engines
+//!
+//! A noise engine runs a circuit for a number of trials on a simulated
+//! device and returns the measured [`hammer_dist::Counts`] — the role a
+//! real IBM/Google backend plays in the paper. Every engine has the same
+//! `sample(&circuit, trials, &mut rng)` method and one performance
+//! setting, `with_threads`, where it has threads at all; there is no
+//! common trait, and the engine is chosen here rather than by callers:
+//!
+//! * [`AutoEngine`] — the exact sampler. Circuits that are Clifford up
+//!   to the measurement cut (BV, GHZ, and those with T, Rz or ZZ gates
+//!   only in the diagonal measurement tail) go to the tableau at any
+//!   width; the rest go to the dense engine. Both routes return the
+//!   same histogram under the same seed, so routing only decides which
+//!   widths are reachable.
+//! * [`TrajectoryEngine`] — exact state-vector Monte-Carlo with
+//!   stochastic Pauli injection, prefix-checkpointed faulty trials and
+//!   thread-parallel trial batches under deterministic per-trial RNG
+//!   streams; the correctness oracle, capped at [`MAX_DENSE_QUBITS`].
+//! * [`StabilizerEngine`] — exact tableau Monte-Carlo for circuits that
+//!   are Clifford up to the measurement cut, at 64–128 qubits,
+//!   seed-compatible with the trajectory engine.
+//! * [`PropagationEngine`] — the one approximate engine: Clifford-skeleton
+//!   Pauli propagation over an ideal sample, O(gates) per trial with no
+//!   state evolution, still capped at the dense width because the ideal
+//!   sample comes from a state vector. It serves where per-trial dense
+//!   evolution is too slow (the QAOA runner's 20-qubit sweeps) and is
+//!   cross-validated against the trajectory engine.
+//!
+//! Callers that want exact counts sample on [`AutoEngine`]; the
+//! trajectory and stabilizer engines stay public as its two routes, and
+//! the oracles and benchmarks reach them by name. All engines inject
+//! faults through one shared walk.
+//!
 //! # Example: a noisy GHZ experiment
 //!
 //! ```
-//! use hammer_sim::{Circuit, DeviceModel, TrajectoryEngine};
+//! use hammer_sim::{AutoEngine, Circuit, DeviceModel};
 //! use hammer_dist::{metrics, BitString};
 //! use rand::SeedableRng;
 //!
@@ -50,7 +72,7 @@
 //!
 //! let device = DeviceModel::ibm_paris(5);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-//! let counts = TrajectoryEngine::new(&device).sample(&ghz, 4096, &mut rng)?;
+//! let counts = AutoEngine::new(&device).sample(&ghz, 4096, &mut rng)?;
 //! let dist = counts.to_distribution();
 //!
 //! let correct = [BitString::zeros(5), BitString::ones(5)];
@@ -87,7 +109,7 @@ pub use circuit::Circuit;
 pub use complex::{Complex, C_I, C_ONE, C_ZERO};
 pub use coupling::CouplingMap;
 pub use device::DeviceModel;
-pub use engine::{AutoEngine, NoiseEngine};
+pub use engine::AutoEngine;
 pub use entanglement::entanglement_entropy;
 pub use error::SimError;
 pub use gates::{Gate, GateQubits};

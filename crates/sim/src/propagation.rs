@@ -22,11 +22,10 @@
 //! integration suite.
 
 use hammer_dist::{BitString, Counts};
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 use crate::circuit::Circuit;
 use crate::device::DeviceModel;
-use crate::engine::NoiseEngine;
 use crate::error::SimError;
 use crate::faults::{flip_mask, FaultPlan};
 use crate::gates::Gate;
@@ -196,7 +195,7 @@ impl<'a> PropagationEngine<'a> {
     ///
     /// # Errors
     ///
-    /// See [`NoiseEngine::sample_counts`].
+    /// Same as [`crate::TrajectoryEngine::sample`].
     pub fn sample<R: Rng + ?Sized>(
         &self,
         circuit: &Circuit,
@@ -226,21 +225,6 @@ impl<'a> PropagationEngine<'a> {
             counts.record(noise.apply_readout(outcome, rng));
         }
         Ok(counts)
-    }
-}
-
-impl NoiseEngine for PropagationEngine<'_> {
-    fn engine_name(&self) -> &'static str {
-        "propagation"
-    }
-
-    fn sample_counts(
-        &self,
-        circuit: &Circuit,
-        trials: u64,
-        rng: &mut dyn RngCore,
-    ) -> Result<Counts, SimError> {
-        self.sample(circuit, trials, rng)
     }
 }
 

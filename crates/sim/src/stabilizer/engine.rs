@@ -43,11 +43,10 @@
 //! cost is `O(n)` bit operations instead of `O(2^n)` amplitude passes.
 
 use hammer_dist::{BitString, Counts};
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 use crate::circuit::Circuit;
 use crate::device::DeviceModel;
-use crate::engine::NoiseEngine;
 use crate::error::SimError;
 use crate::faults::{self, first_site, flip_mask, inject, FaultPlan, TrialFault};
 use crate::gates::Gate;
@@ -302,21 +301,6 @@ fn run_trial_block(
     Ok(counts)
 }
 
-impl NoiseEngine for StabilizerEngine<'_> {
-    fn engine_name(&self) -> &'static str {
-        "stabilizer"
-    }
-
-    fn sample_counts(
-        &self,
-        circuit: &Circuit,
-        trials: u64,
-        rng: &mut dyn RngCore,
-    ) -> Result<Counts, SimError> {
-        self.sample(circuit, trials, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,16 +443,5 @@ mod tests {
             "idle qubit flip rate {p_q1} vs busy {p_q0}"
         );
         assert!(p_q1 > 0.05, "idle noise should be visible");
-    }
-
-    #[test]
-    fn trait_object_usable() {
-        let device = DeviceModel::ibm_paris(5);
-        let engine = StabilizerEngine::new(&device);
-        let dynamic: &dyn NoiseEngine = &engine;
-        let mut rng = StdRng::seed_from_u64(8);
-        let d = dynamic.noisy_distribution(&ghz(5), 256, &mut rng).unwrap();
-        assert!((d.total_mass() - 1.0).abs() < 1e-9);
-        assert_eq!(dynamic.engine_name(), "stabilizer");
     }
 }

@@ -52,11 +52,10 @@
 
 use hammer_dist::{BitString, Counts};
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 use crate::circuit::Circuit;
 use crate::device::DeviceModel;
-use crate::engine::NoiseEngine;
 use crate::error::SimError;
 use crate::faults::{self, first_site, flip_mask, inject, pauli_gate, FaultPlan, TrialFault};
 use crate::gates::{Gate, GateQubits};
@@ -135,7 +134,10 @@ impl<'a> TrajectoryEngine<'a> {
     ///
     /// # Errors
     ///
-    /// See [`NoiseEngine::sample_counts`].
+    /// * [`SimError::ZeroTrials`] if `trials == 0`;
+    /// * [`SimError::CircuitTooWide`] if the circuit exceeds the device;
+    /// * [`SimError::TooManyQubitsForDense`] if the width exceeds
+    ///   [`MAX_DENSE_QUBITS`].
     pub fn sample<R: Rng + ?Sized>(
         &self,
         circuit: &Circuit,
@@ -198,7 +200,7 @@ impl<'a> TrajectoryEngine<'a> {
     ///
     /// # Errors
     ///
-    /// See [`NoiseEngine::sample_counts`].
+    /// Same as [`sample`](Self::sample).
     pub fn sample_reference<R: Rng + ?Sized>(
         &self,
         circuit: &Circuit,
@@ -504,21 +506,6 @@ fn evolve_with_faults(sv: &mut StateVector, circuit: &Circuit, faults: &[TrialFa
     }
 }
 
-impl NoiseEngine for TrajectoryEngine<'_> {
-    fn engine_name(&self) -> &'static str {
-        "trajectory"
-    }
-
-    fn sample_counts(
-        &self,
-        circuit: &Circuit,
-        trials: u64,
-        rng: &mut dyn RngCore,
-    ) -> Result<Counts, SimError> {
-        self.sample(circuit, trials, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -759,16 +746,5 @@ mod tests {
         let pf = metrics::pst(&fast, &correct);
         let ps = metrics::pst(&slow, &correct);
         assert!((pf - ps).abs() < 0.05, "fast {pf} vs reference {ps}");
-    }
-
-    #[test]
-    fn trait_object_usable() {
-        let device = DeviceModel::ibm_paris(3);
-        let engine = TrajectoryEngine::new(&device);
-        let dynamic: &dyn NoiseEngine = &engine;
-        let mut rng = StdRng::seed_from_u64(8);
-        let d = dynamic.noisy_distribution(&ghz(3), 256, &mut rng).unwrap();
-        assert!((d.total_mass() - 1.0).abs() < 1e-9);
-        assert_eq!(dynamic.engine_name(), "trajectory");
     }
 }

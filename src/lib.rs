@@ -38,7 +38,7 @@
 //!
 //! // Execute on a noisy simulated device for 8192 trials.
 //! let device = DeviceModel::ibm_paris(circuit.num_qubits());
-//! let counts = TrajectoryEngine::new(&device).sample(&circuit, 8192, &mut rng)?;
+//! let counts = AutoEngine::new(&device).sample(&circuit, 8192, &mut rng)?;
 //! let noisy = bench.data_counts(&counts).to_distribution();
 //!
 //! // Post-process with HAMMER.
@@ -73,10 +73,10 @@ pub mod prelude {
     };
     pub use hammer_graphs::{generators, Graph, MaxCut};
     pub use hammer_pool::WorkerPool;
-    pub use hammer_qaoa::{EngineKind, PostProcess, QaoaOutcome, QaoaParams, QaoaRunner};
+    pub use hammer_qaoa::{PostProcess, QaoaOutcome, QaoaParams, QaoaRunner};
     pub use hammer_serve::{serve, DeviceSpec, SampleJob, ServeClient, ServeConfig};
     pub use hammer_sim::{
-        AutoEngine, Circuit, DeviceModel, Gate, NoiseEngine, NoiseModel, PropagationEngine,
-        StabilizerEngine, StateVector, TrajectoryEngine,
+        AutoEngine, Circuit, DeviceModel, Gate, NoiseModel, PropagationEngine, StabilizerEngine,
+        StateVector, TrajectoryEngine,
     };
 }

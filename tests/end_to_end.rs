@@ -94,18 +94,33 @@ fn engines_cross_validate_on_bv() {
 
 #[test]
 fn engines_cross_validate_on_qaoa() {
+    // The QAOA runner samples on the approximate propagation engine; on
+    // the routed circuit it must score like the exact trajectory engine.
     let mut rng = StdRng::seed_from_u64(4);
-    let graph = generators::random_regular(6, 3, &mut rng);
-    let run = |engine: EngineKind| {
-        let runner = QaoaRunner::new(MaxCut::new(graph.clone()), DeviceModel::ibm_paris(6))
-            .trials(8192)
-            .engine(engine);
-        let params = QaoaParams::constant(2, 0.8, 0.6);
-        let mut rng = StdRng::seed_from_u64(21);
-        runner.run(&params, &mut rng).expect("pipeline").cost_ratio
+    let problem = MaxCut::new(generators::random_regular(6, 3, &mut rng));
+    let c_min = problem.brute_force().c_min;
+    let device = DeviceModel::ibm_paris(6);
+    let params = QaoaParams::constant(2, 0.8, 0.6);
+    let routed = transpile(
+        &qaoa_maxcut(problem.graph(), params.layers()),
+        device.coupling(),
+    )
+    .expect("routable");
+
+    let mut rng = StdRng::seed_from_u64(21);
+    let prop = PropagationEngine::new(&device)
+        .sample(routed.circuit(), 8192, &mut rng)
+        .expect("sampling");
+    let mut rng = StdRng::seed_from_u64(21);
+    let traj = TrajectoryEngine::new(&device)
+        .sample(routed.circuit(), 8192, &mut rng)
+        .expect("sampling");
+
+    let cr = |counts: &Counts| {
+        let logical = routed.logical_counts(counts).to_distribution();
+        hammer::qaoa::expectation::cost_ratio(&logical, &problem, c_min)
     };
-    let cr_prop = run(EngineKind::Propagation);
-    let cr_traj = run(EngineKind::Trajectory);
+    let (cr_prop, cr_traj) = (cr(&prop), cr(&traj));
     assert!(
         (cr_prop - cr_traj).abs() < 0.12,
         "CR disagreement: propagation {cr_prop} vs trajectory {cr_traj}"
