@@ -328,24 +328,6 @@ impl Distribution {
         u128::from(self.keys[i]) | (u128::from(self.keys_hi[i]) << 64)
     }
 
-    /// Gathers one bit of the `i`-th support entry's key straight from
-    /// the SoA limbs: bit `q` counts from the least-significant end,
-    /// crossing into [`keys_hi`](Distribution::keys_hi) at `q >= 64`.
-    /// This is the primitive the bit-sampling ANN hash leans on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds or `q >= 128`.
-    #[must_use]
-    pub fn key_bit(&self, i: usize, q: usize) -> bool {
-        assert!(q < MAX_BITS, "bit index {q} out of the 128-bit register");
-        if q < 64 {
-            (self.keys[i] >> q) & 1 == 1
-        } else {
-            (self.keys_hi[i] >> (q - 64)) & 1 == 1
-        }
-    }
-
     /// Probability of one outcome (0 when outside the support).
     ///
     /// # Panics
@@ -515,16 +497,17 @@ mod tests {
             ],
         )
         .unwrap();
+        let mut keys = Vec::new();
         for i in 0..d.len() {
             let key = d.key(i);
             assert_eq!(
                 key,
                 u128::from(d.keys()[i]) | (u128::from(d.keys_hi()[i]) << 64)
             );
-            for q in 0..128 {
-                assert_eq!(d.key_bit(i, q), (key >> q) & 1 == 1, "entry {i} bit {q}");
-            }
+            keys.push(key);
         }
+        keys.sort_unstable();
+        assert_eq!(keys, [lo, hi]);
     }
 
     #[test]

@@ -77,11 +77,6 @@ impl Fnv1a {
         self.write_bytes(&[v]);
     }
 
-    /// Absorbs a `u32`, little-endian.
-    pub fn write_u32(&mut self, v: u32) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
     /// Absorbs a `u64`, little-endian.
     pub fn write_u64(&mut self, v: u64) {
         self.write_bytes(&v.to_le_bytes());
