@@ -54,7 +54,7 @@ struct TraceInner {
 /// accumulated while the request moves through the pipeline.
 ///
 /// Clones share the same underlying trace, so a context can follow a
-/// request across threads (reader → worker → writer) and every span
+/// request across threads (connection thread → worker) and every span
 /// lands in one tree.
 #[derive(Clone)]
 pub struct TraceCtx {

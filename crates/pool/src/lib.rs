@@ -11,9 +11,9 @@
 //!   never waits on a queue another call could be holding.
 //! * [`WorkerPool`] is a persistent pool of worker threads behind an
 //!   earliest-deadline-first queue. Bounded submissions
-//!   ([`WorkerPool::try_submit`]) give the serving layer its
-//!   503-style backpressure; each request job runs its compute through
-//!   [`run_tiles`], never through the pool.
+//!   ([`WorkerPool::try_submit_with_deadline`]) give the serving layer
+//!   its 503-style backpressure; each request job runs its compute
+//!   through [`run_tiles`], never through the pool.
 //!
 //! This is a dependency-free leaf crate (apart from `hammer_obs`), so
 //! `hammer_core` and `hammer_sim` share the executor without pulling in
@@ -120,8 +120,7 @@ struct Shared {
 
 /// A persistent pool of worker threads executing boxed jobs.
 ///
-/// * [`try_submit`](WorkerPool::try_submit) and
-///   [`try_submit_with_deadline`](WorkerPool::try_submit_with_deadline)
+/// * [`try_submit_with_deadline`](WorkerPool::try_submit_with_deadline)
 ///   — bounded, refusing instead of blocking when the queue is at the
 ///   configured limit (the serving layer's backpressure primitive);
 /// * [`queued_jobs`](WorkerPool::queued_jobs) — the waiting depth
@@ -142,7 +141,8 @@ struct Shared {
 /// let pool = WorkerPool::with_queue_limit(2, 16);
 /// for i in 0u64..8 {
 ///     let sum = Arc::clone(&sum);
-///     assert!(pool.try_submit(move || { sum.fetch_add(i * i, Ordering::Relaxed); }).is_ok());
+///     let job = move || { sum.fetch_add(i * i, Ordering::Relaxed); };
+///     assert!(pool.try_submit_with_deadline(None, job).is_ok());
 /// }
 /// drop(pool); // drains the queue, then joins the workers
 /// assert_eq!(sum.load(Ordering::Relaxed), 140);
@@ -150,14 +150,13 @@ struct Shared {
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    threads: usize,
     queue_limit: usize,
 }
 
 impl std::fmt::Debug for WorkerPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkerPool")
-            .field("threads", &self.threads)
+            .field("threads", &self.workers.len())
             .field("queue_limit", &self.queue_limit)
             .field("panics", &self.panicked_jobs())
             .finish()
@@ -165,7 +164,8 @@ impl std::fmt::Debug for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns a pool whose [`try_submit`](WorkerPool::try_submit)
+    /// Spawns a pool whose
+    /// [`try_submit_with_deadline`](WorkerPool::try_submit_with_deadline)
     /// refuses once `queue_limit` jobs are waiting (jobs already
     /// *running* on workers do not count against the limit).
     ///
@@ -196,15 +196,8 @@ impl WorkerPool {
         Self {
             shared,
             workers,
-            threads,
             queue_limit,
         }
-    }
-
-    /// Number of worker threads.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Number of jobs whose closure panicked (workers survive panics).
@@ -228,9 +221,10 @@ impl WorkerPool {
 
     /// Flips the shutdown latch without joining the workers: queued
     /// jobs still drain, but every later
-    /// [`try_submit`](WorkerPool::try_submit) is refused. Lets a server
-    /// reject late arrivals with `Busy` during its drain window instead
-    /// of queueing work that will never be answered.
+    /// [`try_submit_with_deadline`](WorkerPool::try_submit_with_deadline)
+    /// is refused. Lets a server reject late arrivals with `Busy` during
+    /// its drain window instead of queueing work that will never be
+    /// answered.
     pub fn begin_shutdown(&self) {
         let mut state = self.shared.state.lock().expect("pool mutex unpoisoned");
         state.shutdown = true;
@@ -245,20 +239,11 @@ impl WorkerPool {
     /// accepted after the workers decided to exit would sit in the
     /// queue forever.
     ///
-    /// # Errors
-    ///
-    /// Returns `Err(job)` when the queue is full or the pool is
-    /// shutting down.
-    pub fn try_submit<F: FnOnce() + Send + 'static>(&self, job: F) -> Result<(), F> {
-        self.try_submit_with_deadline(None, job)
-    }
-
-    /// [`try_submit`](WorkerPool::try_submit) with a scheduling
-    /// deadline: queued jobs dequeue earliest-deadline-first, with
-    /// undeadlined jobs (FIFO among themselves) after every deadlined
-    /// one. The deadline orders the queue only — enforcing it is the
-    /// job's own business (the serving layer checks its cancel token at
-    /// dequeue and sheds expired work without computing).
+    /// Queued jobs dequeue earliest-deadline-first, with undeadlined
+    /// jobs (FIFO among themselves) after every deadlined one. The
+    /// deadline orders the queue only — enforcing it is the job's own
+    /// business (the serving layer checks its cancel token at dequeue
+    /// and sheds expired work without computing).
     ///
     /// # Errors
     ///
@@ -358,7 +343,7 @@ mod tests {
             for _ in 0..64 {
                 let counter = Arc::clone(&counter);
                 assert!(pool
-                    .try_submit(move || {
+                    .try_submit_with_deadline(None, move || {
                         counter.fetch_add(1, Ordering::Relaxed);
                     })
                     .is_ok());
@@ -376,7 +361,7 @@ mod tests {
         {
             let gate = Arc::clone(&gate);
             assert!(pool
-                .try_submit(move || {
+                .try_submit_with_deadline(None, move || {
                     let (lock, cv) = &*gate;
                     let mut open = lock.lock().unwrap();
                     while !*open {
@@ -393,10 +378,10 @@ mod tests {
             }
             std::thread::yield_now();
         }
-        assert!(pool.try_submit(|| {}).is_ok());
-        assert!(pool.try_submit(|| {}).is_ok());
+        assert!(pool.try_submit_with_deadline(None, || {}).is_ok());
+        assert!(pool.try_submit_with_deadline(None, || {}).is_ok());
         // Queue now holds 2 waiting jobs = the limit.
-        assert!(pool.try_submit(|| {}).is_err());
+        assert!(pool.try_submit_with_deadline(None, || {}).is_err());
         // Open the gate; drop drains the rest.
         let (lock, cv) = &*gate;
         *lock.lock().unwrap() = true;
@@ -411,7 +396,7 @@ mod tests {
             for _ in 0..32 {
                 let counter = Arc::clone(&counter);
                 assert!(pool
-                    .try_submit(move || {
+                    .try_submit_with_deadline(None, move || {
                         counter.fetch_add(1, Ordering::Relaxed);
                     })
                     .is_ok());
@@ -423,11 +408,13 @@ mod tests {
     #[test]
     fn workers_survive_panicking_jobs() {
         let pool = WorkerPool::with_queue_limit(1, usize::MAX);
-        assert!(pool.try_submit(|| panic!("job panic")).is_ok());
+        assert!(pool
+            .try_submit_with_deadline(None, || panic!("job panic"))
+            .is_ok());
         // The same single worker must still run later jobs.
         let (tx, rx) = std::sync::mpsc::channel();
         assert!(pool
-            .try_submit(move || tx.send(7u32).expect("receiver alive"))
+            .try_submit_with_deadline(None, move || tx.send(7u32).expect("receiver alive"))
             .is_ok());
         assert_eq!(rx.recv().expect("the worker survived"), 7);
         assert_eq!(pool.panicked_jobs(), 1);
@@ -446,7 +433,7 @@ mod tests {
         };
         // Refused immediately — before this check a post-shutdown job
         // would sit in the queue forever with the workers gone.
-        assert!(pool.try_submit(job).is_err());
+        assert!(pool.try_submit_with_deadline(None, job).is_err());
         drop(pool);
         assert_eq!(ran.load(Ordering::Relaxed), 0);
     }
@@ -459,7 +446,7 @@ mod tests {
             let pool = WorkerPool::with_queue_limit(1, usize::MAX);
             let counter_slow = Arc::clone(&counter);
             assert!(pool
-                .try_submit(move || {
+                .try_submit_with_deadline(None, move || {
                     std::thread::sleep(std::time::Duration::from_millis(150));
                     counter_slow.fetch_add(1, Ordering::Relaxed);
                 })
@@ -467,7 +454,7 @@ mod tests {
             for _ in 0..8 {
                 let counter = Arc::clone(&counter);
                 assert!(pool
-                    .try_submit(move || {
+                    .try_submit_with_deadline(None, move || {
                         counter.fetch_add(1, Ordering::Relaxed);
                     })
                     .is_ok());
@@ -495,7 +482,7 @@ mod tests {
         {
             let gate = Arc::clone(&gate);
             assert!(pool
-                .try_submit(move || {
+                .try_submit_with_deadline(None, move || {
                     let (lock, cv) = &*gate;
                     let mut open = lock.lock().unwrap();
                     while !*open {
@@ -540,7 +527,7 @@ mod tests {
         {
             let gate = Arc::clone(&gate);
             assert!(pool
-                .try_submit(move || {
+                .try_submit_with_deadline(None, move || {
                     let (lock, cv) = &*gate;
                     let mut open = lock.lock().unwrap();
                     while !*open {
@@ -555,8 +542,8 @@ mod tests {
             }
             std::thread::yield_now();
         }
-        assert!(pool.try_submit(|| {}).is_ok());
-        assert!(pool.try_submit(|| {}).is_ok());
+        assert!(pool.try_submit_with_deadline(None, || {}).is_ok());
+        assert!(pool.try_submit_with_deadline(None, || {}).is_ok());
         assert_eq!(pool.queued_jobs(), 2);
         let (lock, cv) = &*gate;
         *lock.lock().unwrap() = true;

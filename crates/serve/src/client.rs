@@ -1,12 +1,12 @@
 //! `ServeClient`: the synchronous, reconnecting client.
 //!
-//! One client owns one connection and issues one request at a time
-//! (replies are matched by request id regardless, so a future pipelined
-//! client can share the wire format unchanged). On a transport error
-//! the client transparently reconnects **once** and retries the request
-//! — every opcode is semantically idempotent (reconstruction is a pure
-//! function of its payload; `SampleAndReconstruct` is seeded), so a
-//! retry can change latency but never the answer.
+//! One client owns one connection and issues one request at a time,
+//! skipping any reply that does not echo that request's id. On a
+//! transport error the client transparently reconnects **once** and
+//! retries the request — every opcode is semantically idempotent
+//! (reconstruction is a pure function of its payload;
+//! `SampleAndReconstruct` is seeded), so a retry can change latency but
+//! never the answer.
 //!
 //! [`Reply::Busy`] (the server's admission queue is full) is likewise
 //! retried, with a bounded linear backoff: backpressure is transient by

@@ -20,7 +20,8 @@
 //!   ([`Distribution::from_raw_parts`](hammer_dist::Distribution::from_raw_parts)),
 //!   so hostile bytes surface as [`WireError`]s, never panics;
 //! * [`serve`] / [`ServerHandle`] — a `std::net` TCP runtime: acceptor,
-//!   per-connection framed reader/writer threads, a **bounded**
+//!   one thread per connection that answers its frames in order, a
+//!   **bounded**
 //!   earliest-deadline-first request queue on a persistent
 //!   [`hammer_pool::WorkerPool`] (503-style [`Reply::Busy`]
 //!   backpressure when full), and graceful shutdown that drains

@@ -26,9 +26,9 @@
 //! Version 3 is the only version: [`read_frame`] rejects any other with
 //! [`WireError::BadVersion`] before reading past the version field.
 //!
-//! The request id is an opaque client token: the server echoes it so a
-//! client may pipeline requests and match replies arriving out of order
-//! (worker-pool execution does not preserve submission order).
+//! The request id is an opaque client token, echoed verbatim in the
+//! reply. A client may pipeline requests on one connection; the server
+//! answers them one at a time, in the order they arrived.
 //!
 //! Everything is hand-rolled over `std::io` — no serde, no external
 //! dependencies — and every decoder treats its input as untrusted:
@@ -187,9 +187,8 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// Writes one frame: header plus payload, in a single buffered write so
-/// concurrent writers on a shared stream could never interleave
-/// mid-frame.
+/// Writes one frame: header plus payload, built in one buffer and
+/// handed to the stream in a single `write_all`, then flushed.
 ///
 /// # Errors
 ///

@@ -1,22 +1,28 @@
-//! The server runtime: TCP acceptor, per-connection framed
-//! reader/writer threads, a bounded worker-pool request queue with
-//! `Busy` backpressure, and graceful shutdown that drains in-flight
-//! work.
+//! The server runtime: TCP acceptor, one thread per connection, a
+//! bounded worker-pool request queue with `Busy` backpressure, and
+//! graceful shutdown that drains in-flight work.
 //!
 //! # Thread anatomy
 //!
 //! ```text
-//! acceptor ──► per-connection reader ──► request pool (WorkerPool,
-//!               │   │    ▲   (miss)       bounded EDF queue) ──┐
-//!     cache hit │   │    └── Busy reply when full              │ compute
-//!               ▼   ▼                                          ▼
-//!              per-connection writer ◄──── mpsc ◄──── reply (id, frame)
+//! acceptor ── one thread per socket ─┐
+//!                                    ▼
+//! socket ── frame ─────────► connection thread ── miss ──► request pool
+//!        ◄── reply, in order ─ (cache probe)   ◄─ reply ── (WorkerPool,
+//!                                                           bounded EDF queue,
+//!                                                           Busy when full)
 //! ```
 //!
-//! The reader decodes each compute request, hashes its cache key and
-//! probes the distribution cache itself: a hit goes straight to the
-//! writer, so hot requests never wait behind cold work for a worker.
-//! Only misses are queued.
+//! Each connection thread reads a frame, answers it, writes the reply
+//! on its own socket, and only then reads the next frame, so replies on
+//! one connection leave in request order. It decodes each compute
+//! request, hashes its cache key and probes the distribution cache
+//! itself: a hit is written straight back, so hot requests never wait
+//! behind cold work for a worker. Only misses are queued; the
+//! connection thread blocks until the job hands its reply back. A
+//! client that pipelines frames gets them answered one after another,
+//! and a client that stops reading stalls only its own connection
+//! thread (TCP backpressure, bounded by the write timeout).
 //!
 //! The request pool is the only persistent pool: it admits requests
 //! (bounded queue, `Busy` backpressure, earliest deadline first) and
@@ -41,7 +47,7 @@
 //! span/histogram layer sits behind [`hammer_obs::timing_enabled`];
 //! counters stay exact either way.
 
-use std::io::{BufWriter, Read};
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -136,26 +142,26 @@ const TRACE_RING_CAP: usize = 64;
 /// Counters owned by the runtime (cache counters live in [`DistCache`] /
 /// [`InFlight`]). The request/refusal/shed tallies are registry
 /// counters — same cells the `MetricsSnapshot` opcode exposes — while
-/// the two lifecycle watermarks stay plain atomics: they are shutdown
-/// bookkeeping, not metrics.
+/// the drain count stays a plain atomic: it is shutdown bookkeeping,
+/// not a metric.
 struct RuntimeCounters {
     requests: Counter,
     busy: Counter,
     /// Queued jobs shed at dequeue because their deadline had already
     /// expired — answered `DeadlineExceeded` without computing.
     deadline_sheds: Counter,
-    /// Every reply queued to a writer, and the subset that refused or
-    /// failed the request (`Error` / `Busy` / `DeadlineExceeded` /
+    /// Every reply written (or attempted), and the subset that refused
+    /// or failed the request (`Error` / `Busy` / `DeadlineExceeded` /
     /// `ShuttingDown`) — the numerator and denominator of the default
     /// availability SLO.
     replies_total: Counter,
     replies_failed: Counter,
-    active_jobs: AtomicUsize,
-    /// Replies queued to a connection writer but not yet written to the
-    /// socket. Graceful shutdown waits for this to reach zero, so the
-    /// final acknowledgements are flushed before `wait` returns (and
-    /// before a hosting process exits, killing the detached writers).
-    pending_replies: AtomicUsize,
+    /// Requests whose frame has arrived but whose reply is not yet
+    /// written. Graceful shutdown waits for this to reach zero, so every
+    /// admitted request is answered and flushed before `wait` returns
+    /// (and before a hosting process exits, killing the detached
+    /// connection threads).
+    unanswered: AtomicUsize,
 }
 
 impl RuntimeCounters {
@@ -166,8 +172,7 @@ impl RuntimeCounters {
             deadline_sheds: registry.counter("serve.deadline_sheds"),
             replies_total: registry.counter("serve.replies.total"),
             replies_failed: registry.counter("serve.replies.failed"),
-            active_jobs: AtomicUsize::new(0),
-            pending_replies: AtomicUsize::new(0),
+            unanswered: AtomicUsize::new(0),
         }
     }
 }
@@ -348,13 +353,10 @@ impl ServerHandle {
         if let Some(http) = self.http.take() {
             http.join().expect("exposition thread does not panic");
         }
-        // Drain: every accepted job decrements `active_jobs` after its
-        // reply is queued, and every queued reply decrements
-        // `pending_replies` once written to the socket — so when both
-        // are zero, all accepted work is answered AND flushed.
-        while self.state.counters.active_jobs.load(Ordering::SeqCst) > 0
-            || self.state.counters.pending_replies.load(Ordering::SeqCst) > 0
-        {
+        // Drain: a request counts from the arrival of its frame until
+        // its reply is written, so at zero all accepted work is answered
+        // AND flushed.
+        while self.state.counters.unanswered.load(Ordering::SeqCst) > 0 {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         // Graceful shutdowns flush the whole resident hot set — not
@@ -374,8 +376,9 @@ impl ServerHandle {
 /// Flags shutdown and unblocks the acceptor with a wake-up connection.
 fn begin_shutdown(state: &ServerState, addr: SocketAddr) {
     if !state.shutting_down.swap(true, Ordering::SeqCst) {
-        // Already-queued jobs drain; new submissions are refused at the
-        // pool too (belt and braces under the reader-side flag check).
+        // Already-queued jobs drain; later submissions are refused at
+        // the pool, which also catches a request that passed its
+        // connection's flag check just before the flag flipped.
         state.request_pool.begin_shutdown();
         // The acceptor blocks in `accept`; a throwaway connection makes
         // it re-check the flag. Failure is fine (acceptor already gone).
@@ -491,19 +494,18 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
             return;
         }
         match listener.accept() {
-            Ok((stream, _)) => {
+            Ok((mut stream, _)) => {
                 if state.shutting_down.load(Ordering::SeqCst) {
                     return; // the wake-up connection, or a late client
                 }
                 // Admission control: a connection over the cap gets one
                 // Busy frame (request id 0 — nothing was read) and is
                 // dropped, so a connection flood degrades into fast
-                // refusals instead of unbounded reader threads.
+                // refusals instead of unbounded connection threads.
                 if state.connections.load(Ordering::SeqCst) >= state.max_connections {
                     state.counters.busy.inc();
-                    let mut w = BufWriter::new(stream);
                     let busy = Reply::Busy;
-                    let _ = write_frame(&mut w, 0, busy.opcode(), 0, 0, &busy.encode());
+                    let _ = write_frame(&mut stream, 0, busy.opcode(), 0, 0, &busy.encode());
                     continue;
                 }
                 state.connections.fetch_add(1, Ordering::SeqCst);
@@ -511,10 +513,10 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
                 let addr = listener
                     .local_addr()
                     .expect("bound listener has an address");
-                // Readers are detached: they exit on client EOF (or
-                // after relaying Shutdown). `wait` tracks *jobs*, not
-                // connections, so an idle open connection never blocks
-                // shutdown.
+                // Connection threads are detached: they exit on client
+                // EOF (or after acknowledging Shutdown). `wait` tracks
+                // *requests*, not connections, so an idle open
+                // connection never blocks shutdown.
                 let spawned = std::thread::Builder::new()
                     .name("hammer-serve-conn".into())
                     .spawn(move || {
@@ -535,275 +537,212 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
     }
 }
 
-/// A reply queued to the writer thread: request id, the reply itself,
-/// and — for traced compute requests — the request opcode plus the
-/// trace context the writer finalizes after the socket write.
-type Outbound = (u64, Reply, Option<(u8, TraceCtx)>);
-
-/// The per-connection reader: parses frames, answers cheap opcodes and
-/// cache hits inline, and queues the compute requests that missed onto
-/// the bounded request pool.
-/// Replies flow through an mpsc channel to a dedicated writer thread,
-/// so slow computations never block the read side and out-of-order
-/// completion is fine (the request id disambiguates).
-#[allow(clippy::too_many_lines)]
-fn connection_loop(stream: TcpStream, state: &Arc<ServerState>, addr: SocketAddr) {
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let (raw_tx, reply_rx) = mpsc::channel::<Outbound>();
-    let writer = {
-        let state = Arc::clone(state);
-        std::thread::Builder::new()
-            .name("hammer-serve-write".into())
-            .spawn(move || {
-                let mut w = BufWriter::new(write_half);
-                let mut broken = false;
-                // Keep draining after a write failure: every queued
-                // reply must still decrement `pending_replies` or
-                // shutdown would wait forever on a dead client.
-                while let Ok((id, reply, traced)) = reply_rx.recv() {
-                    let outcome = reply.opcode();
-                    let trace_id = traced.as_ref().map_or(0, |(_, ctx)| ctx.trace_id());
-                    if !broken {
-                        let payload = {
-                            let _t = traced
-                                .as_ref()
-                                .map(|(_, ctx)| ctx.span("encode", Some(&state.stages.encode)));
-                            reply.encode()
-                        };
-                        let wrote = {
-                            let _t = traced
-                                .as_ref()
-                                .map(|(_, ctx)| ctx.span("write", Some(&state.stages.write)));
-                            write_frame(&mut w, id, outcome, 0, trace_id, &payload)
-                        };
-                        if wrote.is_err() {
-                            broken = true;
-                        }
-                    }
-                    // The writer is the last stop on the reply path, so
-                    // it finalizes the trace: end-to-end latency into
-                    // the request histogram, and the span tree into the
-                    // slow-request ring when it crossed the threshold
-                    // (deadline misses always capture — those are the
-                    // requests someone will ask about).
-                    if let Some((op, ctx)) = traced {
-                        let trace = ctx.finish(op, outcome);
-                        state.stages.request.record(trace.total_ns);
-                        if state.slow_trace_ns == 0
-                            || trace.total_ns >= state.slow_trace_ns
-                            || outcome == opcode::DEADLINE_EXCEEDED
-                        {
-                            state.traces.push(trace);
-                        }
-                    }
-                    state
-                        .counters
-                        .pending_replies
-                        .fetch_sub(1, Ordering::SeqCst);
-                }
-            })
-            .expect("writer thread spawns")
-    };
-    // Every queued reply is pre-counted so `wait` can see it before the
-    // writer picks it up.
-    let reply_tx = {
-        let state = Arc::clone(state);
-        move |message: Outbound| {
-            // Availability accounting: every reply, and the subset that
-            // refused or failed its request.
-            state.counters.replies_total.inc();
-            if matches!(
-                message.1,
-                Reply::Error(_) | Reply::Busy | Reply::DeadlineExceeded | Reply::ShuttingDown
-            ) {
-                state.counters.replies_failed.inc();
-            }
-            state
-                .counters
-                .pending_replies
-                .fetch_add(1, Ordering::SeqCst);
-            if raw_tx.send(message).is_err() {
-                // Writer gone (unreachable while a sender lives, but do
-                // not leak the pre-count if it ever happens).
-                state
-                    .counters
-                    .pending_replies
-                    .fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    };
-
-    // Writes are always bounded; reads are bounded per-frame by the
-    // idle-tolerant loop below.
-    let _ = read_half_timeouts(&stream, state.io_timeout);
-    let mut read_half = stream;
+/// The per-connection thread: reads a frame, [`answer`]s it, writes the
+/// reply with [`respond`], and only then reads the next frame.
+fn connection_loop(mut stream: TcpStream, state: &Arc<ServerState>, addr: SocketAddr) {
+    // Writes are always bounded; reads are bounded per-frame by
+    // `read_one_frame`.
+    let _ = stream.set_write_timeout(state.io_timeout);
     loop {
-        let frame = match read_one_frame(&mut read_half, state) {
-            FrameOutcome::Frame(frame) => frame,
+        let frame = match read_one_frame(&mut stream, state) {
+            FrameOutcome::Frame(frame) => Ok(frame),
             FrameOutcome::Closed => break, // EOF, dead peer, slow-loris
-            FrameOutcome::Malformed(e) => {
-                // Framing is unrecoverable mid-stream: name the fault
-                // (a wrong-version peer reads which version we want) and
-                // drop the connection.
-                reply_tx((0, Reply::Error(e.to_string()), None));
-                break;
-            }
+            FrameOutcome::Malformed(e) => Err(e),
         };
-        let Frame {
-            request_id: id,
-            opcode: op,
-            deadline_ms,
-            trace_id,
-            payload,
-        } = frame;
-        // A draining server answers surviving connections in-band —
-        // `ShuttingDown`, not a silent close — so clients distinguish
-        // "server going away" from a network failure and do not burn
-        // their transport retry re-sending work it will never take.
-        if state.shutting_down.load(Ordering::SeqCst) {
-            reply_tx((id, Reply::ShuttingDown, None));
-            continue;
+        // The drain count covers a request from frame arrival until its
+        // reply is written. It is raised BEFORE `answer` checks the
+        // shutdown flag, so a `wait` that sees the flag and then a zero
+        // count cannot miss a request the server went on to admit.
+        state.counters.unanswered.fetch_add(1, Ordering::SeqCst);
+        let (id, reply, traced) = match &frame {
+            Ok(frame) => {
+                let (reply, traced) = answer(state, frame);
+                (frame.request_id, reply, traced)
+            }
+            // Framing is unrecoverable mid-stream: name the fault (a
+            // wrong-version peer reads which version we want) and drop
+            // the connection.
+            Err(e) => (0, Reply::Error(e.to_string()), None),
+        };
+        let acked_shutdown = matches!(reply, Reply::ShutdownAck);
+        let wrote = respond(state, &mut stream, id, &reply, traced);
+        if acked_shutdown {
+            // The ack is on the wire before the acceptor stops.
+            begin_shutdown(state, addr);
         }
-        // Compute opcodes get a trace from the moment their frame is
-        // complete: the client's id when it sent one, a fresh one for
-        // bare clients — both end up on the reply header either way.
-        let is_compute = matches!(op, opcode::RECONSTRUCT | opcode::SAMPLE_AND_RECONSTRUCT);
-        let ctx = if is_compute && hammer_obs::timing_enabled() {
-            Some(TraceCtx::new(if trace_id != 0 {
-                trace_id
-            } else {
-                gen_trace_id()
-            }))
-        } else {
-            None
-        };
-        let request = {
-            let _t = ctx
-                .as_ref()
-                .map(|c| c.span("decode", Some(&state.stages.decode)));
-            Request::decode(op, &payload)
-        };
-        let request = match request {
-            Ok(request) => request,
-            Err(e) => {
-                reply_tx((id, Reply::Error(e.to_string()), ctx.map(|c| (op, c))));
-                continue;
-            }
-        };
-        // The deadline clock starts at frame arrival: time the request
-        // spent queued behind the admission queue counts against it.
-        let cancel = if deadline_ms > 0 {
-            CancelToken::after(Duration::from_millis(u64::from(deadline_ms)))
-        } else {
-            CancelToken::new()
-        };
-        match request {
-            Request::Ping => {
-                reply_tx((id, Reply::Pong, None));
-            }
-            Request::TraceDump => {
-                let entries = state.traces.drain().into_iter().map(Into::into).collect();
-                reply_tx((id, Reply::TraceDump(entries), None));
-            }
-            Request::MetricsSnapshot => {
-                reply_tx((id, Reply::MetricsSnapshot(state.obs_snapshot()), None));
-            }
-            Request::Shutdown => {
-                reply_tx((id, Reply::ShutdownAck, None));
-                begin_shutdown(state, addr);
-                break;
-            }
-            compute @ (Request::Reconstruct { .. } | Request::SampleAndReconstruct(_)) => {
-                let compute = exact(compute);
-                let key = cache_key(&compute);
-                // Hot hits are answered right here: no queue, no
-                // worker, no `active_jobs` (the pending reply alone
-                // keeps `wait` honest). Misses queue, and the leader's
-                // re-probe at `claim` catches entries that land while
-                // they wait.
-                let probed = {
-                    let _t = ctx
-                        .as_ref()
-                        .map(|c| c.span("cache_probe", Some(&state.stages.cache_probe)));
-                    state.cache.get(key)
-                };
-                if let Some(hit) = probed {
-                    state.counters.requests.inc();
-                    reply_tx((
-                        id,
-                        Reply::Distribution((*hit).clone()),
-                        ctx.map(|c| (op, c)),
-                    ));
-                    continue;
-                }
-                // Count the job BEFORE re-checking the shutdown flag:
-                // `wait` trusts `active_jobs`, so the increment must be
-                // visible before a concurrent `wait` could observe
-                // "nothing pending". If shutdown began in the meantime,
-                // back the count out and refuse — never submit work a
-                // completed `wait` would no longer cover.
-                state.counters.active_jobs.fetch_add(1, Ordering::SeqCst);
-                if state.shutting_down.load(Ordering::SeqCst) {
-                    state.counters.active_jobs.fetch_sub(1, Ordering::SeqCst);
-                    state.counters.busy.inc();
-                    reply_tx((id, Reply::ShuttingDown, ctx.map(|c| (op, c))));
-                    continue;
-                }
-                let job_state = Arc::clone(state);
-                let job_tx = reply_tx.clone();
-                let trace = ctx.clone();
-                // The queue-wait span runs from here (submission) to
-                // the top of the job closure (dequeue on a worker).
-                let queued_at = trace.as_ref().map(TraceCtx::elapsed_ns);
-                // Deadlined jobs queue earliest-deadline-first, so a
-                // mixed-budget storm spends workers on the requests
-                // that can still make it (undeadlined jobs queue FIFO
-                // behind every deadlined one).
-                let queue_deadline = cancel.deadline();
-                let submitted =
-                    state
-                        .request_pool
-                        .try_submit_with_deadline(queue_deadline, move || {
-                            if let (Some(c), Some(start)) = (&trace, queued_at) {
-                                let waited = c.elapsed_ns().saturating_sub(start);
-                                c.add_span("queue", start, waited);
-                                job_state.stages.queue.record(waited);
-                            }
-                            // The cheapest cancellation point: the deadline
-                            // may have expired while the job sat in the
-                            // queue — shed it without computing.
-                            let reply = if cancel.is_cancelled() {
-                                job_state.counters.deadline_sheds.inc();
-                                Reply::DeadlineExceeded
-                            } else {
-                                handle_compute(&job_state, compute, key, &cancel, trace.as_ref())
-                            };
-                            job_tx((id, reply, trace.map(|c| (op, c))));
-                            job_state
-                                .counters
-                                .active_jobs
-                                .fetch_sub(1, Ordering::SeqCst);
-                        });
-                if submitted.is_err() {
-                    state.counters.active_jobs.fetch_sub(1, Ordering::SeqCst);
-                    state.counters.busy.inc();
-                    let refusal = if state.shutting_down.load(Ordering::SeqCst) {
-                        Reply::ShuttingDown
-                    } else {
-                        Reply::Busy
-                    };
-                    reply_tx((id, refusal, ctx.map(|c| (op, c))));
-                }
-            }
+        if acked_shutdown || frame.is_err() || !wrote {
+            break;
         }
     }
-    drop(reply_tx);
-    // Jobs still in flight hold their own senders; the writer exits
-    // once the last one completes. Join so the writer cannot outlive
-    // the data it flushes.
-    let _ = writer.join();
+}
+
+/// Answers one request frame: the shutdown check, decode, the cheap
+/// opcodes, the cache probe, or a queued computation this thread waits
+/// for. Traced compute requests also hand back their opcode and trace
+/// context for [`respond`] to finish.
+fn answer(state: &Arc<ServerState>, frame: &Frame) -> (Reply, Option<(u8, TraceCtx)>) {
+    let op = frame.opcode;
+    // A draining server answers surviving connections in-band —
+    // `ShuttingDown`, not a silent close — so clients distinguish
+    // "server going away" from a network failure and do not burn
+    // their transport retry re-sending work it will never take.
+    if state.shutting_down.load(Ordering::SeqCst) {
+        return (Reply::ShuttingDown, None);
+    }
+    // Compute opcodes get a trace from the moment their frame is
+    // complete: the client's id when it sent one, a fresh one for bare
+    // clients — both end up on the reply header either way.
+    let is_compute = matches!(op, opcode::RECONSTRUCT | opcode::SAMPLE_AND_RECONSTRUCT);
+    let ctx = if is_compute && hammer_obs::timing_enabled() {
+        Some(TraceCtx::new(if frame.trace_id != 0 {
+            frame.trace_id
+        } else {
+            gen_trace_id()
+        }))
+    } else {
+        None
+    };
+    let request = {
+        let _t = ctx
+            .as_ref()
+            .map(|c| c.span("decode", Some(&state.stages.decode)));
+        Request::decode(op, &frame.payload)
+    };
+    let reply = match request {
+        Err(e) => Reply::Error(e.to_string()),
+        Ok(Request::Ping) => Reply::Pong,
+        Ok(Request::TraceDump) => {
+            Reply::TraceDump(state.traces.drain().into_iter().map(Into::into).collect())
+        }
+        Ok(Request::MetricsSnapshot) => Reply::MetricsSnapshot(state.obs_snapshot()),
+        Ok(Request::Shutdown) => Reply::ShutdownAck,
+        Ok(compute @ (Request::Reconstruct { .. } | Request::SampleAndReconstruct(_))) => {
+            answer_compute(state, exact(compute), frame.deadline_ms, ctx.as_ref())
+        }
+    };
+    (reply, ctx.map(|c| (op, c)))
+}
+
+/// Answers one compute request. Hot hits are answered on the
+/// connection thread: no queue, no worker. Misses queue on the request
+/// pool (the leader's re-probe at `claim` catches entries that land
+/// while they wait), and this thread blocks until the job hands its
+/// reply back.
+fn answer_compute(
+    state: &Arc<ServerState>,
+    compute: Request,
+    deadline_ms: u32,
+    trace: Option<&TraceCtx>,
+) -> Reply {
+    let key = cache_key(&compute);
+    let probed = {
+        let _t = trace.map(|c| c.span("cache_probe", Some(&state.stages.cache_probe)));
+        state.cache.get(key)
+    };
+    if let Some(hit) = probed {
+        state.counters.requests.inc();
+        return Reply::Distribution((*hit).clone());
+    }
+    // The deadline clock starts before the request queues: time spent
+    // behind the admission queue counts against it.
+    let cancel = if deadline_ms > 0 {
+        CancelToken::after(Duration::from_millis(u64::from(deadline_ms)))
+    } else {
+        CancelToken::new()
+    };
+    let job_state = Arc::clone(state);
+    let trace = trace.cloned();
+    // The queue-wait span runs from here (submission) to the top of the
+    // job closure (dequeue on a worker).
+    let queued_at = trace.as_ref().map(TraceCtx::elapsed_ns);
+    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
+    // Deadlined jobs queue earliest-deadline-first, so a mixed-budget
+    // storm spends workers on the requests that can still make it
+    // (undeadlined jobs queue FIFO behind every deadlined one).
+    let submitted = state
+        .request_pool
+        .try_submit_with_deadline(cancel.deadline(), move || {
+            if let (Some(c), Some(start)) = (&trace, queued_at) {
+                let waited = c.elapsed_ns().saturating_sub(start);
+                c.add_span("queue", start, waited);
+                job_state.stages.queue.record(waited);
+            }
+            // The cheapest cancellation point: the deadline may have
+            // expired while the job sat in the queue — shed it without
+            // computing.
+            let reply = if cancel.is_cancelled() {
+                job_state.counters.deadline_sheds.inc();
+                Reply::DeadlineExceeded
+            } else {
+                handle_compute(&job_state, compute, key, &cancel, trace.as_ref())
+            };
+            let _ = reply_tx.send(reply);
+        });
+    if submitted.is_err() {
+        // A full queue, or shutdown began after `answer` checked the
+        // flag (the pool refuses once `begin_shutdown` reached it).
+        state.counters.busy.inc();
+        return if state.shutting_down.load(Ordering::SeqCst) {
+            Reply::ShuttingDown
+        } else {
+            Reply::Busy
+        };
+    }
+    // A dropped sender means the job died outside `cached_compute`'s
+    // `catch_unwind`; the request still gets an answer.
+    reply_rx
+        .recv()
+        .unwrap_or_else(|_| Reply::Error("request job died before replying".into()))
+}
+
+/// Writes one reply on the connection's own socket and closes the
+/// request's books: the availability counters, the `encode` and
+/// `write` spans, trace finalization and the drain count. Returns
+/// whether the write succeeded.
+fn respond(
+    state: &ServerState,
+    stream: &mut TcpStream,
+    id: u64,
+    reply: &Reply,
+    traced: Option<(u8, TraceCtx)>,
+) -> bool {
+    // Availability accounting: every reply, and the subset that refused
+    // or failed its request.
+    state.counters.replies_total.inc();
+    if matches!(
+        reply,
+        Reply::Error(_) | Reply::Busy | Reply::DeadlineExceeded | Reply::ShuttingDown
+    ) {
+        state.counters.replies_failed.inc();
+    }
+    let outcome = reply.opcode();
+    let ctx = traced.as_ref().map(|(_, ctx)| ctx);
+    let payload = {
+        let _t = ctx.map(|c| c.span("encode", Some(&state.stages.encode)));
+        reply.encode()
+    };
+    let wrote = {
+        let _t = ctx.map(|c| c.span("write", Some(&state.stages.write)));
+        let trace_id = ctx.map_or(0, TraceCtx::trace_id);
+        write_frame(stream, id, outcome, 0, trace_id, &payload).is_ok()
+    };
+    // The write is the last stop on the reply path, so the trace ends
+    // here: end-to-end latency into the request histogram, and the span
+    // tree into the slow-request ring when it crossed the threshold
+    // (deadline misses always capture — those are the requests someone
+    // will ask about).
+    if let Some((op, ctx)) = traced {
+        let trace = ctx.finish(op, outcome);
+        state.stages.request.record(trace.total_ns);
+        if state.slow_trace_ns == 0
+            || trace.total_ns >= state.slow_trace_ns
+            || outcome == opcode::DEADLINE_EXCEEDED
+        {
+            state.traces.push(trace);
+        }
+    }
+    state.counters.unanswered.fetch_sub(1, Ordering::SeqCst);
+    wrote
 }
 
 /// How long an idle connection waits between polls for a frame's first
@@ -826,7 +765,8 @@ enum FrameOutcome {
 /// (waiting for a frame to start) is unbounded — a parked persistent
 /// connection is healthy — while *mid-frame* time is bounded by the
 /// configured i/o timeout, so a peer that starts a header and stalls
-/// (slow-loris) is reaped instead of pinning a reader thread forever.
+/// (slow-loris) is reaped instead of pinning a connection thread
+/// forever.
 fn read_one_frame(stream: &mut TcpStream, state: &ServerState) -> FrameOutcome {
     let first = loop {
         let _ = stream.set_read_timeout(Some(IDLE_TICK));
@@ -851,15 +791,8 @@ fn read_one_frame(stream: &mut TcpStream, state: &ServerState) -> FrameOutcome {
     }
 }
 
-/// Sets the write timeout for a connection (reads are managed
-/// per-frame by [`read_one_frame`]; socket options are shared across
-/// the cloned halves).
-fn read_half_timeouts(stream: &TcpStream, timeout: Option<Duration>) -> std::io::Result<()> {
-    stream.set_write_timeout(timeout)
-}
-
-/// Executes one compute request that missed the reader's cache probe,
-/// on a pool worker; `key` is its [`cache_key`].
+/// Executes one compute request that missed the connection thread's
+/// cache probe, on a pool worker; `key` is its [`cache_key`].
 fn handle_compute(
     state: &Arc<ServerState>,
     request: Request,
@@ -886,7 +819,7 @@ fn handle_compute(
             })
         }
         Request::Ping | Request::TraceDump | Request::MetricsSnapshot | Request::Shutdown => {
-            unreachable!("cheap opcodes are answered inline by the reader")
+            unreachable!("cheap opcodes are answered on the connection thread")
         }
     }
 }
@@ -922,7 +855,7 @@ fn cache_key(request: &Request) -> u64 {
 }
 
 /// The coalescing discipline around one computation whose key missed
-/// the reader's cache probe.
+/// the connection thread's cache probe.
 ///
 /// The leader computes under a publish-on-drop guard, so **every** exit
 /// — success, failure, cancellation, panic — wakes the followers.
@@ -938,8 +871,8 @@ fn cache_key(request: &Request) -> u64 {
 ///
 /// Trace spans: a follower's wait is `coalesce_wait`, the leader's
 /// store probe is `store_load` (only when a store is configured) and
-/// the computation itself is `compute`; the reader already recorded
-/// `cache_probe`.
+/// the computation itself is `compute`; the connection thread already
+/// recorded `cache_probe`.
 fn cached_compute<F>(
     state: &Arc<ServerState>,
     key: u64,
@@ -959,8 +892,9 @@ where
             Claim::Leader => {
                 let guard = state.inflight.publish_guard(key);
                 // The entry may have landed while this job sat in the
-                // queue (a racing leader completed between the reader's
-                // probe and our claim); serve it rather than recompute.
+                // queue (a racing leader completed between the connection
+                // thread's probe and our claim); serve it rather than
+                // recompute.
                 // `get` counts the hit, which is accurate: the entry IS
                 // there.
                 let result: ComputeResult = if let Some(hit) = state.cache.get(key) {

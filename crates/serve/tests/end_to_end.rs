@@ -621,3 +621,29 @@ fn foreign_versions_and_retired_opcodes_get_named_errors() {
     server.shutdown();
     let _ = server.wait();
 }
+
+/// Each connection answers its frames one at a time, in order: a cold
+/// reconstruct pipelined ahead of a `Ping` on one socket is answered
+/// first, even though the `Ping` alone would be answered at once.
+#[test]
+fn pipelined_frames_are_answered_in_request_order() {
+    use hammer_serve::protocol::{opcode, write_frame};
+    use hammer_serve::Request;
+
+    let server = start(64, 1, 256);
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let cold = Request::Reconstruct {
+        config: HammerConfig::paper(),
+        counts: large_counts(),
+    };
+    write_frame(&mut raw, 1, cold.opcode(), 0, 0, &cold.encode()).expect("frame written");
+    write_frame(&mut raw, 2, opcode::PING, 0, 0, &[]).expect("frame written");
+    let (id, op, _) = read_reply(&mut raw);
+    assert_eq!((id, op), (1, opcode::DISTRIBUTION));
+    let (id, op, _) = read_reply(&mut raw);
+    assert_eq!((id, op), (2, opcode::PONG));
+
+    server.shutdown();
+    let _ = server.wait();
+}
