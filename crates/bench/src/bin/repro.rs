@@ -314,7 +314,7 @@ fn run_serve(args: &Args) -> ExitCode {
         }
     };
     eprintln!(
-        "[serve] listening on {} ({} workers, {} MiB cache{}); send Shutdown to stop",
+        "[serve] listening on {} ({} compute slots, {} MiB cache{}); send Shutdown to stop",
         server.local_addr(),
         config.workers,
         config.cache_mb,

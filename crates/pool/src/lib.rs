@@ -1,6 +1,5 @@
-//! The workspace's thread executors: [`run_tiles`], the one compute
-//! executor, and [`WorkerPool`], the serving tier's bounded
-//! admission queue.
+//! The workspace's one compute executor, [`run_tiles`], and
+//! [`Admission`], the serving tier's bounded admission gate.
 //!
 //! * [`run_tiles`] fans a computation's tiles out over scoped threads
 //!   with a work-stealing cursor, a cancellation check before every
@@ -9,11 +8,13 @@
 //!   blocks all run on it, so their outputs are identical at every
 //!   thread count. Tiles borrow the caller's data, and a compute call
 //!   never waits on a queue another call could be holding.
-//! * [`WorkerPool`] is a persistent pool of worker threads behind an
-//!   earliest-deadline-first queue. Bounded submissions
-//!   ([`WorkerPool::try_submit_with_deadline`]) give the serving layer
-//!   its 503-style backpressure; each request job runs its compute
-//!   through [`run_tiles`], never through the pool.
+//! * [`Admission`] bounds how many requests compute at once. A caller
+//!   [`enter`](Admission::enter)s with its deadline, runs its compute on
+//!   its own thread while it holds the [`Permit`], and frees the slot
+//!   by dropping it. Waiters are granted earliest deadline first, and a
+//!   full waiting queue refuses instead of blocking, which gives the
+//!   serving layer its 503-style backpressure. The gate spawns no
+//!   threads.
 //!
 //! This is a dependency-free leaf crate (apart from `hammer_obs`), so
 //! `hammer_core` and `hammer_sim` share the executor without pulling in
@@ -23,10 +24,8 @@
 //! splits `&mut` output slices, not tiles.
 
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 pub mod cancel;
@@ -35,29 +34,40 @@ mod tiles;
 pub use cancel::{CancelToken, Cancelled};
 pub use tiles::run_tiles;
 
-/// A queued unit of work.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// One queued job with its scheduling rank: earliest deadline first,
-/// undeadlined jobs after every deadlined one, FIFO (by admission
-/// sequence) within a tie. The rank orders *dequeue*, so a mixed-budget
-/// storm spends workers on the requests that can still make their
-/// deadlines and lets already-doomed ones reach the dequeue-time shed
-/// check before burning compute.
-struct QueuedJob {
+/// One waiting entrant with its grant rank: earliest deadline first,
+/// undeadlined entrants after every deadlined one, FIFO (by entry
+/// sequence) within a tie. The rank orders *grants*, so a mixed-budget
+/// storm spends slots on the requests that can still make their
+/// deadlines and lets already-doomed ones reach the caller's shed check
+/// before burning compute.
+#[derive(Debug)]
+struct Waiter {
     deadline: Option<Instant>,
     seq: u64,
-    /// When the job was admitted — observed at pop into the global
-    /// `pool.queue_wait_ns` histogram so EDF queueing delay is visible.
-    enqueued: Instant,
-    job: Job,
+    ticket: Arc<Ticket>,
 }
 
-impl QueuedJob {
-    /// `BinaryHeap` pops the maximum, so "runs sooner" must compare
+/// What one waiter sleeps on. Only the release that hands it a slot
+/// sets `granted` (under the gate's lock) and signals `wake`, so a
+/// release wakes exactly one thread.
+#[derive(Debug, Default)]
+struct Ticket {
+    granted: AtomicBool,
+    wake: Condvar,
+}
+
+impl PartialEq for Waiter {
+    fn eq(&self, other: &Self) -> bool {
+        self.seq == other.seq
+    }
+}
+impl Eq for Waiter {}
+
+impl Ord for Waiter {
+    /// `BinaryHeap` pops the maximum, so "granted sooner" must compare
     /// `Greater`: earlier deadlines and earlier sequence numbers rank
     /// above later ones, and any deadline ranks above none.
-    fn rank(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         match (self.deadline, other.deadline) {
             (Some(a), Some(b)) => b.cmp(&a),
             (Some(_), None) => std::cmp::Ordering::Greater,
@@ -68,200 +78,168 @@ impl QueuedJob {
     }
 }
 
-impl PartialEq for QueuedJob {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for QueuedJob {}
-impl PartialOrd for QueuedJob {
+impl PartialOrd for Waiter {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for QueuedJob {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.rank(other)
-    }
-}
 
-/// State behind the pool's mutex: the job queue and the shutdown latch.
-struct QueueState {
-    jobs: BinaryHeap<QueuedJob>,
-    /// Admission counter: the FIFO tiebreaker within equal deadlines
-    /// (and the whole order for undeadlined jobs).
+/// State behind the gate's mutex.
+#[derive(Debug)]
+struct GateState {
+    waiting: BinaryHeap<Waiter>,
+    /// Slots no permit holds. Nonzero only while nobody waits: a
+    /// release hands its slot straight to the first-ranked waiter.
+    free: usize,
+    /// Entry counter: the FIFO tiebreaker within equal deadlines (and
+    /// the whole order for undeadlined entrants).
     seq: u64,
     shutdown: bool,
 }
 
-impl QueueState {
-    fn push(&mut self, deadline: Option<Instant>, job: Job) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.jobs.push(QueuedJob {
-            deadline,
-            seq,
-            enqueued: Instant::now(),
-            job,
-        });
-    }
-}
-
-/// Everything the worker threads share.
-struct Shared {
-    state: Mutex<QueueState>,
-    /// Signaled when a job is queued or shutdown begins.
-    wake: Condvar,
-    /// Jobs whose closure panicked (the worker survives; the count is
-    /// surfaced so callers can notice silently failing fire-and-forget
-    /// jobs).
-    panics: AtomicU64,
-}
-
-/// A persistent pool of worker threads executing boxed jobs.
+/// A bounded admission gate: at most `slots` [`Permit`]s are held at
+/// once, and at most `queue_limit` entrants wait for one.
 ///
-/// * [`try_submit_with_deadline`](WorkerPool::try_submit_with_deadline)
-///   — bounded, refusing instead of blocking when the queue is at the
-///   configured limit (the serving layer's backpressure primitive);
-/// * [`queued_jobs`](WorkerPool::queued_jobs) — the waiting depth
-///   behind the `serve.queue.depth` gauge;
-/// * [`begin_shutdown`](WorkerPool::begin_shutdown) — refuse new jobs
-///   while the queue drains.
-///
-/// Dropping the pool drains every queued job, then joins the workers.
+/// * [`enter`](Admission::enter) — blocks until a slot is granted, or
+///   refuses at once when `queue_limit` entrants are already waiting or
+///   shutdown has begun (the serving layer's backpressure primitive);
+/// * [`queued`](Admission::queued) — the waiting depth behind the
+///   `serve.queue.depth` gauge;
+/// * [`begin_shutdown`](Admission::begin_shutdown) — refuse new
+///   entrants while the ones already waiting drain.
 ///
 /// # Example
 ///
 /// ```
-/// use hammer_pool::WorkerPool;
-/// use std::sync::atomic::{AtomicU64, Ordering};
-/// use std::sync::Arc;
+/// use hammer_pool::Admission;
 ///
-/// let sum = Arc::new(AtomicU64::new(0));
-/// let pool = WorkerPool::with_queue_limit(2, 16);
-/// for i in 0u64..8 {
-///     let sum = Arc::clone(&sum);
-///     let job = move || { sum.fetch_add(i * i, Ordering::Relaxed); };
-///     assert!(pool.try_submit_with_deadline(None, job).is_ok());
-/// }
-/// drop(pool); // drains the queue, then joins the workers
-/// assert_eq!(sum.load(Ordering::Relaxed), 140);
+/// let gate = Admission::new(2, 16);
+/// let sum: u64 = std::thread::scope(|s| {
+///     let handles: Vec<_> = (0u64..8)
+///         .map(|i| {
+///             let gate = &gate;
+///             s.spawn(move || {
+///                 let _permit = gate.enter(None).expect("the queue has room");
+///                 i * i // computed while at most one other thread holds a slot
+///             })
+///         })
+///         .collect();
+///     handles.into_iter().map(|h| h.join().unwrap()).sum()
+/// });
+/// assert_eq!(sum, 140);
+/// assert_eq!(gate.queued(), 0);
 /// ```
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
+#[derive(Debug)]
+pub struct Admission {
+    state: Mutex<GateState>,
     queue_limit: usize,
 }
 
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("threads", &self.workers.len())
-            .field("queue_limit", &self.queue_limit)
-            .field("panics", &self.panicked_jobs())
-            .finish()
-    }
-}
-
-impl WorkerPool {
-    /// Spawns a pool whose
-    /// [`try_submit_with_deadline`](WorkerPool::try_submit_with_deadline)
-    /// refuses once `queue_limit` jobs are waiting (jobs already
-    /// *running* on workers do not count against the limit).
+impl Admission {
+    /// A gate with `slots` concurrent permits whose
+    /// [`enter`](Admission::enter) refuses once `queue_limit` entrants
+    /// are waiting (permit holders do not count against the limit).
     ///
     /// # Panics
     ///
-    /// Panics if `threads` is zero.
+    /// Panics if `slots` is zero.
     #[must_use]
-    pub fn with_queue_limit(threads: usize, queue_limit: usize) -> Self {
-        assert!(threads >= 1, "need at least one worker thread");
-        let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState {
-                jobs: BinaryHeap::new(),
+    pub fn new(slots: usize, queue_limit: usize) -> Self {
+        assert!(slots >= 1, "need at least one slot");
+        Self {
+            state: Mutex::new(GateState {
+                waiting: BinaryHeap::new(),
+                free: slots,
                 seq: 0,
                 shutdown: false,
             }),
-            wake: Condvar::new(),
-            panics: AtomicU64::new(0),
-        });
-        let workers = (0..threads)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("hammer-pool-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("worker thread spawns")
-            })
-            .collect();
-        Self {
-            shared,
-            workers,
             queue_limit,
         }
     }
 
-    /// Number of jobs whose closure panicked (workers survive panics).
-    #[must_use]
-    pub fn panicked_jobs(&self) -> u64 {
-        self.shared.panics.load(Ordering::Relaxed)
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().expect("admission mutex unpoisoned")
     }
 
-    /// Number of jobs currently waiting in the queue (not counting jobs
-    /// already running on workers). Feeds the serving layer's
-    /// `serve.queue.depth` gauge.
+    /// Number of entrants currently waiting for a slot (not counting
+    /// permit holders). Feeds the serving layer's `serve.queue.depth`
+    /// gauge.
     #[must_use]
-    pub fn queued_jobs(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("pool mutex unpoisoned")
-            .jobs
-            .len()
+    pub fn queued(&self) -> usize {
+        self.lock().waiting.len()
     }
 
-    /// Flips the shutdown latch without joining the workers: queued
-    /// jobs still drain, but every later
-    /// [`try_submit_with_deadline`](WorkerPool::try_submit_with_deadline)
-    /// is refused. Lets a server reject late arrivals with `Busy` during
-    /// its drain window instead of queueing work that will never be
-    /// answered.
+    /// Flips the shutdown latch: entrants already waiting are still
+    /// granted as slots free, but every later
+    /// [`enter`](Admission::enter) is refused. Lets a server reject late
+    /// arrivals during its drain window instead of admitting work that
+    /// will never be answered.
     pub fn begin_shutdown(&self) {
-        let mut state = self.shared.state.lock().expect("pool mutex unpoisoned");
-        state.shutdown = true;
-        drop(state);
-        self.shared.wake.notify_all();
+        self.lock().shutdown = true;
     }
 
-    /// Enqueues a job unless `queue_limit` jobs are already waiting —
-    /// or shutdown has begun — in which case the job is handed back;
-    /// the caller decides what "busy" means (the serving layer replies
-    /// 503-style `Busy`). The shutdown check closes a hang: a job
-    /// accepted after the workers decided to exit would sit in the
-    /// queue forever.
+    /// Waits for a slot and returns the [`Permit`] that holds it, or
+    /// `None` at once when shutdown has begun or `queue_limit` entrants
+    /// are already waiting; the caller decides what "busy" means (the
+    /// serving layer replies 503-style `Busy`). The queue bound is
+    /// checked before any free slot, so a `queue_limit` of 0 refuses
+    /// every entrant.
     ///
-    /// Queued jobs dequeue earliest-deadline-first, with undeadlined
-    /// jobs (FIFO among themselves) after every deadlined one. The
-    /// deadline orders the queue only — enforcing it is the job's own
-    /// business (the serving layer checks its cancel token at dequeue
-    /// and sheds expired work without computing).
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(job)` when the queue is full or the pool is
-    /// shutting down.
-    pub fn try_submit_with_deadline<F: FnOnce() + Send + 'static>(
-        &self,
-        deadline: Option<Instant>,
-        job: F,
-    ) -> Result<(), F> {
-        let mut state = self.shared.state.lock().expect("pool mutex unpoisoned");
-        if state.shutdown || state.jobs.len() >= self.queue_limit {
-            return Err(job);
+    /// Waiters are granted earliest deadline first, with undeadlined
+    /// entrants (FIFO among themselves) after every deadlined one. The
+    /// deadline orders grants only — enforcing it is the caller's
+    /// business (the serving layer checks its cancel token once granted
+    /// and sheds expired work without computing). Each grant records
+    /// its wait into the process-global `pool.queue_wait_ns` histogram.
+    pub fn enter(&self, deadline: Option<Instant>) -> Option<Permit<'_>> {
+        let entered = Instant::now();
+        let mut state = self.lock();
+        if state.shutdown || state.waiting.len() >= self.queue_limit {
+            return None;
         }
-        state.push(deadline, Box::new(job));
+        if state.free > 0 {
+            state.free -= 1;
+        } else {
+            let ticket = Arc::new(Ticket::default());
+            let seq = state.seq;
+            state.seq += 1;
+            state.waiting.push(Waiter {
+                deadline,
+                seq,
+                ticket: Arc::clone(&ticket),
+            });
+            while !ticket.granted.load(Ordering::Relaxed) {
+                state = ticket
+                    .wake
+                    .wait(state)
+                    .expect("admission mutex unpoisoned while waiting");
+            }
+        }
         drop(state);
-        self.shared.wake.notify_one();
-        Ok(())
+        queue_wait_hist().record(elapsed_ns(entered));
+        Some(Permit { gate: self })
+    }
+}
+
+/// One held slot of an [`Admission`] gate; dropping it — also during a
+/// panic's unwind — hands the slot to the first-ranked waiter, or
+/// frees it when nobody waits.
+#[derive(Debug)]
+#[must_use = "the slot is freed as soon as the permit is dropped"]
+pub struct Permit<'a> {
+    gate: &'a Admission,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut state = self.gate.lock();
+        match state.waiting.pop() {
+            Some(next) => {
+                next.ticket.granted.store(true, Ordering::Relaxed);
+                next.ticket.wake.notify_one();
+            }
+            None => state.free += 1,
+        }
     }
 }
 
@@ -277,24 +255,9 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("pool mutex unpoisoned");
-            state.shutdown = true;
-        }
-        self.shared.wake.notify_all();
-        for handle in self.workers.drain(..) {
-            // Worker bodies catch job panics, so join only fails if the
-            // loop itself panicked; propagate that.
-            handle.join().expect("pool worker does not panic");
-        }
-    }
-}
-
-/// The process-wide EDF queue-wait histogram: admission-to-dequeue
-/// latency across every pool in the process, on the global registry so
-/// the serving tier's `MetricsSnapshot` opcode exposes it.
+/// The process-wide EDF queue-wait histogram: entry-to-grant latency
+/// across every gate in the process, on the global registry so the
+/// serving tier's `MetricsSnapshot` opcode exposes it.
 fn queue_wait_hist() -> &'static hammer_obs::Histogram {
     static H: std::sync::OnceLock<hammer_obs::Histogram> = std::sync::OnceLock::new();
     H.get_or_init(|| hammer_obs::Registry::global().histogram("pool.queue_wait_ns"))
@@ -304,215 +267,180 @@ fn elapsed_ns(since: Instant) -> u64 {
     since.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// The worker body: pop-run until shutdown *and* the queue is drained
-/// (graceful shutdown finishes queued work instead of dropping it).
-fn worker_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut state = shared.state.lock().expect("pool mutex unpoisoned");
-            loop {
-                if let Some(queued) = state.jobs.pop() {
-                    queue_wait_hist().record(elapsed_ns(queued.enqueued));
-                    break queued.job;
-                }
-                if state.shutdown {
-                    return;
-                }
-                state = shared
-                    .wake
-                    .wait(state)
-                    .expect("pool mutex unpoisoned while waiting");
-            }
-        };
-        if catch_unwind(AssertUnwindSafe(job)).is_err() {
-            shared.panics.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
-    #[test]
-    fn more_jobs_than_threads_all_complete() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = WorkerPool::with_queue_limit(2, usize::MAX);
-            for _ in 0..64 {
-                let counter = Arc::clone(&counter);
-                assert!(pool
-                    .try_submit_with_deadline(None, move || {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    })
-                    .is_ok());
-            }
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn try_submit_refuses_beyond_the_queue_limit() {
-        // One worker, parked on a gate, so queued jobs pile up
-        // deterministically.
-        let pool = WorkerPool::with_queue_limit(1, 2);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        {
-            let gate = Arc::clone(&gate);
-            assert!(pool
-                .try_submit_with_deadline(None, move || {
-                    let (lock, cv) = &*gate;
-                    let mut open = lock.lock().unwrap();
-                    while !*open {
-                        open = cv.wait(open).unwrap();
-                    }
-                })
-                .is_ok());
-        }
-        // Wait until the worker has *dequeued* the blocker.
-        loop {
-            let queued = pool.shared.state.lock().unwrap().jobs.len();
-            if queued == 0 {
-                break;
-            }
+    /// Polls until exactly `n` entrants wait on `gate`; entrants run on
+    /// other threads, so their arrival is observed, not assumed.
+    fn await_queued(gate: &Admission, n: usize) {
+        let by = Instant::now() + Duration::from_secs(10);
+        while gate.queued() != n {
+            assert!(
+                Instant::now() < by,
+                "{} waiting, expected {n}",
+                gate.queued()
+            );
             std::thread::yield_now();
         }
-        assert!(pool.try_submit_with_deadline(None, || {}).is_ok());
-        assert!(pool.try_submit_with_deadline(None, || {}).is_ok());
-        // Queue now holds 2 waiting jobs = the limit.
-        assert!(pool.try_submit_with_deadline(None, || {}).is_err());
-        // Open the gate; drop drains the rest.
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
     }
 
     #[test]
-    fn drop_drains_queued_jobs() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        {
-            let pool = WorkerPool::with_queue_limit(1, usize::MAX);
-            for _ in 0..32 {
-                let counter = Arc::clone(&counter);
-                assert!(pool
-                    .try_submit_with_deadline(None, move || {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    })
-                    .is_ok());
+    fn no_more_than_slots_permits_are_held_at_once() {
+        let gate = Admission::new(2, usize::MAX);
+        let held = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        let done = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..6 {
+                s.spawn(|| {
+                    for _ in 0..20 {
+                        let _permit = gate.enter(None).expect("unbounded queue admits");
+                        let now = held.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        std::thread::yield_now();
+                        held.fetch_sub(1, Ordering::SeqCst);
+                        done.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
             }
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 32);
+        });
+        assert_eq!(done.load(Ordering::SeqCst), 120);
+        assert!(peak.load(Ordering::SeqCst) <= 2, "{peak:?} permits held");
+        assert_eq!(gate.queued(), 0);
     }
 
     #[test]
-    fn workers_survive_panicking_jobs() {
-        let pool = WorkerPool::with_queue_limit(1, usize::MAX);
-        assert!(pool
-            .try_submit_with_deadline(None, || panic!("job panic"))
-            .is_ok());
-        // The same single worker must still run later jobs.
+    fn enter_refuses_beyond_the_queue_limit() {
+        // A queue limit of 0 refuses even with every slot free.
+        assert!(Admission::new(1, 0).enter(None).is_none());
+
+        let gate = Admission::new(1, 2);
+        let permit = gate.enter(None).expect("a free slot is granted");
+        std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..2)
+                .map(|_| s.spawn(|| gate.enter(None).is_some()))
+                .collect();
+            await_queued(&gate, 2);
+            // Two waiting entrants = the limit: the next is refused at
+            // once instead of joining them.
+            assert!(gate.enter(None).is_none());
+            drop(permit);
+            for w in waiters {
+                assert!(w.join().unwrap(), "a waiter below the limit is granted");
+            }
+        });
+    }
+
+    #[test]
+    fn waiters_are_granted_after_shutdown_begins() {
+        let gate = Admission::new(1, usize::MAX);
+        let granted = AtomicUsize::new(0);
+        let permit = gate.enter(None).expect("a free slot is granted");
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let _permit = gate.enter(None).expect("entered before shutdown");
+                    granted.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            await_queued(&gate, 4);
+            gate.begin_shutdown();
+            drop(permit);
+        });
+        assert_eq!(granted.load(Ordering::SeqCst), 4);
+        assert!(gate.enter(None).is_none(), "later entrants are refused");
+    }
+
+    #[test]
+    fn a_permit_dropped_during_unwind_frees_its_slot() {
+        let gate = Arc::new(Admission::new(1, usize::MAX));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _permit = gate.enter(None).expect("a free slot is granted");
+            panic!("holder panic");
+        }));
+        assert!(unwound.is_err());
+        // The lone slot is free again: a fresh entrant is granted
+        // instead of waiting forever.
         let (tx, rx) = std::sync::mpsc::channel();
-        assert!(pool
-            .try_submit_with_deadline(None, move || tx.send(7u32).expect("receiver alive"))
-            .is_ok());
-        assert_eq!(rx.recv().expect("the worker survived"), 7);
-        assert_eq!(pool.panicked_jobs(), 1);
+        let entrant = Arc::clone(&gate);
+        std::thread::spawn(move || tx.send(entrant.enter(None).is_some()));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(true));
     }
 
     #[test]
-    fn try_submit_during_shutdown_is_refused_not_hung() {
-        let pool = WorkerPool::with_queue_limit(1, usize::MAX);
-        pool.begin_shutdown();
-        let ran = Arc::new(AtomicUsize::new(0));
-        let job = {
-            let ran = Arc::clone(&ran);
-            move || {
-                ran.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        // Refused immediately — before this check a post-shutdown job
-        // would sit in the queue forever with the workers gone.
-        assert!(pool.try_submit_with_deadline(None, job).is_err());
-        drop(pool);
-        assert_eq!(ran.load(Ordering::Relaxed), 0);
+    fn enter_after_shutdown_is_refused_at_once() {
+        let gate = Admission::new(1, usize::MAX);
+        gate.begin_shutdown();
+        // Refused immediately, with the slot free: admitting work after
+        // shutdown began would keep the drain waiting on it.
+        assert!(gate.enter(None).is_none());
+        assert_eq!(gate.queued(), 0);
     }
 
     #[test]
-    fn drop_drain_is_bounded_with_a_slow_job_in_flight() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let start = std::time::Instant::now();
-        {
-            let pool = WorkerPool::with_queue_limit(1, usize::MAX);
-            let counter_slow = Arc::clone(&counter);
-            assert!(pool
-                .try_submit_with_deadline(None, move || {
-                    std::thread::sleep(std::time::Duration::from_millis(150));
-                    counter_slow.fetch_add(1, Ordering::Relaxed);
-                })
-                .is_ok());
+    fn drain_behind_a_slow_holder_is_bounded() {
+        let gate = Admission::new(1, usize::MAX);
+        let ran = AtomicUsize::new(0);
+        let start = Instant::now();
+        let slow = gate.enter(None).expect("a free slot is granted");
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                let counter = Arc::clone(&counter);
-                assert!(pool
-                    .try_submit_with_deadline(None, move || {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    })
-                    .is_ok());
+                s.spawn(|| {
+                    let _permit = gate.enter(None).expect("entered before shutdown");
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
             }
-        }
-        // Drop drained everything — including behind the slow job — and
-        // came back within the slow job's duration plus slack, not a
-        // deadlock-shaped forever.
-        assert_eq!(counter.load(Ordering::Relaxed), 9);
+            await_queued(&gate, 8);
+            gate.begin_shutdown();
+            s.spawn(move || {
+                std::thread::sleep(Duration::from_millis(150));
+                drop(slow);
+            });
+        });
+        // Every waiter behind the slow holder was granted, within the
+        // holder's duration plus slack, not a deadlock-shaped forever.
+        assert_eq!(ran.load(Ordering::SeqCst), 8);
         assert!(
-            start.elapsed() < std::time::Duration::from_secs(10),
+            start.elapsed() < Duration::from_secs(10),
             "drain took {:?}",
             start.elapsed()
         );
     }
 
     #[test]
-    fn deadlined_jobs_dequeue_earliest_deadline_first() {
-        // One worker parked on a gate, so the queue order is decided
-        // before anything runs: jobs submitted with out-of-order
-        // deadlines must dequeue in deadline order, undeadlined jobs
-        // FIFO after every deadlined one.
-        let pool = WorkerPool::with_queue_limit(1, 16);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        {
-            let gate = Arc::clone(&gate);
-            assert!(pool
-                .try_submit_with_deadline(None, move || {
-                    let (lock, cv) = &*gate;
-                    let mut open = lock.lock().unwrap();
-                    while !*open {
-                        open = cv.wait(open).unwrap();
-                    }
-                })
-                .is_ok());
-        }
-        loop {
-            if pool.queued_jobs() == 0 {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        let order = Arc::new(Mutex::new(Vec::new()));
+    fn waiters_are_granted_earliest_deadline_first() {
+        // The lone slot is held while entrants with out-of-order
+        // deadlines queue, so the grant order is decided before anyone
+        // runs: deadline order, undeadlined entrants FIFO after every
+        // deadlined one.
+        let gate = Admission::new(1, 16);
+        let order = Mutex::new(Vec::new());
         let now = Instant::now();
-        let tag = |name: &'static str| {
-            let order = Arc::clone(&order);
-            move || order.lock().unwrap().push(name)
-        };
-        let ms = |n: u64| Some(now + std::time::Duration::from_millis(n));
-        assert!(pool.try_submit_with_deadline(None, tag("none-1")).is_ok());
-        assert!(pool.try_submit_with_deadline(ms(300), tag("late")).is_ok());
-        assert!(pool.try_submit_with_deadline(ms(100), tag("early")).is_ok());
-        assert!(pool.try_submit_with_deadline(ms(200), tag("mid")).is_ok());
-        assert!(pool.try_submit_with_deadline(None, tag("none-2")).is_ok());
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        drop(pool); // drains the queue in dequeue order
+        let ms = |n: u64| Some(now + Duration::from_millis(n));
+        let permit = gate.enter(None).expect("a free slot is granted");
+        std::thread::scope(|s| {
+            let entrants = [
+                ("none-1", None),
+                ("late", ms(300)),
+                ("early", ms(100)),
+                ("mid", ms(200)),
+                ("none-2", None),
+            ];
+            for (i, (name, deadline)) in entrants.into_iter().enumerate() {
+                let (gate, order) = (&gate, &order);
+                s.spawn(move || {
+                    let _permit = gate.enter(deadline).expect("the queue has room");
+                    order.lock().unwrap().push(name);
+                });
+                // One at a time, so the entry sequence is the listed
+                // order.
+                await_queued(gate, i + 1);
+            }
+            drop(permit);
+        });
         assert_eq!(
             *order.lock().unwrap(),
             vec!["early", "mid", "late", "none-1", "none-2"]
@@ -520,33 +448,19 @@ mod tests {
     }
 
     #[test]
-    fn queued_jobs_reports_waiting_depth() {
-        let pool = WorkerPool::with_queue_limit(1, 8);
-        assert_eq!(pool.queued_jobs(), 0);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        {
-            let gate = Arc::clone(&gate);
-            assert!(pool
-                .try_submit_with_deadline(None, move || {
-                    let (lock, cv) = &*gate;
-                    let mut open = lock.lock().unwrap();
-                    while !*open {
-                        open = cv.wait(open).unwrap();
-                    }
-                })
-                .is_ok());
-        }
-        loop {
-            if pool.queued_jobs() == 0 {
-                break;
+    fn queued_reports_the_waiting_depth() {
+        let gate = Admission::new(1, 8);
+        assert_eq!(gate.queued(), 0);
+        let permit = gate.enter(None).expect("a free slot is granted");
+        // The holder is not waiting.
+        assert_eq!(gate.queued(), 0);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| drop(gate.enter(None)));
             }
-            std::thread::yield_now();
-        }
-        assert!(pool.try_submit_with_deadline(None, || {}).is_ok());
-        assert!(pool.try_submit_with_deadline(None, || {}).is_ok());
-        assert_eq!(pool.queued_jobs(), 2);
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
+            await_queued(&gate, 2);
+            drop(permit);
+        });
+        assert_eq!(gate.queued(), 0);
     }
 }

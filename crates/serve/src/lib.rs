@@ -20,14 +20,14 @@
 //!   ([`Distribution::from_raw_parts`](hammer_dist::Distribution::from_raw_parts)),
 //!   so hostile bytes surface as [`WireError`]s, never panics;
 //! * [`serve`] / [`ServerHandle`] — a `std::net` TCP runtime: acceptor,
-//!   one thread per connection that answers its frames in order, a
-//!   **bounded**
-//!   earliest-deadline-first request queue on a persistent
-//!   [`hammer_pool::WorkerPool`] (503-style [`Reply::Busy`]
-//!   backpressure when full), and graceful shutdown that drains
-//!   in-flight work. Each request's computation fans out on scoped
-//!   threads through [`hammer_pool::run_tiles`]; the request queue is
-//!   the only persistent pool;
+//!   one thread per connection that answers its frames in order and
+//!   computes its own cache misses, an admission gate
+//!   ([`hammer_pool::Admission`]) that bounds how many misses compute
+//!   at once behind a **bounded** earliest-deadline-first queue
+//!   (503-style [`Reply::Busy`] backpressure when full), and graceful
+//!   shutdown that drains in-flight work. Each request's computation
+//!   fans out on scoped threads through [`hammer_pool::run_tiles`];
+//!   the server keeps no pool of its own;
 //! * the **batching + caching core** — concurrent identical requests
 //!   coalesce onto one computation via an in-flight map keyed by stable
 //!   `u64` fingerprints, backed by a sharded LRU cache of completed

@@ -1,5 +1,5 @@
-//! The server runtime: TCP acceptor, one thread per connection, a
-//! bounded worker-pool request queue with `Busy` backpressure, and
+//! The server runtime: TCP acceptor, one thread per connection, an
+//! admission gate with `Busy` backpressure in front of compute, and
 //! graceful shutdown that drains in-flight work.
 //!
 //! # Thread anatomy
@@ -7,10 +7,10 @@
 //! ```text
 //! acceptor ── one thread per socket ─┐
 //!                                    ▼
-//! socket ── frame ─────────► connection thread ── miss ──► request pool
-//!        ◄── reply, in order ─ (cache probe)   ◄─ reply ── (WorkerPool,
-//!                                                           bounded EDF queue,
-//!                                                           Busy when full)
+//! socket ── frame ─────────► connection thread ── miss ──► admission gate
+//!        ◄── reply, in order ─ (cache probe,    ◄─ permit ─ (`workers` slots,
+//!                               compute under               bounded EDF queue,
+//!                               the permit)                 Busy when full)
 //! ```
 //!
 //! Each connection thread reads a frame, answers it, writes the reply
@@ -18,19 +18,20 @@
 //! one connection leave in request order. It decodes each compute
 //! request, hashes its cache key and probes the distribution cache
 //! itself: a hit is written straight back, so hot requests never wait
-//! behind cold work for a worker. Only misses are queued; the
-//! connection thread blocks until the job hands its reply back. A
-//! client that pipelines frames gets them answered one after another,
-//! and a client that stops reading stalls only its own connection
-//! thread (TCP backpressure, bounded by the write timeout).
+//! behind cold work. A miss enters the admission gate and, once
+//! granted a permit, computes on the same connection thread. A client
+//! that pipelines frames gets them answered one after another, and a
+//! client that stops reading stalls only its own connection thread
+//! (TCP backpressure, bounded by the write timeout).
 //!
-//! The request pool is the only persistent pool: it admits requests
-//! (bounded queue, `Busy` backpressure, earliest deadline first) and
-//! runs each one on a request worker. The computation inside a request
-//! — kernel tiles and simulator trial blocks — fans out on scoped
-//! threads through [`hammer_pool::run_tiles`] and joins before the
-//! request worker moves on, so compute never queues behind requests
-//! and a request job never waits on its own pool.
+//! The gate ([`hammer_pool::Admission`]) spawns no threads; it only
+//! decides admission: at most `workers` misses compute at once, not
+//! one per connection thread, at most `queue_limit` wait (beyond that
+//! the reply is `Busy`), and waiters are granted earliest deadline
+//! first. The computation inside
+//! a request — kernel tiles and simulator trial blocks — fans out on
+//! scoped threads through [`hammer_pool::run_tiles`] and joins before
+//! the permit is dropped.
 //!
 //! # Observability
 //!
@@ -51,7 +52,7 @@ use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -62,7 +63,7 @@ use hammer_obs::{
     gen_trace_id, Counter, EventLog, Histogram, MetricsSnapshot, Registry, RollupConfig, SloSpec,
     SloStatus, SloTracker, TimeSeries, TraceCtx, TraceRing,
 };
-use hammer_pool::WorkerPool;
+use hammer_pool::Admission;
 use hammer_sim::AutoEngine;
 
 use crate::cache::{Claim, ComputeError, ComputeResult, DistCache, InFlight};
@@ -75,10 +76,11 @@ use crate::store::DistStore;
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (tests).
     pub addr: String,
-    /// Request-execution workers.
+    /// Cache misses that compute at once: the admission gate's slots.
+    /// Each runs on its own connection thread while it holds one.
     pub workers: usize,
-    /// Queued (not yet running) requests beyond which the server
-    /// replies `Busy`.
+    /// Misses waiting for a slot beyond which the server replies
+    /// `Busy`; 0 refuses every computation.
     pub queue_limit: usize,
     /// Distribution-cache budget in mebibytes.
     pub cache_mb: usize,
@@ -147,8 +149,9 @@ const TRACE_RING_CAP: usize = 64;
 struct RuntimeCounters {
     requests: Counter,
     busy: Counter,
-    /// Queued jobs shed at dequeue because their deadline had already
-    /// expired — answered `DeadlineExceeded` without computing.
+    /// Misses shed when granted because their deadline had already
+    /// expired in the queue — answered `DeadlineExceeded` without
+    /// computing.
     deadline_sheds: Counter,
     /// Every reply written (or attempted), and the subset that refused
     /// or failed the request (`Error` / `Busy` / `DeadlineExceeded` /
@@ -210,7 +213,7 @@ impl StageHists {
 
 /// Shared server state.
 pub(crate) struct ServerState {
-    request_pool: WorkerPool,
+    admission: Admission,
     cache: DistCache,
     /// The persistent spill tier, if configured and openable.
     store: Option<DistStore>,
@@ -258,7 +261,7 @@ impl ServerState {
             .set(i64::try_from(self.connections.load(Ordering::SeqCst)).unwrap_or(i64::MAX));
         self.obs
             .gauge("serve.queue.depth")
-            .set(i64::try_from(self.request_pool.queued_jobs()).unwrap_or(i64::MAX));
+            .set(i64::try_from(self.admission.queued()).unwrap_or(i64::MAX));
         self.obs.snapshot().merge(Registry::global().snapshot())
     }
 
@@ -376,10 +379,10 @@ impl ServerHandle {
 /// Flags shutdown and unblocks the acceptor with a wake-up connection.
 fn begin_shutdown(state: &ServerState, addr: SocketAddr) {
     if !state.shutting_down.swap(true, Ordering::SeqCst) {
-        // Already-queued jobs drain; later submissions are refused at
-        // the pool, which also catches a request that passed its
-        // connection's flag check just before the flag flipped.
-        state.request_pool.begin_shutdown();
+        // Misses already waiting are still granted; later entrants are
+        // refused at the gate, which also catches a request that passed
+        // its connection's flag check just before the flag flipped.
+        state.admission.begin_shutdown();
         // The acceptor blocks in `accept`; a throwaway connection makes
         // it re-check the flag. Failure is fine (acceptor already gone).
         let _ = TcpStream::connect(addr);
@@ -412,7 +415,7 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
         }
     });
     let state = Arc::new(ServerState {
-        request_pool: WorkerPool::with_queue_limit(config.workers.max(1), config.queue_limit),
+        admission: Admission::new(config.workers.max(1), config.queue_limit),
         cache: DistCache::new(config.cache_mb.saturating_mul(1024 * 1024), &obs),
         store,
         inflight: InFlight::new(&obs),
@@ -539,7 +542,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
 
 /// The per-connection thread: reads a frame, [`answer`]s it, writes the
 /// reply with [`respond`], and only then reads the next frame.
-fn connection_loop(mut stream: TcpStream, state: &Arc<ServerState>, addr: SocketAddr) {
+fn connection_loop(mut stream: TcpStream, state: &ServerState, addr: SocketAddr) {
     // Writes are always bounded; reads are bounded per-frame by
     // `read_one_frame`.
     let _ = stream.set_write_timeout(state.io_timeout);
@@ -577,10 +580,10 @@ fn connection_loop(mut stream: TcpStream, state: &Arc<ServerState>, addr: Socket
 }
 
 /// Answers one request frame: the shutdown check, decode, the cheap
-/// opcodes, the cache probe, or a queued computation this thread waits
-/// for. Traced compute requests also hand back their opcode and trace
-/// context for [`respond`] to finish.
-fn answer(state: &Arc<ServerState>, frame: &Frame) -> (Reply, Option<(u8, TraceCtx)>) {
+/// opcodes, the cache probe, or a computation under an admission
+/// permit. Traced compute requests also hand back their opcode and
+/// trace context for [`respond`] to finish.
+fn answer(state: &ServerState, frame: &Frame) -> (Reply, Option<(u8, TraceCtx)>) {
     let op = frame.opcode;
     // A draining server answers surviving connections in-band —
     // `ShuttingDown`, not a silent close — so clients distinguish
@@ -623,76 +626,73 @@ fn answer(state: &Arc<ServerState>, frame: &Frame) -> (Reply, Option<(u8, TraceC
     (reply, ctx.map(|c| (op, c)))
 }
 
-/// Answers one compute request. Hot hits are answered on the
-/// connection thread: no queue, no worker. Misses queue on the request
-/// pool (the leader's re-probe at `claim` catches entries that land
-/// while they wait), and this thread blocks until the job hands its
-/// reply back.
+/// Answers one compute request. Hot hits are answered straight from
+/// the cache. A miss enters the admission gate and, once granted a
+/// permit, computes on this thread while it holds it (the leader's
+/// re-probe at `claim` catches entries that land while it waits).
 fn answer_compute(
-    state: &Arc<ServerState>,
+    state: &ServerState,
     compute: Request,
     deadline_ms: u32,
     trace: Option<&TraceCtx>,
 ) -> Reply {
-    let key = cache_key(&compute);
-    let probed = {
+    // The probe span covers hashing the key as well as the lookup.
+    let (key, probed) = {
         let _t = trace.map(|c| c.span("cache_probe", Some(&state.stages.cache_probe)));
-        state.cache.get(key)
+        let key = cache_key(&compute);
+        (key, state.cache.get(key))
     };
     if let Some(hit) = probed {
         state.counters.requests.inc();
         return Reply::Distribution((*hit).clone());
     }
     // The deadline clock starts before the request queues: time spent
-    // behind the admission queue counts against it.
+    // waiting for a slot counts against it.
     let cancel = if deadline_ms > 0 {
         CancelToken::after(Duration::from_millis(u64::from(deadline_ms)))
     } else {
         CancelToken::new()
     };
-    let job_state = Arc::clone(state);
-    let trace = trace.cloned();
-    // The queue-wait span runs from here (submission) to the top of the
-    // job closure (dequeue on a worker).
-    let queued_at = trace.as_ref().map(TraceCtx::elapsed_ns);
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    // Deadlined jobs queue earliest-deadline-first, so a mixed-budget
-    // storm spends workers on the requests that can still make it
-    // (undeadlined jobs queue FIFO behind every deadlined one).
-    let submitted = state
-        .request_pool
-        .try_submit_with_deadline(cancel.deadline(), move || {
-            if let (Some(c), Some(start)) = (&trace, queued_at) {
-                let waited = c.elapsed_ns().saturating_sub(start);
-                c.add_span("queue", start, waited);
-                job_state.stages.queue.record(waited);
-            }
-            // The cheapest cancellation point: the deadline may have
-            // expired while the job sat in the queue — shed it without
-            // computing.
-            let reply = if cancel.is_cancelled() {
-                job_state.counters.deadline_sheds.inc();
-                Reply::DeadlineExceeded
-            } else {
-                handle_compute(&job_state, compute, key, &cancel, trace.as_ref())
-            };
-            let _ = reply_tx.send(reply);
-        });
-    if submitted.is_err() {
+    // The queue span runs from here (entry) to the grant.
+    let queued_at = trace.map(TraceCtx::elapsed_ns);
+    // Deadlined misses are granted earliest-deadline-first, so a
+    // mixed-budget storm spends slots on the requests that can still
+    // make it (undeadlined ones are granted FIFO behind every deadlined
+    // one).
+    let Some(_permit) = state.admission.enter(cancel.deadline()) else {
         // A full queue, or shutdown began after `answer` checked the
-        // flag (the pool refuses once `begin_shutdown` reached it).
+        // flag (the gate refuses once `begin_shutdown` reached it).
         state.counters.busy.inc();
         return if state.shutting_down.load(Ordering::SeqCst) {
             Reply::ShuttingDown
         } else {
             Reply::Busy
         };
-    }
-    // A dropped sender means the job died outside `cached_compute`'s
-    // `catch_unwind`; the request still gets an answer.
-    reply_rx
-        .recv()
-        .unwrap_or_else(|_| Reply::Error("request job died before replying".into()))
+    };
+    // A panic under the permit still becomes a reply, so the request is
+    // answered and the drain count falls; the permit is freed either
+    // way when this function returns.
+    catch_unwind(AssertUnwindSafe(|| {
+        if let (Some(c), Some(start)) = (trace, queued_at) {
+            let waited = c.elapsed_ns().saturating_sub(start);
+            c.add_span("queue", start, waited);
+            state.stages.queue.record(waited);
+        }
+        // The cheapest cancellation point: the deadline may have
+        // expired while the request waited for a slot — shed it
+        // without computing.
+        if cancel.is_cancelled() {
+            state.counters.deadline_sheds.inc();
+            return Reply::DeadlineExceeded;
+        }
+        handle_compute(state, compute, key, &cancel, trace)
+    }))
+    .unwrap_or_else(|payload| {
+        Reply::Error(format!(
+            "request panicked: {}",
+            hammer_pool::panic_message(payload.as_ref())
+        ))
+    })
 }
 
 /// Writes one reply on the connection's own socket and closes the
@@ -792,9 +792,9 @@ fn read_one_frame(stream: &mut TcpStream, state: &ServerState) -> FrameOutcome {
 }
 
 /// Executes one compute request that missed the connection thread's
-/// cache probe, on a pool worker; `key` is its [`cache_key`].
+/// cache probe, under an admission permit; `key` is its [`cache_key`].
 fn handle_compute(
-    state: &Arc<ServerState>,
+    state: &ServerState,
     request: Request,
     key: u64,
     cancel: &CancelToken,
@@ -860,12 +860,12 @@ fn cache_key(request: &Request) -> u64 {
 /// The leader computes under a publish-on-drop guard, so **every** exit
 /// — success, failure, cancellation, panic — wakes the followers.
 /// Followers wait no longer than their own deadline, and when the
-/// leader's failure was leader-specific (its deadline fired, its worker
-/// panicked) they re-claim the key and compute for themselves rather
+/// leader's failure was leader-specific (its deadline fired, its
+/// computation panicked) they re-claim the key and compute for themselves rather
 /// than inherit a failure their budget did not earn.
 ///
 /// A leader first re-probes the cache (the entry may have landed while
-/// the job was queued), then the persistent store: a disk hit promotes
+/// the request waited for a slot), then the persistent store: a disk hit promotes
 /// back into the cache and skips the computation entirely
 /// (`store_loads`, not `cache_misses`).
 ///
@@ -874,7 +874,7 @@ fn cache_key(request: &Request) -> u64 {
 /// the computation itself is `compute`; the connection thread already
 /// recorded `cache_probe`.
 fn cached_compute<F>(
-    state: &Arc<ServerState>,
+    state: &ServerState,
     key: u64,
     cancel: &CancelToken,
     trace: Option<&TraceCtx>,
@@ -891,10 +891,9 @@ where
         match state.inflight.claim(key) {
             Claim::Leader => {
                 let guard = state.inflight.publish_guard(key);
-                // The entry may have landed while this job sat in the
-                // queue (a racing leader completed between the connection
-                // thread's probe and our claim); serve it rather than
-                // recompute.
+                // The entry may have landed while this request waited
+                // for a slot (a racing leader completed between the
+                // probe and our claim); serve it rather than recompute.
                 // `get` counts the hit, which is accurate: the entry IS
                 // there.
                 let result: ComputeResult = if let Some(hit) = state.cache.get(key) {
@@ -955,8 +954,8 @@ where
                 };
                 match result {
                     Err(e) if e.is_leader_specific() => {
-                        // The *leader's* deadline fired or its worker
-                        // died; our budget may still be live. Probe the
+                        // The *leader's* deadline fired or its compute
+                        // panicked; our budget may still be live. Probe the
                         // cache (a racing re-leader may have finished)
                         // and try to lead ourselves.
                         if let Some(hit) = state.cache.get(key) {

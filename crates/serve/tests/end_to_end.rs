@@ -332,8 +332,8 @@ fn large_local_reconstructs_are_answered_exactly() {
     let _ = server.wait();
 }
 
-/// A reconstruction large enough to pin the single worker for a few
-/// hundred milliseconds: 40K distinct outcomes at 20 bits.
+/// A reconstruction large enough to hold the single compute slot for a
+/// few hundred milliseconds: 40K distinct outcomes at 20 bits.
 fn large_counts() -> Counts {
     let mut counts = Counts::new(20).unwrap();
     for i in 0..40_000u64 {
@@ -345,9 +345,9 @@ fn large_counts() -> Counts {
     counts
 }
 
-/// Cache hits are answered on the connection's reader, so a warm input
-/// never queues behind cold work: with the lone worker pinned by a long
-/// reconstruct, a 5 ms-deadline request for a warm input still gets the
+/// Cache hits are answered on the connection thread, so a warm input
+/// never queues behind cold work: with the lone compute slot held by a
+/// long reconstruct, a 5 ms-deadline request for a warm input still gets the
 /// cached reply instead of `DeadlineExceeded`.
 #[test]
 fn warm_hits_are_answered_while_the_lone_worker_is_pinned() {
@@ -369,13 +369,13 @@ fn warm_hits_are_answered_while_the_lone_worker_is_pinned() {
         c.reconstruct(&large_counts(), &HammerConfig::paper())
             .expect("the undeadlined blocker completes")
     });
-    // `serve.requests` counts a queued job once a worker starts it, so
-    // at 2 (the warm-up and the blocker) the lone worker is pinned.
+    // `serve.requests` counts a miss once it is granted a slot, so at
+    // 2 (the warm-up and the blocker) the lone slot is held.
     let pinned_by = Instant::now() + Duration::from_secs(30);
     while count(&server.obs_snapshot(), "serve.requests") != 2 {
         assert!(
             Instant::now() < pinned_by,
-            "the blocker never reached the worker"
+            "the blocker was never granted the compute slot"
         );
         std::thread::sleep(Duration::from_millis(1));
     }

@@ -55,8 +55,8 @@ fn start_traced(store_dir: Option<PathBuf>) -> ServerHandle {
 }
 
 /// Polls the server's trace ring until a trace with `trace_id` shows
-/// up (the writer thread finalizes a trace *after* flushing the reply,
-/// so the dump can race one reply behind).
+/// up (the connection thread finalizes a trace *after* writing the
+/// reply, so the dump can race one reply behind).
 fn await_trace(client: &mut ServeClient, trace_id: u64) -> TraceDumpEntry {
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut drained = Vec::new();
@@ -260,8 +260,8 @@ fn chaos_proxy_tags_faults_with_the_victim_trace_id() {
     let _ = server.wait();
 }
 
-/// A reconstruction large enough to pin the single worker well past the
-/// client's 20 ms head start: 40K distinct outcomes take a few hundred
+/// A reconstruction large enough to hold the single compute slot well
+/// past the client's 20 ms head start: 40K distinct outcomes take a few hundred
 /// milliseconds on a 2-CPU host even with POPCNT and the triangular
 /// kernel passes.
 fn large_counts() -> Counts {
@@ -290,23 +290,23 @@ fn deadline_misses_are_always_captured() {
     .expect("server starts");
     let addr = server.local_addr().to_string();
 
-    // Pin the lone worker with a long cold reconstruct, then queue a
-    // short-deadline request behind it: its budget expires in the
-    // queue, so it is shed at dequeue as DeadlineExceeded.
+    // Hold the lone compute slot with a long cold reconstruct, then
+    // queue a short-deadline request behind it: its budget expires in
+    // the queue, so it is shed when granted as DeadlineExceeded.
     let blocker_addr = addr.clone();
     let blocker = std::thread::spawn(move || {
         let mut c = ServeClient::connect(blocker_addr).expect("blocker connects");
         c.reconstruct(&large_counts(), &HammerConfig::paper())
             .expect("the undeadlined blocker completes")
     });
-    // `serve.requests` counts a job once a worker starts it, so at 1
-    // the lone worker is pinned. (Deadlined jobs queue ahead of
-    // undeadlined ones, so the blocker must be running, not queued.)
+    // `serve.requests` counts a miss once it is granted a slot, so at
+    // 1 the lone slot is held. (Deadlined misses are granted ahead of
+    // undeadlined ones, so the blocker must be computing, not queued.)
     let pinned_by = Instant::now() + Duration::from_secs(30);
     while server.obs_snapshot().counter("serve.requests") != Some(1) {
         assert!(
             Instant::now() < pinned_by,
-            "the blocker never reached the worker"
+            "the blocker was never granted the compute slot"
         );
         std::thread::sleep(Duration::from_millis(1));
     }
@@ -317,7 +317,7 @@ fn deadline_misses_are_always_captured() {
         .with_busy_retries(0, Duration::ZERO)
         .with_deadline(Some(Duration::from_millis(5)));
     let result = client.reconstruct(&small_counts(5), &HammerConfig::paper());
-    assert!(result.is_err(), "a 5ms budget dies behind a pinned worker");
+    assert!(result.is_err(), "a 5ms budget dies behind a held slot");
 
     let _ = blocker.join().expect("blocker thread");
     let mut probe = ServeClient::connect(&addr).expect("probe connects");

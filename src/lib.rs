@@ -72,7 +72,6 @@ pub mod prelude {
         BitString, Counts, Distribution, HammingSpectrum,
     };
     pub use hammer_graphs::{generators, Graph, MaxCut};
-    pub use hammer_pool::WorkerPool;
     pub use hammer_qaoa::{PostProcess, QaoaOutcome, QaoaParams, QaoaRunner};
     pub use hammer_serve::{serve, DeviceSpec, SampleJob, ServeClient, ServeConfig};
     pub use hammer_sim::{
