@@ -1,25 +1,35 @@
-//! The batching + caching core: a sharded LRU cache of completed
-//! [`Distribution`]s plus an in-flight map that coalesces concurrent
-//! identical requests onto one computation.
+//! The batching + caching core: one sharded map from a request's key
+//! to either its finished [`Distribution`] or the computation in
+//! progress that concurrent identical requests coalesce onto.
 //!
-//! Both structures key on the stable `u64` fingerprints of the request
-//! content (see [`hammer_dist::fingerprint`]): `Reconstruct` keys on
+//! Keys are the stable `u64` fingerprints of the request content (see
+//! [`hammer_dist::fingerprint`]): `Reconstruct` keys on
 //! `(counts, config)`, `SampleAndReconstruct` on
-//! `(circuit, device, trials, seed, config)`. The flow per request:
+//! `(circuit, device, trials, seed, config)`. One
+//! [`lookup`](DistCache::lookup), under one shard lock, decides what a
+//! request does:
 //!
-//! 1. probe the cache — a hit returns immediately;
-//! 2. claim the key in the in-flight map — the **leader** (first
-//!    claimant) computes, inserts into the cache, and publishes the
-//!    result; **followers** block on the leader's slot and receive the
-//!    published value without computing (`coalesced` counter);
-//! 3. eviction is per-shard LRU under an approximate byte budget.
+//! * [`Lookup::Hit`] — the key has finished: answer at once;
+//! * [`Lookup::Follow`] — another request is computing it: wait on its
+//!   [`Slot`] and receive the published result without computing
+//!   (`serve.coalesced` counts each join);
+//! * [`Lookup::Lead`] — a pending entry was just inserted and this
+//!   request computes it. Its [`Lease`] publishes the result, which
+//!   swaps the pending entry for the finished one and wakes the
+//!   followers.
 //!
-//! The cache counters (`serve.cache.{hits,misses,evictions}`,
-//! `serve.coalesced`) live here on the server's metric registry; the
+//! Finished entries are evicted per shard, least recently used first,
+//! under an approximate byte budget. A pending entry is never evicted
+//! and counts toward neither the budget nor
+//! [`entries`](DistCache::entries) and [`resident`](DistCache::resident).
+//! The counters (`serve.cache.{hits,misses,evictions}`,
+//! `serve.coalesced`) live on the server's metric registry; the
 //! request/busy tallies are kept by the server runtime.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
 use hammer_dist::Distribution;
 use hammer_obs::{Counter, Registry};
@@ -28,11 +38,15 @@ use hammer_obs::{Counter, Registry};
 /// removes lock contention without a tuning knob.
 const SHARDS: usize = 16;
 
-/// Approximate heap footprint of a cached distribution: the AoS entries
-/// (16 B) plus the three SoA mirror arrays (8 B each) per element, plus
-/// a fixed struct overhead.
+/// Approximate heap footprint of a cached distribution: the struct
+/// plus its four arrays, the AoS `(u128, f64)` entries (32 B each,
+/// since `u128` is 16-aligned) and the three 8 B SoA mirrors.
 fn approx_bytes(d: &Distribution) -> usize {
-    96 + d.len() * (16 + 8 + 8 + 8)
+    size_of::<Distribution>()
+        + size_of_val(d.as_slice())
+        + size_of_val(d.keys())
+        + size_of_val(d.keys_hi())
+        + size_of_val(d.probs())
 }
 
 /// An entry evicted under memory pressure, handed back to the caller
@@ -40,59 +54,78 @@ fn approx_bytes(d: &Distribution) -> usize {
 /// instead of discarding it: `(key, value)`.
 pub type Evicted = (u64, Arc<Distribution>);
 
-/// One LRU shard: the value map plus a recency index keyed by a
-/// monotone per-shard tick.
+/// What a shard holds under one key.
+enum Cached {
+    /// A finished distribution with its last-touch tick and
+    /// approximate bytes.
+    Ready {
+        value: Arc<Distribution>,
+        touched: u64,
+        bytes: usize,
+    },
+    /// A computation in progress; its followers wait on the slot.
+    Pending(Arc<Slot>),
+}
+
+/// One shard: the entry map plus a recency index of its finished
+/// entries, keyed by a monotone per-shard tick.
 #[derive(Default)]
 struct Shard {
-    /// key → (value, last-touch tick, approximate bytes).
-    map: HashMap<u64, (Arc<Distribution>, u64, usize)>,
-    /// last-touch tick → key (unique: ticks only move forward).
-    recency: std::collections::BTreeMap<u64, u64>,
+    map: HashMap<u64, Cached>,
+    /// last-touch tick → key of every finished entry, coldest first
+    /// (unique: ticks only move forward).
+    recency: BTreeMap<u64, u64>,
     tick: u64,
+    /// Approximate bytes of the finished entries.
     bytes: usize,
 }
 
 impl Shard {
-    fn touch(&mut self, key: u64) -> Option<Arc<Distribution>> {
-        let next_tick = self.tick + 1;
-        let (value, tick, _) = self.map.get_mut(&key)?;
-        let old = std::mem::replace(tick, next_tick);
-        self.tick = next_tick;
-        self.recency.remove(&old);
-        self.recency.insert(next_tick, key);
-        Some(Arc::clone(value))
-    }
-
-    fn insert(&mut self, key: u64, value: Arc<Distribution>, budget: usize) -> Vec<Evicted> {
+    /// Swaps `key`'s pending entry for its finished value, then evicts
+    /// least-recently-used entries until the shard fits `budget` — but
+    /// never the entry just finished, the newest in the recency index
+    /// (a budget smaller than one entry would otherwise thrash
+    /// forever). Evicted entries are returned, not dropped: the caller
+    /// demotes them to the spill tier.
+    fn finish(&mut self, key: u64, value: Arc<Distribution>, budget: usize) -> Vec<Evicted> {
         let bytes = approx_bytes(&value);
         self.tick += 1;
-        if let Some((_, old_tick, old_bytes)) = self.map.insert(key, (value, self.tick, bytes)) {
-            self.recency.remove(&old_tick);
-            self.bytes -= old_bytes;
-        }
+        self.map.insert(
+            key,
+            Cached::Ready {
+                value,
+                touched: self.tick,
+                bytes,
+            },
+        );
         self.recency.insert(self.tick, key);
         self.bytes += bytes;
-        // Evict least-recently-used entries until we fit, but never the
-        // entry just inserted (a budget smaller than one entry would
-        // otherwise thrash forever). Evicted entries are returned, not
-        // dropped: the caller demotes them to the spill tier.
         let mut evicted = Vec::new();
-        while self.bytes > budget && self.map.len() > 1 {
-            let (&lru_tick, &lru_key) = self.recency.iter().next().expect("non-empty recency");
-            if lru_key == key {
-                break;
-            }
-            self.recency.remove(&lru_tick);
-            let (value, _, freed) = self.map.remove(&lru_key).expect("recency maps into map");
-            self.bytes -= freed;
+        while self.bytes > budget && self.recency.len() > 1 {
+            let (_, lru_key) = self.recency.pop_first().expect("non-empty recency");
+            let Some(Cached::Ready { value, bytes, .. }) = self.map.remove(&lru_key) else {
+                unreachable!("the recency index lists finished entries only");
+            };
+            self.bytes -= bytes;
             evicted.push((lru_key, value));
         }
         evicted
     }
 }
 
-/// The sharded LRU cache. Its hit/miss/eviction counters live on the
-/// registry it is built with, as `serve.cache.{hits,misses,evictions}`.
+/// What [`DistCache::lookup`] decided for one request.
+pub enum Lookup<'a> {
+    /// The finished distribution.
+    Hit(Arc<Distribution>),
+    /// Another request is computing this key; wait on its slot.
+    Follow(Arc<Slot>),
+    /// This request computes the key and publishes through the lease.
+    Lead(Lease<'a>),
+}
+
+/// The sharded single-flight cache. Its counters live on the registry
+/// it is built with, as `serve.cache.{hits,misses,evictions}` and
+/// `serve.coalesced`.
 pub struct DistCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard byte budget (total budget / shard count).
@@ -100,6 +133,7 @@ pub struct DistCache {
     hits: Counter,
     misses: Counter,
     evictions: Counter,
+    coalesced: Counter,
 }
 
 impl DistCache {
@@ -114,28 +148,56 @@ impl DistCache {
             hits: registry.counter("serve.cache.hits"),
             misses: registry.counter("serve.cache.misses"),
             evictions: registry.counter("serve.cache.evictions"),
+            coalesced: registry.counter("serve.coalesced"),
         }
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
-        &self.shards[fold(key) % SHARDS]
+    fn shard(&self, key: u64) -> MutexGuard<'_, Shard> {
+        self.shards[fold(key) % SHARDS]
+            .lock()
+            .expect("shard unpoisoned")
     }
 
-    /// Looks a key up, counting a hit and refreshing recency.
+    /// Decides, under one shard lock, whether a request for `key` hits
+    /// (refreshing recency and counting a hit), follows a computation
+    /// in progress (counting `coalesced`), or leads one: a vacant key
+    /// gets a pending entry and the caller its [`Lease`].
     ///
-    /// Probe misses are **not** counted here: with request coalescing,
-    /// several concurrent requests can probe-miss the same key while
-    /// only one computes. The miss counter tracks *computations*, which
-    /// only the in-flight leader knows — it calls
-    /// [`note_miss`](DistCache::note_miss) when it actually starts one,
-    /// so `misses == underlying computations` holds exactly.
+    /// Misses are **not** counted here: a leader may be refused a
+    /// compute slot, shed, or answered from the spill store, so the
+    /// server calls [`note_miss`](DistCache::note_miss) when a
+    /// computation actually starts, and `misses == computations` holds
+    /// exactly.
     #[must_use]
-    pub fn get(&self, key: u64) -> Option<Arc<Distribution>> {
-        let found = self.shard(key).lock().expect("shard unpoisoned").touch(key);
-        if found.is_some() {
-            self.hits.inc();
+    pub fn lookup(&self, key: u64) -> Lookup<'_> {
+        let mut guard = self.shard(key);
+        let shard = &mut *guard;
+        match shard.map.entry(key) {
+            Entry::Occupied(mut found) => match found.get_mut() {
+                Cached::Ready { value, touched, .. } => {
+                    shard.tick += 1;
+                    shard.recency.remove(touched);
+                    shard.recency.insert(shard.tick, key);
+                    *touched = shard.tick;
+                    self.hits.inc();
+                    Lookup::Hit(Arc::clone(value))
+                }
+                Cached::Pending(slot) => {
+                    self.coalesced.inc();
+                    Lookup::Follow(Arc::clone(slot))
+                }
+            },
+            Entry::Vacant(vacant) => {
+                let slot = Arc::new(Slot::default());
+                vacant.insert(Cached::Pending(Arc::clone(&slot)));
+                Lookup::Lead(Lease {
+                    cache: self,
+                    key,
+                    slot,
+                    published: false,
+                })
+            }
         }
-        found
     }
 
     /// Records one cache miss (= one underlying computation started).
@@ -143,23 +205,7 @@ impl DistCache {
         self.misses.inc();
     }
 
-    /// Inserts a completed distribution, evicting LRU entries past the
-    /// shard budget. Evicted entries are returned (outside any shard
-    /// lock concern — the caller holds only Arcs) so the serving
-    /// runtime can demote them to the persistent spill tier.
-    pub fn insert(&self, key: u64, value: Arc<Distribution>) -> Vec<Evicted> {
-        let evicted =
-            self.shard(key)
-                .lock()
-                .expect("shard unpoisoned")
-                .insert(key, value, self.shard_budget);
-        if !evicted.is_empty() {
-            self.evictions.add(evicted.len() as u64);
-        }
-        evicted
-    }
-
-    /// A snapshot of every resident entry, coldest first within each
+    /// A snapshot of every finished entry, coldest first within each
     /// shard — the flush order for a graceful shutdown that wants the
     /// whole hot set (not just past evictions) in the spill tier, with
     /// the hottest entries written last so they supersede on replay.
@@ -168,9 +214,8 @@ impl DistCache {
         let mut out = Vec::new();
         for shard in &self.shards {
             let s = shard.lock().expect("shard unpoisoned");
-            // The recency index iterates coldest-to-hottest already.
             for &key in s.recency.values() {
-                if let Some((value, _, _)) = s.map.get(&key) {
+                if let Some(Cached::Ready { value, .. }) = s.map.get(&key) {
                     out.push((key, Arc::clone(value)));
                 }
             }
@@ -178,13 +223,13 @@ impl DistCache {
         out
     }
 
-    /// `(entries, approximate bytes)` resident right now, for the
-    /// `serve.cache.{entries,bytes}` gauges.
+    /// `(entries, approximate bytes)` of the finished entries resident
+    /// right now, for the `serve.cache.{entries,bytes}` gauges.
     #[must_use]
     pub fn resident(&self) -> (u64, u64) {
         self.shards.iter().fold((0, 0), |(entries, bytes), shard| {
             let s = shard.lock().expect("shard unpoisoned");
-            (entries + s.map.len() as u64, bytes + s.bytes as u64)
+            (entries + s.recency.len() as u64, bytes + s.bytes as u64)
         })
     }
 }
@@ -213,202 +258,119 @@ fn fold(key: u64) -> usize {
 /// The distinction matters to followers: a [`Failed`](Self::Failed)
 /// request is deterministically bad (same inputs would fail again), but
 /// [`Cancelled`](Self::Cancelled) and [`Panicked`](Self::Panicked) are
-/// leader-specific misfortunes — the *leader's* deadline fired, or the
-/// *leader's* worker died — so a follower with time left re-claims the
-/// key and computes for itself instead of inheriting the failure.
+/// leader-specific misfortunes — the *leader's* deadline fired, the
+/// leader was refused a compute slot, or its computation panicked — so
+/// a follower with time left looks the key up again and may compute
+/// for itself instead of inheriting the failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ComputeError {
     /// The request itself is bad; retrying cannot help.
     Failed(String),
-    /// The leader's cancel token (deadline) fired mid-compute.
+    /// The leader gave its claim up without computing to the end: its
+    /// deadline fired, or the admission gate refused or shed it.
     Cancelled,
-    /// The leader panicked (or died before publishing).
+    /// The leader panicked (or dropped its lease before publishing).
     Panicked(String),
 }
 
 impl ComputeError {
-    /// Whether a follower should re-claim and compute for itself
-    /// rather than inherit this failure.
+    /// Whether a follower should look the key up again rather than
+    /// inherit this failure.
     #[must_use]
     pub fn is_leader_specific(&self) -> bool {
         matches!(self, Self::Cancelled | Self::Panicked(_))
     }
 }
 
-/// The value published through an in-flight slot: the computed
-/// distribution, or the leader's failure (relayed to every coalesced
-/// follower).
+/// The value published through a slot: the computed distribution, or
+/// the leader's failure (relayed to every coalesced follower).
 pub type ComputeResult = Result<Arc<Distribution>, ComputeError>;
 
-/// One in-flight computation: followers block on the condvar until the
-/// leader publishes.
+/// One pending computation: followers block on the condvar until the
+/// leader's lease publishes.
+#[derive(Default)]
 pub struct Slot {
     done: Mutex<Option<ComputeResult>>,
     ready: Condvar,
 }
 
-/// What [`InFlight::claim`] hands back.
-pub enum Claim {
-    /// This caller computes; it **must** call [`InFlight::publish`]
-    /// exactly once (even on failure) or followers hang.
-    Leader,
-    /// Another caller is already computing the same key; wait on it.
-    Follower(Arc<Slot>),
-}
-
-/// The in-flight request-coalescing map. Followers that join a leader
-/// count on `serve.coalesced`.
-pub struct InFlight {
-    slots: Mutex<HashMap<u64, Arc<Slot>>>,
-    coalesced: Counter,
-}
-
-impl InFlight {
-    /// An empty map counting on `registry`.
+impl Slot {
+    /// Blocks until the leader publishes or `deadline` passes, whichever
+    /// is first; with no deadline, until the leader publishes. `None`
+    /// means the follower's own time budget ran out (the leader keeps
+    /// computing — its result still lands in the cache for everyone
+    /// else).
     #[must_use]
-    pub fn new(registry: &Registry) -> Self {
-        Self {
-            slots: Mutex::new(HashMap::new()),
-            coalesced: registry.counter("serve.coalesced"),
-        }
-    }
-
-    /// Claims a key: the first claimant becomes the leader, everyone
-    /// else a follower of its slot.
-    #[must_use]
-    pub fn claim(&self, key: u64) -> Claim {
-        let mut slots = self.slots.lock().expect("in-flight map unpoisoned");
-        if let Some(slot) = slots.get(&key) {
-            self.coalesced.inc();
-            return Claim::Follower(Arc::clone(slot));
-        }
-        slots.insert(
-            key,
-            Arc::new(Slot {
-                done: Mutex::new(None),
-                ready: Condvar::new(),
-            }),
-        );
-        Claim::Leader
-    }
-
-    /// Publishes the leader's result: wakes every follower and retires
-    /// the slot (later requests probe the cache or start fresh).
-    pub fn publish(&self, key: u64, result: ComputeResult) {
-        let slot = self
-            .slots
-            .lock()
-            .expect("in-flight map unpoisoned")
-            .remove(&key)
-            .expect("publish pairs with a leader claim");
-        *slot.done.lock().expect("slot unpoisoned") = Some(result);
-        slot.ready.notify_all();
-    }
-
-    /// Arms a publish-on-drop guard for a freshly claimed leadership.
-    ///
-    /// The central liveness invariant of coalescing is "a leader always
-    /// publishes": any exit path that skips [`publish`](Self::publish)
-    /// — a panic between claim and publish, an early return — leaves
-    /// every follower parked on the condvar forever. The guard makes
-    /// that impossible: if it drops without an explicit
-    /// [`PublishGuard::publish`], it publishes
-    /// [`ComputeError::Panicked`] on the leader's behalf, so followers
-    /// always wake (and then typically re-lead).
-    #[must_use]
-    pub fn publish_guard(&self, key: u64) -> PublishGuard<'_> {
-        PublishGuard {
-            inflight: self,
-            key,
-            published: false,
+    pub fn wait_until(&self, deadline: Option<Instant>) -> Option<ComputeResult> {
+        let mut done = self.done.lock().expect("slot unpoisoned");
+        loop {
+            if let Some(result) = &*done {
+                return Some(result.clone());
+            }
+            done = match deadline {
+                None => self.ready.wait(done).expect("slot unpoisoned"),
+                Some(deadline) => {
+                    let budget = deadline.checked_duration_since(Instant::now())?;
+                    self.ready
+                        .wait_timeout(done, budget)
+                        .expect("slot unpoisoned")
+                        .0
+                }
+            };
         }
     }
 }
 
-/// The leader's publish-exactly-once obligation as an RAII object; see
-/// [`InFlight::publish_guard`].
-pub struct PublishGuard<'a> {
-    inflight: &'a InFlight,
+/// A leader's claim on a pending key, handed out by
+/// [`DistCache::lookup`].
+///
+/// The liveness invariant of coalescing is "a leader always publishes":
+/// a pending entry left behind would park every follower forever. So
+/// dropping a lease without [`publish`](Lease::publish) — a panic, an
+/// early return — removes the pending entry and publishes
+/// [`ComputeError::Panicked`] on the leader's behalf; the followers wake
+/// and one of them leads again.
+pub struct Lease<'a> {
+    cache: &'a DistCache,
     key: u64,
+    slot: Arc<Slot>,
     published: bool,
 }
 
-impl PublishGuard<'_> {
-    /// Publishes the leader's result (consuming the guard, so the drop
-    /// fallback cannot double-publish).
-    pub fn publish(mut self, result: ComputeResult) {
+impl Lease<'_> {
+    /// Publishes the leader's result and wakes every follower. A
+    /// distribution replaces the pending entry (LRU entries past the
+    /// shard budget are evicted and returned for the spill tier); a
+    /// failure removes it, so the next lookup leads afresh.
+    pub fn publish(mut self, result: ComputeResult) -> Vec<Evicted> {
         self.published = true;
-        self.inflight.publish(self.key, result);
+        self.settle(result)
+    }
+
+    fn settle(&self, result: ComputeResult) -> Vec<Evicted> {
+        let evicted = {
+            let mut shard = self.cache.shard(self.key);
+            match &result {
+                Ok(value) => shard.finish(self.key, Arc::clone(value), self.cache.shard_budget),
+                Err(_) => {
+                    shard.map.remove(&self.key);
+                    Vec::new()
+                }
+            }
+        };
+        self.cache.evictions.add(evicted.len() as u64);
+        *self.slot.done.lock().expect("slot unpoisoned") = Some(result);
+        self.slot.ready.notify_all();
+        evicted
     }
 }
 
-impl Drop for PublishGuard<'_> {
+impl Drop for Lease<'_> {
     fn drop(&mut self) {
         if !self.published {
-            self.inflight.publish(
-                self.key,
-                Err(ComputeError::Panicked(
-                    "leader died before publishing".into(),
-                )),
-            );
-        }
-    }
-}
-
-impl Claim {
-    /// Follower side: blocks until the leader publishes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a [`Claim::Leader`].
-    pub fn wait(self) -> ComputeResult {
-        let Claim::Follower(slot) = self else {
-            panic!("wait() is the follower path; leaders compute and publish");
-        };
-        let mut done = slot.done.lock().expect("slot unpoisoned");
-        loop {
-            if let Some(result) = done.clone() {
-                return result;
-            }
-            done = slot
-                .ready
-                .wait(done)
-                .expect("slot unpoisoned while waiting");
-        }
-    }
-
-    /// Follower side with a deadline: blocks until the leader publishes
-    /// or `deadline` passes, whichever is first. `None` means the
-    /// follower's own time budget ran out (the leader keeps computing —
-    /// its result still lands in the cache for everyone else).
-    ///
-    /// With no deadline this is exactly [`wait`](Claim::wait).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a [`Claim::Leader`].
-    #[must_use]
-    pub fn wait_until(self, deadline: Option<std::time::Instant>) -> Option<ComputeResult> {
-        let Some(deadline) = deadline else {
-            return Some(self.wait());
-        };
-        let Claim::Follower(slot) = self else {
-            panic!("wait_until() is the follower path; leaders compute and publish");
-        };
-        let mut done = slot.done.lock().expect("slot unpoisoned");
-        loop {
-            if let Some(result) = done.clone() {
-                return Some(result);
-            }
-            let budget = deadline.checked_duration_since(std::time::Instant::now())?;
-            let (guard, timeout) = slot
-                .ready
-                .wait_timeout(done, budget)
-                .expect("slot unpoisoned while waiting");
-            done = guard;
-            if timeout.timed_out() && done.is_none() {
-                return None;
-            }
+            self.settle(Err(ComputeError::Panicked(
+                "leader died before publishing".into(),
+            )));
         }
     }
 }
@@ -417,6 +379,7 @@ impl Claim {
 mod tests {
     use super::*;
     use hammer_dist::BitString;
+    use std::time::Duration;
 
     fn dist(tag: u64) -> Arc<Distribution> {
         Arc::new(
@@ -448,39 +411,92 @@ mod tests {
         )
     }
 
+    /// Leads a vacant `key` and publishes `value` under it.
+    fn put(cache: &DistCache, key: u64, value: Arc<Distribution>) -> Vec<Evicted> {
+        let Lookup::Lead(lease) = cache.lookup(key) else {
+            panic!("key {key} is not vacant");
+        };
+        lease.publish(Ok(value))
+    }
+
+    /// The finished value under `key`, if any. A vacant key's lease is
+    /// dropped again, which leaves it vacant.
+    fn hit(cache: &DistCache, key: u64) -> Option<Arc<Distribution>> {
+        match cache.lookup(key) {
+            Lookup::Hit(value) => Some(value),
+            Lookup::Lead(_) => None,
+            Lookup::Follow(_) => panic!("key {key} has no leader in this test"),
+        }
+    }
+
+    /// `n` keys that all land in the same shard as key 0, so the LRU
+    /// order is observable.
+    fn same_shard(n: usize) -> Vec<u64> {
+        (0u64..)
+            .filter(|&k| fold(k) % SHARDS == fold(0) % SHARDS)
+            .take(n)
+            .collect()
+    }
+
+    /// Spawns a thread that follows `key` and returns what it receives.
+    fn follower(
+        cache: &Arc<DistCache>,
+        key: u64,
+    ) -> std::thread::JoinHandle<Option<ComputeResult>> {
+        let cache = Arc::clone(cache);
+        std::thread::spawn(move || match cache.lookup(key) {
+            Lookup::Follow(slot) => slot.wait_until(None),
+            _ => panic!("key {key} is pending"),
+        })
+    }
+
+    /// Spins until `n` followers have joined.
+    fn await_followers(cache: &DistCache, n: u64) {
+        while cache.coalesced.get() < n {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn get_miss_then_hit() {
+    fn lookup_leads_then_hits() {
         let (cache, registry) = cache(1 << 20);
-        assert!(cache.get(42).is_none());
+        assert!(hit(&cache, 42).is_none());
         cache.note_miss();
-        cache.insert(42, dist(0));
-        let hit = cache.get(42).expect("present");
-        assert_eq!(*hit, *dist(0));
+        put(&cache, 42, dist(0));
+        let found = hit(&cache, 42).expect("present");
+        assert_eq!(*found, *dist(0));
         assert_eq!(counts(&registry), (1, 1, 0));
         let (entries, bytes) = cache.resident();
         assert_eq!(entries, 1);
-        assert!(bytes > 0);
+        assert_eq!(bytes, approx_bytes(&dist(0)) as u64);
+    }
+
+    #[test]
+    fn approx_bytes_counts_all_four_arrays_at_their_real_size() {
+        // `u128` is 16-aligned, so the AoS entry is 32 B, not 16 + 8.
+        assert_eq!(size_of::<(u128, f64)>(), 32);
+        let d = dist(0);
+        assert_eq!(d.len(), 2);
+        assert_eq!(
+            approx_bytes(&d),
+            size_of::<Distribution>() + d.len() * (32 + 8 + 8 + 8)
+        );
     }
 
     #[test]
     fn lru_evicts_the_coldest_key_under_pressure() {
-        // Budget fits ~2 entries per shard; keys chosen to land in ONE
-        // shard so the LRU order is observable.
+        // Budget fits ~2 entries per shard.
         let per_entry = approx_bytes(&dist(0));
         let (cache, registry) = cache(per_entry * 2 * SHARDS + SHARDS);
-        let same_shard: Vec<u64> = (0u64..)
-            .filter(|&k| fold(k) % SHARDS == fold(0) % SHARDS)
-            .take(4)
-            .collect();
-        let key = |i: u64| same_shard[i as usize];
-        cache.insert(key(1), dist(1));
-        cache.insert(key(2), dist(2));
-        // Touch 1 so 2 becomes the LRU.
-        assert!(cache.get(key(1)).is_some());
-        cache.insert(key(3), dist(3));
-        assert!(cache.get(key(2)).is_none(), "LRU key evicted");
-        assert!(cache.get(key(1)).is_some(), "recently-touched key kept");
-        assert!(cache.get(key(3)).is_some(), "new key kept");
+        let keys = same_shard(3);
+        put(&cache, keys[0], dist(1));
+        put(&cache, keys[1], dist(2));
+        // Touch the first so the second becomes the LRU.
+        assert!(hit(&cache, keys[0]).is_some());
+        put(&cache, keys[2], dist(3));
+        assert!(hit(&cache, keys[1]).is_none(), "LRU key evicted");
+        assert!(hit(&cache, keys[0]).is_some(), "recently-touched key kept");
+        assert!(hit(&cache, keys[2]).is_some(), "new key kept");
         assert_eq!(counts(&registry).2, 1);
         assert_eq!(cache.resident().0, 2);
     }
@@ -489,24 +505,21 @@ mod tests {
     fn eviction_hands_back_the_entry_for_the_spill_tier() {
         let per_entry = approx_bytes(&dist(0));
         let (cache, _) = cache(per_entry * 2 * SHARDS + SHARDS);
-        let same_shard: Vec<u64> = (0u64..)
-            .filter(|&k| fold(k) % SHARDS == fold(0) % SHARDS)
-            .take(3)
-            .collect();
-        assert!(cache.insert(same_shard[0], dist(1)).is_empty());
-        assert!(cache.insert(same_shard[1], dist(2)).is_empty());
-        let evicted = cache.insert(same_shard[2], dist(3));
+        let keys = same_shard(3);
+        assert!(put(&cache, keys[0], dist(1)).is_empty());
+        assert!(put(&cache, keys[1], dist(2)).is_empty());
+        let evicted = put(&cache, keys[2], dist(3));
         // The coldest entry comes back with its key and value intact —
         // exactly what a spill to disk needs.
         assert_eq!(evicted.len(), 1);
         let (key, value) = &evicted[0];
-        assert_eq!(*key, same_shard[0]);
+        assert_eq!(*key, keys[0]);
         assert_eq!(**value, *dist(1));
         // entries() snapshots the survivors, coldest first.
         let resident = cache.entries();
         assert_eq!(resident.len(), 2);
-        assert_eq!(resident[0].0, same_shard[1]);
-        assert_eq!(resident[1].0, same_shard[2]);
+        assert_eq!(resident[0].0, keys[1]);
+        assert_eq!(resident[1].0, keys[2]);
     }
 
     #[test]
@@ -540,112 +553,102 @@ mod tests {
     #[test]
     fn tiny_budget_never_evicts_the_entry_just_inserted() {
         let (cache, _) = cache(1); // less than one entry
-        cache.insert(7, dist(7));
-        assert!(cache.get(7).is_some(), "sole entry survives");
-        cache.insert(9, dist(9));
-        assert!(cache.get(9).is_some(), "newest entry survives");
+        put(&cache, 7, dist(7));
+        assert!(hit(&cache, 7).is_some(), "sole entry survives");
+        put(&cache, 9, dist(9));
+        assert!(hit(&cache, 9).is_some(), "newest entry survives");
     }
 
     #[test]
-    fn reinserting_a_key_replaces_without_leaking_bytes() {
-        let (cache, _) = cache(1 << 20);
-        cache.insert(5, dist(1));
-        let (_, bytes_once) = cache.resident();
-        cache.insert(5, dist(2));
-        let (entries, bytes_twice) = cache.resident();
-        assert_eq!(entries, 1);
-        assert_eq!(bytes_once, bytes_twice);
+    fn pending_entries_are_never_evicted_listed_or_counted() {
+        let (cache, _) = cache(1); // every finish evicts down to one entry
+        let keys = same_shard(3);
+        let Lookup::Lead(lease) = cache.lookup(keys[0]) else {
+            panic!("first lookup leads");
+        };
+        assert!(cache.entries().is_empty());
+        assert_eq!(cache.resident(), (0, 0));
+        assert!(put(&cache, keys[1], dist(1)).is_empty());
+        let evicted = put(&cache, keys[2], dist(2));
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(evicted[0].0, keys[1], "the finished LRU entry goes");
+        // The pending key survived the eviction and is still pending.
+        assert!(matches!(cache.lookup(keys[0]), Lookup::Follow(_)));
+        let listed: Vec<u64> = cache.entries().iter().map(|(k, _)| *k).collect();
+        assert_eq!(listed, [keys[2]]);
+        assert_eq!(cache.resident(), (1, approx_bytes(&dist(2)) as u64));
+        lease.publish(Ok(dist(0)));
+        assert!(hit(&cache, keys[0]).is_some());
     }
 
     #[test]
     fn followers_receive_the_leaders_result() {
-        let inflight = Arc::new(InFlight::new(&Registry::new()));
-        let Claim::Leader = inflight.claim(11) else {
-            panic!("first claim leads");
+        let cache = Arc::new(cache(1 << 20).0);
+        let Lookup::Lead(lease) = cache.lookup(11) else {
+            panic!("first lookup leads");
         };
-        let followers: Vec<_> = (0..4)
-            .map(|_| {
-                let inflight = Arc::clone(&inflight);
-                std::thread::spawn(move || match inflight.claim(11) {
-                    Claim::Leader => panic!("key already claimed"),
-                    follower @ Claim::Follower(_) => follower.wait(),
-                })
-            })
-            .collect();
-        // Give followers time to park, then publish.
-        while inflight.coalesced.get() < 4 {
-            std::thread::yield_now();
-        }
-        inflight.publish(11, Ok(dist(11)));
+        let followers: Vec<_> = (0..4).map(|_| follower(&cache, 11)).collect();
+        await_followers(&cache, 4);
+        assert!(lease.publish(Ok(dist(11))).is_empty());
         for f in followers {
-            let result = f.join().unwrap().expect("leader succeeded");
-            assert_eq!(*result, *dist(11));
+            let result = f.join().unwrap().expect("no deadline");
+            assert_eq!(*result.expect("leader succeeded"), *dist(11));
         }
-        assert_eq!(inflight.coalesced.get(), 4);
-        // The slot retired: the next claim leads again.
-        assert!(matches!(inflight.claim(11), Claim::Leader));
-        inflight.publish(11, Err(ComputeError::Failed("cleanup".into())));
+        assert_eq!(cache.coalesced.get(), 4);
+        // The result is cached: the next lookup hits.
+        assert!(hit(&cache, 11).is_some());
     }
 
     #[test]
     fn leader_errors_propagate_to_followers() {
-        let inflight = Arc::new(InFlight::new(&Registry::new()));
-        assert!(matches!(inflight.claim(3), Claim::Leader));
-        let follower = {
-            let inflight = Arc::clone(&inflight);
-            std::thread::spawn(move || match inflight.claim(3) {
-                Claim::Leader => panic!("key already claimed"),
-                follower @ Claim::Follower(_) => follower.wait(),
-            })
+        let cache = Arc::new(cache(1 << 20).0);
+        let Lookup::Lead(lease) = cache.lookup(3) else {
+            panic!("first lookup leads");
         };
-        while inflight.coalesced.get() < 1 {
-            std::thread::yield_now();
-        }
-        inflight.publish(3, Err(ComputeError::Failed("boom".into())));
+        let f = follower(&cache, 3);
+        await_followers(&cache, 1);
+        lease.publish(Err(ComputeError::Failed("boom".into())));
         assert_eq!(
-            follower.join().unwrap(),
-            Err(ComputeError::Failed("boom".into()))
+            f.join().unwrap(),
+            Some(Err(ComputeError::Failed("boom".into())))
         );
+        // A failure is not cached: the next lookup leads afresh.
+        assert!(hit(&cache, 3).is_none());
     }
 
     #[test]
-    fn a_dropped_publish_guard_wakes_followers_with_panicked() {
-        let inflight = Arc::new(InFlight::new(&Registry::new()));
-        assert!(matches!(inflight.claim(17), Claim::Leader));
-        let follower = {
-            let inflight = Arc::clone(&inflight);
-            std::thread::spawn(move || match inflight.claim(17) {
-                Claim::Leader => panic!("key already claimed"),
-                follower @ Claim::Follower(_) => follower.wait(),
-            })
+    fn a_dropped_lease_wakes_followers_with_panicked() {
+        let cache = Arc::new(cache(1 << 20).0);
+        let Lookup::Lead(lease) = cache.lookup(17) else {
+            panic!("first lookup leads");
         };
-        while inflight.coalesced.get() < 1 {
-            std::thread::yield_now();
-        }
-        // The leader "dies": its guard drops without publishing.
-        drop(inflight.publish_guard(17));
-        let got = follower.join().unwrap();
+        let f = follower(&cache, 17);
+        await_followers(&cache, 1);
+        // The leader "dies": its lease drops without publishing.
+        drop(lease);
+        let got = f.join().unwrap();
         assert!(
-            matches!(got, Err(ComputeError::Panicked(_))),
+            matches!(got, Some(Err(ComputeError::Panicked(_)))),
             "follower saw {got:?}"
         );
-        // The slot retired, so the follower could now re-lead.
-        assert!(matches!(inflight.claim(17), Claim::Leader));
-        inflight.publish(17, Err(ComputeError::Failed("cleanup".into())));
+        // No entry is left behind, so the follower could now lead.
+        assert!(cache.shard(17).map.is_empty());
+        assert!(matches!(cache.lookup(17), Lookup::Lead(_)));
     }
 
     #[test]
     fn wait_until_times_out_while_the_leader_is_still_computing() {
-        use std::time::{Duration, Instant};
-        let inflight = Arc::new(InFlight::new(&Registry::new()));
-        assert!(matches!(inflight.claim(23), Claim::Leader));
-        let follower @ Claim::Follower(_) = inflight.claim(23) else {
-            panic!("second claim follows");
+        let (cache, _) = cache(1 << 20);
+        let Lookup::Lead(lease) = cache.lookup(23) else {
+            panic!("first lookup leads");
+        };
+        let Lookup::Follow(slot) = cache.lookup(23) else {
+            panic!("second lookup follows");
         };
         let start = Instant::now();
-        let got = follower.wait_until(Some(Instant::now() + Duration::from_millis(30)));
+        let got = slot.wait_until(Some(Instant::now() + Duration::from_millis(30)));
         assert!(got.is_none(), "timed-out wait yields None");
         assert!(start.elapsed() >= Duration::from_millis(25));
-        inflight.publish(23, Err(ComputeError::Failed("cleanup".into())));
+        lease.publish(Err(ComputeError::Failed("cleanup".into())));
     }
 }

@@ -28,10 +28,13 @@
 //!   shutdown that drains in-flight work. Each request's computation
 //!   fans out on scoped threads through [`hammer_pool::run_tiles`];
 //!   the server keeps no pool of its own;
-//! * the **batching + caching core** — concurrent identical requests
-//!   coalesce onto one computation via an in-flight map keyed by stable
-//!   `u64` fingerprints, backed by a sharded LRU cache of completed
-//!   distributions with hit/miss/eviction/coalesce counters;
+//! * the **batching + caching core** — one sharded map keyed by stable
+//!   `u64` fingerprints holds each key's finished distribution or its
+//!   computation in progress; one lookup decides whether a request
+//!   hits, follows (concurrent identical requests coalesce onto one
+//!   computation, and followers take no compute slot) or leads.
+//!   Finished entries are LRU-evicted under a byte budget, with
+//!   hit/miss/eviction/coalesce counters;
 //! * [`store`] / [`DistStore`] — a crash-safe, append-only segment
 //!   store the LRU spills evictions into and reloads misses from:
 //!   CRC'd, fsync'd records; recovery that truncates torn tails and
@@ -40,7 +43,7 @@
 //! * [`ServeClient`] — the synchronous, reconnecting client;
 //! * **observability** (`hammer_obs`) — every server owns a metric
 //!   registry (counters, gauges, per-stage latency histograms) that the
-//!   cache, in-flight map and store register their counters on. Its
+//!   cache and the store register their counters on. Its
 //!   snapshot is the one metrics surface: the `MetricsSnapshot` opcode,
 //!   [`ServerHandle::obs_snapshot`], `/metrics` and `repro top` all read
 //!   it. Compute requests carry a 64-bit trace id in the frame

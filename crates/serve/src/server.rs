@@ -7,31 +7,41 @@
 //! ```text
 //! acceptor ── one thread per socket ─┐
 //!                                    ▼
-//! socket ── frame ─────────► connection thread ── miss ──► admission gate
-//!        ◄── reply, in order ─ (cache probe,    ◄─ permit ─ (`workers` slots,
-//!                               compute under               bounded EDF queue,
-//!                               the permit)                 Busy when full)
+//! socket ── frame ─────────► connection thread ── lookup ──► cache shard
+//!        ◄── reply, in order ─       │      ◄── hit: the distribution
+//!                                    │      ◄── follow: wait on the leader's
+//!                                    │          slot (no gate, no slot held)
+//!                                    │ lead
+//!                                    ▼
+//!                             admission gate ── permit ──► compute on the
+//!                             (`workers` slots,            connection thread,
+//!                              bounded EDF queue,          publish to the cache
+//!                              Busy when full)             and the followers
 //! ```
 //!
 //! Each connection thread reads a frame, answers it, writes the reply
 //! on its own socket, and only then reads the next frame, so replies on
 //! one connection leave in request order. It decodes each compute
-//! request, hashes its cache key and probes the distribution cache
-//! itself: a hit is written straight back, so hot requests never wait
-//! behind cold work. A miss enters the admission gate and, once
-//! granted a permit, computes on the same connection thread. A client
-//! that pipelines frames gets them answered one after another, and a
-//! client that stops reading stalls only its own connection thread
-//! (TCP backpressure, bounded by the write timeout).
+//! request, hashes its cache key and looks it up in the distribution
+//! cache itself. One lookup decides the request's path: a hit is
+//! written straight back, so hot requests never wait behind cold work;
+//! a request whose key another request is computing follows it, waiting
+//! for the published result without entering the gate; otherwise the
+//! request leads. A leader enters the admission gate and, once granted
+//! a permit, computes on the same connection thread and publishes the
+//! result to the cache and its followers. A client that pipelines
+//! frames gets them answered one after another, and a client that stops
+//! reading stalls only its own connection thread (TCP backpressure,
+//! bounded by the write timeout).
 //!
 //! The gate ([`hammer_pool::Admission`]) spawns no threads; it only
-//! decides admission: at most `workers` misses compute at once, not
+//! decides admission: at most `workers` leaders compute at once, not
 //! one per connection thread, at most `queue_limit` wait (beyond that
 //! the reply is `Busy`), and waiters are granted earliest deadline
-//! first. The computation inside
-//! a request — kernel tiles and simulator trial blocks — fans out on
-//! scoped threads through [`hammer_pool::run_tiles`] and joins before
-//! the permit is dropped.
+//! first. Followers hold no slot and take no queue place. The
+//! computation inside a request — kernel tiles and simulator trial
+//! blocks — fans out on scoped threads through
+//! [`hammer_pool::run_tiles`] and joins before the permit is dropped.
 //!
 //! # Observability
 //!
@@ -66,7 +76,7 @@ use hammer_obs::{
 use hammer_pool::Admission;
 use hammer_sim::AutoEngine;
 
-use crate::cache::{Claim, ComputeError, ComputeResult, DistCache, InFlight};
+use crate::cache::{ComputeError, ComputeResult, DistCache, Lease, Lookup};
 use crate::codec::{Reply, Request, SampleJob};
 use crate::protocol::{opcode, read_frame, write_frame, Frame, WireError};
 use crate::store::DistStore;
@@ -79,8 +89,9 @@ pub struct ServeConfig {
     /// Cache misses that compute at once: the admission gate's slots.
     /// Each runs on its own connection thread while it holds one.
     pub workers: usize,
-    /// Misses waiting for a slot beyond which the server replies
-    /// `Busy`; 0 refuses every computation.
+    /// Leaders waiting for a slot beyond which the server replies
+    /// `Busy`; 0 refuses every computation. Followers of a computation
+    /// in progress never wait here.
     pub queue_limit: usize,
     /// Distribution-cache budget in mebibytes.
     pub cache_mb: usize,
@@ -89,9 +100,6 @@ pub struct ServeConfig {
     /// window (slow-loris defense); *idle* connections — no frame in
     /// progress — are never timed out. `None` disables.
     pub io_timeout: Option<Duration>,
-    /// Concurrent-connection cap; connections over the limit get one
-    /// `Busy` frame and are dropped.
-    pub max_connections: usize,
     /// Directory of the persistent spill store (`--store-dir`). `None`
     /// runs without one: evictions are discarded and every restart is
     /// cold. A directory that cannot be opened degrades to the same —
@@ -125,7 +133,6 @@ impl Default for ServeConfig {
             queue_limit: 256,
             cache_mb: 64,
             io_timeout: Some(Duration::from_secs(30)),
-            max_connections: 1024,
             store_dir: None,
             store_mb: 256,
             slow_trace_ms: 500,
@@ -136,17 +143,24 @@ impl Default for ServeConfig {
     }
 }
 
+/// Concurrent-connection cap; connections over the limit get one
+/// `Busy` frame and are dropped.
+const MAX_CONNECTIONS: usize = 1024;
+
 /// Capacity of the slow-request trace ring: deep enough to hold a
 /// burst of outliers between `TraceDump` polls, small enough that an
 /// unpolled server caps its memory at a few dozen span trees.
 const TRACE_RING_CAP: usize = 64;
 
-/// Counters owned by the runtime (cache counters live in [`DistCache`] /
-/// [`InFlight`]). The request/refusal/shed tallies are registry
-/// counters — same cells the `MetricsSnapshot` opcode exposes — while
-/// the drain count stays a plain atomic: it is shutdown bookkeeping,
-/// not a metric.
+/// Counters owned by the runtime (the cache and coalescing counters
+/// live in [`DistCache`]). The request/refusal/shed tallies are
+/// registry counters — same cells the `MetricsSnapshot` opcode exposes —
+/// while the drain count stays a plain atomic: it is shutdown
+/// bookkeeping, not a metric.
 struct RuntimeCounters {
+    /// Compute requests answered from the cache, by following a leader,
+    /// or by leading once granted a slot; `Busy` refusals and
+    /// grant-time sheds are not counted.
     requests: Counter,
     busy: Counter,
     /// Misses shed when granted because their deadline had already
@@ -217,7 +231,6 @@ pub(crate) struct ServerState {
     cache: DistCache,
     /// The persistent spill tier, if configured and openable.
     store: Option<DistStore>,
-    inflight: InFlight,
     counters: RuntimeCounters,
     /// This server's metric registry; compute-tier metrics
     /// (`pool.*`, `core.*`, `sim.*`) live on [`Registry::global`] and
@@ -240,7 +253,6 @@ pub(crate) struct ServerState {
     slo_status: Mutex<Vec<SloStatus>>,
     shutting_down: AtomicBool,
     io_timeout: Option<Duration>,
-    max_connections: usize,
     connections: AtomicUsize,
 }
 
@@ -286,11 +298,12 @@ impl ServerState {
         self.shutting_down.load(Ordering::SeqCst)
     }
 
-    /// Inserts a completed distribution into the cache, demoting any
-    /// evicted entries into the spill store. Spill failures lose only
-    /// the demotion (the store skips that entry), never the request.
-    fn insert_cached(&self, key: u64, value: Arc<Distribution>) {
-        let evicted = self.cache.insert(key, value);
+    /// Publishes a leader's result through its lease, which wakes the
+    /// followers, then demotes the entries the insert evicted into the
+    /// spill store. Spill failures lose only the demotion (the store
+    /// skips that entry), never the request.
+    fn publish(&self, lease: Lease<'_>, result: ComputeResult) {
+        let evicted = lease.publish(result);
         if let Some(store) = &self.store {
             for (k, d) in evicted {
                 let _ = store.spill(k, &d);
@@ -418,7 +431,6 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
         admission: Admission::new(config.workers.max(1), config.queue_limit),
         cache: DistCache::new(config.cache_mb.saturating_mul(1024 * 1024), &obs),
         store,
-        inflight: InFlight::new(&obs),
         counters: RuntimeCounters::registered(&obs),
         stages: StageHists::registered(&obs),
         traces: TraceRing::new(TRACE_RING_CAP),
@@ -432,7 +444,6 @@ pub fn serve(config: &ServeConfig) -> std::io::Result<ServerHandle> {
         obs,
         shutting_down: AtomicBool::new(false),
         io_timeout: config.io_timeout.filter(|t| !t.is_zero()),
-        max_connections: config.max_connections.max(1),
         connections: AtomicUsize::new(0),
     });
     // The roller: one tick per rollup window, folding a full snapshot
@@ -505,7 +516,7 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
                 // Busy frame (request id 0 — nothing was read) and is
                 // dropped, so a connection flood degrades into fast
                 // refusals instead of unbounded connection threads.
-                if state.connections.load(Ordering::SeqCst) >= state.max_connections {
+                if state.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
                     state.counters.busy.inc();
                     let busy = Reply::Busy;
                     let _ = write_frame(&mut stream, 0, busy.opcode(), 0, 0, &busy.encode());
@@ -580,8 +591,7 @@ fn connection_loop(mut stream: TcpStream, state: &ServerState, addr: SocketAddr)
 }
 
 /// Answers one request frame: the shutdown check, decode, the cheap
-/// opcodes, the cache probe, or a computation under an admission
-/// permit. Traced compute requests also hand back their opcode and
+/// opcodes, or a compute request through [`answer_compute`]. Traced compute requests also hand back their opcode and
 /// trace context for [`respond`] to finish.
 fn answer(state: &ServerState, frame: &Frame) -> (Reply, Option<(u8, TraceCtx)>) {
     let op = frame.opcode;
@@ -626,40 +636,109 @@ fn answer(state: &ServerState, frame: &Frame) -> (Reply, Option<(u8, TraceCtx)>)
     (reply, ctx.map(|c| (op, c)))
 }
 
-/// Answers one compute request. Hot hits are answered straight from
-/// the cache. A miss enters the admission gate and, once granted a
-/// permit, computes on this thread while it holds it (the leader's
-/// re-probe at `claim` catches entries that land while it waits).
+/// Answers one compute request with at most three cache lookups.
+///
+/// Each lookup decides the request's path in one step. A hit replies at
+/// once. A follower waits for its leader's result no longer than its
+/// own deadline, and never enters the admission gate; when the leader's
+/// failure was leader-specific (its deadline fired, the gate refused
+/// it, its computation panicked) the follower looks the key up again
+/// and may lead itself, rather than inherit a failure its budget did not
+/// earn. A leader computes through [`lead`]; a panic there becomes an
+/// error reply, and the dropped lease wakes the followers.
+///
+/// Trace spans: `cache_probe` covers hashing the key and the first
+/// lookup, and a follower's wait is `coalesce_wait`.
 fn answer_compute(
     state: &ServerState,
-    compute: Request,
+    request: Request,
     deadline_ms: u32,
     trace: Option<&TraceCtx>,
 ) -> Reply {
-    // The probe span covers hashing the key as well as the lookup.
-    let (key, probed) = {
+    let (key, mut found) = {
         let _t = trace.map(|c| c.span("cache_probe", Some(&state.stages.cache_probe)));
-        let key = cache_key(&compute);
-        (key, state.cache.get(key))
+        let key = cache_key(&request);
+        (key, state.cache.lookup(key))
     };
-    if let Some(hit) = probed {
-        state.counters.requests.inc();
-        return Reply::Distribution((*hit).clone());
-    }
     // The deadline clock starts before the request queues: time spent
-    // waiting for a slot counts against it.
+    // following or waiting for a slot counts against it.
     let cancel = if deadline_ms > 0 {
         CancelToken::after(Duration::from_millis(u64::from(deadline_ms)))
     } else {
         CancelToken::new()
     };
-    // The queue span runs from here (entry) to the grant.
+    let mut attempts = 1;
+    loop {
+        // A request counts once: a hit or a follower on its first
+        // lookup, a leader only once it is granted a slot.
+        let first = attempts == 1;
+        if first && !matches!(found, Lookup::Lead(_)) {
+            state.counters.requests.inc();
+        }
+        let slot = match found {
+            Lookup::Hit(hit) => return Reply::Distribution((*hit).clone()),
+            Lookup::Lead(lease) => {
+                return catch_unwind(AssertUnwindSafe(|| {
+                    lead(state, &request, key, lease, &cancel, trace, first)
+                }))
+                .unwrap_or_else(|payload| {
+                    reply_of(Err(ComputeError::Panicked(hammer_pool::panic_message(
+                        payload.as_ref(),
+                    ))))
+                });
+            }
+            Lookup::Follow(slot) => slot,
+        };
+        let waited = {
+            let _t = trace.map(|c| c.span("coalesce_wait", Some(&state.stages.coalesce_wait)));
+            slot.wait_until(cancel.deadline())
+        };
+        match waited {
+            None => return Reply::DeadlineExceeded,
+            Some(Err(e)) if e.is_leader_specific() => {
+                if cancel.is_cancelled() {
+                    return Reply::DeadlineExceeded;
+                }
+            }
+            Some(result) => return reply_of(result),
+        }
+        if attempts == 3 {
+            return Reply::Error("computation failed repeatedly (leaders kept dying)".into());
+        }
+        attempts += 1;
+        found = state.cache.lookup(key);
+    }
+}
+
+/// Computes the key `lease` claims. The leader enters the admission
+/// gate and, once granted a permit, sheds an already expired deadline,
+/// then loads the key from the spill store or computes it, and
+/// publishes the result. A leader the gate refuses (`Busy`,
+/// `ShuttingDown`) or sheds publishes [`ComputeError::Cancelled`], so
+/// its followers lead again under their own budgets. A store hit
+/// promotes back into the cache without computing (`store_loads`, not
+/// `cache_misses`). `count_request` is false for a follower that came
+/// back to lead, since it was counted when it followed.
+///
+/// Trace spans: `queue` runs from gate entry to grant, the store probe
+/// is `store_load` (only when a store is configured), and `compute`
+/// covers the computation and the publish.
+fn lead(
+    state: &ServerState,
+    request: &Request,
+    key: u64,
+    lease: Lease<'_>,
+    cancel: &CancelToken,
+    trace: Option<&TraceCtx>,
+    count_request: bool,
+) -> Reply {
     let queued_at = trace.map(TraceCtx::elapsed_ns);
-    // Deadlined misses are granted earliest-deadline-first, so a
+    // Deadlined leaders are granted earliest-deadline-first, so a
     // mixed-budget storm spends slots on the requests that can still
     // make it (undeadlined ones are granted FIFO behind every deadlined
     // one).
     let Some(_permit) = state.admission.enter(cancel.deadline()) else {
+        state.publish(lease, Err(ComputeError::Cancelled));
         // A full queue, or shutdown began after `answer` checked the
         // flag (the gate refuses once `begin_shutdown` reached it).
         state.counters.busy.inc();
@@ -669,30 +748,46 @@ fn answer_compute(
             Reply::Busy
         };
     };
-    // A panic under the permit still becomes a reply, so the request is
-    // answered and the drain count falls; the permit is freed either
-    // way when this function returns.
-    catch_unwind(AssertUnwindSafe(|| {
-        if let (Some(c), Some(start)) = (trace, queued_at) {
-            let waited = c.elapsed_ns().saturating_sub(start);
-            c.add_span("queue", start, waited);
-            state.stages.queue.record(waited);
-        }
-        // The cheapest cancellation point: the deadline may have
-        // expired while the request waited for a slot — shed it
-        // without computing.
-        if cancel.is_cancelled() {
-            state.counters.deadline_sheds.inc();
-            return Reply::DeadlineExceeded;
-        }
-        handle_compute(state, compute, key, &cancel, trace)
-    }))
-    .unwrap_or_else(|payload| {
-        Reply::Error(format!(
-            "request panicked: {}",
-            hammer_pool::panic_message(payload.as_ref())
-        ))
-    })
+    if let (Some(c), Some(start)) = (trace, queued_at) {
+        let waited = c.elapsed_ns().saturating_sub(start);
+        c.add_span("queue", start, waited);
+        state.stages.queue.record(waited);
+    }
+    // The cheapest cancellation point: the deadline may have expired
+    // while the request waited for a slot — shed it without computing.
+    if cancel.is_cancelled() {
+        state.publish(lease, Err(ComputeError::Cancelled));
+        state.counters.deadline_sheds.inc();
+        return Reply::DeadlineExceeded;
+    }
+    if count_request {
+        state.counters.requests.inc();
+    }
+    // Answers that need no computation: an empty histogram fails, and a
+    // spill-tier hit (CRC- and invariant-revalidated on the way in)
+    // promotes back into the cache.
+    let ready = match request {
+        Request::Reconstruct { counts, .. } if counts.is_empty() => Some(Err(
+            ComputeError::Failed("empty histogram has no distribution".into()),
+        )),
+        _ => state.store.as_ref().and_then(|store| {
+            let _t = trace.map(|c| c.span("store_load", Some(&state.stages.store_load)));
+            store.load(key).map(|d| Ok(Arc::new(d)))
+        }),
+    };
+    let result = if let Some(result) = ready {
+        state.publish(lease, result.clone());
+        result
+    } else {
+        let _t = trace.map(|c| c.span("compute", Some(&state.stages.compute)));
+        state.cache.note_miss();
+        #[cfg(feature = "fault-points")]
+        crate::fault::on_compute(Some(cancel));
+        let result = compute(request, cancel).map(Arc::new);
+        state.publish(lease, result.clone());
+        result
+    };
+    reply_of(result)
 }
 
 /// Writes one reply on the connection's own socket and closes the
@@ -791,39 +886,6 @@ fn read_one_frame(stream: &mut TcpStream, state: &ServerState) -> FrameOutcome {
     }
 }
 
-/// Executes one compute request that missed the connection thread's
-/// cache probe, under an admission permit; `key` is its [`cache_key`].
-fn handle_compute(
-    state: &ServerState,
-    request: Request,
-    key: u64,
-    cancel: &CancelToken,
-    trace: Option<&TraceCtx>,
-) -> Reply {
-    state.counters.requests.inc();
-    let job_cancel = cancel.clone();
-    match request {
-        Request::Reconstruct { config, counts } => {
-            if counts.is_empty() {
-                return Reply::Error("empty histogram has no distribution".into());
-            }
-            cached_compute(state, key, cancel, trace, move || {
-                Hammer::with_config(config)
-                    .try_reconstruct_counts(&counts, &job_cancel)
-                    .map_err(|Cancelled| ComputeError::Cancelled)
-            })
-        }
-        Request::SampleAndReconstruct(job) => {
-            cached_compute(state, key, cancel, trace, move || {
-                run_sample_job(&job, &job_cancel)
-            })
-        }
-        Request::Ping | Request::TraceDump | Request::MetricsSnapshot | Request::Shutdown => {
-            unreachable!("cheap opcodes are answered on the connection thread")
-        }
-    }
-}
-
 /// A compute request as it is served: its config with the approximate
 /// scoring path switched off, so every reply is the exact
 /// reconstruction. Applied before [`cache_key`] hashes the request, so
@@ -854,131 +916,25 @@ fn cache_key(request: &Request) -> u64 {
     }
 }
 
-/// The coalescing discipline around one computation whose key missed
-/// the connection thread's cache probe.
-///
-/// The leader computes under a publish-on-drop guard, so **every** exit
-/// — success, failure, cancellation, panic — wakes the followers.
-/// Followers wait no longer than their own deadline, and when the
-/// leader's failure was leader-specific (its deadline fired, its
-/// computation panicked) they re-claim the key and compute for themselves rather
-/// than inherit a failure their budget did not earn.
-///
-/// A leader first re-probes the cache (the entry may have landed while
-/// the request waited for a slot), then the persistent store: a disk hit promotes
-/// back into the cache and skips the computation entirely
-/// (`store_loads`, not `cache_misses`).
-///
-/// Trace spans: a follower's wait is `coalesce_wait`, the leader's
-/// store probe is `store_load` (only when a store is configured) and
-/// the computation itself is `compute`; the connection thread already
-/// recorded `cache_probe`.
-fn cached_compute<F>(
-    state: &ServerState,
-    key: u64,
-    cancel: &CancelToken,
-    trace: Option<&TraceCtx>,
-    compute: F,
-) -> Reply
-where
-    F: FnOnce() -> Result<Distribution, ComputeError>,
-{
-    let mut compute = Some(compute);
-    // Bounded re-lead: a follower whose leader was cancelled or
-    // panicked retries leadership a few times, but a pathological run
-    // of dying leaders must not loop forever.
-    for _ in 0..3 {
-        match state.inflight.claim(key) {
-            Claim::Leader => {
-                let guard = state.inflight.publish_guard(key);
-                // The entry may have landed while this request waited
-                // for a slot (a racing leader completed between the
-                // probe and our claim); serve it rather than recompute.
-                // `get` counts the hit, which is accurate: the entry IS
-                // there.
-                let result: ComputeResult = if let Some(hit) = state.cache.get(key) {
-                    Ok(hit)
-                } else if cancel.is_cancelled() {
-                    // Do not burn a compute the requester stopped
-                    // waiting for; followers re-lead under their own
-                    // budgets.
-                    Err(ComputeError::Cancelled)
-                } else {
-                    let loaded = state.store.as_ref().and_then(|store| {
-                        let _t =
-                            trace.map(|c| c.span("store_load", Some(&state.stages.store_load)));
-                        store.load(key)
-                    });
-                    if let Some(d) = loaded {
-                        // Spill-tier hit: promote back into the cache
-                        // and answer without recomputing. The record
-                        // was CRC- and invariant-revalidated on the way
-                        // in.
-                        let dist = Arc::new(d);
-                        state.insert_cached(key, Arc::clone(&dist));
-                        Ok(dist)
-                    } else {
-                        state.cache.note_miss();
-                        let job = compute.take().expect("leader computes at most once");
-                        #[cfg(feature = "fault-points")]
-                        let fault_cancel = cancel.clone();
-                        let _t = trace.map(|c| c.span("compute", Some(&state.stages.compute)));
-                        match catch_unwind(AssertUnwindSafe(move || {
-                            #[cfg(feature = "fault-points")]
-                            crate::fault::on_compute(Some(&fault_cancel));
-                            job()
-                        })) {
-                            Ok(Ok(dist)) => {
-                                let dist = Arc::new(dist);
-                                state.insert_cached(key, Arc::clone(&dist));
-                                Ok(dist)
-                            }
-                            Ok(Err(e)) => Err(e),
-                            Err(payload) => Err(ComputeError::Panicked(
-                                hammer_pool::panic_message(payload.as_ref()),
-                            )),
-                        }
-                    }
-                };
-                guard.publish(result.clone());
-                return reply_of(result);
-            }
-            follower @ Claim::Follower(_) => {
-                let waited = {
-                    let _t =
-                        trace.map(|c| c.span("coalesce_wait", Some(&state.stages.coalesce_wait)));
-                    follower.wait_until(cancel.deadline())
-                };
-                let Some(result) = waited else {
-                    return Reply::DeadlineExceeded;
-                };
-                match result {
-                    Err(e) if e.is_leader_specific() => {
-                        // The *leader's* deadline fired or its compute
-                        // panicked; our budget may still be live. Probe the
-                        // cache (a racing re-leader may have finished)
-                        // and try to lead ourselves.
-                        if let Some(hit) = state.cache.get(key) {
-                            return Reply::Distribution((*hit).clone());
-                        }
-                        if cancel.is_cancelled() {
-                            return Reply::DeadlineExceeded;
-                        }
-                    }
-                    other => return reply_of(other),
-                }
-            }
-        }
-    }
-    Reply::Error("computation failed repeatedly (leaders kept dying)".into())
-}
-
 fn reply_of(result: ComputeResult) -> Reply {
     match result {
         Ok(dist) => Reply::Distribution((*dist).clone()),
         Err(ComputeError::Cancelled) => Reply::DeadlineExceeded,
         Err(ComputeError::Failed(msg)) => Reply::Error(msg),
         Err(ComputeError::Panicked(msg)) => Reply::Error(format!("computation panicked: {msg}")),
+    }
+}
+
+/// Runs one compute request on the calling thread.
+fn compute(request: &Request, cancel: &CancelToken) -> Result<Distribution, ComputeError> {
+    match request {
+        Request::Reconstruct { config, counts } => Hammer::with_config(*config)
+            .try_reconstruct_counts(counts, cancel)
+            .map_err(|Cancelled| ComputeError::Cancelled),
+        Request::SampleAndReconstruct(job) => run_sample_job(job, cancel),
+        Request::Ping | Request::TraceDump | Request::MetricsSnapshot | Request::Shutdown => {
+            unreachable!("cheap opcodes are answered on the connection thread")
+        }
     }
 }
 

@@ -385,3 +385,71 @@ fn delayed_networks_change_latency_never_bytes() {
     server.shutdown();
     let _ = server.wait();
 }
+
+/// A coalesced follower takes no compute slot and no queue place. With
+/// one slot and one queue place, a follower of the request computing
+/// leaves the queue place free, so a different request waits there and
+/// is computed instead of refused `Busy`.
+#[test]
+fn coalesced_followers_take_no_slot_and_no_queue_place() {
+    let _guard = exclusive();
+    let server = start(1, 1);
+    let addr = server.local_addr().to_string();
+    fault::set_slow_compute_ms(300);
+    let send = |counts: &Counts| {
+        let addr = addr.clone();
+        let counts = counts.clone();
+        std::thread::spawn(move || {
+            ServeClient::connect(addr)
+                .expect("connect")
+                .with_busy_retries(0, Duration::ZERO)
+                .reconstruct(&counts, &HammerConfig::paper())
+        })
+    };
+    // Polls the server's metrics until `ready` holds.
+    let wait_for = |what: &str, ready: &dyn Fn(&hammer_obs::MetricsSnapshot) -> bool| {
+        let started = Instant::now();
+        while !ready(&server.obs_snapshot()) {
+            assert!(
+                started.elapsed() < Duration::from_millis(250),
+                "timed out waiting for {what}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    let (a, b) = (chaos_counts(11), chaos_counts(12));
+
+    let first = send(&a);
+    wait_for("A to compute", &|s| {
+        s.counter("serve.cache.misses") == Some(1)
+    });
+    let again = send(&a);
+    wait_for("A' to reach the server", &|s| {
+        s.counter("serve.coalesced") == Some(1) || s.gauge("serve.queue.depth") == Some(1)
+    });
+    let other = send(&b);
+
+    match other.join().expect("B's client finishes") {
+        Ok(got) => assert_eq!(got, direct(&b)),
+        Err(e) => panic!("B must wait in the free queue place, got {e:?}"),
+    }
+    let first = first
+        .join()
+        .expect("A's client finishes")
+        .expect("A computes");
+    let again = again
+        .join()
+        .expect("A''s client finishes")
+        .expect("A' follows");
+    assert_eq!(first, direct(&a));
+    assert_eq!(again, first, "the follower receives the leader's bytes");
+    assert_eq!(
+        server.obs_snapshot().counter("serve.cache.misses"),
+        Some(2),
+        "A and B computed once each"
+    );
+
+    fault::reset();
+    server.shutdown();
+    let _ = server.wait();
+}
