@@ -77,9 +77,8 @@ pub enum FilterRule {
 /// Unlike the cache/threading knobs on [`KernelTuning`], these **can
 /// change results**: above the crossover the kernel only visits
 /// candidate pairs surfaced by the forest, trading a bounded recall loss
-/// for sub-quadratic scoring. [`HammerConfig::fingerprint`] therefore
-/// covers these fields. The serving tier always turns this path off:
-/// it answers with the exact reconstruction.
+/// for sub-quadratic scoring. The serving tier always turns this path
+/// off: it answers with the exact reconstruction.
 ///
 /// The approximate path only engages when **all** of the following hold
 /// (otherwise the exact blocked kernel runs, bit-identical to a config
@@ -198,48 +197,6 @@ impl HammerConfig {
     pub fn paper() -> Self {
         Self::default()
     }
-
-    /// A stable FNV-1a fingerprint of the *result-determining*
-    /// configuration: neighborhood limit, weight scheme, filter rule,
-    /// and the [`AnnTuning`] knobs (which select and shape the
-    /// approximate scoring path above its crossover). The performance
-    /// [`KernelTuning`] knobs (`parallel_threshold`, `tile_size`) are
-    /// deliberately **excluded** — they change how fast a
-    /// reconstruction runs, never what it computes, so two configs that
-    /// differ only in those must share cache entries in the serving
-    /// layer (which keys its distribution cache with this). Not a
-    /// cryptographic hash — see [`hammer_dist::fingerprint`].
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = hammer_dist::fingerprint::Fnv1a::new();
-        h.write_bytes(b"hammer-config/v2");
-        match self.neighborhood {
-            NeighborhoodLimit::HalfWidth => h.write_u8(0),
-            NeighborhoodLimit::Fixed(k) => {
-                h.write_u8(1);
-                h.write_usize(k);
-            }
-            NeighborhoodLimit::Unbounded => h.write_u8(2),
-        }
-        h.write_u8(match self.weights {
-            WeightScheme::InverseAverageChs => 0,
-            WeightScheme::InverseGlobalChs => 1,
-            WeightScheme::Uniform => 2,
-            WeightScheme::InverseBinomial => 3,
-        });
-        h.write_u8(match self.filter {
-            FilterRule::LowerProbabilityOnly => 0,
-            FilterRule::None => 1,
-        });
-        let ann = &self.kernel.ann;
-        h.write_u8(u8::from(ann.enabled));
-        h.write_usize(ann.trees);
-        h.write_usize(ann.bits_per_hash);
-        h.write_usize(ann.oversample);
-        h.write_usize(ann.probe_radius);
-        h.write_usize(ann.crossover);
-        h.finish()
-    }
 }
 
 #[cfg(test)]
@@ -273,75 +230,6 @@ mod tests {
         assert_eq!(d.weights, WeightScheme::InverseAverageChs);
         assert_eq!(d.filter, FilterRule::LowerProbabilityOnly);
         assert_eq!(d.kernel, KernelTuning::default());
-    }
-
-    #[test]
-    fn fingerprint_covers_algorithm_but_not_tuning() {
-        let base = HammerConfig::paper();
-        assert_eq!(base.fingerprint(), HammerConfig::paper().fingerprint());
-        // Cache/threading tuning is performance-only: same fingerprint.
-        let tuned = HammerConfig {
-            kernel: KernelTuning {
-                parallel_threshold: 1,
-                tile_size: 64,
-                ..KernelTuning::default()
-            },
-            ..base
-        };
-        assert_eq!(base.fingerprint(), tuned.fingerprint());
-        // The ANN knobs shape results above the crossover, so they must
-        // move the fingerprint (the serving cache keys on it).
-        for ann in [
-            AnnTuning {
-                enabled: false,
-                ..AnnTuning::default()
-            },
-            AnnTuning {
-                trees: 4,
-                ..AnnTuning::default()
-            },
-            AnnTuning {
-                oversample: 64,
-                ..AnnTuning::default()
-            },
-            AnnTuning {
-                crossover: 1024,
-                ..AnnTuning::default()
-            },
-        ] {
-            let approx = HammerConfig {
-                kernel: KernelTuning {
-                    ann,
-                    ..KernelTuning::default()
-                },
-                ..base
-            };
-            assert_ne!(base.fingerprint(), approx.fingerprint(), "{ann:?}");
-        }
-        // Every algorithmic knob moves it.
-        let neighborhood = HammerConfig {
-            neighborhood: NeighborhoodLimit::Fixed(3),
-            ..base
-        };
-        assert_ne!(base.fingerprint(), neighborhood.fingerprint());
-        assert_ne!(
-            neighborhood.fingerprint(),
-            HammerConfig {
-                neighborhood: NeighborhoodLimit::Fixed(4),
-                ..base
-            }
-            .fingerprint()
-        );
-        let weights = HammerConfig {
-            weights: WeightScheme::Uniform,
-            ..base
-        };
-        assert_ne!(base.fingerprint(), weights.fingerprint());
-        let filter = HammerConfig {
-            filter: FilterRule::None,
-            ..base
-        };
-        assert_ne!(base.fingerprint(), filter.fingerprint());
     }
 
     #[test]

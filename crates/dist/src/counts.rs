@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use crate::bitstring::{BitString, MAX_BITS};
 use crate::distribution::{validate_raw_keys, Distribution};
 use crate::error::DistError;
-use crate::fingerprint::Fnv1a;
+use crate::fingerprint::Fingerprinter;
 
 /// A histogram of measured outcomes over a fixed register width — the
 /// raw result of running a circuit for some number of trials (shots).
@@ -111,16 +111,15 @@ impl Counts {
         })
     }
 
-    /// A stable FNV-1a fingerprint of the histogram's semantic content
-    /// (width plus every sorted `(outcome, count)` pair): equal
-    /// histograms fingerprint equal in every process, and any change to
-    /// a count or outcome changes the fingerprint (up to hash
-    /// collisions — see [`crate::fingerprint`], this is not a
-    /// cryptographic hash). The serving layer keys its reconstruction
-    /// cache with this.
+    /// A stable fingerprint of the histogram's semantic content (width
+    /// plus every sorted `(outcome, count)` pair, one
+    /// [`Fingerprinter`] word per field): equal histograms fingerprint
+    /// equal in every process, and any change to a count or outcome
+    /// changes the fingerprint (up to hash collisions — see
+    /// [`crate::fingerprint`], this is not a cryptographic hash).
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = Fingerprinter::new();
         h.write_usize(self.n_bits);
         h.write_usize(self.counts.len());
         for (&k, &c) in &self.counts {

@@ -1,44 +1,65 @@
 //! Stable, non-cryptographic fingerprinting for cache keys and request
 //! coalescing.
 //!
-//! The serving layer keys its distribution cache and in-flight request
-//! map by a `u64` fingerprint of the request's semantic content (circuit
-//! structure, device, configuration, seed). Those fingerprints must be
-//! **stable across processes and platforms** — `std::hash::Hash` with
-//! `DefaultHasher`/`RandomState` is randomized per process, so the
-//! workspace carries its own hasher: FNV-1a over a canonical
-//! little-endian byte encoding.
+//! The serving layer keys its distribution cache, its in-flight request
+//! map and its spill store by a `u64` fingerprint of a compute
+//! request's opcode and raw payload bytes, and
+//! [`Counts::fingerprint`](crate::Counts::fingerprint) hashes a
+//! histogram's sorted columns. Those fingerprints must be **stable
+//! across processes and platforms** — `std::hash::Hash` with
+//! `DefaultHasher`/`RandomState` is randomized per process — so the
+//! workspace carries its own hasher, [`Fingerprinter`].
 //!
-//! FNV-1a is **not a cryptographic hash**: collisions are easy to
-//! construct on purpose. That is acceptable here because fingerprints
-//! only dedupe *trusted* inputs (a collision serves a cached result for
-//! the wrong request; a hostile client could equally just request the
-//! wrong thing). Do not use these fingerprints for authentication or
-//! content addressing of untrusted data.
+//! # What it computes
+//!
+//! The state starts at a fixed seed. Each whole little-endian 8-byte
+//! word `w` is absorbed with one multiply-mix,
+//! `state = (state.rotate_left(23) ^ w) · K` (wrapping, `K` odd). A tail
+//! of 1 to 7 bytes is zero-padded to a word, its length is placed in
+//! the word's top byte, and the word is absorbed the same way, so `[1]`
+//! and `[1, 0]` hash apart. [`finish`](Fingerprinter::finish) runs the
+//! state through a 64-bit avalanche finalizer (MurmurHash3's `fmix64`),
+//! so every input bit reaches every output bit.
+//!
+//! For a fixed word each step is a bijection of the state, and for a
+//! fixed state a bijection of the word, as is the finalizer. Two inputs
+//! written through the same sequence of calls and lengths that differ
+//! in a single word therefore always fingerprint apart; a single-bit
+//! flip anywhere is such a difference. A call is a unit: one
+//! `write_bytes(b"ab")` and two calls `write_bytes(b"a")`,
+//! `write_bytes(b"b")` fingerprint differently.
+//!
+//! The fingerprint is **not a cryptographic hash**: collisions are easy
+//! to construct on purpose. That is acceptable here because a
+//! collision only serves a cached result for the wrong request, and a
+//! hostile client could equally just request the wrong thing. Do not
+//! use these fingerprints for authentication or content addressing of
+//! untrusted data.
 //!
 //! # Example
 //!
 //! ```
-//! use hammer_dist::fingerprint::Fnv1a;
+//! use hammer_dist::fingerprint::Fingerprinter;
 //!
-//! let mut h = Fnv1a::new();
+//! let mut h = Fingerprinter::new();
 //! h.write_u64(42);
 //! h.write_bytes(b"ghz");
 //! let a = h.finish();
 //!
 //! // Same input, same fingerprint — in every process, on every platform.
-//! let mut h = Fnv1a::new();
+//! let mut h = Fingerprinter::new();
 //! h.write_u64(42);
 //! h.write_bytes(b"ghz");
 //! assert_eq!(h.finish(), a);
 //! ```
 
-/// The 64-bit FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// The 64-bit FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The initial state.
+const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+/// The per-word multiplier: odd, with well-spread bits (2⁶⁴ / φ).
+const K: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// An incremental 64-bit FNV-1a hasher over a canonical byte encoding.
+/// An incremental 64-bit word-at-a-time hasher over a canonical
+/// little-endian encoding (see the [module docs](self)).
 ///
 /// All multi-byte writes encode little-endian, and `f64` values hash
 /// their IEEE-754 bit pattern (`to_bits`), so two values fingerprint
@@ -46,28 +67,42 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// differently, `NaN` payloads are distinguished, and no float
 /// comparison is involved.
 #[derive(Debug, Clone)]
-pub struct Fnv1a {
+pub struct Fingerprinter {
     state: u64,
 }
 
-impl Default for Fnv1a {
+impl Default for Fingerprinter {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Fnv1a {
-    /// A hasher at the FNV offset basis.
+impl Fingerprinter {
+    /// A hasher at the seed state.
     #[must_use]
     pub fn new() -> Self {
-        Self { state: FNV_OFFSET }
+        Self { state: SEED }
     }
 
-    /// Absorbs raw bytes.
+    /// The one multiply-mix every word goes through.
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.state = (self.state.rotate_left(23) ^ word).wrapping_mul(K);
+    }
+
+    /// Absorbs raw bytes: whole little-endian words, then a zero-padded
+    /// tail tagged with its length.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.mix(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut padded = [0u8; 8];
+            padded[..tail.len()].copy_from_slice(tail);
+            padded[7] = tail.len() as u8;
+            self.mix(u64::from_le_bytes(padded));
         }
     }
 
@@ -77,9 +112,10 @@ impl Fnv1a {
         self.write_bytes(&[v]);
     }
 
-    /// Absorbs a `u64`, little-endian.
+    /// Absorbs a `u64` as one word, exactly as
+    /// `write_bytes(&v.to_le_bytes())` would.
     pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+        self.mix(v);
     }
 
     /// Absorbs a `usize` widened to `u64`, so 32- and 64-bit platforms
@@ -93,10 +129,16 @@ impl Fnv1a {
         self.write_u64(v.to_bits());
     }
 
-    /// The fingerprint of everything absorbed so far.
+    /// The fingerprint of everything absorbed so far: the state after
+    /// the `fmix64` avalanche.
     #[must_use]
     pub fn finish(&self) -> u64 {
-        self.state
+        let mut x = self.state;
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        x ^ (x >> 33)
     }
 }
 
@@ -104,46 +146,83 @@ impl Fnv1a {
 mod tests {
     use super::*;
 
+    fn fp(bytes: &[u8]) -> u64 {
+        let mut h = Fingerprinter::new();
+        h.write_bytes(bytes);
+        h.finish()
+    }
+
     #[test]
-    fn matches_the_published_fnv1a_vectors() {
-        // Reference vectors from the FNV specification (64-bit FNV-1a).
-        let fp = |s: &str| {
-            let mut h = Fnv1a::new();
-            h.write_bytes(s.as_bytes());
-            h.finish()
-        };
-        assert_eq!(Fnv1a::new().finish(), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fp("a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fp("foobar"), 0x85944171f73967e8);
+    fn pinned_vectors_stay_stable() {
+        // Fingerprints key the spill store on disk, so the function must
+        // not drift silently between builds.
+        assert_eq!(Fingerprinter::new().finish(), 0xefd0_1f60_ba99_2926);
+        assert_eq!(fp(b"a"), 0x4a29_5dda_f8bc_8581);
+        assert_eq!(fp(b"foobar"), 0xb857_15c9_e2b3_3e69);
+        assert_eq!(fp(b"0123456789abcdef"), 0x8c92_b3cc_7758_a9b1);
+    }
+
+    #[test]
+    fn zero_padded_tails_hash_apart_by_length() {
+        assert_ne!(fp(&[1]), fp(&[1, 0]));
+        assert_ne!(fp(&[]), fp(&[0]));
+        assert_ne!(fp(&[0; 7]), fp(&[0; 8]));
+        assert_ne!(fp(&[0; 8]), fp(&[0; 9]));
+    }
+
+    #[test]
+    fn a_single_bit_flip_anywhere_moves_the_hash() {
+        for len in 1..=27usize {
+            let bytes: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+            let base = fp(&bytes);
+            for bit in 0..len * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(fp(&flipped), base, "len {len}, bit {bit}");
+            }
+        }
+    }
+
+    #[test]
+    fn write_u64_is_write_bytes_of_its_le_bytes() {
+        for v in [0, 1, 0xff, 1 << 63, 0x0123_4567_89ab_cdef, u64::MAX] {
+            let mut a = Fingerprinter::new();
+            a.write_u64(v);
+            a.write_u64(!v);
+            let mut b = Fingerprinter::new();
+            b.write_bytes(&v.to_le_bytes());
+            b.write_bytes(&(!v).to_le_bytes());
+            assert_eq!(a.finish(), b.finish(), "{v:#x}");
+        }
     }
 
     #[test]
     fn writes_are_order_sensitive_and_typed() {
-        let mut a = Fnv1a::new();
+        let mut a = Fingerprinter::new();
         a.write_u64(1);
         a.write_u64(2);
-        let mut b = Fnv1a::new();
+        let mut b = Fingerprinter::new();
         b.write_u64(2);
         b.write_u64(1);
         assert_ne!(a.finish(), b.finish());
         // u8 vs u64 of the same value differ (different byte lengths).
-        let mut c = Fnv1a::new();
+        let mut c = Fingerprinter::new();
         c.write_u8(7);
-        let mut d = Fnv1a::new();
+        let mut d = Fingerprinter::new();
         d.write_u64(7);
         assert_ne!(c.finish(), d.finish());
     }
 
     #[test]
     fn floats_hash_their_bit_patterns() {
-        let mut a = Fnv1a::new();
+        let mut a = Fingerprinter::new();
         a.write_f64(0.0);
-        let mut b = Fnv1a::new();
+        let mut b = Fingerprinter::new();
         b.write_f64(-0.0);
         assert_ne!(a.finish(), b.finish());
-        let mut c = Fnv1a::new();
+        let mut c = Fingerprinter::new();
         c.write_f64(1.5);
-        let mut d = Fnv1a::new();
+        let mut d = Fingerprinter::new();
         d.write_f64(1.5);
         assert_eq!(c.finish(), d.finish());
     }

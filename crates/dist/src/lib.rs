@@ -20,8 +20,8 @@
 //! * [`metrics`] — PST, IST, EHD, TVD, Hellinger fidelity, Cost Ratio;
 //! * [`stats`] — means and Spearman correlations for the experiment
 //!   harness;
-//! * [`fingerprint`] — stable (process-independent) FNV-1a hashing, the
-//!   cache-key discipline of the serving layer.
+//! * [`fingerprint`] — stable (process-independent) word-at-a-time
+//!   hashing, the cache-key discipline of the serving layer.
 //!
 //! # Example
 //!

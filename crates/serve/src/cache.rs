@@ -1,15 +1,19 @@
 //! The batching + caching core: one sharded map from a request's key
-//! to either its finished [`Distribution`] or the computation in
-//! progress that concurrent identical requests coalesce onto.
+//! to either its finished reply payload or the computation in progress
+//! that concurrent identical requests coalesce onto.
 //!
-//! Keys are the stable `u64` fingerprints of the request content (see
-//! [`hammer_dist::fingerprint`]): `Reconstruct` keys on
-//! `(counts, config)`, `SampleAndReconstruct` on
-//! `(circuit, device, trials, seed, config)`. One
+//! Keys are stable `u64` fingerprints (see [`hammer_dist::fingerprint`])
+//! of a compute request's opcode and raw payload bytes, taken before
+//! anything is decoded. The wire form is canonical (sorted keys, no
+//! zero counts, only the algorithmic config knobs), so equal bytes mean
+//! an equal request. A finished entry is the encoded
+//! [`put_distribution`](crate::codec::put_distribution) payload of the
+//! reply, shared as an `Arc<[u8]>`: a hit writes a frame header plus
+//! those bytes, and nothing is decoded, cloned or re-encoded. One
 //! [`lookup`](DistCache::lookup), under one shard lock, decides what a
 //! request does:
 //!
-//! * [`Lookup::Hit`] — the key has finished: answer at once;
+//! * [`Lookup::Hit`] — the key has finished: write its payload at once;
 //! * [`Lookup::Follow`] — another request is computing it: wait on its
 //!   [`Slot`] and receive the published result without computing
 //!   (`serve.coalesced` counts each join);
@@ -19,7 +23,8 @@
 //!   followers.
 //!
 //! Finished entries are evicted per shard, least recently used first,
-//! under an approximate byte budget. A pending entry is never evicted
+//! under a byte budget that counts each entry's payload length. A
+//! pending entry is never evicted
 //! and counts toward neither the budget nor
 //! [`entries`](DistCache::entries) and [`resident`](DistCache::resident).
 //! The counters (`serve.cache.{hits,misses,evictions}`,
@@ -31,38 +36,21 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
-use hammer_dist::Distribution;
 use hammer_obs::{Counter, Registry};
 
 /// Shard count: fingerprints are well-mixed, so a modest fixed fan-out
 /// removes lock contention without a tuning knob.
 const SHARDS: usize = 16;
 
-/// Approximate heap footprint of a cached distribution: the struct
-/// plus its four arrays, the AoS `(u128, f64)` entries (32 B each,
-/// since `u128` is 16-aligned) and the three 8 B SoA mirrors.
-fn approx_bytes(d: &Distribution) -> usize {
-    size_of::<Distribution>()
-        + size_of_val(d.as_slice())
-        + size_of_val(d.keys())
-        + size_of_val(d.keys_hi())
-        + size_of_val(d.probs())
-}
-
 /// An entry evicted under memory pressure, handed back to the caller
 /// so the serving runtime can demote it to the persistent spill tier
-/// instead of discarding it: `(key, value)`.
-pub type Evicted = (u64, Arc<Distribution>);
+/// instead of discarding it: `(key, payload)`.
+pub type Evicted = (u64, Arc<[u8]>);
 
 /// What a shard holds under one key.
 enum Cached {
-    /// A finished distribution with its last-touch tick and
-    /// approximate bytes.
-    Ready {
-        value: Arc<Distribution>,
-        touched: u64,
-        bytes: usize,
-    },
+    /// A finished reply payload with its last-touch tick.
+    Ready { value: Arc<[u8]>, touched: u64 },
     /// A computation in progress; its followers wait on the slot.
     Pending(Arc<Slot>),
 }
@@ -76,7 +64,7 @@ struct Shard {
     /// (unique: ticks only move forward).
     recency: BTreeMap<u64, u64>,
     tick: u64,
-    /// Approximate bytes of the finished entries.
+    /// Payload bytes of the finished entries.
     bytes: usize,
 }
 
@@ -87,26 +75,24 @@ impl Shard {
     /// (a budget smaller than one entry would otherwise thrash
     /// forever). Evicted entries are returned, not dropped: the caller
     /// demotes them to the spill tier.
-    fn finish(&mut self, key: u64, value: Arc<Distribution>, budget: usize) -> Vec<Evicted> {
-        let bytes = approx_bytes(&value);
+    fn finish(&mut self, key: u64, value: Arc<[u8]>, budget: usize) -> Vec<Evicted> {
         self.tick += 1;
+        self.bytes += value.len();
         self.map.insert(
             key,
             Cached::Ready {
                 value,
                 touched: self.tick,
-                bytes,
             },
         );
         self.recency.insert(self.tick, key);
-        self.bytes += bytes;
         let mut evicted = Vec::new();
         while self.bytes > budget && self.recency.len() > 1 {
             let (_, lru_key) = self.recency.pop_first().expect("non-empty recency");
-            let Some(Cached::Ready { value, bytes, .. }) = self.map.remove(&lru_key) else {
+            let Some(Cached::Ready { value, .. }) = self.map.remove(&lru_key) else {
                 unreachable!("the recency index lists finished entries only");
             };
-            self.bytes -= bytes;
+            self.bytes -= value.len();
             evicted.push((lru_key, value));
         }
         evicted
@@ -115,8 +101,8 @@ impl Shard {
 
 /// What [`DistCache::lookup`] decided for one request.
 pub enum Lookup<'a> {
-    /// The finished distribution.
-    Hit(Arc<Distribution>),
+    /// The finished reply payload.
+    Hit(Arc<[u8]>),
     /// Another request is computing this key; wait on its slot.
     Follow(Arc<Slot>),
     /// This request computes the key and publishes through the lease.
@@ -137,7 +123,7 @@ pub struct DistCache {
 }
 
 impl DistCache {
-    /// A cache bounded by `capacity_bytes` (approximate, split evenly
+    /// A cache bounded by `capacity_bytes` of payload (split evenly
     /// across shards; at least one entry per shard always fits), counting
     /// on `registry`.
     #[must_use]
@@ -223,7 +209,7 @@ impl DistCache {
         out
     }
 
-    /// `(entries, approximate bytes)` of the finished entries resident
+    /// `(entries, payload bytes)` of the finished entries resident
     /// right now, for the `serve.cache.{entries,bytes}` gauges.
     #[must_use]
     pub fn resident(&self) -> (u64, u64) {
@@ -236,13 +222,9 @@ impl DistCache {
 
 /// XOR-folds a fingerprint down to a small shard selector.
 ///
-/// Selecting on `key >> 60` alone looked safe ("FNV's high bits are
-/// stable") but FNV-1a's *avalanche is weakest in the high bits* — its
-/// multiply only carries entropy upward, and over real request streams
-/// the top nibble is measurably skewed, concentrating entries (and lock
-/// contention, and LRU pressure) on a few shards. Folding every bit of
-/// the fingerprint into the selector restores the near-uniform spread
-/// the per-shard byte budget assumes; the balance test below pins it.
+/// Every bit of the fingerprint reaches the selector, so the
+/// near-uniform spread the per-shard byte budget assumes does not rest
+/// on any one bit range of the hash; the balance test below pins it.
 #[inline]
 fn fold(key: u64) -> usize {
     let mut x = key;
@@ -282,9 +264,10 @@ impl ComputeError {
     }
 }
 
-/// The value published through a slot: the computed distribution, or
-/// the leader's failure (relayed to every coalesced follower).
-pub type ComputeResult = Result<Arc<Distribution>, ComputeError>;
+/// The value published through a slot: the computed distribution's
+/// encoded reply payload, or the leader's failure (relayed to every
+/// coalesced follower).
+pub type ComputeResult = Result<Arc<[u8]>, ComputeError>;
 
 /// One pending computation: followers block on the condvar until the
 /// leader's lease publishes.
@@ -339,7 +322,7 @@ pub struct Lease<'a> {
 
 impl Lease<'_> {
     /// Publishes the leader's result and wakes every follower. A
-    /// distribution replaces the pending entry (LRU entries past the
+    /// payload replaces the pending entry (LRU entries past the
     /// shard budget are evicted and returned for the spill tier); a
     /// failure removes it, so the next lookup leads afresh.
     pub fn publish(mut self, result: ComputeResult) -> Vec<Evicted> {
@@ -378,20 +361,22 @@ impl Drop for Lease<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hammer_dist::BitString;
+    use hammer_dist::{BitString, Distribution};
     use std::time::Duration;
 
-    fn dist(tag: u64) -> Arc<Distribution> {
-        Arc::new(
-            Distribution::from_probs(
-                8,
-                [
-                    (BitString::new(tag % 251, 8), 0.5),
-                    (BitString::new((tag + 1) % 251, 8), 0.5),
-                ],
-            )
-            .unwrap(),
+    /// The encoded reply payload of a two-outcome distribution.
+    fn dist(tag: u64) -> Arc<[u8]> {
+        let d = Distribution::from_probs(
+            8,
+            [
+                (BitString::new(tag % 251, 8), 0.5),
+                (BitString::new((tag + 1) % 251, 8), 0.5),
+            ],
         )
+        .unwrap();
+        let mut payload = Vec::new();
+        crate::codec::put_distribution(&mut payload, &d);
+        payload.into()
     }
 
     /// A cache counting on a fresh registry, returned alongside it.
@@ -412,7 +397,7 @@ mod tests {
     }
 
     /// Leads a vacant `key` and publishes `value` under it.
-    fn put(cache: &DistCache, key: u64, value: Arc<Distribution>) -> Vec<Evicted> {
+    fn put(cache: &DistCache, key: u64, value: Arc<[u8]>) -> Vec<Evicted> {
         let Lookup::Lead(lease) = cache.lookup(key) else {
             panic!("key {key} is not vacant");
         };
@@ -421,7 +406,7 @@ mod tests {
 
     /// The finished value under `key`, if any. A vacant key's lease is
     /// dropped again, which leaves it vacant.
-    fn hit(cache: &DistCache, key: u64) -> Option<Arc<Distribution>> {
+    fn hit(cache: &DistCache, key: u64) -> Option<Arc<[u8]>> {
         match cache.lookup(key) {
             Lookup::Hit(value) => Some(value),
             Lookup::Lead(_) => None,
@@ -466,27 +451,17 @@ mod tests {
         let found = hit(&cache, 42).expect("present");
         assert_eq!(*found, *dist(0));
         assert_eq!(counts(&registry), (1, 1, 0));
+        // An entry costs its payload: the 6 B header plus 16 B per
+        // narrow outcome.
         let (entries, bytes) = cache.resident();
         assert_eq!(entries, 1);
-        assert_eq!(bytes, approx_bytes(&dist(0)) as u64);
-    }
-
-    #[test]
-    fn approx_bytes_counts_all_four_arrays_at_their_real_size() {
-        // `u128` is 16-aligned, so the AoS entry is 32 B, not 16 + 8.
-        assert_eq!(size_of::<(u128, f64)>(), 32);
-        let d = dist(0);
-        assert_eq!(d.len(), 2);
-        assert_eq!(
-            approx_bytes(&d),
-            size_of::<Distribution>() + d.len() * (32 + 8 + 8 + 8)
-        );
+        assert_eq!(bytes, 6 + 2 * 16);
     }
 
     #[test]
     fn lru_evicts_the_coldest_key_under_pressure() {
         // Budget fits ~2 entries per shard.
-        let per_entry = approx_bytes(&dist(0));
+        let per_entry = dist(0).len();
         let (cache, registry) = cache(per_entry * 2 * SHARDS + SHARDS);
         let keys = same_shard(3);
         put(&cache, keys[0], dist(1));
@@ -503,7 +478,7 @@ mod tests {
 
     #[test]
     fn eviction_hands_back_the_entry_for_the_spill_tier() {
-        let per_entry = approx_bytes(&dist(0));
+        let per_entry = dist(0).len();
         let (cache, _) = cache(per_entry * 2 * SHARDS + SHARDS);
         let keys = same_shard(3);
         assert!(put(&cache, keys[0], dist(1)).is_empty());
@@ -524,16 +499,14 @@ mod tests {
 
     #[test]
     fn shard_selection_spreads_real_fingerprints_evenly() {
-        use hammer_dist::fingerprint::Fnv1a;
-        // 16K distinct request-shaped FNV-1a fingerprints (the exact
-        // hasher every request key goes through). A balanced selector
-        // keeps every shard within ±25% of the uniform share; the old
-        // top-nibble selector concentrated the same stream onto a few
-        // shards.
+        use hammer_dist::fingerprint::Fingerprinter;
+        // 16K distinct request-shaped fingerprints (the exact hasher
+        // every request key goes through). A balanced selector keeps
+        // every shard within ±25% of the uniform share.
         const N: usize = 16_384;
         let mut counts = [0usize; SHARDS];
         for i in 0..N {
-            let mut h = Fnv1a::new();
+            let mut h = Fingerprinter::new();
             h.write_u8(1); // opcode tag, as real request keys do
             h.write_usize(i);
             h.write_u64(0xC0DE ^ i as u64);
@@ -576,7 +549,7 @@ mod tests {
         assert!(matches!(cache.lookup(keys[0]), Lookup::Follow(_)));
         let listed: Vec<u64> = cache.entries().iter().map(|(k, _)| *k).collect();
         assert_eq!(listed, [keys[2]]);
-        assert_eq!(cache.resident(), (1, approx_bytes(&dist(2)) as u64));
+        assert_eq!(cache.resident(), (1, dist(2).len() as u64));
         lease.publish(Ok(dist(0)));
         assert!(hit(&cache, keys[0]).is_some());
     }

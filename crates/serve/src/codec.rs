@@ -147,6 +147,16 @@ fn get_distribution(cur: &mut Cur) -> Result<Distribution, WireError> {
     Ok(Distribution::from_raw_parts(n_bits, keys, keys_hi, probs)?)
 }
 
+/// A standalone [`put_distribution`] payload: the bytes of a
+/// distribution reply, of a serving-cache entry and of a store record's
+/// tail.
+pub(crate) fn distribution_payload(d: &Distribution) -> Vec<u8> {
+    let per_outcome = if wide(d.n_bits()) { 24 } else { 16 };
+    let mut payload = Vec::with_capacity(6 + d.len() * per_outcome);
+    put_distribution(&mut payload, d);
+    payload
+}
+
 /// Decodes a standalone [`put_distribution`] payload, consuming it
 /// exactly. The persistent store ([`crate::store`]) frames this same
 /// layout inside its CRC'd records, so a disk record decodes through
@@ -243,8 +253,7 @@ fn get_config(cur: &mut Cur) -> Result<HammerConfig, WireError> {
     })
 }
 
-/// Per-gate wire tags (shared numbering with `Gate`'s fingerprint
-/// encoding).
+/// Per-gate wire tags.
 fn gate_parts(g: Gate) -> (u8, usize, Option<usize>, Option<f64>) {
     match g {
         Gate::H(q) => (0, q, None, None),
@@ -474,28 +483,11 @@ pub struct SampleJob {
     pub device: DeviceSpec,
     /// Monte-Carlo trials.
     pub trials: u64,
-    /// RNG seed — part of the cache key: the same job with the same
-    /// seed is deterministic end to end.
+    /// RNG seed — part of the request bytes the cache keys on: the
+    /// same job with the same seed is deterministic end to end.
     pub seed: u64,
     /// Reconstruction configuration.
     pub config: HammerConfig,
-}
-
-impl SampleJob {
-    /// The job's stable cache/coalescing key: circuit structure, device
-    /// spec, trial count, seed and algorithmic config.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = hammer_dist::fingerprint::Fnv1a::new();
-        h.write_bytes(b"sample-job/v1");
-        h.write_u64(self.circuit.fingerprint());
-        h.write_u8(self.device.tag());
-        h.write_usize(self.device.num_qubits());
-        h.write_u64(self.trials);
-        h.write_u64(self.seed);
-        h.write_u64(self.config.fingerprint());
-        h.finish()
-    }
 }
 
 /// A client → server message.
@@ -1063,8 +1055,12 @@ mod tests {
         assert_eq!(round_trip_request(&req), req);
     }
 
+    /// The server keys a job by a fingerprint of its request bytes, so
+    /// every field must reach those bytes, and the kernel tuning, which
+    /// never changes a result, must not.
     #[test]
     fn sample_job_fingerprint_tracks_every_field() {
+        let bytes = |job: &SampleJob| Request::SampleAndReconstruct(job.clone()).encode();
         let mut circuit = Circuit::new(3);
         circuit.h(0).cx(0, 1).cx(1, 2);
         let base = SampleJob {
@@ -1074,7 +1070,19 @@ mod tests {
             seed: 7,
             config: HammerConfig::paper(),
         };
-        assert_eq!(base.fingerprint(), base.clone().fingerprint());
+        assert_eq!(bytes(&base), bytes(&base.clone()));
+        let tuned = SampleJob {
+            config: HammerConfig {
+                kernel: hammer_core::KernelTuning {
+                    parallel_threshold: 1,
+                    tile_size: 64,
+                    ..hammer_core::KernelTuning::default()
+                },
+                ..HammerConfig::paper()
+            },
+            ..base.clone()
+        };
+        assert_eq!(bytes(&base), bytes(&tuned));
         let mut other_circuit = circuit.clone();
         other_circuit.z(2);
         for (name, changed) in [
@@ -1124,7 +1132,7 @@ mod tests {
                 },
             ),
         ] {
-            assert_ne!(base.fingerprint(), changed.fingerprint(), "{name}");
+            assert_ne!(bytes(&base), bytes(&changed), "{name}");
         }
     }
 

@@ -28,11 +28,13 @@
 //!   shutdown that drains in-flight work. Each request's computation
 //!   fans out on scoped threads through [`hammer_pool::run_tiles`];
 //!   the server keeps no pool of its own;
-//! * the **batching + caching core** — one sharded map keyed by stable
-//!   `u64` fingerprints holds each key's finished distribution or its
-//!   computation in progress; one lookup decides whether a request
-//!   hits, follows (concurrent identical requests coalesce onto one
-//!   computation, and followers take no compute slot) or leads.
+//! * the **batching + caching core** — one sharded map keyed by a
+//!   stable `u64` fingerprint of each compute request's opcode and raw
+//!   payload bytes holds the key's encoded reply payload or its
+//!   computation in progress; one lookup, before anything is decoded,
+//!   decides whether a request hits (the cached bytes are written back
+//!   as they are), follows (concurrent identical requests coalesce onto
+//!   one computation, and followers take no compute slot) or leads.
 //!   Finished entries are LRU-evicted under a byte budget, with
 //!   hit/miss/eviction/coalesce counters;
 //! * [`store`] / [`DistStore`] — a crash-safe, append-only segment

@@ -201,6 +201,24 @@ pub fn write_frame<W: Write>(
     trace_id: u64,
     payload: &[u8],
 ) -> std::io::Result<()> {
+    w.write_all(&encode_frame(
+        request_id,
+        opcode,
+        deadline_ms,
+        trace_id,
+        payload,
+    ))?;
+    w.flush()
+}
+
+/// One frame's bytes: the header, then `payload` copied in after it.
+pub(crate) fn encode_frame(
+    request_id: u64,
+    opcode: u8,
+    deadline_ms: u32,
+    trace_id: u64,
+    payload: &[u8],
+) -> Vec<u8> {
     debug_assert!(payload.len() <= MAX_PAYLOAD as usize, "oversized payload");
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
     frame.extend_from_slice(&MAGIC);
@@ -211,8 +229,7 @@ pub fn write_frame<W: Write>(
     frame.extend_from_slice(&deadline_ms.to_le_bytes());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
-    w.flush()
+    frame
 }
 
 /// Reads one frame. The magic and version are checked before the rest

@@ -8,10 +8,10 @@
 //! acceptor ── one thread per socket ─┐
 //!                                    ▼
 //! socket ── frame ─────────► connection thread ── lookup ──► cache shard
-//!        ◄── reply, in order ─       │      ◄── hit: the distribution
+//!        ◄── reply, in order ─       │      ◄── hit: the reply bytes
 //!                                    │      ◄── follow: wait on the leader's
 //!                                    │          slot (no gate, no slot held)
-//!                                    │ lead
+//!                                    │ lead: decode
 //!                                    ▼
 //!                             admission gate ── permit ──► compute on the
 //!                             (`workers` slots,            connection thread,
@@ -21,15 +21,18 @@
 //!
 //! Each connection thread reads a frame, answers it, writes the reply
 //! on its own socket, and only then reads the next frame, so replies on
-//! one connection leave in request order. It decodes each compute
-//! request, hashes its cache key and looks it up in the distribution
-//! cache itself. One lookup decides the request's path: a hit is
-//! written straight back, so hot requests never wait behind cold work;
-//! a request whose key another request is computing follows it, waiting
-//! for the published result without entering the gate; otherwise the
-//! request leads. A leader enters the admission gate and, once granted
-//! a permit, computes on the same connection thread and publishes the
-//! result to the cache and its followers. A client that pipelines
+//! one connection leave in request order. It hashes each compute
+//! request's opcode and raw payload bytes into a cache key and looks it
+//! up in the distribution cache itself, before decoding anything. One
+//! lookup decides the request's path: a hit writes the cached reply
+//! bytes straight back, so hot requests never wait behind cold work and
+//! are never decoded; a request whose key another request is computing
+//! follows it, waiting for the published bytes without entering the
+//! gate; otherwise the request leads. Only a leader decodes its
+//! request. It then enters the admission gate and, once granted a
+//! permit, computes on the same connection thread, encodes the
+//! distribution once, and publishes those bytes to the cache and its
+//! followers. A client that pipelines
 //! frames gets them answered one after another, and a client that stops
 //! reading stalls only its own connection thread (TCP backpressure,
 //! bounded by the write timeout).
@@ -49,7 +52,7 @@
 //! per-stage latency histograms are exact per instance, so tests can
 //! boot several servers in one process and assert on each. Compute
 //! requests carry a [`TraceCtx`] from frame arrival to the socket
-//! write: each stage (decode, cache probe, queue wait, store load,
+//! write: each stage (cache probe, decode, queue wait, store load,
 //! compute, encode, write) opens a span that lands both in the
 //! request's own span list and in the matching stage histogram. Slow
 //! requests (and every `DeadlineExceeded`) park their span tree in a
@@ -58,7 +61,7 @@
 //! span/histogram layer sits behind [`hammer_obs::timing_enabled`];
 //! counters stay exact either way.
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -67,7 +70,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use hammer_core::{CancelToken, Cancelled, Hammer};
-use hammer_dist::fingerprint::Fnv1a;
+use hammer_dist::fingerprint::Fingerprinter;
 use hammer_dist::Distribution;
 use hammer_obs::{
     gen_trace_id, Counter, EventLog, Histogram, MetricsSnapshot, Registry, RollupConfig, SloSpec,
@@ -77,8 +80,8 @@ use hammer_pool::Admission;
 use hammer_sim::AutoEngine;
 
 use crate::cache::{ComputeError, ComputeResult, DistCache, Lease, Lookup};
-use crate::codec::{Reply, Request, SampleJob};
-use crate::protocol::{opcode, read_frame, write_frame, Frame, WireError};
+use crate::codec::{self, Reply, Request, SampleJob};
+use crate::protocol::{encode_frame, opcode, read_frame, write_frame, Frame, WireError};
 use crate::store::DistStore;
 
 /// Serving configuration (the `repro serve` flags).
@@ -242,8 +245,8 @@ pub(crate) struct ServerState {
     traces: TraceRing,
     /// Capture threshold in nanoseconds; `0` captures every trace.
     slow_trace_ns: u64,
-    /// Rollup rings the roller thread folds [`obs_snapshot`]
-    /// (ServerState::obs_snapshot) into every window.
+    /// Rollup rings the roller thread folds
+    /// [`obs_snapshot`](ServerState::obs_snapshot) into every window.
     ts: TimeSeries,
     /// The structured event log; the process-global one so chaos /
     /// store / fault events land next to serve events and `/events`
@@ -305,8 +308,8 @@ impl ServerState {
     fn publish(&self, lease: Lease<'_>, result: ComputeResult) {
         let evicted = lease.publish(result);
         if let Some(store) = &self.store {
-            for (k, d) in evicted {
-                let _ = store.spill(k, &d);
+            for (key, payload) in evicted {
+                let _ = store.spill_payload(key, &payload);
             }
         }
     }
@@ -381,8 +384,8 @@ impl ServerHandle {
         // directory serves warm. (A crash skips this; the store still
         // holds every spill fsync'd before the crash.)
         if let Some(store) = &self.state.store {
-            for (key, value) in self.state.cache.entries() {
-                let _ = store.spill(key, &value);
+            for (key, payload) in self.state.cache.entries() {
+                let _ = store.spill_payload(key, &payload);
             }
         }
         self.state.obs_snapshot()
@@ -568,18 +571,18 @@ fn connection_loop(mut stream: TcpStream, state: &ServerState, addr: SocketAddr)
         // shutdown flag, so a `wait` that sees the flag and then a zero
         // count cannot miss a request the server went on to admit.
         state.counters.unanswered.fetch_add(1, Ordering::SeqCst);
-        let (id, reply, traced) = match &frame {
+        let (id, answer, traced) = match &frame {
             Ok(frame) => {
-                let (reply, traced) = answer(state, frame);
-                (frame.request_id, reply, traced)
+                let (answer, traced) = answer(state, frame);
+                (frame.request_id, answer, traced)
             }
             // Framing is unrecoverable mid-stream: name the fault (a
             // wrong-version peer reads which version we want) and drop
             // the connection.
-            Err(e) => (0, Reply::Error(e.to_string()), None),
+            Err(e) => (0, Answer::Reply(Reply::Error(e.to_string())), None),
         };
-        let acked_shutdown = matches!(reply, Reply::ShutdownAck);
-        let wrote = respond(state, &mut stream, id, &reply, traced);
+        let acked_shutdown = matches!(answer, Answer::Reply(Reply::ShutdownAck));
+        let wrote = respond(state, &mut stream, id, &answer, traced);
         if acked_shutdown {
             // The ack is on the wire before the acceptor stops.
             begin_shutdown(state, addr);
@@ -590,38 +593,62 @@ fn connection_loop(mut stream: TcpStream, state: &ServerState, addr: SocketAddr)
     }
 }
 
-/// Answers one request frame: the shutdown check, decode, the cheap
-/// opcodes, or a compute request through [`answer_compute`]. Traced compute requests also hand back their opcode and
-/// trace context for [`respond`] to finish.
-fn answer(state: &ServerState, frame: &Frame) -> (Reply, Option<(u8, TraceCtx)>) {
+/// What a connection thread writes back for one frame.
+enum Answer {
+    /// A reply, encoded when it is written.
+    Reply(Reply),
+    /// A distribution reply's payload, encoded once by the leader that
+    /// computed it and written as it is.
+    Distribution(Arc<[u8]>),
+}
+
+impl Answer {
+    fn opcode(&self) -> u8 {
+        match self {
+            Self::Reply(reply) => reply.opcode(),
+            Self::Distribution(_) => opcode::DISTRIBUTION,
+        }
+    }
+
+    /// Whether the reply refused or failed its request.
+    fn failed(&self) -> bool {
+        matches!(
+            self,
+            Self::Reply(
+                Reply::Error(_) | Reply::Busy | Reply::DeadlineExceeded | Reply::ShuttingDown
+            )
+        )
+    }
+}
+
+/// Answers one request frame: the shutdown check, a compute request
+/// through [`answer_compute`], or a cheap opcode decoded here. Traced
+/// compute requests also hand back their opcode and trace context for
+/// [`respond`] to finish.
+fn answer(state: &ServerState, frame: &Frame) -> (Answer, Option<(u8, TraceCtx)>) {
     let op = frame.opcode;
     // A draining server answers surviving connections in-band —
     // `ShuttingDown`, not a silent close — so clients distinguish
     // "server going away" from a network failure and do not burn
     // their transport retry re-sending work it will never take.
     if state.shutting_down.load(Ordering::SeqCst) {
-        return (Reply::ShuttingDown, None);
+        return (Answer::Reply(Reply::ShuttingDown), None);
     }
-    // Compute opcodes get a trace from the moment their frame is
-    // complete: the client's id when it sent one, a fresh one for bare
-    // clients — both end up on the reply header either way.
-    let is_compute = matches!(op, opcode::RECONSTRUCT | opcode::SAMPLE_AND_RECONSTRUCT);
-    let ctx = if is_compute && hammer_obs::timing_enabled() {
-        Some(TraceCtx::new(if frame.trace_id != 0 {
-            frame.trace_id
-        } else {
-            gen_trace_id()
-        }))
-    } else {
-        None
-    };
-    let request = {
-        let _t = ctx
-            .as_ref()
-            .map(|c| c.span("decode", Some(&state.stages.decode)));
-        Request::decode(op, &frame.payload)
-    };
-    let reply = match request {
+    if matches!(op, opcode::RECONSTRUCT | opcode::SAMPLE_AND_RECONSTRUCT) {
+        // Compute opcodes get a trace from the moment their frame is
+        // complete: the client's id when it sent one, a fresh one for
+        // bare clients — both end up on the reply header either way.
+        let ctx = hammer_obs::timing_enabled().then(|| {
+            TraceCtx::new(if frame.trace_id != 0 {
+                frame.trace_id
+            } else {
+                gen_trace_id()
+            })
+        });
+        let answer = answer_compute(state, frame, ctx.as_ref());
+        return (answer, ctx.map(|c| (op, c)));
+    }
+    let reply = match Request::decode(op, &frame.payload) {
         Err(e) => Reply::Error(e.to_string()),
         Ok(Request::Ping) => Reply::Pong,
         Ok(Request::TraceDump) => {
@@ -629,41 +656,38 @@ fn answer(state: &ServerState, frame: &Frame) -> (Reply, Option<(u8, TraceCtx)>)
         }
         Ok(Request::MetricsSnapshot) => Reply::MetricsSnapshot(state.obs_snapshot()),
         Ok(Request::Shutdown) => Reply::ShutdownAck,
-        Ok(compute @ (Request::Reconstruct { .. } | Request::SampleAndReconstruct(_))) => {
-            answer_compute(state, exact(compute), frame.deadline_ms, ctx.as_ref())
+        Ok(Request::Reconstruct { .. } | Request::SampleAndReconstruct(_)) => {
+            unreachable!("compute opcodes are answered by answer_compute")
         }
     };
-    (reply, ctx.map(|c| (op, c)))
+    (Answer::Reply(reply), None)
 }
 
-/// Answers one compute request with at most three cache lookups.
+/// Answers one compute request with at most three cache lookups, keyed
+/// by [`request_key`] on the frame's raw bytes.
 ///
-/// Each lookup decides the request's path in one step. A hit replies at
-/// once. A follower waits for its leader's result no longer than its
-/// own deadline, and never enters the admission gate; when the leader's
-/// failure was leader-specific (its deadline fired, the gate refused
-/// it, its computation panicked) the follower looks the key up again
-/// and may lead itself, rather than inherit a failure its budget did not
-/// earn. A leader computes through [`lead`]; a panic there becomes an
-/// error reply, and the dropped lease wakes the followers.
+/// Each lookup decides the request's path in one step. A hit writes the
+/// cached payload at once, undecoded. A follower waits for its leader's
+/// result no longer than its own deadline, and never enters the
+/// admission gate; when the leader's failure was leader-specific (its
+/// deadline fired, the gate refused it, its computation panicked) the
+/// follower looks the key up again and may lead itself, rather than
+/// inherit a failure its budget did not earn. A leader decodes and
+/// computes through [`lead`]; a panic there becomes an error reply, and
+/// the dropped lease wakes the followers.
 ///
 /// Trace spans: `cache_probe` covers hashing the key and the first
 /// lookup, and a follower's wait is `coalesce_wait`.
-fn answer_compute(
-    state: &ServerState,
-    request: Request,
-    deadline_ms: u32,
-    trace: Option<&TraceCtx>,
-) -> Reply {
+fn answer_compute(state: &ServerState, frame: &Frame, trace: Option<&TraceCtx>) -> Answer {
     let (key, mut found) = {
         let _t = trace.map(|c| c.span("cache_probe", Some(&state.stages.cache_probe)));
-        let key = cache_key(&request);
+        let key = request_key(frame.opcode, &frame.payload);
         (key, state.cache.lookup(key))
     };
     // The deadline clock starts before the request queues: time spent
     // following or waiting for a slot counts against it.
-    let cancel = if deadline_ms > 0 {
-        CancelToken::after(Duration::from_millis(u64::from(deadline_ms)))
+    let cancel = if frame.deadline_ms > 0 {
+        CancelToken::after(Duration::from_millis(u64::from(frame.deadline_ms)))
     } else {
         CancelToken::new()
     };
@@ -676,13 +700,13 @@ fn answer_compute(
             state.counters.requests.inc();
         }
         let slot = match found {
-            Lookup::Hit(hit) => return Reply::Distribution((*hit).clone()),
+            Lookup::Hit(payload) => return Answer::Distribution(payload),
             Lookup::Lead(lease) => {
                 return catch_unwind(AssertUnwindSafe(|| {
-                    lead(state, &request, key, lease, &cancel, trace, first)
+                    lead(state, frame, key, lease, &cancel, trace, first)
                 }))
                 .unwrap_or_else(|payload| {
-                    reply_of(Err(ComputeError::Panicked(hammer_pool::panic_message(
+                    answer_of(Err(ComputeError::Panicked(hammer_pool::panic_message(
                         payload.as_ref(),
                     ))))
                 });
@@ -694,44 +718,61 @@ fn answer_compute(
             slot.wait_until(cancel.deadline())
         };
         match waited {
-            None => return Reply::DeadlineExceeded,
+            None => return Answer::Reply(Reply::DeadlineExceeded),
             Some(Err(e)) if e.is_leader_specific() => {
                 if cancel.is_cancelled() {
-                    return Reply::DeadlineExceeded;
+                    return Answer::Reply(Reply::DeadlineExceeded);
                 }
             }
-            Some(result) => return reply_of(result),
+            Some(result) => return answer_of(result),
         }
         if attempts == 3 {
-            return Reply::Error("computation failed repeatedly (leaders kept dying)".into());
+            return Answer::Reply(Reply::Error(
+                "computation failed repeatedly (leaders kept dying)".into(),
+            ));
         }
         attempts += 1;
         found = state.cache.lookup(key);
     }
 }
 
-/// Computes the key `lease` claims. The leader enters the admission
-/// gate and, once granted a permit, sheds an already expired deadline,
-/// then loads the key from the spill store or computes it, and
-/// publishes the result. A leader the gate refuses (`Busy`,
-/// `ShuttingDown`) or sheds publishes [`ComputeError::Cancelled`], so
-/// its followers lead again under their own budgets. A store hit
-/// promotes back into the cache without computing (`store_loads`, not
-/// `cache_misses`). `count_request` is false for a follower that came
-/// back to lead, since it was counted when it followed.
+/// Computes the key `lease` claims. The leader decodes the frame's
+/// payload first; a malformed one publishes [`ComputeError::Failed`],
+/// so every request carrying the same bytes gets the same `Error` and
+/// nothing is cached. It then enters the admission gate and, once
+/// granted a permit, sheds an already expired deadline, loads the key
+/// from the spill store or computes and encodes it, and publishes the
+/// payload. A leader the gate refuses (`Busy`, `ShuttingDown`) or sheds
+/// publishes [`ComputeError::Cancelled`], so its followers lead again
+/// under their own budgets. A store hit promotes back into the cache
+/// without computing (`store_loads`, not `cache_misses`).
+/// `count_request` is false for a follower that came back to lead,
+/// since it was counted when it followed.
 ///
-/// Trace spans: `queue` runs from gate entry to grant, the store probe
-/// is `store_load` (only when a store is configured), and `compute`
-/// covers the computation and the publish.
+/// Trace spans: `decode`, then `queue` from gate entry to grant, the
+/// store probe is `store_load` (only when a store is configured), and
+/// `compute` covers the computation, its encode and the publish.
 fn lead(
     state: &ServerState,
-    request: &Request,
+    frame: &Frame,
     key: u64,
     lease: Lease<'_>,
     cancel: &CancelToken,
     trace: Option<&TraceCtx>,
     count_request: bool,
-) -> Reply {
+) -> Answer {
+    let decoded = {
+        let _t = trace.map(|c| c.span("decode", Some(&state.stages.decode)));
+        Request::decode(frame.opcode, &frame.payload)
+    };
+    let request = match decoded {
+        Ok(request) => exact(request),
+        Err(e) => {
+            let failed = Err(ComputeError::Failed(e.to_string()));
+            state.publish(lease, failed.clone());
+            return answer_of(failed);
+        }
+    };
     let queued_at = trace.map(TraceCtx::elapsed_ns);
     // Deadlined leaders are granted earliest-deadline-first, so a
     // mixed-budget storm spends slots on the requests that can still
@@ -742,11 +783,11 @@ fn lead(
         // A full queue, or shutdown began after `answer` checked the
         // flag (the gate refuses once `begin_shutdown` reached it).
         state.counters.busy.inc();
-        return if state.shutting_down.load(Ordering::SeqCst) {
+        return Answer::Reply(if state.shutting_down.load(Ordering::SeqCst) {
             Reply::ShuttingDown
         } else {
             Reply::Busy
-        };
+        });
     };
     if let (Some(c), Some(start)) = (trace, queued_at) {
         let waited = c.elapsed_ns().saturating_sub(start);
@@ -758,21 +799,21 @@ fn lead(
     if cancel.is_cancelled() {
         state.publish(lease, Err(ComputeError::Cancelled));
         state.counters.deadline_sheds.inc();
-        return Reply::DeadlineExceeded;
+        return Answer::Reply(Reply::DeadlineExceeded);
     }
     if count_request {
         state.counters.requests.inc();
     }
     // Answers that need no computation: an empty histogram fails, and a
     // spill-tier hit (CRC- and invariant-revalidated on the way in)
-    // promotes back into the cache.
-    let ready = match request {
+    // promotes its payload back into the cache.
+    let ready = match &request {
         Request::Reconstruct { counts, .. } if counts.is_empty() => Some(Err(
             ComputeError::Failed("empty histogram has no distribution".into()),
         )),
         _ => state.store.as_ref().and_then(|store| {
             let _t = trace.map(|c| c.span("store_load", Some(&state.stages.store_load)));
-            store.load(key).map(|d| Ok(Arc::new(d)))
+            store.load_payload(key).map(Ok)
         }),
     };
     let result = if let Some(result) = ready {
@@ -783,43 +824,47 @@ fn lead(
         state.cache.note_miss();
         #[cfg(feature = "fault-points")]
         crate::fault::on_compute(Some(cancel));
-        let result = compute(request, cancel).map(Arc::new);
+        let result = compute(&request, cancel).map(|d| codec::distribution_payload(&d).into());
         state.publish(lease, result.clone());
         result
     };
-    reply_of(result)
+    answer_of(result)
 }
 
 /// Writes one reply on the connection's own socket and closes the
-/// request's books: the availability counters, the `encode` and
-/// `write` spans, trace finalization and the drain count. Returns
-/// whether the write succeeded.
+/// request's books: the availability counters, the `encode` span (the
+/// frame's bytes: a cached payload is copied in behind the header, any
+/// other reply is encoded first), the `write` span, trace finalization
+/// and the drain count. Returns whether the write succeeded.
 fn respond(
     state: &ServerState,
     stream: &mut TcpStream,
     id: u64,
-    reply: &Reply,
+    answer: &Answer,
     traced: Option<(u8, TraceCtx)>,
 ) -> bool {
     // Availability accounting: every reply, and the subset that refused
     // or failed its request.
     state.counters.replies_total.inc();
-    if matches!(
-        reply,
-        Reply::Error(_) | Reply::Busy | Reply::DeadlineExceeded | Reply::ShuttingDown
-    ) {
+    if answer.failed() {
         state.counters.replies_failed.inc();
     }
-    let outcome = reply.opcode();
+    let outcome = answer.opcode();
     let ctx = traced.as_ref().map(|(_, ctx)| ctx);
-    let payload = {
+    let trace_id = ctx.map_or(0, TraceCtx::trace_id);
+    let frame = {
         let _t = ctx.map(|c| c.span("encode", Some(&state.stages.encode)));
-        reply.encode()
+        match answer {
+            Answer::Reply(reply) => encode_frame(id, outcome, 0, trace_id, &reply.encode()),
+            Answer::Distribution(payload) => encode_frame(id, outcome, 0, trace_id, payload),
+        }
     };
     let wrote = {
         let _t = ctx.map(|c| c.span("write", Some(&state.stages.write)));
-        let trace_id = ctx.map_or(0, TraceCtx::trace_id);
-        write_frame(stream, id, outcome, 0, trace_id, &payload).is_ok()
+        stream
+            .write_all(&frame)
+            .and_then(|()| stream.flush())
+            .is_ok()
     };
     // The write is the last stop on the reply path, so the trace ends
     // here: end-to-end latency into the request histogram, and the span
@@ -888,8 +933,8 @@ fn read_one_frame(stream: &mut TcpStream, state: &ServerState) -> FrameOutcome {
 
 /// A compute request as it is served: its config with the approximate
 /// scoring path switched off, so every reply is the exact
-/// reconstruction. Applied before [`cache_key`] hashes the request, so
-/// the key names what actually ran.
+/// reconstruction. The wire config carries no kernel tuning, so the
+/// key of the raw bytes names what actually ran.
 fn exact(mut request: Request) -> Request {
     if let Request::Reconstruct { config, .. }
     | Request::SampleAndReconstruct(SampleJob { config, .. }) = &mut request
@@ -899,29 +944,26 @@ fn exact(mut request: Request) -> Request {
     request
 }
 
-/// The distribution-cache (and spill-store) key of a compute request.
-fn cache_key(request: &Request) -> u64 {
-    match request {
-        Request::Reconstruct { config, counts } => {
-            let mut key = Fnv1a::new();
-            key.write_bytes(b"reconstruct/v1");
-            key.write_u64(counts.fingerprint());
-            key.write_u64(config.fingerprint());
-            key.finish()
-        }
-        Request::SampleAndReconstruct(job) => job.fingerprint(),
-        Request::Ping | Request::TraceDump | Request::MetricsSnapshot | Request::Shutdown => {
-            unreachable!("cheap opcodes have no cached answer")
-        }
-    }
+/// The distribution-cache (and spill-store) key of a compute request:
+/// a fingerprint of its opcode and raw payload bytes. The wire form is
+/// canonical — sorted keys, no zero counts, only the algorithmic config
+/// knobs — so equal bytes mean an equal request, and the key is taken
+/// before anything is decoded.
+fn request_key(op: u8, payload: &[u8]) -> u64 {
+    let mut key = Fingerprinter::new();
+    key.write_u8(op);
+    key.write_bytes(payload);
+    key.finish()
 }
 
-fn reply_of(result: ComputeResult) -> Reply {
+fn answer_of(result: ComputeResult) -> Answer {
     match result {
-        Ok(dist) => Reply::Distribution((*dist).clone()),
-        Err(ComputeError::Cancelled) => Reply::DeadlineExceeded,
-        Err(ComputeError::Failed(msg)) => Reply::Error(msg),
-        Err(ComputeError::Panicked(msg)) => Reply::Error(format!("computation panicked: {msg}")),
+        Ok(payload) => Answer::Distribution(payload),
+        Err(ComputeError::Cancelled) => Answer::Reply(Reply::DeadlineExceeded),
+        Err(ComputeError::Failed(msg)) => Answer::Reply(Reply::Error(msg)),
+        Err(ComputeError::Panicked(msg)) => {
+            Answer::Reply(Reply::Error(format!("computation panicked: {msg}")))
+        }
     }
 }
 

@@ -21,7 +21,13 @@
 //! The distribution payload is exactly the wire codec's SoA layout
 //! ([`crate::codec::put_distribution`]): `u16 n_bits, u32 len,
 //! keys[len], (keys_hi[len] if wide), probs[len]` — probabilities as
-//! IEEE-754 bit patterns, so a round trip is byte-identical. Records
+//! IEEE-754 bit patterns, so a round trip is byte-identical. It is also
+//! what the serving cache holds, so the server spills a cached entry's
+//! bytes as they are and caches a loaded record's payload once it has
+//! been validated. The key is the serving cache's fingerprint of the
+//! request bytes; records written by a build with another fingerprint
+//! function are never looked up again, so a restart across such a
+//! change starts cold (they age out under the budget). Records
 //! are appended to the active (highest-numbered) segment and fsync'd
 //! before [`spill`](DistStore::spill) returns: a record whose spill
 //! completed is *committed* and survives any crash.
@@ -53,7 +59,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use hammer_dist::Distribution;
 use hammer_obs::{Counter, Registry};
@@ -65,6 +71,10 @@ const RECORD_MAGIC: u32 = u32::from_le_bytes(*b"HSR1");
 
 /// Fixed bytes before the body: magic + body_len + crc.
 const RECORD_HEADER: usize = 12;
+
+/// Offset of the distribution payload in a record: the header, then
+/// the body's key and reserved byte.
+const RECORD_PAYLOAD: usize = RECORD_HEADER + 9;
 
 /// Upper bound on a record body — matches the wire protocol's payload
 /// cap, plus the key/reserved-byte prefix. A length field beyond this is
@@ -158,7 +168,13 @@ impl DistStore {
     /// serving runtime) treats them as "this entry was not demoted" —
     /// the in-RAM result is unaffected.
     pub fn spill(&self, key: u64, d: &Distribution) -> std::io::Result<()> {
-        let record = encode_record(key, d);
+        self.spill_payload(key, &codec::distribution_payload(d))
+    }
+
+    /// [`spill`](Self::spill) of an already encoded distribution
+    /// payload, written as it is: the serving cache's entries.
+    pub(crate) fn spill_payload(&self, key: u64, payload: &[u8]) -> std::io::Result<()> {
+        let record = record_of(key, payload);
         let mut inner = self.inner.lock().expect("store mutex unpoisoned");
         let inner = &mut *inner;
         if inner.segment_bytes(inner.active_id) >= inner.segment_target {
@@ -198,12 +214,30 @@ impl DistStore {
     /// as corruption and dropped, never served.
     #[must_use]
     pub fn load(&self, key: u64) -> Option<Distribution> {
+        self.load_verified(key).map(|(d, _)| d)
+    }
+
+    /// [`load`](Self::load) for the serving cache: the record's
+    /// distribution payload, validated through
+    /// [`codec::read_distribution`] before it is handed out.
+    pub(crate) fn load_payload(&self, key: u64) -> Option<Arc<[u8]>> {
+        self.load_verified(key)
+            .map(|(_, record)| Arc::from(&record[RECORD_PAYLOAD..]))
+    }
+
+    /// Reads `key`'s committed record and fully re-verifies it,
+    /// returning the decoded distribution and the record's bytes.
+    fn load_verified(&self, key: u64) -> Option<(Distribution, Vec<u8>)> {
         let mut inner = self.inner.lock().expect("store mutex unpoisoned");
         let entry = *inner.index.get(&key)?;
-        match inner.read_record(entry) {
-            Some((stored_key, d)) if stored_key == key => {
+        let verified = inner.read_record(entry).and_then(|record| {
+            let (stored_key, d) = decode_record(&record)?;
+            (stored_key == key).then_some((d, record))
+        });
+        match verified {
+            Some(found) => {
                 self.loads.inc();
-                Some(d)
+                Some(found)
             }
             _ => {
                 // Bad bytes under a directory entry: drop the entry so
@@ -334,14 +368,14 @@ impl StoreInner {
         self.segments.values().map(|m| m.bytes).sum()
     }
 
-    /// Reads and fully re-verifies one record.
-    fn read_record(&mut self, entry: IndexEntry) -> Option<(u64, Distribution)> {
+    /// Reads one record's bytes, unverified.
+    fn read_record(&self, entry: IndexEntry) -> Option<Vec<u8>> {
         let path = segment_path(&self.dir, entry.segment);
         let mut f = File::open(path).ok()?;
         f.seek(SeekFrom::Start(entry.offset)).ok()?;
         let mut buf = vec![0u8; entry.len as usize];
         f.read_exact(&mut buf).ok()?;
-        decode_record(&buf)
+        Some(buf)
     }
 
     /// Retires the oldest closed segments until the footprint fits the
@@ -429,10 +463,15 @@ fn segment_id(name: &str) -> Option<u64> {
 /// layout).
 #[must_use]
 pub fn encode_record(key: u64, d: &Distribution) -> Vec<u8> {
-    let mut body = Vec::with_capacity(16 + d.len() * 24);
+    record_of(key, &codec::distribution_payload(d))
+}
+
+/// One record around an encoded distribution payload.
+fn record_of(key: u64, payload: &[u8]) -> Vec<u8> {
+    let mut body = Vec::with_capacity(9 + payload.len());
     body.extend_from_slice(&key.to_le_bytes());
     body.push(0);
-    codec::put_distribution(&mut body, d);
+    body.extend_from_slice(payload);
     let mut out = Vec::with_capacity(RECORD_HEADER + body.len());
     out.extend_from_slice(&RECORD_MAGIC.to_le_bytes());
     out.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -451,8 +490,7 @@ pub fn decode_record(buf: &[u8]) -> Option<(u64, Distribution)> {
     if RECORD_HEADER + body_len != buf.len() {
         return None;
     }
-    let payload = &buf[RECORD_HEADER + 9..];
-    let d = codec::read_distribution(payload).ok()?;
+    let d = codec::read_distribution(&buf[RECORD_PAYLOAD..]).ok()?;
     Some((key, d))
 }
 

@@ -647,3 +647,110 @@ fn pipelined_frames_are_answered_in_request_order() {
     server.shutdown();
     let _ = server.wait();
 }
+
+/// A repeated `Reconstruct` is a cache hit, and a hit is the cached
+/// reply bytes written back undecoded: its payload equals the library
+/// call's encoded distribution, and its span tree has no `decode`.
+#[test]
+fn a_repeated_reconstruct_is_a_hit_written_from_the_cached_bytes() {
+    use hammer_serve::protocol::{opcode, write_frame};
+    use hammer_serve::Request;
+
+    let server = serve(&ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        slow_trace_ms: 0,
+        ..ServeConfig::default()
+    })
+    .expect("bind an ephemeral port");
+    let counts = halo_counts(31);
+    let config = HammerConfig::paper();
+    let request = Request::Reconstruct {
+        config,
+        counts: counts.clone(),
+    };
+    let expected =
+        Reply::Distribution(Hammer::with_config(config).reconstruct_counts(&counts)).encode();
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    for (id, trace_id) in [(1, 0xC01D), (2, 0x0407)] {
+        write_frame(
+            &mut raw,
+            id,
+            request.opcode(),
+            0,
+            trace_id,
+            &request.encode(),
+        )
+        .expect("frame written");
+        let (got_id, op, payload) = read_reply(&mut raw);
+        assert_eq!((got_id, op), (id, opcode::DISTRIBUTION));
+        assert_eq!(payload, expected, "request {id}: reply bytes");
+    }
+
+    let mut client = ServeClient::connect(server.local_addr().to_string()).expect("connect");
+    let snap = client.metrics_snapshot().expect("snapshot");
+    assert_eq!(count(&snap, "serve.cache.misses"), 1);
+    assert_eq!(count(&snap, "serve.cache.hits"), 1);
+
+    // The connection thread finalizes a trace after writing its reply,
+    // so the dump may trail the reply by a moment.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut dumped = Vec::new();
+    while dumped.len() < 2 && Instant::now() < deadline {
+        dumped.extend(client.trace_dump().expect("trace dump"));
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stages = |trace_id: u64| -> Vec<String> {
+        let entry = dumped
+            .iter()
+            .find(|e| e.trace_id == trace_id)
+            .unwrap_or_else(|| panic!("trace {trace_id:#x} missing from {dumped:?}"));
+        entry.spans.iter().map(|s| s.stage.clone()).collect()
+    };
+    let miss = stages(0xC01D);
+    assert!(
+        miss.iter().any(|s| s == "decode"),
+        "the miss decodes: {miss:?}"
+    );
+    assert_eq!(stages(0x0407), ["cache_probe", "encode", "write"]);
+
+    server.shutdown();
+    let _ = server.wait();
+}
+
+/// A malformed `Reconstruct` payload is an `Error` reply, the same one on
+/// every connection that sends it, and it is never cached.
+#[test]
+fn malformed_reconstruct_payloads_get_the_same_error_and_are_not_cached() {
+    use hammer_serve::protocol::{opcode, write_frame};
+    use hammer_serve::Request;
+
+    let server = start(16, 2, 64);
+    let request = Request::Reconstruct {
+        config: HammerConfig::paper(),
+        counts: halo_counts(0),
+    };
+    let mut bad = request.encode();
+    bad.pop();
+    let want = Request::decode(opcode::RECONSTRUCT, &bad)
+        .expect_err("a truncated payload does not decode")
+        .to_string();
+    for id in 1..=2 {
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        write_frame(&mut raw, id, opcode::RECONSTRUCT, 0, 0, &bad).expect("frame written");
+        let (got_id, op, payload) = read_reply(&mut raw);
+        assert_eq!(got_id, id);
+        assert_eq!(
+            Reply::decode(op, &payload).expect("reply decodes"),
+            Reply::Error(want.clone()),
+            "connection {id}"
+        );
+    }
+    let snap = server.obs_snapshot();
+    assert_eq!(count(&snap, "serve.cache.hits"), 0);
+    assert_eq!(count(&snap, "serve.cache.misses"), 0);
+    assert_eq!(snap.gauge("serve.cache.entries"), Some(0));
+
+    server.shutdown();
+    let _ = server.wait();
+}

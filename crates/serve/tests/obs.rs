@@ -111,8 +111,8 @@ fn client_trace_id_spans_the_whole_cold_reconstruct() {
     let starts: Vec<u64> = entry.spans.iter().map(|s| s.start_ns).collect();
     assert!(starts.windows(2).all(|w| w[0] <= w[1]), "spans unsorted");
     let pos = |name: &str| stages.iter().position(|s| *s == name).unwrap();
-    assert!(pos("decode") < pos("cache_probe"));
-    assert!(pos("cache_probe") < pos("queue"));
+    assert!(pos("cache_probe") < pos("decode"));
+    assert!(pos("decode") < pos("queue"));
     assert!(pos("queue") < pos("store_load"));
     assert!(pos("store_load") < pos("compute"));
     assert!(pos("compute") < pos("encode"));

@@ -4,8 +4,6 @@
 
 use std::fmt;
 
-use hammer_dist::fingerprint::Fnv1a;
-
 use crate::gates::{Gate, GateQubits};
 
 /// A quantum circuit: `num_qubits` qubits and an ordered list of gates,
@@ -98,41 +96,6 @@ impl Circuit {
     #[must_use]
     pub fn is_clifford(&self) -> bool {
         self.gates.iter().all(Gate::is_clifford)
-    }
-
-    /// A stable FNV-1a fingerprint of the circuit's structure: register
-    /// width plus every gate's variant, operands and angle bits, in
-    /// program order. Structurally equal circuits fingerprint equal in
-    /// every process (unlike `std::hash`'s per-process randomization),
-    /// and any change to a gate, an operand, an angle, the gate order
-    /// or the width moves the fingerprint (up to hash collisions —
-    /// FNV-1a is **not** a cryptographic hash, see
-    /// [`hammer_dist::fingerprint`]). The serving layer keys its
-    /// request-coalescing and distribution cache with this.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use hammer_sim::Circuit;
-    ///
-    /// let mut a = Circuit::new(2);
-    /// a.h(0).cx(0, 1);
-    /// let mut b = Circuit::new(2);
-    /// b.h(0).cx(0, 1);
-    /// assert_eq!(a.fingerprint(), b.fingerprint());
-    /// b.rz(1, 0.25);
-    /// assert_ne!(a.fingerprint(), b.fingerprint());
-    /// ```
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_bytes(b"circuit/v1");
-        h.write_usize(self.num_qubits);
-        h.write_usize(self.gates.len());
-        for g in &self.gates {
-            g.fingerprint_into(&mut h);
-        }
-        h.finish()
     }
 
     /// Circuit depth under greedy as-soon-as-possible scheduling: the
@@ -541,58 +504,6 @@ mod tests {
     #[should_panic(expected = "outside 1..=128")]
     fn width_cap_is_128() {
         let _ = Circuit::new(129);
-    }
-
-    #[test]
-    fn fingerprint_collides_exactly_on_structural_equality() {
-        // Structurally equal circuits built independently collide.
-        let build = || {
-            let mut c = Circuit::new(4);
-            c.h(0).cx(0, 1).rz(2, 0.75).swap(1, 3).zz(2, 3, 0.5);
-            c
-        };
-        assert_eq!(build().fingerprint(), build().fingerprint());
-        // Cloning preserves the fingerprint.
-        let c = build();
-        assert_eq!(c.clone().fingerprint(), c.fingerprint());
-    }
-
-    #[test]
-    fn fingerprint_moves_on_any_structural_change() {
-        let mut base = Circuit::new(4);
-        base.h(0).cx(0, 1).rz(2, 0.75);
-        let fp = base.fingerprint();
-        // A different gate kind at the same site.
-        let mut other_gate = Circuit::new(4);
-        other_gate.x(0).cx(0, 1).rz(2, 0.75);
-        assert_ne!(fp, other_gate.fingerprint());
-        // A different qubit operand.
-        let mut other_qubit = Circuit::new(4);
-        other_qubit.h(1).cx(0, 1).rz(2, 0.75);
-        assert_ne!(fp, other_qubit.fingerprint());
-        // Swapped two-qubit operand order is a different gate.
-        let mut swapped = Circuit::new(4);
-        swapped.h(0).cx(1, 0).rz(2, 0.75);
-        assert_ne!(fp, swapped.fingerprint());
-        // A different angle (even by one ULP).
-        let mut other_angle = Circuit::new(4);
-        other_angle
-            .h(0)
-            .cx(0, 1)
-            .rz(2, f64::from_bits(0.75f64.to_bits() + 1));
-        assert_ne!(fp, other_angle.fingerprint());
-        // A different width with the same gates.
-        let mut wider = Circuit::new(5);
-        wider.h(0).cx(0, 1).rz(2, 0.75);
-        assert_ne!(fp, wider.fingerprint());
-        // Gate order matters.
-        let mut reordered = Circuit::new(4);
-        reordered.cx(0, 1).h(0).rz(2, 0.75);
-        assert_ne!(fp, reordered.fingerprint());
-        // An extra gate matters (including a trailing one).
-        let mut longer = base.clone();
-        longer.z(3);
-        assert_ne!(fp, longer.fingerprint());
     }
 
     #[test]

@@ -163,23 +163,6 @@ impl CouplingMap {
         &self.adj[q]
     }
 
-    /// A stable FNV-1a fingerprint of the connectivity: qubit count
-    /// plus the sorted undirected edge list. Equal graphs fingerprint
-    /// equal in every process; adding, removing or rewiring an edge
-    /// moves the fingerprint (not a cryptographic hash — see
-    /// [`hammer_dist::fingerprint`]).
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = hammer_dist::fingerprint::Fnv1a::new();
-        h.write_bytes(b"coupling/v1");
-        h.write_usize(self.num_qubits);
-        for (a, b) in self.edges() {
-            h.write_usize(a);
-            h.write_usize(b);
-        }
-        h.finish()
-    }
-
     /// Undirected edge list with `a < b`.
     #[must_use]
     pub fn edges(&self) -> Vec<(usize, usize)> {

@@ -163,22 +163,6 @@ impl DeviceModel {
         &self.name
     }
 
-    /// A stable FNV-1a fingerprint of the whole device: name bytes,
-    /// connectivity and error model. Equal devices (e.g. the same
-    /// preset at the same width) fingerprint equal in every process;
-    /// any topology or rate change moves the fingerprint (not a
-    /// cryptographic hash — see [`hammer_dist::fingerprint`]).
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = hammer_dist::fingerprint::Fnv1a::new();
-        h.write_bytes(b"device/v1");
-        h.write_usize(self.name.len());
-        h.write_bytes(self.name.as_bytes());
-        h.write_u64(self.coupling.fingerprint());
-        h.write_u64(self.noise.fingerprint());
-        h.finish()
-    }
-
     /// Number of physical qubits.
     #[must_use]
     pub fn num_qubits(&self) -> usize {

@@ -4,8 +4,6 @@
 
 use std::fmt;
 
-use hammer_dist::fingerprint::Fnv1a;
-
 use crate::complex::{Complex, C_I, C_ONE, C_ZERO};
 
 /// A quantum gate acting on one or two qubits.
@@ -112,42 +110,6 @@ impl Gate {
     #[must_use]
     pub fn is_two_qubit(&self) -> bool {
         matches!(self.qubits(), GateQubits::Two(..))
-    }
-
-    /// Absorbs the gate's canonical encoding — a per-variant tag, the
-    /// operand indices, and the angle's IEEE-754 bit pattern — into a
-    /// stable fingerprint (see [`Circuit::fingerprint`]
-    /// (crate::Circuit::fingerprint)). Operand *order* is hashed as
-    /// written: `Cx(0, 1)` and `Cx(1, 0)` are different gates.
-    pub(crate) fn fingerprint_into(&self, h: &mut Fnv1a) {
-        use Gate::*;
-        let (tag, a, b, theta) = match *self {
-            H(q) => (0u8, q, None, None),
-            X(q) => (1, q, None, None),
-            Y(q) => (2, q, None, None),
-            Z(q) => (3, q, None, None),
-            S(q) => (4, q, None, None),
-            Sdg(q) => (5, q, None, None),
-            T(q) => (6, q, None, None),
-            Tdg(q) => (7, q, None, None),
-            SqrtX(q) => (8, q, None, None),
-            SqrtXdg(q) => (9, q, None, None),
-            Rx(q, t) => (10, q, None, Some(t)),
-            Ry(q, t) => (11, q, None, Some(t)),
-            Rz(q, t) => (12, q, None, Some(t)),
-            Cx(a, b) => (13, a, Some(b), None),
-            Cz(a, b) => (14, a, Some(b), None),
-            Swap(a, b) => (15, a, Some(b), None),
-            Zz(a, b, t) => (16, a, Some(b), Some(t)),
-        };
-        h.write_u8(tag);
-        h.write_usize(a);
-        if let Some(b) = b {
-            h.write_usize(b);
-        }
-        if let Some(theta) = theta {
-            h.write_f64(theta);
-        }
     }
 
     /// True when the gate is (exactly) a Clifford operation, i.e. it maps

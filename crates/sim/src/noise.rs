@@ -332,31 +332,6 @@ impl NoiseModel {
         out
     }
 
-    /// A stable FNV-1a fingerprint of the full error model: base rates,
-    /// jitter spread and seed, idle rate and every per-qubit readout
-    /// pair, all hashed as IEEE-754 bit patterns. Equal models
-    /// fingerprint equal in every process; any rate change moves the
-    /// fingerprint (not a cryptographic hash — see
-    /// [`hammer_dist::fingerprint`]). Together with
-    /// [`crate::Circuit::fingerprint`] this keys the serving layer's
-    /// sample-and-reconstruct cache.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = hammer_dist::fingerprint::Fnv1a::new();
-        h.write_bytes(b"noise/v1");
-        h.write_f64(self.p1);
-        h.write_f64(self.p2);
-        h.write_f64(self.gate_spread);
-        h.write_u64(self.gate_seed);
-        h.write_f64(self.idle);
-        h.write_usize(self.readout.len());
-        for r in &self.readout {
-            h.write_f64(r.p0_to_1);
-            h.write_f64(r.p1_to_0);
-        }
-        h.finish()
-    }
-
     /// True when all rates are zero.
     #[must_use]
     pub fn is_noiseless(&self) -> bool {
